@@ -606,15 +606,23 @@ class ParallelExecutor:
 
         Worker processes are terminated explicitly: after a timeout the
         worker is still busy with the abandoned task, and ``shutdown``
-        alone would leave it running until interpreter exit.
+        alone would leave it running until interpreter exit.  The
+        process list is snapshotted *before* ``shutdown``, which clears
+        the pool's ``_processes`` table.
         """
+        procs = list((getattr(pool, "_processes", None) or {}).values())
         try:
             pool.shutdown(wait=False, cancel_futures=True)
         except Exception:  # pragma: no cover - defensive
             pass
-        for proc in list((getattr(pool, "_processes", None) or {}).values()):
+        for proc in procs:
             try:
                 proc.terminate()
+            except Exception:  # pragma: no cover - already gone
+                pass
+        for proc in procs:
+            try:
+                proc.join(timeout=2.0)
             except Exception:  # pragma: no cover - already gone
                 pass
 

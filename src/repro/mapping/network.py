@@ -43,6 +43,7 @@ from repro.mapping.fresh import FreshMapper
 from repro.mapping.linear import LinearWeightMapping
 from repro.nn.layers.conv import Conv2D
 from repro.nn.layers.dense import Dense
+from repro.nn.metrics import accuracy
 from repro.nn.model import Sequential
 from repro.rng import SeedLike, ensure_rng, spawn_rng
 
@@ -353,6 +354,13 @@ class MappedNetwork:
         batch on which candidate common ranges are scored; layers are
         processed in order and each candidate is scored with
         already-selected layers at their predicted weights.
+
+        Candidates for layer ``L`` differ only in layer ``L``, so the
+        selection batch's activations at the input of ``L`` are computed
+        once per layer and each candidate replays only ``layers[L:]``.
+        Both halves chunk the batch at the same boundaries as a full
+        :meth:`~repro.nn.model.Sequential.predict`, so every score is
+        bit-identical to :meth:`_accuracy_with_matrices` on the trial.
         """
         policy = policy if policy is not None else FreshMapper()
         predicted: Dict[int, hxp.ndarray] = {}
@@ -360,11 +368,15 @@ class MappedNetwork:
             if hasattr(policy, "candidate_uppers") and selection_data is not None:
                 x_sel, y_sel = selection_data
                 n = min(len(x_sel), getattr(policy, "selection_batch", 128))
+                start = mapped.layer_index
+                prefix = self._install_matrices(predicted).predict(x_sel[:n], stop=start)
+                y_batch = hxp.asarray(y_sel[:n], dtype=hxp.float64)
 
                 def score(r_lo: float, r_hi: float, mapped=mapped) -> float:
                     trial = dict(predicted)
                     trial[mapped.layer_index] = mapped.predicted_matrix(r_lo, r_hi)
-                    return self._accuracy_with_matrices(trial, x_sel[:n], y_sel[:n])
+                    model = self._install_matrices(trial)
+                    return accuracy(model.predict(prefix, start=start), y_batch)
 
                 r_lo, r_hi = policy.select_range(mapped, score)
             elif hasattr(policy, "candidate_uppers"):

@@ -130,10 +130,22 @@ class Sequential:
         return "\n".join(lines)
 
     # -- forward/backward ---------------------------------------------------
-    def forward(self, x: hxp.ndarray, training: bool = False) -> hxp.ndarray:
+    def forward(
+        self,
+        x: hxp.ndarray,
+        training: bool = False,
+        start: int = 0,
+        stop: Optional[int] = None,
+    ) -> hxp.ndarray:
+        """Run ``layers[start:stop]`` on ``x`` (the whole stack by default).
+
+        A slice lets callers that vary only layer ``L`` compute the
+        input of ``L`` once (``stop=L``) and replay just the suffix
+        (``start=L``) per variant.
+        """
         self._require_built()
         out = hxp.asarray(x, dtype=hxp.float64)
-        for layer in self.layers:
+        for layer in self.layers[start:stop]:
             out = layer.forward(out, training=training)
         return out
 
@@ -233,12 +245,24 @@ class Sequential:
                 print(msg)
         return history
 
-    def predict(self, x: hxp.ndarray, batch_size: int = 256) -> hxp.ndarray:
-        """Model outputs (logits) for ``x``, computed in batches."""
+    def predict(
+        self,
+        x: hxp.ndarray,
+        batch_size: int = 256,
+        start: int = 0,
+        stop: Optional[int] = None,
+    ) -> hxp.ndarray:
+        """Model outputs (logits) for ``x``, computed in batches.
+
+        ``start``/``stop`` select a layer slice as in :meth:`forward`.
+        Chunks always begin at multiples of ``batch_size``, so a prefix
+        ``predict(x, stop=L)`` fed to ``predict(..., start=L)`` runs
+        every layer on exactly the batches a full ``predict(x)`` would.
+        """
         x = hxp.asarray(x, dtype=hxp.float64)
         outputs = [
-            self.forward(x[start : start + batch_size], training=False)
-            for start in range(0, len(x), batch_size)
+            self.forward(x[i : i + batch_size], training=False, start=start, stop=stop)
+            for i in range(0, len(x), batch_size)
         ]
         return hxp.concatenate(outputs, axis=0)
 

@@ -44,6 +44,20 @@ def _hang(_x):
     time.sleep(300)
 
 
+def _hang_recording_pid(pid_path):
+    with open(pid_path, "w") as handle:
+        handle.write(str(os.getpid()))
+    time.sleep(300)
+
+
+def _process_gone(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
 FAST_RETRY = RetryPolicy(max_retries=2, backoff_base=0.01, backoff_max=0.05)
 
 
@@ -159,6 +173,23 @@ class TestTimeout:
         )
         assert time.perf_counter() - start < 60
         assert not outcomes[0].ok
+
+    def test_timed_out_worker_process_is_killed(self, tmp_path):
+        """The abandoned worker must not outlive its timeout: a leaked
+        sleeper would keep the interpreter alive at exit."""
+        pid_path = tmp_path / "worker.pid"
+        executor = ParallelExecutor(workers=2)
+        outcomes = executor.run(
+            # 2 s leaves the fresh worker ample time to write its pid.
+            [Task(key="hung", fn=_hang_recording_pid, args=(str(pid_path),), timeout=2.0)]
+        )
+        assert not outcomes[0].ok
+        assert "timeout" in outcomes[0].error.lower()
+        pid = int(pid_path.read_text())
+        deadline = time.monotonic() + 5.0
+        while not _process_gone(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _process_gone(pid), f"worker {pid} still alive after its timeout"
 
     def test_serial_mode_ignores_timeout(self):
         """Documented: in-process execution cannot be preempted."""

@@ -18,9 +18,6 @@
 * :class:`CheckpointManager` / :class:`RunJournal` — durable
   checkpoint/resume for lifetime runs and crash-safe journaling of
   campaign/sweep grids (DESIGN.md §10).
-* :func:`vectorized_enabled` / :func:`set_vectorized_enabled` — switch
-  between the vectorized lifetime hot loop and the scalar reference
-  path (``REPRO_SCALAR_TUNER``, DESIGN.md §11).
 """
 
 from repro.core.checkpoint import (
@@ -40,14 +37,8 @@ from repro.core.executor import (
     adaptive_chunk_size,
     fingerprint,
 )
-from repro.core.fastpath import set_vectorized_enabled, vectorized_enabled
 from repro.core.framework import AgingAwareFramework, FrameworkConfig
-from repro.core.kernels import (
-    FactorizationCache,
-    NodalSolver,
-    cache_enabled,
-    set_cache_enabled,
-)
+from repro.core.kernels import FactorizationCache, NodalSolver
 from repro.core.lifetime import LifetimeConfig, LifetimeSimulator
 from repro.core.profiling import PROFILER, PerfDelta, PerfRegistry
 from repro.core.presets import (
@@ -93,14 +84,10 @@ __all__ = [
     "adaptive_chunk_size",
     "blobs_mini",
     "blobs_wide",
-    "cache_enabled",
     "fingerprint",
     "inspect_checkpoint",
     "lenet_glyphs",
     "load_checkpoint",
     "save_checkpoint",
-    "set_cache_enabled",
-    "set_vectorized_enabled",
-    "vectorized_enabled",
     "vggnet_shapes",
 ]

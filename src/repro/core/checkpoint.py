@@ -164,7 +164,6 @@ def _restore_tile(tile, d: dict) -> None:
     tile.pulse_miss_rate = float(d["pulse_miss_rate"])
     tile._conductance_cache = None
     tile._solver_cache.invalidate()
-    tile._device_g_cache.invalidate()
     tile._bounds_cache = None
     tile._dead_cache = None
     tile._state_version = int(d["state_version"])
@@ -229,8 +228,18 @@ def restore_simulator(payload: dict):
     The object graph comes from the context pickle; every tile array,
     ``state_version`` and RNG stream is then overwritten from the
     structured sections, which are the format's source of truth.
+
+    Raises :class:`~repro.exceptions.CheckpointError` when the context
+    pickle does not load in this build (e.g. it references a class that
+    has since been removed).
     """
-    simulator = _serializer.loads(base64.b64decode(payload["context_pickle"]))
+    try:
+        simulator = _serializer.loads(base64.b64decode(payload["context_pickle"]))
+    except Exception as exc:
+        raise CheckpointError(
+            "the snapshot's pickled context is incompatible with this build "
+            f"({type(exc).__name__}: {exc}); rerun from the start instead"
+        ) from exc
     # Captures happen outside any read-reuse scope, but reset the
     # network-level memo state anyway (covers snapshots pickled by
     # builds without it, and makes restore independent of capture

@@ -242,10 +242,9 @@ class LifetimeSimulator:
             # aging-aware candidate scoring, the tuning session and the
             # window metrics all read the same device state, so the
             # scope lets the network memoize noise-free reads instead
-            # of rebuilding the scratch model between stages.  The
-            # scope is a no-op on the scalar path and for network types
-            # without one (e.g. differential), and it is closed before
-            # any checkpoint capture below.
+            # of rebuilding the scratch model between stages.  Network
+            # types without one (e.g. differential) skip the scope, and
+            # it is closed before any checkpoint capture below.
             reuse = (
                 self.network.read_reuse()
                 if hasattr(self.network, "read_reuse")

@@ -223,13 +223,13 @@ def blobs_mini(fast: bool = False) -> ExperimentPreset:
 
 
 def blobs_wide(fast: bool = False) -> ExperimentPreset:
-    """Wider MLP-on-blobs workload for backend benchmarks.
+    """Wider MLP-on-blobs workload with GEMM-dominated evaluation.
 
-    The matrices of ``blobs-mini`` are too small for the choice of
-    array backend to matter; this preset widens the MLP (256/128 hidden
-    units over 32 input features) and enlarges the held-out split so
-    the per-window evaluate step is dominated by real GEMM work while a
-    full lifetime on the numpy backend stays seconds-scale.
+    The matrices of ``blobs-mini`` are too small for GEMM cost to show;
+    this preset widens the MLP (256/128 hidden units over 32 input
+    features) and enlarges the held-out split so the per-window
+    evaluate step is dominated by real GEMM work while a full lifetime
+    stays seconds-scale.
     ``fast=True`` shrinks the horizon for the test suite without
     shrinking the matrices (the point of the preset is their size).
     """

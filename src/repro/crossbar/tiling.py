@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, Tuple
 
-from repro.core.backend import hxp
+import numpy as np
+
 from repro.crossbar.crossbar import Crossbar
 from repro.device.config import DeviceConfig
 from repro.exceptions import ConfigurationError, ShapeError
@@ -73,14 +74,14 @@ class TiledMatrix:
                 yield slice(r0, r0 + tile.rows), slice(c0, c0 + tile.cols), tile
 
     # -- array-wide views -------------------------------------------------
-    def resistances(self) -> hxp.ndarray:
+    def resistances(self) -> np.ndarray:
         """Logical programmed-resistance matrix."""
-        out = hxp.empty(self.shape, dtype=hxp.float64)
+        out = np.empty(self.shape, dtype=np.float64)
         for rs, cs, tile in self.iter_tiles():
             out[rs, cs] = tile.resistance
         return out
 
-    def conductances(self) -> hxp.ndarray:
+    def conductances(self) -> np.ndarray:
         """Logical conductance matrix (noise-free).
 
         Assembled from the per-tile :meth:`Crossbar.conductances`
@@ -88,14 +89,14 @@ class TiledMatrix:
         (elementwise reciprocal commutes with tiling) but free between
         reprogramming events.
         """
-        out = hxp.empty(self.shape, dtype=hxp.float64)
+        out = np.empty(self.shape, dtype=np.float64)
         for rs, cs, tile in self.iter_tiles():
             out[rs, cs] = tile.conductances()
         return out
 
-    def read_conductances(self) -> hxp.ndarray:
+    def read_conductances(self) -> np.ndarray:
         """Logical conductance matrix as seen by a read (noise per tile)."""
-        out = hxp.empty(self.shape, dtype=hxp.float64)
+        out = np.empty(self.shape, dtype=np.float64)
         for rs, cs, tile in self.iter_tiles():
             out[rs, cs] = tile.read_conductances()
         return out
@@ -109,17 +110,17 @@ class TiledMatrix:
         """
         return sum(tile.state_version for _rs, _cs, tile in self.iter_tiles())
 
-    def read_resistances(self) -> hxp.ndarray:
+    def read_resistances(self) -> np.ndarray:
         """Logical resistance read-out (read noise per tile)."""
-        out = hxp.empty(self.shape, dtype=hxp.float64)
+        out = np.empty(self.shape, dtype=np.float64)
         for rs, cs, tile in self.iter_tiles():
             out[rs, cs] = tile.read_resistances()
         return out
 
-    def aged_bounds(self) -> Tuple[hxp.ndarray, hxp.ndarray]:
+    def aged_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
         """Logical per-device aged windows."""
-        lo = hxp.empty(self.shape, dtype=hxp.float64)
-        hi = hxp.empty(self.shape, dtype=hxp.float64)
+        lo = np.empty(self.shape, dtype=np.float64)
+        hi = np.empty(self.shape, dtype=np.float64)
         for rs, cs, tile in self.iter_tiles():
             tlo, thi = tile.aged_bounds()
             lo[rs, cs], hi[rs, cs] = tlo, thi
@@ -129,39 +130,39 @@ class TiledMatrix:
         """Total programming pulses across all tiles."""
         return sum(tile.total_pulses() for _rs, _cs, tile in self.iter_tiles())
 
-    def dead_mask(self) -> hxp.ndarray:
+    def dead_mask(self) -> np.ndarray:
         """Logical boolean mask of dead (window-collapsed) devices."""
-        out = hxp.empty(self.shape, dtype=bool)
+        out = np.empty(self.shape, dtype=bool)
         for rs, cs, tile in self.iter_tiles():
             out[rs, cs] = tile.dead_mask()
         return out
 
     def dead_fraction(self) -> float:
         """Fraction of dead devices over the logical matrix."""
-        return float(hxp.mean(self.dead_mask()))
+        return float(np.mean(self.dead_mask()))
 
     # -- operations ----------------------------------------------------------
-    def program(self, targets: hxp.ndarray, only_changed: bool = True) -> hxp.ndarray:
+    def program(self, targets: np.ndarray, only_changed: bool = True) -> np.ndarray:
         """Program the logical matrix (slice-wise per tile)."""
-        targets = hxp.asarray(targets, dtype=hxp.float64)
+        targets = np.asarray(targets, dtype=np.float64)
         if targets.shape != self.shape:
             raise ShapeError(f"targets shape {targets.shape} != logical {self.shape}")
         for rs, cs, tile in self.iter_tiles():
             tile.program(targets[rs, cs], only_changed=only_changed)
         return self.resistances()
 
-    def step_levels(self, directions: hxp.ndarray) -> hxp.ndarray:
+    def step_levels(self, directions: np.ndarray) -> np.ndarray:
         """Apply ±1-level tuning pulses over the logical matrix."""
-        directions = hxp.asarray(directions)
+        directions = np.asarray(directions)
         if directions.shape != self.shape:
             raise ShapeError(f"directions shape {directions.shape} != logical {self.shape}")
         for rs, cs, tile in self.iter_tiles():
             tile.step_levels(directions[rs, cs])
         return self.resistances()
 
-    def step_conductance(self, directions: hxp.ndarray, fraction: float = 0.5) -> hxp.ndarray:
+    def step_conductance(self, directions: np.ndarray, fraction: float = 0.5) -> np.ndarray:
         """Conductance-domain tuning pulses over the logical matrix."""
-        directions = hxp.asarray(directions)
+        directions = np.asarray(directions)
         if directions.shape != self.shape:
             raise ShapeError(f"directions shape {directions.shape} != logical {self.shape}")
         for rs, cs, tile in self.iter_tiles():
@@ -169,7 +170,7 @@ class TiledMatrix:
         return self.resistances()
 
     def program_pulses(
-        self, mask: hxp.ndarray, polarity: hxp.ndarray, fraction: float = 0.5
+        self, mask: np.ndarray, polarity: np.ndarray, fraction: float = 0.5
     ) -> int:
         """Batched tuning pulses over the logical matrix.
 
@@ -189,14 +190,14 @@ class TiledMatrix:
             )
         return applied
 
-    def program_targets(self, targets: hxp.ndarray, only_changed: bool = True) -> int:
+    def program_targets(self, targets: np.ndarray, only_changed: bool = True) -> int:
         """Batched programming over the logical matrix.
 
         Bit-identical to :meth:`program` but skips assembling the
         logical achieved-resistance matrix that batch callers discard.
         Returns the total number of devices that received a pulse.
         """
-        targets = hxp.asarray(targets, dtype=hxp.float64)
+        targets = np.asarray(targets, dtype=np.float64)
         if targets.shape != self.shape:
             raise ShapeError(f"targets shape {targets.shape} != logical {self.shape}")
         applied = 0
@@ -204,37 +205,37 @@ class TiledMatrix:
             applied += tile.program_targets(targets[rs, cs], only_changed=only_changed)
         return applied
 
-    def apply_drift(self, magnitude: float) -> hxp.ndarray:
+    def apply_drift(self, magnitude: float) -> np.ndarray:
         """Apply read-disturb drift to every tile (see Crossbar.apply_drift)."""
         for _rs, _cs, tile in self.iter_tiles():
             tile.apply_drift(magnitude)
         return self.resistances()
 
-    def vmm(self, v_in: hxp.ndarray) -> hxp.ndarray:
+    def vmm(self, v_in: np.ndarray) -> np.ndarray:
         """Analog VMM with digital summation of per-tile partial outputs."""
-        v_in = hxp.asarray(v_in, dtype=hxp.float64)
+        v_in = np.asarray(v_in, dtype=np.float64)
         if v_in.shape[-1] != self.rows:
             raise ShapeError(f"input width {v_in.shape[-1]} != logical rows {self.rows}")
         out_shape = v_in.shape[:-1] + (self.cols,)
-        out = hxp.zeros(out_shape, dtype=hxp.float64)
+        out = np.zeros(out_shape, dtype=np.float64)
         for rs, cs, tile in self.iter_tiles():
             out[..., cs] += tile.vmm(v_in[..., rs])
         return out
 
     def vmm_ir_drop(
-        self, v_in: hxp.ndarray, model: "ParasiticModel", exact: bool = False
-    ) -> hxp.ndarray:
+        self, v_in: np.ndarray, model: "ParasiticModel", exact: bool = False
+    ) -> np.ndarray:
         """Parasitic-aware VMM with digital summation of tile partials.
 
         Each tile solves its own (bounded-size) IR-drop problem through
         its cached factorization; partial currents sum digitally, as in
         :meth:`vmm`.
         """
-        v_in = hxp.asarray(v_in, dtype=hxp.float64)
+        v_in = np.asarray(v_in, dtype=np.float64)
         if v_in.shape[-1] != self.rows:
             raise ShapeError(f"input width {v_in.shape[-1]} != logical rows {self.rows}")
         out_shape = v_in.shape[:-1] + (self.cols,)
-        out = hxp.zeros(out_shape, dtype=hxp.float64)
+        out = np.zeros(out_shape, dtype=np.float64)
         for rs, cs, tile in self.iter_tiles():
             out[..., cs] += tile.vmm_ir_drop(v_in[..., rs], model, exact=exact)
         return out

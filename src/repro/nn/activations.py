@@ -9,7 +9,7 @@ and tanh differentiate through their outputs).
 
 from __future__ import annotations
 
-from repro.core.backend import hxp
+import numpy as np
 
 from repro.exceptions import ConfigurationError
 
@@ -19,10 +19,10 @@ class ActivationFunction:
 
     name = "base"
 
-    def forward(self, x: hxp.ndarray) -> hxp.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, x: hxp.ndarray, y: hxp.ndarray, grad: hxp.ndarray) -> hxp.ndarray:
+    def backward(self, x: np.ndarray, y: np.ndarray, grad: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -34,10 +34,10 @@ class Identity(ActivationFunction):
 
     name = "identity"
 
-    def forward(self, x: hxp.ndarray) -> hxp.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         return x
 
-    def backward(self, x: hxp.ndarray, y: hxp.ndarray, grad: hxp.ndarray) -> hxp.ndarray:
+    def backward(self, x: np.ndarray, y: np.ndarray, grad: np.ndarray) -> np.ndarray:
         return grad
 
 
@@ -46,10 +46,10 @@ class ReLU(ActivationFunction):
 
     name = "relu"
 
-    def forward(self, x: hxp.ndarray) -> hxp.ndarray:
-        return hxp.maximum(x, 0.0)
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return np.maximum(x, 0.0)
 
-    def backward(self, x: hxp.ndarray, y: hxp.ndarray, grad: hxp.ndarray) -> hxp.ndarray:
+    def backward(self, x: np.ndarray, y: np.ndarray, grad: np.ndarray) -> np.ndarray:
         return grad * (x > 0.0)
 
 
@@ -63,11 +63,11 @@ class LeakyReLU(ActivationFunction):
             raise ConfigurationError(f"alpha must be >= 0, got {alpha}")
         self.alpha = float(alpha)
 
-    def forward(self, x: hxp.ndarray) -> hxp.ndarray:
-        return hxp.where(x > 0.0, x, self.alpha * x)
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return np.where(x > 0.0, x, self.alpha * x)
 
-    def backward(self, x: hxp.ndarray, y: hxp.ndarray, grad: hxp.ndarray) -> hxp.ndarray:
-        return grad * hxp.where(x > 0.0, 1.0, self.alpha)
+    def backward(self, x: np.ndarray, y: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        return grad * np.where(x > 0.0, 1.0, self.alpha)
 
 
 class Sigmoid(ActivationFunction):
@@ -75,15 +75,15 @@ class Sigmoid(ActivationFunction):
 
     name = "sigmoid"
 
-    def forward(self, x: hxp.ndarray) -> hxp.ndarray:
-        out = hxp.empty_like(x, dtype=hxp.float64)
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        out = np.empty_like(x, dtype=np.float64)
         pos = x >= 0
-        out[pos] = 1.0 / (1.0 + hxp.exp(-x[pos]))
-        ex = hxp.exp(x[~pos])
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
         out[~pos] = ex / (1.0 + ex)
         return out
 
-    def backward(self, x: hxp.ndarray, y: hxp.ndarray, grad: hxp.ndarray) -> hxp.ndarray:
+    def backward(self, x: np.ndarray, y: np.ndarray, grad: np.ndarray) -> np.ndarray:
         return grad * y * (1.0 - y)
 
 
@@ -92,10 +92,10 @@ class Tanh(ActivationFunction):
 
     name = "tanh"
 
-    def forward(self, x: hxp.ndarray) -> hxp.ndarray:
-        return hxp.tanh(x)
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return np.tanh(x)
 
-    def backward(self, x: hxp.ndarray, y: hxp.ndarray, grad: hxp.ndarray) -> hxp.ndarray:
+    def backward(self, x: np.ndarray, y: np.ndarray, grad: np.ndarray) -> np.ndarray:
         return grad * (1.0 - y * y)
 
 
@@ -111,13 +111,13 @@ class Softmax(ActivationFunction):
 
     name = "softmax"
 
-    def forward(self, x: hxp.ndarray) -> hxp.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         shifted = x - x.max(axis=-1, keepdims=True)
-        e = hxp.exp(shifted)
+        e = np.exp(shifted)
         return e / e.sum(axis=-1, keepdims=True)
 
-    def backward(self, x: hxp.ndarray, y: hxp.ndarray, grad: hxp.ndarray) -> hxp.ndarray:
-        dot = hxp.sum(grad * y, axis=-1, keepdims=True)
+    def backward(self, x: np.ndarray, y: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        dot = np.sum(grad * y, axis=-1, keepdims=True)
         return y * (grad - dot)
 
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.core.backend import gemm, hxp
+import numpy as np
+
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.nn.initializers import ZerosInit, get_initializer
 from repro.nn.layers.base import ParamLayer
@@ -20,8 +21,8 @@ from repro.rng import SeedLike
 
 
 def im2col(
-    x: hxp.ndarray, kh: int, kw: int, stride: int = 1, padding: int = 0
-) -> hxp.ndarray:
+    x: np.ndarray, kh: int, kw: int, stride: int = 1, padding: int = 0
+) -> np.ndarray:
     """Unroll sliding windows of ``x`` (NCHW) into a 2-D matrix.
 
     Returns an array of shape ``(batch*oh*ow, c*kh*kw)`` where ``oh, ow``
@@ -31,8 +32,8 @@ def im2col(
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
     if padding > 0:
-        x = hxp.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = hxp.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
     for i in range(kh):
         i_max = i + stride * oh
         for j in range(kw):
@@ -42,19 +43,19 @@ def im2col(
 
 
 def col2im(
-    cols: hxp.ndarray,
+    cols: np.ndarray,
     x_shape: Tuple[int, int, int, int],
     kh: int,
     kw: int,
     stride: int = 1,
     padding: int = 0,
-) -> hxp.ndarray:
+) -> np.ndarray:
     """Inverse of :func:`im2col`: scatter-add columns back to NCHW."""
     n, c, h, w = x_shape
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
     cols = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    x_padded = hxp.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    x_padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
     for i in range(kh):
         i_max = i + stride * oh
         for j in range(kw):
@@ -94,7 +95,7 @@ class Conv2D(ParamLayer):
         self.use_bias = bool(use_bias)
         self.kernel_init = get_initializer(kernel_init)
         self.bias_init = get_initializer(bias_init) if bias_init is not None else ZerosInit()
-        self._cols: hxp.ndarray | None = None
+        self._cols: np.ndarray | None = None
         self._x_shape: Tuple[int, int, int, int] | None = None
 
     def build(self, input_shape: Tuple[int, ...], rng: SeedLike = None) -> Tuple[int, ...]:
@@ -121,28 +122,28 @@ class Conv2D(ParamLayer):
         ow = (w + 2 * p - k) // s + 1
         return (self.filters, oh, ow)
 
-    def forward(self, x: hxp.ndarray, training: bool = False) -> hxp.ndarray:
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         n = x.shape[0]
         k = self.kernel_size
         self._x_shape = x.shape
         cols = im2col(x, k, k, self.stride, self.padding)
         self._cols = cols
         w_mat = self._params["W"].reshape(self.filters, -1)  # (out, c*k*k)
-        out = gemm(cols, w_mat.T)
+        out = cols @ w_mat.T
         if self.use_bias:
             out = out + self._params["b"]
         _, oh, ow = self.output_shape()
         return out.reshape(n, oh, ow, self.filters).transpose(0, 3, 1, 2)
 
-    def backward(self, grad: hxp.ndarray) -> hxp.ndarray:
+    def backward(self, grad: np.ndarray) -> np.ndarray:
         assert self._cols is not None and self._x_shape is not None
         k = self.kernel_size
         grad_mat = grad.transpose(0, 2, 3, 1).reshape(-1, self.filters)
-        self._grads["W"][...] = gemm(grad_mat.T, self._cols).reshape(self._params["W"].shape)
+        self._grads["W"][...] = (grad_mat.T @ self._cols).reshape(self._params["W"].shape)
         if self.use_bias:
             self._grads["b"][...] = grad_mat.sum(axis=0)
         w_mat = self._params["W"].reshape(self.filters, -1)
-        dcols = gemm(grad_mat, w_mat)
+        dcols = grad_mat @ w_mat
         return col2im(dcols, self._x_shape, k, k, self.stride, self.padding)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.core.backend import gemm, hxp
+import numpy as np
+
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.nn.initializers import ZerosInit, get_initializer
 from repro.nn.layers.base import ParamLayer
@@ -33,7 +34,7 @@ class Dense(ParamLayer):
         self.use_bias = bool(use_bias)
         self.kernel_init = get_initializer(kernel_init)
         self.bias_init = get_initializer(bias_init) if bias_init is not None else ZerosInit()
-        self._x: hxp.ndarray | None = None
+        self._x: np.ndarray | None = None
 
     def build(self, input_shape: Tuple[int, ...], rng: SeedLike = None) -> Tuple[int, ...]:
         if len(input_shape) != 1:
@@ -50,19 +51,19 @@ class Dense(ParamLayer):
     def output_shape(self) -> Tuple[int, ...]:
         return (self.units,)
 
-    def forward(self, x: hxp.ndarray, training: bool = False) -> hxp.ndarray:
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._x = x
-        out = gemm(x, self._params["W"])
+        out = x @ self._params["W"]
         if self.use_bias:
             out = out + self._params["b"]
         return out
 
-    def backward(self, grad: hxp.ndarray) -> hxp.ndarray:
+    def backward(self, grad: np.ndarray) -> np.ndarray:
         assert self._x is not None, "backward called before forward"
-        self._grads["W"][...] = gemm(self._x.T, grad)
+        self._grads["W"][...] = self._x.T @ grad
         if self.use_bias:
             self._grads["b"][...] = grad.sum(axis=0)
-        return gemm(grad, self._params["W"].T)
+        return grad @ self._params["W"].T
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Dense(units={self.units}, use_bias={self.use_bias})"

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.core.backend import hxp
+import numpy as np
 
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.nn.initializers import Initializer
@@ -13,13 +13,13 @@ from repro.rng import SeedLike
 
 
 class _Ones(Initializer):
-    def __call__(self, shape, rng=None) -> hxp.ndarray:
-        return hxp.ones(shape, dtype=hxp.float64)
+    def __call__(self, shape, rng=None) -> np.ndarray:
+        return np.ones(shape, dtype=np.float64)
 
 
 class _Zeros(Initializer):
-    def __call__(self, shape, rng=None) -> hxp.ndarray:
-        return hxp.zeros(shape, dtype=hxp.float64)
+    def __call__(self, shape, rng=None) -> np.ndarray:
+        return np.zeros(shape, dtype=np.float64)
 
 
 class BatchNorm(ParamLayer):
@@ -37,8 +37,8 @@ class BatchNorm(ParamLayer):
             raise ConfigurationError(f"momentum must be in [0, 1), got {momentum}")
         self.momentum = float(momentum)
         self.eps = float(eps)
-        self.running_mean: hxp.ndarray | None = None
-        self.running_var: hxp.ndarray | None = None
+        self.running_mean: np.ndarray | None = None
+        self.running_var: np.ndarray | None = None
 
     def build(self, input_shape: Tuple[int, ...], rng: SeedLike = None) -> Tuple[int, ...]:
         if len(input_shape) not in (1, 3):
@@ -47,17 +47,17 @@ class BatchNorm(ParamLayer):
         n_feat = input_shape[0]
         self.add_param("gamma", (n_feat,), _Ones(), rng)
         self.add_param("beta", (n_feat,), _Zeros(), rng)
-        self.running_mean = hxp.zeros(n_feat, dtype=hxp.float64)
-        self.running_var = hxp.ones(n_feat, dtype=hxp.float64)
+        self.running_mean = np.zeros(n_feat, dtype=np.float64)
+        self.running_var = np.ones(n_feat, dtype=np.float64)
         return self.output_shape()
 
-    def _axes(self, x: hxp.ndarray):
+    def _axes(self, x: np.ndarray):
         return (0,) if x.ndim == 2 else (0, 2, 3)
 
-    def _reshape(self, v: hxp.ndarray, x: hxp.ndarray) -> hxp.ndarray:
+    def _reshape(self, v: np.ndarray, x: np.ndarray) -> np.ndarray:
         return v if x.ndim == 2 else v.reshape(1, -1, 1, 1)
 
-    def forward(self, x: hxp.ndarray, training: bool = False) -> hxp.ndarray:
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         axes = self._axes(x)
         if training:
             mean = x.mean(axis=axes)
@@ -70,22 +70,22 @@ class BatchNorm(ParamLayer):
         else:
             assert self.running_mean is not None and self.running_var is not None
             mean, var = self.running_mean, self.running_var
-        std = hxp.sqrt(var + self.eps)
+        std = np.sqrt(var + self.eps)
         x_hat = (x - self._reshape(mean, x)) / self._reshape(std, x)
         self._cache = (x_hat, std, axes)
         return self._reshape(self._params["gamma"], x) * x_hat + self._reshape(
             self._params["beta"], x
         )
 
-    def backward(self, grad: hxp.ndarray) -> hxp.ndarray:
+    def backward(self, grad: np.ndarray) -> np.ndarray:
         x_hat, std, axes = self._cache
-        self._grads["gamma"][...] = hxp.sum(grad * x_hat, axis=axes)
-        self._grads["beta"][...] = hxp.sum(grad, axis=axes)
+        self._grads["gamma"][...] = np.sum(grad * x_hat, axis=axes)
+        self._grads["beta"][...] = np.sum(grad, axis=axes)
         gamma = self._reshape(self._params["gamma"], grad)
         dx_hat = grad * gamma
         term1 = dx_hat
         term2 = self._reshape(dx_hat.mean(axis=axes), grad)
-        term3 = x_hat * self._reshape(hxp.mean(dx_hat * x_hat, axis=axes), grad)
+        term3 = x_hat * self._reshape(np.mean(dx_hat * x_hat, axis=axes), grad)
         return (term1 - term2 - term3) / self._reshape(std, grad)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

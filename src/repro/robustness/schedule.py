@@ -28,12 +28,11 @@ Composition with the aging model is deliberate, not incidental:
   pulse silently fails to fire from their window on (the device neither
   moves nor ages on a missed pulse).
 
-Every knob composes identically with both pulse paths (DESIGN.md §11):
-the miss draw and the dead-device skip are folded into the same masked
-update whether the sweep runs vectorized or through the
-``REPRO_SCALAR_TUNER`` per-device reference, so a faulted run is
-bit-identical across paths — the equivalence battery drives these
-hooks explicitly.
+Every knob composes identically with the batched pulse path and the
+per-device Eq. (5) reference in ``tests/oracles/`` (DESIGN.md §11): the
+miss draw and the dead-device skip are folded into the same masked
+update, so a faulted run is bit-identical across the two — the
+equivalence battery drives these hooks explicitly.
 """
 
 from __future__ import annotations

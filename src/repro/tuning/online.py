@@ -19,18 +19,13 @@ Tuning stops when the target accuracy is reached (converged) or the
 iteration budget is exhausted (the lifetime engine treats a budget
 overrun as end-of-life).
 
-The sweep itself has two implementations (DESIGN.md §11).  By default
-each iteration runs **batched**: sign/threshold/dead-mask decisions for
-every layer are computed as whole-array ops and applied through the
-crossbars' ``program_pulses(mask, polarity)`` entry point, with the
-per-pulse aging accrual and any ``pulse_miss``/stuck-at fault hooks
-folded into the same masked update — so the RNG streams and state
-version bumps are exactly those of the reference path.  Setting
-``REPRO_SCALAR_TUNER=1`` (or calling
-:func:`repro.core.fastpath.set_vectorized_enabled` with ``False``)
-selects the original scalar ``step_conductance`` sweep, kept as the
-oracle that ``tests/tuning/test_tuner_equivalence.py`` diffs the
-batched path against bit for bit.
+Each sweep runs **batched** (DESIGN.md §11): sign/threshold/dead-mask
+decisions for every layer are computed as whole-array ops and applied
+through the crossbars' ``program_pulses(mask, polarity)`` entry point,
+with the per-pulse aging accrual and any ``pulse_miss``/stuck-at fault
+hooks folded into the same masked update.  The per-device Eq. (5)
+reference that ``tests/tuning/test_tuner_equivalence.py`` diffs this
+path against bit for bit lives in ``tests/oracles/``.
 """
 
 from __future__ import annotations
@@ -41,7 +36,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.fastpath import vectorized_enabled
 from repro.core.profiling import PROFILER
 from repro.exceptions import ConfigurationError
 from repro.mapping.network import MappedNetwork
@@ -163,14 +157,10 @@ class OnlineTuner:
         random ``batch_size`` subsets.  Every sweep pulses the selected
         devices (aging them); evaluation itself applies no stress.
 
-        On the default vectorized path the whole session runs inside
-        the network's :meth:`~repro.mapping.network.MappedNetwork.read_reuse`
-        scope (hardware reads between sweeps are memoized) and each
-        sweep goes through ``apply_tuning_sweep`` → batched
-        ``program_pulses``.  With ``REPRO_SCALAR_TUNER`` set, the
-        original per-layer ``step_conductance`` sweep runs instead;
-        both paths produce bit-identical conductances, pulse counts and
-        RNG states.
+        The whole session runs inside the network's
+        :meth:`~repro.mapping.network.MappedNetwork.read_reuse` scope
+        (hardware reads between sweeps are memoized) and each sweep goes
+        through ``apply_tuning_sweep`` → batched ``program_pulses``.
         """
         PROFILER.increment("tuning.sessions")
         with PROFILER.timer("tuning.session"):
@@ -185,16 +175,14 @@ class OnlineTuner:
         x_tune: np.ndarray,
         y_tune: np.ndarray,
     ) -> TuningResult:
-        cfg = self.config
         x_tune = np.asarray(x_tune, dtype=np.float64)
         y_tune = np.asarray(y_tune, dtype=np.float64)
         if len(x_tune) != len(y_tune):
             raise ConfigurationError("x_tune and y_tune lengths differ")
 
-        # Batched network-level sweep where the network offers one
-        # (differential networks tune per layer either way); read-reuse
-        # scope where available — both no-ops on the scalar path.
-        use_batched = vectorized_enabled() and hasattr(network, "apply_tuning_sweep")
+        # Batched network-level sweep and read-reuse scope where the
+        # network offers them (differential networks tune per layer).
+        use_batched = hasattr(network, "apply_tuning_sweep")
         reuse = network.read_reuse() if hasattr(network, "read_reuse") else nullcontext()
         with reuse:
             return self._tune_loop(network, x_tune, y_tune, use_batched)
@@ -230,8 +218,7 @@ class OnlineTuner:
                     mask_dead=cfg.mask_dead_devices,
                 )
             else:
-                # Scalar reference sweep (REPRO_SCALAR_TUNER), and the
-                # tuning path for networks without apply_tuning_sweep.
+                # Networks without apply_tuning_sweep tune per layer.
                 for mapped in network.layers:
                     grad = grads[mapped.layer_index]
                     if cfg.mask_dead_devices:

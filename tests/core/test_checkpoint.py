@@ -9,6 +9,7 @@ bit-identity property lives in
 ``tests/integration/test_checkpoint_resume.py``.
 """
 
+import base64
 import json
 
 import numpy as np
@@ -207,6 +208,20 @@ class TestCaptureRestore:
         assert info["tiles"] >= info["layers"]
         assert info["devices"] > 0
         assert info["bytes"] == path.stat().st_size
+
+    def test_incompatible_context_pickle_raises_checkpoint_error(
+        self, simulator, tmp_path
+    ):
+        """A snapshot whose context pickle names a class this build no
+        longer has (here the removed ``repro.core.backend``) fails to
+        resume as a CheckpointError, while inspect still reads it."""
+        payload = self._mid_run_payload(simulator)
+        stale = b"crepro.core.backend\nDeviceArrayCache\n."  # protocol-0 global
+        payload["context_pickle"] = base64.b64encode(stale).decode("ascii")
+        path = save_checkpoint(payload, tmp_path / f"t+t{CHECKPOINT_SUFFIX}")
+        assert inspect_checkpoint(path)["next_window"] == 4
+        with pytest.raises(CheckpointError, match="incompatible with this build"):
+            LifetimeSimulator.resume(path)
 
 
 def _layer_arms_pair(mapped):

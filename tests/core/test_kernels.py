@@ -13,8 +13,6 @@ from repro.core.kernels import (
     FactorizationCache,
     NodalSolver,
     assemble_nodal_matrix,
-    cache_enabled,
-    set_cache_enabled,
 )
 from repro.core.profiling import PROFILER
 from repro.crossbar import Crossbar
@@ -22,6 +20,7 @@ from repro.crossbar.parasitics import ParasiticModel, solve_crossbar_nodal
 from repro.device import DeviceConfig
 from repro.device.faults import FaultModel, inject_faults
 from repro.exceptions import ConfigurationError, ShapeError
+from tests.oracles import uncached_reads
 
 
 @pytest.fixture()
@@ -31,9 +30,8 @@ def small_g(rng):
 
 @pytest.fixture()
 def caches_off():
-    prior = set_cache_enabled(False)
-    yield
-    set_cache_enabled(prior)
+    with uncached_reads() as calls:
+        yield calls
 
 
 class TestNodalSolver:
@@ -193,12 +191,13 @@ class TestCrossbarStateVersion:
         assert g2 is not g1
         np.testing.assert_array_equal(g2, 1.0 / xb.resistance)
 
-    def test_cache_disabled_is_bitwise_identical(self, caches_off):
-        xb_off = self.make()
-        xb_off.program(np.full((4, 4), 5e4))
-        out_off = xb_off.vmm_ir_drop(np.ones(4), ParasiticModel(5.0), exact=True)
-        g_off = xb_off.conductances().copy()
-        set_cache_enabled(True)
+    def test_cache_disabled_is_bitwise_identical(self):
+        with uncached_reads() as calls:
+            xb_off = self.make()
+            xb_off.program(np.full((4, 4), 5e4))
+            out_off = xb_off.vmm_ir_drop(np.ones(4), ParasiticModel(5.0), exact=True)
+            g_off = xb_off.conductances().copy()
+        assert calls["FactorizationCache.get"] > 0
         xb_on = self.make()
         xb_on.program(np.full((4, 4), 5e4))
         out_on = xb_on.vmm_ir_drop(np.ones(4), ParasiticModel(5.0), exact=True)
@@ -248,9 +247,8 @@ class TestCrossbarStateVersion:
 
 class TestCacheToggle:
     def test_toggle_returns_prior(self):
-        assert cache_enabled()
-        prior = set_cache_enabled(False)
-        assert prior is True
-        assert not cache_enabled()
-        set_cache_enabled(True)
-        assert cache_enabled()
+        """Leaving the uncached oracle restores the cached read path."""
+        xb = Crossbar(4, 4, DeviceConfig(), seed=3)
+        with uncached_reads():
+            assert xb.conductances() is not xb.conductances()
+        assert xb.conductances() is xb.conductances()

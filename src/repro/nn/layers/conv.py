@@ -6,10 +6,18 @@ GEMM, which is the fastest arrangement for numpy on a single core and is
 also the arrangement that maps directly onto crossbar tiles: each kernel
 becomes one column of the (unrolled) weight matrix, so conv layers are
 mapped to hardware as ``(in_ch*kh*kw, out_ch)`` matrices.
+
+im2col is one ``np.take`` gather through a cached, read-only table of
+flat pixel offsets (one row per output position, ``(c, kh, kw)``
+order), so each forward pays a single pass over the output matrix.  The
+matrix equals, value for value and in memory layout, what a slice-copy
+per kernel offset would build; the GEMMs it feeds therefore round
+identically.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -20,26 +28,52 @@ from repro.nn.layers.base import ParamLayer
 from repro.rng import SeedLike
 
 
+@lru_cache(maxsize=16)
+def _window_index(c: int, h: int, w: int, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Offsets into a flattened ``(c, h, w)`` image read by each window.
+
+    ``h, w`` are the padded dims.  Row ``r`` of the returned read-only
+    ``(oh*ow, c*kh*kw)`` table lists, in ``(c, kh, kw)`` order, the flat
+    offsets output position ``r`` (row-major over ``oh, ow``) reads.
+    """
+    oh = (h - kh) // stride + 1
+    ow = (w - kw) // stride + 1
+    window = (
+        np.arange(c)[:, None, None] * (h * w)
+        + np.arange(kh)[None, :, None] * w
+        + np.arange(kw)[None, None, :]
+    ).ravel()
+    origin = (
+        np.arange(oh)[:, None] * (stride * w) + np.arange(ow)[None, :] * stride
+    ).ravel()
+    index = (origin[:, None] + window[None, :]).astype(np.intp)
+    index.setflags(write=False)
+    return index
+
+
 def im2col(
     x: np.ndarray, kh: int, kw: int, stride: int = 1, padding: int = 0
 ) -> np.ndarray:
     """Unroll sliding windows of ``x`` (NCHW) into a 2-D matrix.
 
     Returns an array of shape ``(batch*oh*ow, c*kh*kw)`` where ``oh, ow``
-    are the output spatial dims.
+    are the output spatial dims.  It is C-contiguous, except for a
+    single image, where it is column-major (see below).
     """
-    n, c, h, w = x.shape
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
     if padding > 0:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
-    for i in range(kh):
-        i_max = i + stride * oh
-        for j in range(kw):
-            j_max = j + stride * ow
-            cols[:, :, i, j, :, :] = x[:, :, i:i_max:stride, j:j_max:stride]
-    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, c * kh * kw)
+    n, c, h, w = x.shape
+    index = _window_index(c, h, w, kh, kw, stride)
+    cols = np.take(x.reshape(n, c * h * w), index, axis=1).reshape(
+        n * index.shape[0], index.shape[1]
+    )
+    if n == 1:
+        # A single image's matrix is column-major: the layout of the
+        # slice-copy reference, whose transpose-reshape is then a view.
+        # BLAS rounds differently per operand layout, so the GEMMs on
+        # ``cols`` depend on it.
+        cols = np.asfortranarray(cols)
+    return cols
 
 
 def col2im(
@@ -123,6 +157,10 @@ class Conv2D(ParamLayer):
         return (self.filters, oh, ow)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        if x.shape[1:] != self.input_shape:
+            raise ShapeError(
+                f"Conv2D built for input {self.input_shape} got batch of shape {x.shape}"
+            )
         n = x.shape[0]
         k = self.kernel_size
         self._x_shape = x.shape
@@ -131,7 +169,7 @@ class Conv2D(ParamLayer):
         w_mat = self._params["W"].reshape(self.filters, -1)  # (out, c*k*k)
         out = cols @ w_mat.T
         if self.use_bias:
-            out = out + self._params["b"]
+            out += self._params["b"]
         _, oh, ow = self.output_shape()
         return out.reshape(n, oh, ow, self.filters).transpose(0, 3, 1, 2)
 

@@ -197,52 +197,96 @@ class TestCrossPathResume:
     on-disk state contains everything, and the two paths walk the same
     trajectory from any window boundary."""
 
-    def _make_sim(self, trained_mlp, device_config, blob_dataset):
+    @pytest.fixture(scope="class")
+    def overlapping_blobs(self):
+        """Blobs that overlap enough for a 0.9 target to need tuning."""
+        return make_blobs(n_samples=240, n_classes=3, n_features=4, spread=1.5, seed=3)
+
+    @pytest.fixture(scope="class")
+    def overlapping_mlp(self, overlapping_blobs):
+        from repro.nn import Activation, Adam, Dense, Sequential
+        from repro.training import train_baseline
+
+        model = Sequential(
+            [Dense(16), Activation("relu"), Dense(3)], optimizer=Adam(0.01), seed=5
+        ).build((4,))
+        train_baseline(model, overlapping_blobs, TrainConfig(epochs=25, l2_lambda=1e-4))
+        return model
+
+    def _make_sim(self, model, device_config, dataset, drift_magnitude):
         from repro.core.lifetime import LifetimeSimulator
         from repro.mapping import MappedNetwork
 
-        network = MappedNetwork(trained_mlp, device_config, seed=41)
+        network = MappedNetwork(model, device_config, seed=41)
         network.map_network()
         config = LifetimeConfig(
             apps_per_window=1000,
-            drift_magnitude=0.05,
+            drift_magnitude=drift_magnitude,
             max_windows=4,
             tuning=TuningConfig(target_accuracy=0.9, max_iterations=20),
         )
         return LifetimeSimulator(
             network,
-            blob_dataset.x_train[:96],
-            blob_dataset.y_train[:96],
+            dataset.x_train[:96],
+            dataset.y_train[:96],
             config=config,
             seed=42,
         )
 
-    def test_scalar_checkpoint_resumes_under_vectorized_path(
-        self, tmp_path, trained_mlp, device_config, blob_dataset
-    ):
+    def _checkpoint_scalar_and_resume(self, tmp_path, make_sim):
+        """Checkpoint every window under :func:`scalar_tuner`, then resume
+        each snapshot on the production path; returns the plain result
+        and the oracle's call counts."""
         from repro.core.checkpoint import CheckpointManager
         from repro.core.lifetime import LifetimeSimulator
 
-        # Reference: uninterrupted run on the default vectorized path.
-        plain = self._make_sim(trained_mlp, device_config, blob_dataset).run("t+t")
+        # Reference: uninterrupted run on the production path.
+        plain = make_sim().run("t+t")
 
         # Kill-side: a scalar-path run that checkpoints every window.
         with scalar_tuner() as calls:
-            checkpointed = self._make_sim(
-                trained_mlp, device_config, blob_dataset
-            ).run("t+t", checkpoint_every=1, checkpoint_dir=tmp_path, run_id="x")
-        # Like the golden miniature, this run never needs a sweep; the
-        # reference bodies it exercises are programming and aged windows.
-        assert calls["MappedLayer.program"] > 0
-        assert calls["Crossbar.aged_bounds"] > 0
+            checkpointed = make_sim().run(
+                "t+t", checkpoint_every=1, checkpoint_dir=tmp_path, run_id="x"
+            )
         assert checkpointed.to_dict() == plain.to_dict()
 
-        # Resume each scalar-written snapshot under the vectorized path.
-        for entry in CheckpointManager(tmp_path).entries():
+        # Resume each scalar-written snapshot on the production path.
+        entries = CheckpointManager(tmp_path).entries()
+        assert len(entries) == len(plain.windows)
+        for entry in entries:
             resumed = LifetimeSimulator.resume(entry.path).run()
             assert resumed.to_dict() == plain.to_dict(), (
                 f"cross-path resume at window {entry.window} diverged"
             )
+        return plain, calls
+
+    def test_scalar_checkpoint_resumes_under_vectorized_path(
+        self, tmp_path, trained_mlp, device_config, blob_dataset
+    ):
+        _, calls = self._checkpoint_scalar_and_resume(
+            tmp_path,
+            lambda: self._make_sim(trained_mlp, device_config, blob_dataset, 0.05),
+        )
+        # Like the golden miniature, this run never needs a sweep; the
+        # reference bodies it exercises are programming and aged windows.
+        assert calls["MappedLayer.program"] > 0
+        assert calls["Crossbar.aged_bounds"] > 0
+
+    def test_tuning_checkpoint_resumes_under_vectorized_path(
+        self, tmp_path, overlapping_mlp, device_config, overlapping_blobs
+    ):
+        plain, calls = self._checkpoint_scalar_and_resume(
+            tmp_path,
+            lambda: self._make_sim(overlapping_mlp, device_config, overlapping_blobs, 0.3),
+        )
+        # Some windows (not all) tune, so snapshots land both before and
+        # after sign-pulse sweeps.
+        iterations = plain.iteration_trace()
+        assert sum(iterations) > 0
+        assert 0 in iterations
+        assert not plain.failed
+        assert calls["Crossbar._pulse_impl"] > 0
+        assert calls["MappedLayer.apply_gradient_signs"] > 0
 
 
 # -- snapshot 2: the aged-window curves (pure math, Fig. 4 shape) -------------

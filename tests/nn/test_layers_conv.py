@@ -64,6 +64,15 @@ class TestConv2D:
         with pytest.raises(ShapeError):
             Conv2D(2, 7).build((1, 5, 5), rng)
 
+    def test_rejects_input_it_was_not_built_for(self, rng):
+        """A batch of another image shape must not be re-laid silently."""
+        layer = Conv2D(8, 5)
+        layer.build((1, 12, 12), rng)
+        assert layer.forward(rng.normal(size=(2, 1, 12, 12))).shape == (2, 8, 8, 8)
+        for shape in ((2, 1, 8, 20), (2, 2, 12, 12), (2, 1, 12, 13)):
+            with pytest.raises(ShapeError):
+                layer.forward(rng.normal(size=shape))
+
     def test_output_shape_with_padding(self, rng):
         layer = Conv2D(4, 3, padding=1)
         layer.build((2, 8, 8), rng)

@@ -24,10 +24,12 @@ module provides two complementary durability primitives:
   line, which is dropped (with a warning) instead of poisoning the run.
 
 Snapshot files are written write-to-temp + fsync + rename
-(:func:`repro.io.save_json_atomic` with ``durable=True``), so a crash
+(:func:`repro.io.save_text_atomic` with ``durable=True``), so a crash
 can leave the previous checkpoint or the complete new one — never a
-torn file that parses.  Every snapshot embeds a SHA-256 of its payload;
-bit rot is detected at load time, not silently resumed from.
+torn file that parses.  Every snapshot embeds a SHA-256 of its payload's
+canonical (sorted-key, compact) JSON, and the file holds the payload in
+exactly that encoding; bit rot is detected at load time, not silently
+resumed from.
 
 Schema layout (``CHECKPOINT_SCHEMA = 1``)::
 
@@ -66,7 +68,7 @@ import numpy as np
 
 from repro.core.results import LifetimeResult
 from repro.exceptions import CheckpointError, ConfigurationError
-from repro.io import load_json, save_json_atomic
+from repro.io import load_json, save_text_atomic
 
 logger = logging.getLogger(__name__)
 
@@ -297,21 +299,29 @@ def restore_simulator(payload: dict):
 
 
 # -- snapshot files -----------------------------------------------------------
+def _canonical_json(value: Any) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def _payload_digest(payload: dict) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_canonical_json(payload).encode("utf-8")).hexdigest()
 
 
 def save_checkpoint(payload: dict, path) -> pathlib.Path:
-    """Write a snapshot payload durably (temp + fsync + rename)."""
+    """Write a snapshot payload durably (temp + fsync + rename).
+
+    The payload is encoded once: the canonical text that is hashed is
+    the text written, inside a document laid out as ``json.dumps(...,
+    sort_keys=True)`` would lay it out.
+    """
     path = pathlib.Path(path)
-    document = {
-        "schema": CHECKPOINT_SCHEMA,
-        "kind": _CHECKPOINT_KIND,
-        "sha256": _payload_digest(payload),
-        "payload": payload,
-    }
-    save_json_atomic(document, path, durable=True)
+    text = _canonical_json(payload)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    document = (
+        f'{{"kind": {json.dumps(_CHECKPOINT_KIND)}, "payload": {text}, '
+        f'"schema": {CHECKPOINT_SCHEMA}, "sha256": "{digest}"}}'
+    )
+    save_text_atomic(document, path, durable=True)
     return path
 
 
@@ -345,7 +355,12 @@ def load_checkpoint(path) -> dict:
 
 
 def inspect_checkpoint(path) -> dict:
-    """Verified summary of a snapshot, without unpickling the context."""
+    """Verified summary of a snapshot, without unpickling the context.
+
+    ``context_bytes`` is the size of the decoded context pickle and
+    ``state_bytes`` that of the structured ``layers`` section as
+    encoded in the file.
+    """
     payload = load_checkpoint(path)
     meta = payload["meta"]
     result = payload["result"]
@@ -371,6 +386,8 @@ def inspect_checkpoint(path) -> dict:
         "tiles": n_tiles,
         "devices": n_devices,
         "bytes": pathlib.Path(path).stat().st_size,
+        "context_bytes": len(base64.b64decode(payload["context_pickle"])),
+        "state_bytes": len(_canonical_json(payload["layers"])),
     }
 
 

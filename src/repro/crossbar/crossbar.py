@@ -103,6 +103,17 @@ class Crossbar:
         self.read_noise_extra = 0.0
         self.pulse_miss_rate = 0.0
 
+    def __getstate__(self) -> dict:
+        # The read and aged-bounds caches are pure functions of the
+        # arrays, keyed by the version counters that do travel: a copy
+        # rebuilds them on first use instead of carrying them.
+        state = self.__dict__.copy()
+        state["_conductance_cache"] = None
+        state["_bounds_cache"] = None
+        state["_dead_cache"] = None
+        state["_solver_cache"] = FactorizationCache()
+        return state
+
     # -- state versioning --------------------------------------------------
     @property
     def resistance(self) -> np.ndarray:

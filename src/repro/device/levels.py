@@ -60,6 +60,16 @@ class LevelGrid:
         """Spacing between adjacent resistance levels."""
         return (self.r_max - self.r_min) / (self.n_levels - 1)
 
+    @property
+    def tolerance(self) -> float:
+        """Float slack of the aged-window checks in :meth:`quantize`.
+
+        A snapped level within ``tolerance`` (``1e-9 * step``) outside
+        the aged window counts as inside it, so exact-boundary levels
+        stay put; results can therefore sit up to this far outside.
+        """
+        return 1e-9 * self.step
+
     # -- quantization -------------------------------------------------------
     def index_of(self, resistance: ArrayLike) -> Union[int, np.ndarray]:
         """Nearest level index for ``resistance`` (clipped to the grid)."""
@@ -99,7 +109,7 @@ class LevelGrid:
         snapped = self.value_of(self.index_of(clipped))
         # Snapping may step outside the aged window; push back inside
         # (with float tolerance so exact-boundary levels stay put).
-        tol = 1e-9 * self.step
+        tol = self.tolerance
         too_high = snapped > hi + tol
         too_low = snapped < lo - tol
         if np.any(too_high) or np.any(too_low):

@@ -44,9 +44,18 @@ def save_json_atomic(payload: Any, path: PathLike, durable: bool = False) -> Non
     checkpoint subsystem requires this; the result cache does not (a lost
     cache entry is only a re-computation).
     """
+    save_text_atomic(json.dumps(payload, sort_keys=True), path, durable=durable)
+
+
+def save_text_atomic(text: str, path: PathLike, durable: bool = False) -> None:
+    """Write already-encoded ``text`` via an atomic same-directory rename.
+
+    The body of :func:`save_json_atomic`, for callers that encode the
+    document themselves (the checkpoint writer hashes and writes one
+    encoding of its payload).
+    """
     path = pathlib.Path(path)
     tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
-    text = json.dumps(payload, sort_keys=True)
     if durable:
         with open(tmp, "w") as handle:
             handle.write(text)

@@ -47,7 +47,13 @@ from repro.rng import SeedLike, ensure_rng, spawn_rng
 
 
 def clone_model(model: Sequential) -> Sequential:
-    """Structural deep copy of a model (weights included, state reset)."""
+    """Structural deep copy of a model (weights included, state reset).
+
+    Parameters, gradients, optimizer and RNG state and running
+    statistics are copied; every layer's forward-pass caches (its
+    ``_transient`` attributes) are reset to ``None``, so the clone
+    holds no batch of the original's.
+    """
     return copy.deepcopy(model)
 
 

@@ -11,6 +11,8 @@ from repro.nn.layers.base import Layer
 class Activation(Layer):
     """Apply an elementwise activation, e.g. ``Activation("relu")``."""
 
+    _transient = ("_x", "_y")
+
     def __init__(self, fn) -> None:
         super().__init__()
         self.fn = get_activation(fn)

@@ -5,6 +5,9 @@ gradients back in :meth:`backward`.  Layers cache whatever they need for
 the backward pass on ``self`` during ``forward``; the model guarantees
 the calls alternate (forward then backward on the same batch).
 
+Those caches are derived state: each class names them in
+``_transient``, and pickles and copies of a layer carry them as ``None``.
+
 A :class:`ParamLayer` additionally owns named parameter tensors (in
 ``self.params``) with matching gradient slots (``self.grads``) filled by
 ``backward``.  The model applies regularizers only to tensors whose name
@@ -23,12 +26,27 @@ from repro.rng import SeedLike, ensure_rng
 
 
 class Layer:
-    """Base class for all layers."""
+    """Base class for all layers.
+
+    ``_transient`` names the attributes :meth:`forward` fills for
+    :meth:`backward`.  Every pickle, ``copy.deepcopy`` and ``copy.copy``
+    sets them to ``None`` and keeps the rest (parameters, gradients, RNG
+    state, running statistics), so a copied layer must run ``forward``
+    before ``backward``.
+    """
+
+    _transient: Tuple[str, ...] = ()
 
     def __init__(self) -> None:
         self.built = False
         #: Shape of a single input sample (no batch dim), set by build().
         self.input_shape: Optional[Tuple[int, ...]] = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for name in self._transient:
+            state[name] = None
+        return state
 
     # -- construction --------------------------------------------------
     def build(self, input_shape: Tuple[int, ...], rng: SeedLike = None) -> Tuple[int, ...]:

@@ -103,6 +103,8 @@ def col2im(
 class Conv2D(ParamLayer):
     """2-D convolution with square stride and symmetric zero padding."""
 
+    _transient = ("_cols", "_x_shape")
+
     def __init__(
         self,
         filters: int,

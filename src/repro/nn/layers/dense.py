@@ -20,6 +20,8 @@ class Dense(ParamLayer):
     ``W`` is what :mod:`repro.mapping` programs into hardware.
     """
 
+    _transient = ("_x",)
+
     def __init__(
         self,
         units: int,

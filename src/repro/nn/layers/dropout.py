@@ -15,7 +15,10 @@ class Dropout(Layer):
     Activations are scaled by ``1/keep`` at train time so inference needs
     no rescaling — important here because inference runs on the simulated
     crossbar, which must see the same effective weights as software.
+    The mask is transient; ``_rng`` is state and is copied.
     """
+
+    _transient = ("_mask",)
 
     def __init__(self, rate: float = 0.5, seed: SeedLike = None) -> None:
         super().__init__()

@@ -28,8 +28,11 @@ class BatchNorm(ParamLayer):
     Supports both flat ``(batch, features)`` input (normalizing each
     feature) and NCHW images (normalizing each channel over batch and
     spatial dims).  Running statistics use exponential averaging with
-    ``momentum`` and are used at inference time.
+    ``momentum`` and are used at inference time.  They are state and
+    are copied; the forward cache is transient.
     """
+
+    _transient = ("_cache",)
 
     def __init__(self, momentum: float = 0.9, eps: float = 1e-5) -> None:
         super().__init__()

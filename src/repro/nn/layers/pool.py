@@ -14,6 +14,8 @@ from repro.rng import SeedLike
 class _Pool2D(Layer):
     """Shared shape logic for max/avg pooling with square windows."""
 
+    _transient = ("_x", "_x_shape")
+
     def __init__(self, pool_size: int = 2, stride: int | None = None) -> None:
         super().__init__()
         if pool_size < 1:

@@ -12,6 +12,8 @@ from repro.nn.layers.base import Layer
 class Flatten(Layer):
     """Collapse every non-batch dimension into one feature axis."""
 
+    _transient = ("_x_shape",)
+
     def output_shape(self) -> Tuple[int, ...]:
         assert self.input_shape is not None
         return (int(np.prod(self.input_shape)),)

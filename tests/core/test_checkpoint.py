@@ -1,7 +1,7 @@
 """Unit tests for the checkpoint/resume subsystem (DESIGN.md §10).
 
 Covers the snapshot file format (atomicity is delegated to
-:func:`repro.io.save_json_atomic`; here we verify versioning, content
+:func:`repro.io.save_text_atomic`; here we verify versioning, content
 hashing and corruption detection), the capture/restore round trip on a
 real mid-run simulator, directory management (ls/gc semantics) and the
 crash-safe campaign journal.  The end-to-end kill-and-resume
@@ -10,8 +10,10 @@ bit-identity property lives in
 """
 
 import base64
+import hashlib
 import json
 
+import cloudpickle
 import numpy as np
 import pytest
 
@@ -31,8 +33,11 @@ from repro.core.checkpoint import (
     save_checkpoint,
 )
 from repro.core.lifetime import LifetimeConfig, LifetimeSimulator
+from repro.crossbar import Crossbar
 from repro.exceptions import CheckpointError, ConfigurationError
+from repro.io import save_json_atomic
 from repro.mapping import MappedNetwork
+from repro.nn.layers import Layer
 from repro.tuning import TuningConfig
 
 
@@ -105,6 +110,33 @@ class TestSnapshotFile:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / f"a{CHECKPOINT_SUFFIX}"
         assert save_checkpoint(self.PAYLOAD, path) == path
+        assert load_checkpoint(path) == self.PAYLOAD
+
+    def test_payload_written_in_its_canonical_encoding(self, tmp_path):
+        """The file holds the payload as the exact text its digest hashes."""
+        path = save_checkpoint(self.PAYLOAD, tmp_path / f"a{CHECKPOINT_SUFFIX}")
+        raw = path.read_text()
+        canonical = json.dumps(self.PAYLOAD, sort_keys=True, separators=(",", ":"))
+        document = json.loads(raw)
+        assert raw == (
+            '{"kind": "repro-lifetime-checkpoint", '
+            f'"payload": {canonical}, "schema": {CHECKPOINT_SCHEMA}, '
+            f'"sha256": "{document["sha256"]}"}}'
+        )
+        assert document["sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
+
+    def test_generic_json_layout_still_loads(self, tmp_path):
+        """Files laid out by the generic JSON writer (default separators
+        around the payload, as earlier builds wrote them) still verify."""
+        path = tmp_path / f"old{CHECKPOINT_SUFFIX}"
+        canonical = json.dumps(self.PAYLOAD, sort_keys=True, separators=(",", ":"))
+        document = {
+            "schema": CHECKPOINT_SCHEMA,
+            "kind": "repro-lifetime-checkpoint",
+            "sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+            "payload": self.PAYLOAD,
+        }
+        save_json_atomic(document, path, durable=True)
         assert load_checkpoint(path) == self.PAYLOAD
 
     def test_missing_file(self, tmp_path):
@@ -208,6 +240,42 @@ class TestCaptureRestore:
         assert info["tiles"] >= info["layers"]
         assert info["devices"] > 0
         assert info["bytes"] == path.stat().st_size
+        assert info["context_bytes"] == len(
+            base64.b64decode(payload["context_pickle"])
+        )
+        assert info["state_bytes"] == len(
+            json.dumps(payload["layers"], sort_keys=True, separators=(",", ":"))
+        )
+        assert info["context_bytes"] + info["state_bytes"] < info["bytes"]
+
+    def test_context_carries_no_derived_state(self, simulator):
+        """The pickled context holds neither the models' forward caches
+        nor the tiles' read caches, although the live simulator has both."""
+        payload = self._mid_run_payload(simulator)
+        assert _forward_caches(simulator.network) and _tile_caches(simulator.network)
+        context = cloudpickle.loads(base64.b64decode(payload["context_pickle"]))
+        assert _forward_caches(context.network) == []
+        assert _tile_caches(context.network) == []
+
+    def test_snapshot_with_cached_context_resumes(
+        self, simulator, tmp_path, monkeypatch
+    ):
+        """A snapshot whose context still pickles every cache (the format
+        written before layers and crossbars dropped them) resumes to the
+        uninterrupted run's result."""
+        monkeypatch.delattr(Layer, "__getstate__")
+        monkeypatch.delattr(Crossbar, "__getstate__")
+        full = simulator.run("t+t", checkpoint_every=1, checkpoint_dir=tmp_path)
+        monkeypatch.undo()
+        paths = [e.path for e in CheckpointManager(tmp_path).entries()]
+        assert len(paths) == len(full.windows)
+        for path in paths:
+            context = cloudpickle.loads(
+                base64.b64decode(load_checkpoint(path)["context_pickle"])
+            )
+            assert _forward_caches(context.network)
+            assert _tile_caches(context.network)
+            assert LifetimeSimulator.resume(path).run().to_dict() == full.to_dict()
 
     def test_incompatible_context_pickle_raises_checkpoint_error(
         self, simulator, tmp_path
@@ -222,6 +290,34 @@ class TestCaptureRestore:
         assert inspect_checkpoint(path)["next_window"] == 4
         with pytest.raises(CheckpointError, match="incompatible with this build"):
             LifetimeSimulator.resume(path)
+
+
+def _forward_caches(network):
+    """``(model, layer, name)`` of every filled forward cache."""
+    return [
+        (which, i, name)
+        for which, model in (("model", network.model), ("scratch", network._scratch))
+        for i, layer in enumerate(model.layers)
+        for name in layer._transient
+        if getattr(layer, name, None) is not None
+    ]
+
+
+def _tile_caches(network):
+    """``(layer, arm, cache)`` of every filled crossbar read cache."""
+    out = []
+    for mapped in network.layers:
+        for name, arm in _layer_arms_pair(mapped):
+            for _, _, tile in arm.iter_tiles():
+                filled = [
+                    cache
+                    for cache in ("_conductance_cache", "_bounds_cache", "_dead_cache")
+                    if getattr(tile, cache) is not None
+                ]
+                if len(tile._solver_cache):
+                    filled.append("_solver_cache")
+                out += [(mapped.layer_index, name, cache) for cache in filled]
+    return out
 
 
 def _layer_arms_pair(mapped):

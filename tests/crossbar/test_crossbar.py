@@ -1,9 +1,14 @@
 """Unit tests for the array-vectorized crossbar."""
 
+import copy
+import pickle
+
+import cloudpickle
 import numpy as np
 import pytest
 
 from repro.crossbar import Crossbar
+from repro.crossbar.parasitics import ParasiticModel
 from repro.device import DeviceConfig, DeviceVariability, Memristor
 from repro.exceptions import ConfigurationError, ShapeError
 
@@ -210,3 +215,50 @@ class TestReadout:
         assert not np.allclose(a, b)
         # Reading never mutates the programmed state.
         np.testing.assert_array_equal(xb.resistance, stored)
+
+
+class TestStateCopy:
+    """Copies carry the arrays and version counters, not the read caches."""
+
+    COPIES = {
+        "pickle": lambda xb: pickle.loads(pickle.dumps(xb)),
+        "cloudpickle": lambda xb: cloudpickle.loads(cloudpickle.dumps(xb)),
+        "deepcopy": copy.deepcopy,
+        "copy": copy.copy,
+    }
+
+    @pytest.fixture()
+    def worn(self, device_config, rng):
+        device_config.variability = DeviceVariability(0.1, 0.1)
+        xb = Crossbar(6, 5, device_config, seed=3)
+        low = device_config.r_min
+        for _ in range(180):
+            xb.program(rng.uniform(low, 2 * low, xb.shape), only_changed=False)
+        # Fill every cache.
+        xb.conductances()
+        xb.dead_mask()
+        xb.nodal_solver(ParasiticModel(2.0))
+        assert 0 < xb.dead_fraction() < 1
+        return xb
+
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    def test_copy_has_empty_caches_and_equal_state(self, worn, how):
+        versions = (worn.state_version, worn._stress_version)
+        clone = self.COPIES[how](worn)
+        assert clone._conductance_cache is None
+        assert clone._bounds_cache is None
+        assert clone._dead_cache is None
+        assert len(clone._solver_cache) == 0
+        assert clone._solver_cache is not worn._solver_cache
+        assert (clone.state_version, clone._stress_version) == versions
+        # The original keeps its caches.
+        assert worn._conductance_cache is not None
+        assert len(worn._solver_cache) == 1
+        pairs = [
+            (clone.conductances(), worn.conductances()),
+            (clone.dead_mask(), worn.dead_mask()),
+            *zip(clone.aged_bounds(), worn.aged_bounds()),
+        ]
+        for got, want in pairs:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert (clone.state_version, clone._stress_version) == versions

@@ -49,10 +49,10 @@ from repro.rng import SeedLike, ensure_rng, spawn_rng
 def clone_model(model: Sequential) -> Sequential:
     """Structural deep copy of a model (weights included, state reset).
 
-    Parameters, gradients, optimizer and RNG state and running
-    statistics are copied; every layer's forward-pass caches (its
-    ``_transient`` attributes) are reset to ``None``, so the clone
-    holds no batch of the original's.
+    Parameters, gradients, RNG state, running statistics and optimizer
+    settings (not its moments) are copied; every layer's forward-pass
+    caches (its ``_transient`` attributes) are reset to ``None``, so the
+    clone holds no batch of the original's.
     """
     return copy.deepcopy(model)
 

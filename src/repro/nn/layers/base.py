@@ -71,6 +71,10 @@ class Layer:
     def backward(self, grad: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def param_grads(self, grad: np.ndarray) -> None:
+        """``backward`` without the input gradient (which no model reads)."""
+        self.backward(grad)
+
     # -- parameters ------------------------------------------------------
     @property
     def params(self) -> Dict[str, np.ndarray]:

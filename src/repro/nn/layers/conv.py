@@ -60,9 +60,11 @@ def im2col(
     are the output spatial dims.  It is C-contiguous, except for a
     single image, where it is column-major (see below).
     """
-    if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     n, c, h, w = x.shape
+    if padding > 0:
+        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        padded[:, :, padding : padding + h, padding : padding + w] = x
+        x, h, w = padded, h + 2 * padding, w + 2 * padding
     index = _window_index(c, h, w, kh, kw, stride)
     cols = np.take(x.reshape(n, c * h * w), index, axis=1).reshape(
         n * index.shape[0], index.shape[1]
@@ -86,15 +88,23 @@ def col2im(
 ) -> np.ndarray:
     """Inverse of :func:`im2col`: scatter-add columns back to NCHW."""
     n, c, h, w = x_shape
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
-    cols = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    x_padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    for i in range(kh):
-        i_max = i + stride * oh
-        for j in range(kw):
-            j_max = j + stride * ow
-            x_padded[:, :, i:i_max:stride, j:j_max:stride] += cols[:, :, i, j, :, :]
+    hp, wp = h + 2 * padding, w + 2 * padding
+    oh = (hp - kh) // stride + 1
+    ow = (wp - kw) // stride + 1
+    if cols.dtype == np.float64:
+        # Via the transposed table, each pixel sums in (i, j) order from 0.0.
+        index = _window_index(c, hp, wp, kh, kw, stride).T.ravel()
+        images = cols.reshape(n, oh * ow, c * kh * kw)
+        sums = [np.bincount(index, image.T.ravel(), c * hp * wp) for image in images]
+        x_padded = np.stack(sums).reshape(n, c, hp, wp)
+    else:  # bincount would sum in float64
+        cols = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+        x_padded = np.zeros((n, c, hp, wp), dtype=cols.dtype)
+        for i in range(kh):
+            i_max = i + stride * oh
+            for j in range(kw):
+                j_max = j + stride * ow
+                x_padded[:, :, i:i_max:stride, j:j_max:stride] += cols[:, :, i, j, :, :]
     if padding > 0:
         return x_padded[:, :, padding:-padding, padding:-padding]
     return x_padded
@@ -175,16 +185,22 @@ class Conv2D(ParamLayer):
         _, oh, ow = self.output_shape()
         return out.reshape(n, oh, ow, self.filters).transpose(0, 3, 1, 2)
 
+    def param_grads(self, grad: np.ndarray) -> None:
+        self._weight_grads(grad)
+
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        assert self._cols is not None and self._x_shape is not None
+        assert self._x_shape is not None
         k = self.kernel_size
+        dcols = self._weight_grads(grad) @ self._params["W"].reshape(self.filters, -1)
+        return col2im(dcols, self._x_shape, k, k, self.stride, self.padding)
+
+    def _weight_grads(self, grad: np.ndarray) -> np.ndarray:
+        assert self._cols is not None, "backward called before forward"
         grad_mat = grad.transpose(0, 2, 3, 1).reshape(-1, self.filters)
         self._grads["W"][...] = (grad_mat.T @ self._cols).reshape(self._params["W"].shape)
         if self.use_bias:
             self._grads["b"][...] = grad_mat.sum(axis=0)
-        w_mat = self._params["W"].reshape(self.filters, -1)
-        dcols = grad_mat @ w_mat
-        return col2im(dcols, self._x_shape, k, k, self.stride, self.padding)
+        return grad_mat
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

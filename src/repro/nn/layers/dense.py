@@ -60,11 +60,14 @@ class Dense(ParamLayer):
             out = out + self._params["b"]
         return out
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def param_grads(self, grad: np.ndarray) -> None:
         assert self._x is not None, "backward called before forward"
         self._grads["W"][...] = self._x.T @ grad
         if self.use_bias:
             self._grads["b"][...] = grad.sum(axis=0)
+
+    def backward(self, grad: np.ndarray) -> np.ndarray:
+        self.param_grads(grad)
         return grad @ self._params["W"].T
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -14,7 +14,7 @@ from repro.rng import SeedLike
 class _Pool2D(Layer):
     """Shared shape logic for max/avg pooling with square windows."""
 
-    _transient = ("_x", "_x_shape")
+    _transient = ("_x", "_x_shape", "_out")
 
     def __init__(self, pool_size: int = 2, stride: int | None = None) -> None:
         super().__init__()
@@ -70,9 +70,9 @@ class MaxPool2D(_Pool2D):
     window-major order.  Max is exact, so the values equal a per-window
     reduction bit for bit (save the sign of a zero maximum over windows
     holding both signed zeros, which numpy's own reduction leaves to
-    SIMD lane order).  Backward recovers each window's argmax
-    from the kept input with the first-index tie rule, so it also works
-    after a ``training=False`` forward.
+    SIMD lane order).  Backward finds each window's first-index argmax
+    from the kept input and output, so it also works after a
+    ``training=False`` forward.
     """
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -87,18 +87,28 @@ class MaxPool2D(_Pool2D):
                     np.maximum(
                         out, x[:, :, di : di + rows : s, dj : dj + cols : s], out=out
                     )
+        self._out = out
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        windows = self._windows(self._x)
-        n, c, oh, ow, k, _ = windows.shape
-        s = self.stride
-        argmax = windows.reshape(n, c, oh, ow, k * k).argmax(axis=-1)
-        dx = np.zeros(self._x.shape, dtype=grad.dtype)
-        # Scatter each window's gradient to its argmax position.
-        ni, ci, oi, oj = np.indices((n, c, oh, ow))
-        di, dj = np.divmod(argmax, k)
-        np.add.at(dx, (ni, ci, oi * s + di, oj * s + dj), grad)
+        x, out, k, s = self._x, self._out, self.pool_size, self.stride
+        n, c, oh, ow = out.shape
+        dx = np.zeros(x.shape, dtype=grad.dtype)
+        if s < k:  # overlapping windows: scatter to each window's argmax
+            argmax = self._windows(x).reshape(n, c, oh, ow, k * k).argmax(axis=-1)
+            ni, ci, oi, oj = np.indices((n, c, oh, ow))
+            di, dj = np.divmod(argmax, k)
+            np.add.at(dx, (ni, ci, oi * s + di, oj * s + dj), grad)
+            return dx
+        # k*k masked slice adds: the first offset equal to the maximum (or
+        # NaN) wins, as in argmax, and a -0.0 gradient lands as +0.0.
+        unrouted = np.ones(out.shape, dtype=bool)
+        for di in range(k):
+            for dj in range(k):
+                at = np.s_[:, :, di : di + s * oh : s, dj : dj + s * ow : s]
+                hit = ((x[at] == out) | np.isnan(x[at])) & unrouted
+                unrouted ^= hit
+                dx[at] += np.where(hit, grad, 0.0)
         return dx
 
 

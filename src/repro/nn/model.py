@@ -149,10 +149,11 @@ class Sequential:
             out = layer.forward(out, training=training)
         return out
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    def backward(self, grad: np.ndarray) -> None:
+        """Fill every ``layer.grads``; the input gradient is not computed."""
+        for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
-        return grad
+        self.layers[0].param_grads(grad)
 
     def regularization_penalty(self) -> float:
         """Total regularization cost over all weighted layers."""

@@ -25,6 +25,10 @@ class Optimizer:
         self._state: Dict[int, dict] = {}
         self.iterations = 0
 
+    def __getstate__(self) -> dict:
+        # Copies' arrays have new ids, so ``_state`` could only go stale.
+        return {**self.__dict__, "_state": {}}
+
     def state_for(self, param: np.ndarray) -> dict:
         """Per-parameter state dict (created on first access)."""
         return self._state.setdefault(id(param), {})
@@ -123,10 +127,12 @@ class Adam(Optimizer):
             state["v"] = np.zeros_like(param)
         m, v = state["m"], state["v"]
         t = max(1, self.iterations)
+        # In place over two scratch arrays; a product's operands may swap.
         m *= self.beta1
-        m += (1.0 - self.beta1) * grad
+        m += (step := grad * (1.0 - self.beta1))
         v *= self.beta2
-        v += (1.0 - self.beta2) * grad * grad
-        m_hat = m / (1.0 - self.beta1**t)
-        v_hat = v / (1.0 - self.beta2**t)
-        param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        v += np.multiply(np.multiply(grad, 1.0 - self.beta2, out=step), grad, out=step)
+        denom = v / (1.0 - self.beta2**t)
+        denom = np.add(np.sqrt(denom, out=denom), self.eps, out=denom)
+        m_hat = np.divide(m, 1.0 - self.beta1**t, out=step)
+        param -= np.divide(np.multiply(m_hat, self.lr, out=m_hat), denom, out=m_hat)

@@ -1,9 +1,13 @@
 """Unit tests for optimizers."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.nn import Activation, Dense, Sequential
 from repro.nn.optimizers import SGD, Adam, Momentum, RMSProp
 
 
@@ -83,3 +87,57 @@ class TestMechanics:
         opt.reset()
         assert opt.iterations == 0
         assert opt.state_for(x) == {}
+
+
+COPIES = {
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+    "deepcopy": copy.deepcopy,
+}
+
+
+def _trained_mlp(optimizer, steps=3):
+    """A seeded MLP after ``steps`` optimizer steps on seeded batches."""
+    model = Sequential(
+        [Dense(6), Activation("tanh"), Dense(3)], optimizer=optimizer, seed=0
+    ).build((4,))
+    _train(model, range(steps))
+    return model
+
+
+def _train(model, seeds):
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        model.train_batch(rng.normal(size=(5, 4)), np.eye(3)[rng.integers(0, 3, 5)])
+
+
+class TestCopies:
+    """Moments are keyed by ``id`` of the original's parameter arrays, so
+    pickles and copies carry none; everything else travels."""
+
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    @pytest.mark.parametrize(
+        "make", [lambda: Adam(0.01, beta1=0.8), lambda: Momentum(0.02)]
+    )
+    def test_copy_carries_no_moments(self, how, make):
+        model = _trained_mlp(make())
+        clone = COPIES[how](model)
+        original, copied = model.optimizer, clone.optimizer
+        assert original._state  # the original keeps its moments
+        assert copied._state == {}
+        assert vars(copied).keys() == vars(original).keys()
+        for key, value in vars(original).items():
+            if key != "_state":
+                assert getattr(copied, key) == value, key
+
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    def test_training_a_copy_matches_a_reset_optimizer(self, how):
+        clone = COPIES[how](_trained_mlp(Adam(0.01)))
+        twin = _trained_mlp(Adam(0.01))
+        iterations = twin.optimizer.iterations
+        twin.optimizer.reset()
+        twin.optimizer.iterations = iterations
+        _train(clone, range(3, 6))
+        _train(twin, range(3, 6))
+        for got, want in zip(clone.get_weights(), twin.get_weights()):
+            for key in want:
+                assert got[key].tobytes() == want[key].tobytes()

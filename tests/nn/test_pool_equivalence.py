@@ -2,13 +2,16 @@
 
 The layer's forward is a running elementwise maximum over the ``k*k``
 strided slices of the input, and its backward recovers the window
-argmax from the kept input.  The reference below is the original
+argmax from the kept input and output.  The reference below is the original
 formulation: an ``as_strided`` window view reshaped to ``(..., k*k)``,
 reduced with ``max``/``argmax``, and an ``add.at`` scatter of the
 gradient.  Both must agree *bitwise* — signed zeros and NaN included —
 on random shapes, window/stride combinations (overlapping, tiling and
 gapped), tie-heavy values and non-contiguous inputs, and backward must
-work after a ``training=False`` forward.
+work after a ``training=False`` forward.  Non-overlapping windows
+(tiling and gapped strides) route the gradient with masked slice adds
+through the kept output, overlapping ones with ``add.at``: both are
+checked against the reference.
 
 One documented exception: when a window's maximum is zero and the
 window holds both ``+0.0`` and ``-0.0``, the sign numpy gives the
@@ -27,6 +30,7 @@ from __future__ import annotations
 import os
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -185,3 +189,24 @@ def test_negative_zero_gradient_lands_as_positive_zero():
         grad = np.full(out.shape, -0.0)
         dx = layer.backward(grad)
         assert not np.signbit(dx).any()
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("palette", sorted(_PALETTES))
+@pytest.mark.parametrize(
+    "k, s", [(1, 1), (2, 2), (3, 3), (1, 2), (2, 3), (2, 4), (3, 5)]
+)
+def test_kept_output_backward_matches_add_at(k, s, palette, training, monkeypatch):
+    """Tiling (``s == k``) and gapped (``s > k``) windows route through the
+    kept output, never the window view, and match the ``add.at`` scatter."""
+    rng = np.random.default_rng(10 * k + s)
+    h, w = k + 2 * s + 1, k + s + 2  # leftover rows and columns past the last window
+    x = _layout(_values(rng, palette, (3, h, w, 2)), "transposed")
+    layer = MaxPool2D(k, stride=s)
+    layer.build((2, h, w))
+    out = layer.forward(x, training=training)
+    _, ref_argmax = reference_forward(x, k, s)
+    grad = _values(rng, "zeros_ties", out.shape)
+    monkeypatch.setattr(MaxPool2D, "_windows", None)  # the add.at path needs it
+    dx = layer.backward(grad)
+    assert_bitwise_equal(dx, reference_backward(x.shape, ref_argmax, grad, k, s))

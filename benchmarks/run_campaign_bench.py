@@ -55,7 +55,6 @@ import sys
 import tempfile
 import time
 
-from bench_history import append_history
 from repro.core import (
     AgingAwareFramework,
     FrameworkConfig,
@@ -287,18 +286,6 @@ def main() -> int:
         json.dumps(payload, indent=2) + "\n"
     )
     print(json.dumps(payload, indent=2))
-    append_history(
-        repo_root,
-        "campaign",
-        {
-            "speedup_chunked_vs_serial": payload.get("big_grid", {}).get(
-                "speedup_chunked_vs_serial"
-            ),
-            "reports_identical": payload["standard_grid"][
-                "reports_identical_across_modes"
-            ],
-        },
-    )
     if service_payload is not None:
         (repo_root / "BENCH_service.json").write_text(
             json.dumps(service_payload, indent=2) + "\n"

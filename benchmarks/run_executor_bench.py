@@ -29,7 +29,6 @@ import sys
 import tempfile
 import time
 
-from bench_history import append_history
 from repro.core import (
     AgingAwareFramework,
     FrameworkConfig,
@@ -110,15 +109,6 @@ def main() -> int:
     out = repo_root / "BENCH_executor.json"
     out.write_text(json.dumps(payload, indent=2) + "\n")
     print(json.dumps(payload, indent=2))
-    append_history(
-        repo_root,
-        "executor",
-        {
-            "speedup_parallel_vs_serial": payload["speedup_parallel_vs_serial"],
-            "speedup_cached_vs_serial": payload["speedup_cached_vs_serial"],
-            "results_identical": identical,
-        },
-    )
     if not identical:
         print("ERROR: modes disagree", file=sys.stderr)
         return 1

@@ -14,7 +14,7 @@ Subpackages
 ``repro.device``
     Memristor cell, Arrhenius aging (Eq. 6–7), quantized level grids.
 ``repro.crossbar``
-    Array simulator: programming with per-pulse aging, analog VMM,
+    Array simulator: programming with per-pulse aging, noisy read-out,
     1-of-9 block tracing, DAC/ADC peripherals, tiling.
 ``repro.mapping``
     Eq. (4) weight↔conductance mapping, fresh and aging-aware policies,
@@ -50,21 +50,12 @@ from repro.core import (
     ScenarioComparison,
 )
 from repro.crossbar import BlockTracer, Crossbar, TiledMatrix
-from repro.data import (
-    Dataset,
-    make_blobs,
-    make_glyph_digits,
-    make_rings,
-    make_spirals,
-    make_textured_shapes,
-    make_xor,
-)
+from repro.data import Dataset, make_blobs, make_glyph_digits, make_textured_shapes
 from repro.device import AgingParams, ArrheniusAging, DeviceConfig, LevelGrid, Memristor
 from repro.device.faults import FaultModel, inject_faults, inject_faults_network
 from repro.exceptions import (
     ConfigurationError,
     ConvergenceError,
-    CrossbarFailure,
     DeviceError,
     ReproError,
     ShapeError,
@@ -107,7 +98,6 @@ __all__ = [
     "ConfigurationError",
     "ConvergenceError",
     "Crossbar",
-    "CrossbarFailure",
     "Dataset",
     "DeviceConfig",
     "DeviceError",
@@ -147,10 +137,7 @@ __all__ = [
     "load_weights",
     "make_blobs",
     "make_glyph_digits",
-    "make_rings",
-    "make_spirals",
     "make_textured_shapes",
-    "make_xor",
     "save_comparison",
     "save_result",
     "save_weights",

@@ -3,7 +3,6 @@
 from repro.analysis.ascii import ascii_histogram, ascii_series, render_table
 from repro.analysis.histograms import (
     DistributionSummary,
-    conductance_histogram,
     resistance_histogram,
     summarize_distribution,
     weight_histogram,
@@ -21,7 +20,6 @@ __all__ = [
     "scenario_section",
     "ascii_histogram",
     "ascii_series",
-    "conductance_histogram",
     "iteration_knee",
     "layer_type_aging",
     "render_table",

@@ -1,4 +1,4 @@
-"""Weight/resistance/conductance distribution extraction (Fig. 3/6/9)."""
+"""Weight and resistance distribution extraction (Fig. 3/6/9)."""
 
 from __future__ import annotations
 
@@ -54,13 +54,4 @@ def resistance_histogram(
     """Histogram of the mapped resistances — Fig. 3(b)/6(b)."""
     r = np.asarray(mapping.weight_to_resistance(np.asarray(weights).ravel()))
     counts, edges = np.histogram(r, bins=bins)
-    return edges, counts
-
-
-def conductance_histogram(
-    weights: np.ndarray, mapping: LinearWeightMapping, bins: int = 40
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Histogram of the mapped conductances — Fig. 3(c)."""
-    g = np.asarray(mapping.weight_to_conductance(np.asarray(weights).ravel()))
-    counts, edges = np.histogram(g, bins=bins)
     return edges, counts

@@ -24,6 +24,7 @@ uninterrupted one (DESIGN.md §10).
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 import time
 from typing import Optional, Sequence
@@ -251,9 +252,14 @@ def cmd_serve(args) -> int:
         lease_ttl=args.lease_ttl,
     )
     service.start()
+    # SIGTERM (kill, systemd, docker) takes the Ctrl-C path, so stop()
+    # reaps the local workers.  Installed after start(): the forked
+    # workers keep the default action that stop() terminates them with.
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     print(
         f"campaign service on {service.url} "
-        f"(jobs in {args.jobs}, {args.workers} local worker(s))"
+        f"(jobs in {args.jobs}, {args.workers} local worker(s))",
+        flush=True,
     )
     try:
         while True:
@@ -262,7 +268,12 @@ def cmd_serve(args) -> int:
         print("shutting down")
     finally:
         service.stop()
+        signal.signal(signal.SIGTERM, previous)
     return 0
+
+
+def _interrupt(signum, frame) -> None:
+    raise KeyboardInterrupt
 
 
 def cmd_submit(args) -> int:

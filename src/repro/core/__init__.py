@@ -12,9 +12,8 @@
 * :class:`ParallelExecutor` / :class:`ResultCache` — the process-parallel
   execution engine with deterministic seeding and on-disk caching that
   scenario comparisons, repeats and sweeps fan out through.
-* :class:`NodalSolver` / :class:`FactorizationCache` / :data:`PROFILER`
-  — the hot-path kernel layer (cached sparse factorization, batched
-  nodal solves) and its perf counters (DESIGN.md §9).
+* :data:`PROFILER` — process-local perf counters and timers for the
+  hot paths (DESIGN.md §9).
 * :class:`CheckpointManager` / :class:`RunJournal` — durable
   checkpoint/resume for lifetime runs and crash-safe journaling of
   campaign/sweep grids (DESIGN.md §10).
@@ -38,7 +37,6 @@ from repro.core.executor import (
     fingerprint,
 )
 from repro.core.framework import AgingAwareFramework, FrameworkConfig
-from repro.core.kernels import FactorizationCache, NodalSolver
 from repro.core.lifetime import LifetimeConfig, LifetimeSimulator
 from repro.core.profiling import PROFILER, PerfDelta, PerfRegistry
 from repro.core.presets import (
@@ -58,12 +56,10 @@ __all__ = [
     "CheckpointInfo",
     "CheckpointManager",
     "ExperimentPreset",
-    "FactorizationCache",
     "FrameworkConfig",
     "LifetimeConfig",
     "LifetimeResult",
     "LifetimeSimulator",
-    "NodalSolver",
     "PRESETS",
     "PROFILER",
     "ParallelExecutor",

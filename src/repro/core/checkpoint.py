@@ -123,15 +123,12 @@ def restore_rng(gen: np.random.Generator, state: dict) -> None:
 
 # -- simulator state capture ---------------------------------------------------
 def _layer_arms(mapped_layer) -> List[Tuple[str, Any]]:
-    """Tiled-matrix arms of a mapped layer.
+    """Named :class:`~repro.crossbar.tiling.TiledMatrix` arms of a layer.
 
-    Single-array layers expose ``tiles``; differential layers expose
-    ``plus``/``minus`` arms.  Either way each arm is a
-    :class:`~repro.crossbar.tiling.TiledMatrix`.
+    A mapped layer has one arm, ``tiles``; snapshots key tile state by
+    arm name.
     """
-    if hasattr(mapped_layer, "tiles"):
-        return [("tiles", mapped_layer.tiles)]
-    return [("plus", mapped_layer.plus), ("minus", mapped_layer.minus)]
+    return [("tiles", mapped_layer.tiles)]
 
 
 def _iter_arm_tiles(arm) -> Iterator[Any]:
@@ -165,7 +162,6 @@ def _restore_tile(tile, d: dict) -> None:
     tile.read_noise_extra = float(d["read_noise_extra"])
     tile.pulse_miss_rate = float(d["pulse_miss_rate"])
     tile._conductance_cache = None
-    tile._solver_cache.invalidate()
     tile._bounds_cache = None
     tile._dead_cache = None
     tile._state_version = int(d["state_version"])

@@ -19,7 +19,6 @@ x-axis position of the iteration-count knee.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -242,15 +241,9 @@ class LifetimeSimulator:
             # aging-aware candidate scoring, the tuning session and the
             # window metrics all read the same device state, so the
             # scope lets the network memoize noise-free reads instead
-            # of rebuilding the scratch model between stages.  Network
-            # types without one (e.g. differential) skip the scope, and
-            # it is closed before any checkpoint capture below.
-            reuse = (
-                self.network.read_reuse()
-                if hasattr(self.network, "read_reuse")
-                else nullcontext()
-            )
-            with reuse:
+            # of rebuilding the scratch model between stages.  The scope
+            # is closed before any checkpoint capture below.
+            with self.network.read_reuse():
                 for hook in self.maintenance_hooks:
                     hook(self.network)
                 self._remap()

@@ -1,12 +1,11 @@
-"""Lightweight perf counters and timers for the hot-path kernels.
+"""Lightweight perf counters and timers for the hot paths.
 
-The kernel layer (factorization caching, batched nodal solves,
-state-versioned conductance caching — see DESIGN.md §9) only earns its
-complexity if the savings are *observable*.  This module provides a
-process-local registry of named monotonic counters and wall-clock
-timers with near-zero overhead (a dict update per event), JSON export,
-and a delta-capture context manager used by the fault-campaign runner
-to attribute work to individual scenario runs.
+The read caches (state-versioned conductance caching — see DESIGN.md
+§9) only earn their complexity if the savings are *observable*.  This
+module provides a process-local registry of named monotonic counters
+and wall-clock timers with near-zero overhead (a dict update per
+event), JSON export, and a delta-capture context manager used by the
+fault-campaign runner to attribute work to individual scenario runs.
 
 Design constraints:
 
@@ -24,9 +23,9 @@ Usage::
 
     from repro.core.profiling import PROFILER
 
-    PROFILER.increment("kernels.factorizations")
-    with PROFILER.timer("kernels.factorize"):
-        lu = splu(matrix)
+    PROFILER.increment("tuning.sessions")
+    with PROFILER.timer("tuning.session"):
+        result = tune()
     print(PROFILER.render_text())
 
 The CLI exposes the registry via ``--profile`` on ``run`` / ``compare``

@@ -123,9 +123,6 @@ class ScenarioComparison:
     def add(self, result: LifetimeResult) -> None:
         self.results[result.scenario_key] = result
 
-    def lifetime(self, key: str) -> int:
-        return self.results[key].lifetime_applications
-
     def improvement(self, key: str) -> Optional[float]:
         """Lifetime ratio vs the baseline scenario (None if missing)."""
         if self.baseline_key not in self.results or key not in self.results:

@@ -21,7 +21,6 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.analysis.ascii import render_table
 from repro.core.executor import ParallelExecutor, ResultCache, Task, fingerprint
 from repro.exceptions import ConfigurationError
 from repro.rng import derive_rng, ensure_rng
@@ -42,31 +41,10 @@ class SweepPoint:
     def ok(self) -> bool:
         return self.error is None
 
-    def to_dict(self) -> dict:
-        """JSON-ready dict (``value`` must itself be JSON-serializable)."""
-        return {
-            "value": self.value,
-            "metrics": dict(self.metrics),
-            "error": self.error,
-            "seconds": self.seconds,
-            "cached": self.cached,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SweepPoint":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            value=d["value"],
-            metrics={str(k): float(v) for k, v in d.get("metrics", {}).items()},
-            error=d.get("error"),
-            seconds=float(d.get("seconds", 0.0)),
-            cached=bool(d.get("cached", False)),
-        )
-
 
 @dataclass
 class SweepResult:
-    """All points of one sweep, with tabulation helpers."""
+    """All points of one sweep, with per-metric accessors."""
 
     parameter: str
     points: List[SweepPoint] = field(default_factory=list)
@@ -77,42 +55,6 @@ class SweepResult:
     def metric(self, name: str) -> List[float]:
         """Values of one metric across successful points (in order)."""
         return [p.metrics[name] for p in self.successful()]
-
-    def values(self) -> List[Any]:
-        return [p.value for p in self.successful()]
-
-    def to_dict(self) -> dict:
-        """JSON-ready dict of the whole sweep."""
-        return {
-            "parameter": self.parameter,
-            "points": [p.to_dict() for p in self.points],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SweepResult":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            parameter=str(d["parameter"]),
-            points=[SweepPoint.from_dict(p) for p in d.get("points", [])],
-        )
-
-    def to_table(self, title: str = "") -> str:
-        """Render as an aligned text table."""
-        ok = self.successful()
-        if not ok:
-            return f"{title}\n(no successful points)"
-        metric_names = sorted(ok[0].metrics)
-        headers = [self.parameter, *metric_names, "time (s)"]
-        rows = []
-        for p in self.points:
-            if p.ok:
-                rows.append(
-                    [p.value, *(f"{p.metrics[m]:.4g}" for m in metric_names),
-                     f"{p.seconds:.1f}"]
-                )
-            else:
-                rows.append([p.value, *("ERROR" for _ in metric_names), f"{p.seconds:.1f}"])
-        return render_table(headers, rows, title=title)
 
 
 def _evaluate_point(fn, entropy: int, parameter: str, value, catch: bool) -> dict:

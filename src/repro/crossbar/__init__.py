@@ -9,8 +9,8 @@ semantics per cell are identical to :class:`repro.device.Memristor`.
 Components:
 
 * :class:`Crossbar` — the array itself: programming (with per-pulse
-  aging), level-step tuning pulses, analog VMM
-  ``V_O = V_I · G · R`` (Fig. 1), read/write noise.
+  aging), tuning pulses, conductance read-out for the analog
+  ``V_O = V_I · G · R`` of Fig. 1, read/write noise.
 * :class:`BlockTracer` — the paper's 1-of-9 tracing: the centre device
   of every 3×3 block is monitored, and its aged window stands in for
   its block during aging-aware mapping.

@@ -6,7 +6,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.kernels import FactorizationCache, NodalSolver
 from repro.core.profiling import PROFILER
 from repro.device.config import DeviceConfig
 from repro.exceptions import ConfigurationError, ShapeError
@@ -30,15 +29,14 @@ class Crossbar:
     array fails gradually rather than atomically).
 
     **State versioning (DESIGN.md §9).**  Every mutation of the
-    programmed state — ``program``, ``step_levels``,
-    ``step_conductance``, ``apply_drift``, fault injection, or any
+    programmed state — ``program``, ``step_conductance``,
+    ``program_pulses``, ``apply_drift``, fault injection, or any
     direct assignment to :attr:`resistance` — bumps the monotonically
-    increasing :attr:`state_version`.  The version keys two caches that
-    make simulated *reads* cheap relative to simulated *programming*:
-    the noise-free conductance matrix (:meth:`conductances`) and the
-    exact IR-drop factorization (:meth:`nodal_solver`).  Reads never
-    bump the version; fault-free reads also never draw RNG, so caching
-    cannot perturb any random stream.
+    increasing :attr:`state_version`.  The version keys the cache that
+    makes simulated *reads* cheap relative to simulated *programming*:
+    the noise-free conductance matrix (:meth:`conductances`).  Reads
+    never bump the version; fault-free reads also never draw RNG, so
+    caching cannot perturb any random stream.
 
     A second counter tracks *stress* mutations only (pulse aging, fault
     injection) and keys the aged-bounds/dead-mask caches (DESIGN.md
@@ -68,10 +66,9 @@ class Crossbar:
         self._rng = ensure_rng(seed)
 
         #: Monotonic counter of programmed-state mutations; keys the
-        #: conductance and factorization caches (DESIGN.md §9).
+        #: conductance cache (DESIGN.md §9).
         self._state_version = 0
         self._conductance_cache: Optional[Tuple[int, np.ndarray]] = None
-        self._solver_cache = FactorizationCache()
         #: Monotonic counter of *stress* mutations (pulse aging, fault
         #: injection); keys the aged-bounds/dead-mask caches (DESIGN.md
         #: §11).  Resistance writes do not age devices and leave these
@@ -111,7 +108,6 @@ class Crossbar:
         state["_conductance_cache"] = None
         state["_bounds_cache"] = None
         state["_dead_cache"] = None
-        state["_solver_cache"] = FactorizationCache()
         return state
 
     # -- state versioning --------------------------------------------------
@@ -141,7 +137,6 @@ class Crossbar:
     def _invalidate_read_caches(self) -> None:
         self._state_version += 1
         self._conductance_cache = None
-        self._solver_cache.invalidate()
 
     def _invalidate_stress_caches(self) -> None:
         self._stress_version += 1
@@ -152,7 +147,7 @@ class Crossbar:
         """Invalidate every cached view after an out-of-band mutation.
 
         Bumps :attr:`state_version`, drops the cached conductance
-        matrix and nodal factorizations, and also drops the aged-bounds
+        matrix, and also drops the aged-bounds
         and dead-mask caches (fault injection mutates ``stress_time``
         in place and relies on this hook).  Call it after mutating
         ``stress_time`` or ``resistance`` in place; in-repo writers
@@ -308,37 +303,11 @@ class Crossbar:
         """
         return int(np.count_nonzero(self._program_impl(targets, only_changed)))
 
-    def step_levels(self, directions: np.ndarray) -> np.ndarray:
-        """Apply one ±1-level tuning pulse per selected device.
-
-        ``directions`` holds -1/0/+1 per device (the sign of Eq. (5));
-        nonzero entries receive one pulse and move one level step,
-        clipped to their aged window.  Dead devices ignore pulses.
-        Returns the new resistance matrix.
-        """
-        directions = np.asarray(directions)
-        if directions.shape != self.shape:
-            raise ShapeError(f"directions shape {directions.shape} != crossbar {self.shape}")
-        if not np.all(np.isin(directions, (-1, 0, 1))):
-            raise ConfigurationError("directions must contain only -1, 0, 1")
-
-        select = self._apply_pulse_misses((directions != 0) & ~self.dead_mask())
-        self._apply_stress(select, self.resistance)
-        lo, hi = self.aged_bounds()
-        stepped = self.resistance + directions * self.grid.step
-        if self.config.write_noise > 0:
-            stepped = stepped + self._rng.normal(
-                0.0, self.config.write_noise * self.grid.step, size=self.shape
-            )
-        stepped = np.clip(stepped, lo, hi)
-        self.resistance = np.where(select, stepped, self.resistance)
-        return self.resistance.copy()
-
     def step_conductance(self, directions: np.ndarray, fraction: float = 0.5) -> np.ndarray:
         """Apply one constant-amplitude tuning pulse per selected device.
 
-        Unlike :meth:`step_levels` (which jumps a full *resistance*
-        level — the mapping granularity), a tuning pulse modulates the
+        Unlike programming (which lands on a full *resistance* level —
+        the mapping granularity), a tuning pulse modulates the
         filament and moves the **conductance** by an approximately
         constant increment: ``fraction`` of the mean conductance spacing
         ``(g_max - g_min)/(n_levels - 1)``.  ``directions`` holds
@@ -474,57 +443,6 @@ class Crossbar:
         if self.config.read_noise + self.read_noise_extra <= 0:
             return self.conductances()
         return 1.0 / self.read_resistances()
-
-    def nodal_solver(self, model: "ParasiticModel") -> NodalSolver:
-        """Exact IR-drop solver for the current state, cached per version.
-
-        ``model`` is a :class:`repro.crossbar.parasitics.ParasiticModel`
-        (typed loosely to keep this module import-light).  Repeated
-        calls between reprogramming events return the same factorized
-        solver; any state mutation rebuilds on next use.
-        """
-        return self._solver_cache.get(
-            self._state_version,
-            model.r_wire,
-            lambda: NodalSolver(self.conductances(), model.r_wire),
-        )
-
-    def vmm(self, v_in: np.ndarray) -> np.ndarray:
-        """Analog vector-matrix multiply ``V_O = V_I · G · R_tia``.
-
-        ``v_in`` may be a single vector ``(rows,)`` or a batch
-        ``(batch, rows)``.
-        """
-        v_in = np.asarray(v_in, dtype=np.float64)
-        if v_in.shape[-1] != self.rows:
-            raise ShapeError(
-                f"input width {v_in.shape[-1]} != crossbar rows {self.rows}"
-            )
-        PROFILER.increment("crossbar.vmm_calls")
-        return v_in @ self.read_conductances() * self.r_tia
-
-    def vmm_ir_drop(
-        self,
-        v_in: np.ndarray,
-        model: "ParasiticModel",
-        exact: bool = False,
-    ) -> np.ndarray:
-        """VMM with wire parasitics (noise-free read path).
-
-        The exact path reuses this array's cached factorization
-        (:meth:`nodal_solver`), so a batch of reads between
-        reprogramming events costs one dense product.  Output includes
-        the TIA gain, matching :meth:`vmm` at ``r_wire = 0``.
-        """
-        from repro.crossbar.parasitics import vmm_with_ir_drop
-
-        PROFILER.increment("crossbar.vmm_calls")
-        g = self.conductances()
-        solver = self.nodal_solver(model) if exact else None
-        return (
-            vmm_with_ir_drop(g, v_in, model, exact=exact, solver=solver)
-            * self.r_tia
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

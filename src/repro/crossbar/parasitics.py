@@ -10,34 +10,27 @@ Two models are provided:
 
 * :func:`solve_crossbar_nodal` — exact DC solution of the full resistive
   network (2·R·C unknown node voltages) via sparse linear solve.  The
-  reference; use for arrays up to ~256x256.
+  reference the first-order model is checked against; use for arrays
+  up to ~256x256.
 * :func:`ir_drop_factors` — the standard first-order approximation: the
   voltage reaching cell (i, j) is attenuated by the accumulated wire
   resistance relative to the cell's path resistance.  O(RC), usable
   in-loop.
 
-The exact path is built on the kernel layer
-(:class:`repro.core.kernels.NodalSolver`): the nodal matrix depends
-only on the conductance state, so it is assembled and factorized once
-and a whole batch of input vectors is answered by one dense transfer
-product — batched, serial, and cached evaluations are bit-identical by
-construction (see DESIGN.md §9).
-
-The :class:`ParasiticModel` wraps a wire resistance per segment and
-offers a drop-in replacement for the ideal VMM, so experiments can
-quantify how much accuracy IR drop costs at a given array size (see
-``benchmarks/test_ext_ir_drop.py``).
+The :class:`ParasiticModel` wraps a wire resistance per segment, so
+experiments can quantify how much accuracy IR drop costs at a given
+array size (see ``benchmarks/test_ext_ir_drop.py`` and
+``MappedNetwork(parasitics=...)``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
-from repro.core.kernels import NodalSolver, assemble_nodal_matrix
 from repro.exceptions import ConfigurationError, ShapeError
 
 
@@ -56,70 +49,47 @@ class ParasiticModel:
             raise ConfigurationError(f"r_wire must be >= 0, got {self.r_wire}")
 
 
-def _node_index(i: int, j: int, cols: int, plane: int, rows: int) -> int:
-    """Flat index of node (i, j) on plane 0 (wordlines) or 1 (bitlines)."""
-    return plane * rows * cols + i * cols + j
+def _assemble_nodal_matrix(g: np.ndarray, g_wire: float) -> sparse.csc_matrix:
+    """Nodal matrix ``A`` of the crossbar network (the RHS is separate).
 
-
-def _assemble_nodal_system(
-    g: np.ndarray, v_in: np.ndarray, g_wire: float
-) -> tuple[sparse.csc_matrix, np.ndarray]:
-    """Assemble the nodal system ``A x = rhs`` for one input vector.
-
-    The matrix comes from the vectorized kernel-layer assembly
-    (:func:`repro.core.kernels.assemble_nodal_matrix` — the matrix
-    depends only on ``g`` and ``g_wire``); only the RHS depends on
-    ``v_in``.  Kept as the single-vector reference that the regression
-    tests pin against the per-cell loop assembly below.
-    """
-    rows, cols = g.shape
-    matrix = assemble_nodal_matrix(g, g_wire)
-    rhs = np.zeros(2 * rows * cols, dtype=np.float64)
-    rhs[np.arange(rows) * cols] = g_wire * v_in
-    return matrix, rhs
-
-
-def _assemble_nodal_system_loop(
-    g: np.ndarray, v_in: np.ndarray, g_wire: float
-) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """Reference per-cell loop assembly (the readable specification).
-
-    Kept for the regression test that pins the vectorized assembly to
-    this one stamp by stamp; not used on the solve path.
+    Every cell bridges its wordline and bitline nodes through its
+    conductance, wordline nodes chain towards the driver column
+    (j = 0), bitline nodes chain towards the TIA row (i = rows-1), and
+    the driver/TIA terminals stamp ``g_wire`` onto the diagonal.  All
+    coordinates are built as whole index grids and fed to one COO
+    constructor (duplicates sum on conversion).
     """
     rows, cols = g.shape
     n = 2 * rows * cols
-    builder = sparse.lil_matrix((n, n))
-    rhs = np.zeros(n, dtype=np.float64)
+    w_idx = np.arange(rows)[:, None] * cols + np.arange(cols)[None, :]
+    b_idx = rows * cols + w_idx
 
-    def add_conductance(a: int, b: int, value: float) -> None:
-        builder[a, a] += value
-        builder[b, b] += value
-        builder[a, b] -= value
-        builder[b, a] -= value
+    # Conductance stamps between node pairs (a, b): four COO entries
+    # each — (a,a,+v), (b,b,+v), (a,b,-v), (b,a,-v).
+    pair_a = [w_idx.ravel()]                 # memristor bridges the planes
+    pair_b = [b_idx.ravel()]
+    pair_v = [g.ravel()]
+    if cols > 1:                             # wordline chain towards j = 0
+        pair_a.append(w_idx[:, 1:].ravel())
+        pair_b.append(w_idx[:, :-1].ravel())
+        pair_v.append(np.full((cols - 1) * rows, g_wire, dtype=np.float64))
+    if rows > 1:                             # bitline chain towards i = rows-1
+        pair_a.append(b_idx[:-1, :].ravel())
+        pair_b.append(b_idx[1:, :].ravel())
+        pair_v.append(np.full((rows - 1) * cols, g_wire, dtype=np.float64))
+    a = np.concatenate(pair_a)
+    b = np.concatenate(pair_b)
+    v = np.concatenate(pair_v)
 
-    def add_to_source(a: int, value: float, v_src: float) -> None:
-        builder[a, a] += value
-        rhs[a] += value * v_src
-
-    for i in range(rows):
-        for j in range(cols):
-            w = _node_index(i, j, cols, 0, rows)
-            b = _node_index(i, j, cols, 1, rows)
-            # The memristor bridges the planes.
-            add_conductance(w, b, g[i, j])
-            # Wordline segment towards the driver (j = 0 side).
-            if j == 0:
-                add_to_source(w, g_wire, v_in[i])
-            else:
-                add_conductance(w, _node_index(i, j - 1, cols, 0, rows), g_wire)
-            # Bitline segment towards the TIA (i = rows-1 side).
-            if i == rows - 1:
-                add_to_source(b, g_wire, 0.0)  # virtual ground
-            else:
-                add_conductance(b, _node_index(i + 1, j, cols, 1, rows), g_wire)
-
-    return sparse.csr_matrix(builder), rhs
+    # Source terminals: wordline drivers at j = 0, TIA virtual grounds
+    # at i = rows-1 — diagonal-only entries.
+    src = np.concatenate([w_idx[:, 0], b_idx[-1, :]])
+    coo_rows = np.concatenate([a, b, a, b, src])
+    coo_cols = np.concatenate([a, b, b, a, src])
+    coo_vals = np.concatenate([v, v, -v, -v, np.full(src.size, g_wire, dtype=np.float64)])
+    return sparse.coo_matrix(
+        (coo_vals, (coo_rows, coo_cols)), shape=(n, n)
+    ).tocsc()
 
 
 def solve_crossbar_nodal(
@@ -133,16 +103,24 @@ def solve_crossbar_nodal(
     bitline node B(i,j) through its conductance; wordline nodes chain
     horizontally (input driven at j = 0), bitline nodes chain vertically
     (TIA virtual ground at i = rows-1).  Returns the per-column currents
-    flowing into the TIAs for a single input vector ``v_in``.
+    flowing into the TIAs for a single input vector ``v_in``;
+    ``r_wire = 0`` is the ideal crossbar ``v_in @ g``.
     """
     g = np.asarray(conductances, dtype=np.float64)
     if g.ndim != 2:
         raise ShapeError(f"conductances must be 2-D, got shape {g.shape}")
-    rows, _cols = g.shape
+    rows, cols = g.shape
     v_in = np.asarray(v_in, dtype=np.float64)
     if v_in.shape != (rows,):
         raise ShapeError(f"v_in must have shape ({rows},), got {v_in.shape}")
-    return NodalSolver(g, model.r_wire).solve(v_in)
+    if model.r_wire == 0.0:
+        return v_in @ g
+    g_wire = 1.0 / model.r_wire
+    rhs = np.zeros(2 * rows * cols, dtype=np.float64)
+    rhs[np.arange(rows) * cols] = g_wire * v_in
+    nodes = spsolve(_assemble_nodal_matrix(g, g_wire), rhs)
+    # Bitline nodes of the TIA row, times the last wire segment.
+    return nodes[rows * cols + (rows - 1) * cols + np.arange(cols)] * g_wire
 
 
 def ir_drop_factors(
@@ -178,30 +156,15 @@ def vmm_with_ir_drop(
     conductances: np.ndarray,
     v_in: np.ndarray,
     model: ParasiticModel,
-    exact: bool = False,
-    solver: Optional[NodalSolver] = None,
 ) -> np.ndarray:
-    """VMM including IR drop (batched on both models).
+    """First-order VMM including IR drop, for one vector or a batch.
 
-    ``exact=True`` runs the full nodal solution: the system is
-    assembled and factorized **once** and the whole batch is answered
-    as one multi-RHS transfer product — no per-vector Python loop.
-    The default applies :func:`ir_drop_factors` once.
-
-    ``solver`` may carry a prebuilt :class:`NodalSolver` for the same
-    conductance state (e.g. from a crossbar's factorization cache) so
-    repeated exact reads skip the rebuild; it must have been built
-    from ``conductances`` and ``model.r_wire``.
+    Applies :func:`ir_drop_factors` once: ``v_in @ (g * f)``.
     """
     g = np.asarray(conductances, dtype=np.float64)
     v_arr = np.asarray(v_in, dtype=np.float64)
     v = np.atleast_2d(v_arr)
     if v.shape[-1] != g.shape[0]:
         raise ShapeError(f"input width {v.shape[-1]} != rows {g.shape[0]}")
-    if exact:
-        if solver is None:
-            solver = NodalSolver(g, model.r_wire)
-        out = solver.solve(v)
-    else:
-        out = v @ (g * ir_drop_factors(g, model))
+    out = v @ (g * ir_drop_factors(g, model))
     return out[0] if v_arr.ndim == 1 else out

@@ -3,8 +3,8 @@
 Physical crossbars are bounded (64x64–256x256 in practice); a layer
 whose unrolled weight matrix exceeds the tile size is split across a
 grid of tiles whose partial column currents are summed digitally.
-:class:`TiledMatrix` hides the split: it exposes program / step / read /
-vmm over the *logical* matrix and forwards slices to its tiles.
+:class:`TiledMatrix` hides the split: it exposes program / step / read
+over the *logical* matrix and forwards slices to its tiles.
 
 Every tile is a full :class:`~repro.crossbar.crossbar.Crossbar`, so
 aging, tracing and the aging-aware mapping all work per tile.
@@ -151,15 +151,6 @@ class TiledMatrix:
             tile.program(targets[rs, cs], only_changed=only_changed)
         return self.resistances()
 
-    def step_levels(self, directions: np.ndarray) -> np.ndarray:
-        """Apply ±1-level tuning pulses over the logical matrix."""
-        directions = np.asarray(directions)
-        if directions.shape != self.shape:
-            raise ShapeError(f"directions shape {directions.shape} != logical {self.shape}")
-        for rs, cs, tile in self.iter_tiles():
-            tile.step_levels(directions[rs, cs])
-        return self.resistances()
-
     def step_conductance(self, directions: np.ndarray, fraction: float = 0.5) -> np.ndarray:
         """Conductance-domain tuning pulses over the logical matrix."""
         directions = np.asarray(directions)
@@ -210,35 +201,6 @@ class TiledMatrix:
         for _rs, _cs, tile in self.iter_tiles():
             tile.apply_drift(magnitude)
         return self.resistances()
-
-    def vmm(self, v_in: np.ndarray) -> np.ndarray:
-        """Analog VMM with digital summation of per-tile partial outputs."""
-        v_in = np.asarray(v_in, dtype=np.float64)
-        if v_in.shape[-1] != self.rows:
-            raise ShapeError(f"input width {v_in.shape[-1]} != logical rows {self.rows}")
-        out_shape = v_in.shape[:-1] + (self.cols,)
-        out = np.zeros(out_shape, dtype=np.float64)
-        for rs, cs, tile in self.iter_tiles():
-            out[..., cs] += tile.vmm(v_in[..., rs])
-        return out
-
-    def vmm_ir_drop(
-        self, v_in: np.ndarray, model: "ParasiticModel", exact: bool = False
-    ) -> np.ndarray:
-        """Parasitic-aware VMM with digital summation of tile partials.
-
-        Each tile solves its own (bounded-size) IR-drop problem through
-        its cached factorization; partial currents sum digitally, as in
-        :meth:`vmm`.
-        """
-        v_in = np.asarray(v_in, dtype=np.float64)
-        if v_in.shape[-1] != self.rows:
-            raise ShapeError(f"input width {v_in.shape[-1]} != logical rows {self.rows}")
-        out_shape = v_in.shape[:-1] + (self.cols,)
-        out = np.zeros(out_shape, dtype=np.float64)
-        for rs, cs, tile in self.iter_tiles():
-            out[..., cs] += tile.vmm_ir_drop(v_in[..., rs], model, exact=exact)
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         gr, gc = self.grid_shape

@@ -12,14 +12,14 @@ substitutes that preserve the properties the paper's method relies on:
 * laptop-scale sizes so the full lifetime simulations run in minutes on
   one CPU core.
 
-Toy vector datasets (blobs, spirals, XOR, rings) support the unit tests
-and the quickstart example.
+Toy Gaussian blobs (:func:`make_blobs`) support the unit tests, the
+``blobs-*`` presets and the quickstart example.
 """
 
 from repro.data.dataset import Dataset, one_hot, train_test_split
 from repro.data.glyphs import GLYPH_CLASS_NAMES, make_glyph_digits, render_glyph
 from repro.data.shapes import SHAPE_CLASS_NAMES, make_textured_shapes, render_shape
-from repro.data.synthetic import make_blobs, make_rings, make_spirals, make_xor
+from repro.data.synthetic import make_blobs
 
 __all__ = [
     "Dataset",
@@ -27,10 +27,7 @@ __all__ = [
     "SHAPE_CLASS_NAMES",
     "make_blobs",
     "make_glyph_digits",
-    "make_rings",
-    "make_spirals",
     "make_textured_shapes",
-    "make_xor",
     "one_hot",
     "render_glyph",
     "render_shape",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -88,43 +88,6 @@ class Dataset:
     @property
     def n_test(self) -> int:
         return int(len(self.x_test))
-
-    def batches(
-        self, batch_size: int, shuffle: bool = True, seed: SeedLike = None
-    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """Iterate minibatches of the training partition."""
-        if batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-        rng = ensure_rng(seed)
-        order = rng.permutation(self.n_train) if shuffle else np.arange(self.n_train)
-        for start in range(0, self.n_train, batch_size):
-            idx = order[start : start + batch_size]
-            yield self.x_train[idx], self.y_train[idx]
-
-    def subset(self, n_train: int, n_test: Optional[int] = None) -> "Dataset":
-        """First-``n`` subset (useful for fast tests)."""
-        n_test = n_test if n_test is not None else self.n_test
-        return Dataset(
-            x_train=self.x_train[:n_train],
-            y_train=self.y_train[:n_train],
-            x_test=self.x_test[:n_test],
-            y_test=self.y_test[:n_test],
-            class_names=self.class_names,
-            name=f"{self.name}[:{n_train}]",
-        )
-
-    def normalized(self) -> "Dataset":
-        """Zero-mean/unit-std copy using *training* statistics."""
-        mean = self.x_train.mean()
-        std = self.x_train.std() or 1.0
-        return Dataset(
-            x_train=(self.x_train - mean) / std,
-            y_train=self.y_train,
-            x_test=(self.x_test - mean) / std,
-            y_test=self.y_test,
-            class_names=self.class_names,
-            name=self.name,
-        )
 
     def describe(self) -> str:
         """One-line summary used by the benchmark harness."""

@@ -1,4 +1,4 @@
-"""Toy vector datasets for unit tests and quick demos."""
+"""Toy vector dataset for unit tests and quick demos."""
 
 from __future__ import annotations
 
@@ -38,58 +38,3 @@ def make_blobs(
     labels = rng.integers(0, n_classes, size=n_samples)
     x = centers[labels] + rng.normal(0.0, spread, size=(n_samples, n_features))
     return _to_dataset(x, labels, n_classes, "blobs", test_fraction, rng)
-
-
-def make_spirals(
-    n_samples: int = 300,
-    n_classes: int = 2,
-    noise: float = 0.1,
-    turns: float = 1.5,
-    test_fraction: float = 0.25,
-    seed: SeedLike = None,
-) -> Dataset:
-    """Interleaved 2-D spirals (a classic nonlinear benchmark)."""
-    rng = ensure_rng(seed)
-    per_class = n_samples // n_classes
-    xs, labels = [], []
-    for c in range(n_classes):
-        t = np.linspace(0.1, 1.0, per_class)
-        angle = turns * 2 * np.pi * t + 2 * np.pi * c / n_classes
-        r = t
-        pts = np.stack([r * np.cos(angle), r * np.sin(angle)], axis=1)
-        pts += rng.normal(0.0, noise, size=pts.shape)
-        xs.append(pts)
-        labels.append(np.full(per_class, c, dtype=np.int64))
-    x = np.concatenate(xs)
-    labels = np.concatenate(labels)
-    return _to_dataset(x, labels, n_classes, "spirals", test_fraction, rng)
-
-
-def make_xor(
-    n_samples: int = 200,
-    noise: float = 0.1,
-    test_fraction: float = 0.25,
-    seed: SeedLike = None,
-) -> Dataset:
-    """2-class XOR: quadrant parity with Gaussian jitter."""
-    rng = ensure_rng(seed)
-    x = rng.uniform(-1.0, 1.0, size=(n_samples, 2))
-    labels = ((x[:, 0] > 0) ^ (x[:, 1] > 0)).astype(np.int64)
-    x = x + rng.normal(0.0, noise, size=x.shape)
-    return _to_dataset(x, labels, 2, "xor", test_fraction, rng)
-
-
-def make_rings(
-    n_samples: int = 300,
-    n_classes: int = 3,
-    noise: float = 0.05,
-    test_fraction: float = 0.25,
-    seed: SeedLike = None,
-) -> Dataset:
-    """Concentric rings, one radius band per class."""
-    rng = ensure_rng(seed)
-    labels = rng.integers(0, n_classes, size=n_samples)
-    radius = (labels + 1).astype(np.float64) + rng.normal(0.0, noise, n_samples)
-    angle = rng.uniform(0.0, 2 * np.pi, n_samples)
-    x = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
-    return _to_dataset(x, labels, n_classes, "rings", test_fraction, rng)

@@ -103,21 +103,14 @@ def inject_faults(
 def inject_faults_network(network, model: FaultModel, seed: SeedLike = None) -> float:
     """Inject faults into every tile of a mapped network.
 
-    Works on both single-device networks (layers expose ``tiles``) and
-    differential-pair networks (layers expose ``plus``/``minus`` arm
-    arrays).  Returns the realized overall fault fraction.
+    Returns the realized overall fault fraction.
     """
     rng = ensure_rng(seed)
     faulty = 0
     total = 0
     for layer in network.layers:
-        if hasattr(layer, "tiles"):
-            tiled_matrices = [layer.tiles]
-        else:
-            tiled_matrices = [layer.plus, layer.minus]
-        for tiled in tiled_matrices:
-            for _rs, _cs, tile in tiled.iter_tiles():
-                lrs, hrs = inject_faults(tile, model, rng)
-                faulty += int(lrs.sum() + hrs.sum())
-                total += tile.rows * tile.cols
+        for _rs, _cs, tile in layer.tiles.iter_tiles():
+            lrs, hrs = inject_faults(tile, model, rng)
+            faulty += int(lrs.sum() + hrs.sum())
+            total += tile.rows * tile.cols
     return faulty / total if total else 0.0

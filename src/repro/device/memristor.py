@@ -124,47 +124,6 @@ class Memristor:
         self.resistance = float(achieved)
         return self.resistance
 
-    def step_level(self, direction: int) -> float:
-        """One tuning pulse moving one level up (+1) or down (-1).
-
-        This is the hardware primitive of online tuning (Eq. (5)): the
-        polarity of a constant-amplitude pulse moves the device roughly
-        one quantized level.  Clipped to the aged window.
-        """
-        if direction not in (-1, 0, 1):
-            raise ConfigurationError(f"direction must be -1, 0 or 1, got {direction}")
-        if direction == 0:
-            return self.resistance
-        return self.program(self.resistance + direction * self.grid.step, pulses=1)
-
-    def step_conductance(self, direction: int, fraction: float = 0.5) -> float:
-        """One constant-amplitude tuning pulse in the conductance domain.
-
-        ``direction`` +1 grows the filament (conductance up, resistance
-        down), -1 shrinks it.  The increment is ``fraction`` of the mean
-        conductance level spacing — the fine-grained Eq. (5) primitive
-        (contrast :meth:`step_level`, the coarse mapping granularity).
-        """
-        if direction not in (-1, 0, 1):
-            raise ConfigurationError(f"direction must be -1, 0 or 1, got {direction}")
-        if fraction <= 0:
-            raise ConfigurationError(f"fraction must be > 0, got {fraction}")
-        if direction == 0:
-            return self.resistance
-        if self.is_dead:
-            raise DeviceError(
-                f"device window collapsed after {self.pulse_count} pulses; cannot program"
-            )
-        self._stress(1, self.resistance)
-        g_step = fraction * (self.config.g_max - self.config.g_min) / (self.grid.n_levels - 1)
-        g_new = 1.0 / self.resistance + direction * g_step
-        if self.config.write_noise > 0:
-            g_new += self._rng.normal(0.0, self.config.write_noise * g_step)
-        lo, hi = self.aged_bounds()
-        g_new = max(g_new, 1.0 / max(hi, 1.0))
-        self.resistance = float(np.clip(1.0 / g_new, lo, hi))
-        return self.resistance
-
     def read(self) -> float:
         """Read the programmed resistance (with read noise if configured)."""
         if self.config.read_noise <= 0:

@@ -25,19 +25,6 @@ class ConvergenceError(ReproError, RuntimeError):
     """An iterative procedure failed to converge within its budget."""
 
 
-class CrossbarFailure(ReproError, RuntimeError):
-    """A simulated crossbar can no longer reach the target accuracy.
-
-    Raised by the lifetime engine when online tuning exceeds its iteration
-    budget — the paper's definition of end-of-life.
-    """
-
-    def __init__(self, message: str, applications_completed: int = 0) -> None:
-        super().__init__(message)
-        #: Number of applications the crossbar processed before failing.
-        self.applications_completed = applications_completed
-
-
 class DeviceError(ReproError, RuntimeError):
     """A memristor device was driven outside its physical envelope."""
 

@@ -1,7 +1,7 @@
 """Persistence: model weights, experiment results and the result cache.
 
 * Model weights go to ``.npz`` (exact float64 round trip).
-* Lifetime results, sweep results and scenario comparisons go to JSON,
+* Lifetime results and scenario comparisons go to JSON,
   so downstream analysis (or the paper tables) can be regenerated
   without re-running multi-minute simulations.
 * :func:`save_json_atomic` / :func:`load_json` back the execution
@@ -27,7 +27,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback path
 
 import numpy as np
 
-from repro.core.results import LifetimeResult, ScenarioComparison, WindowRecord
+from repro.core.results import LifetimeResult, ScenarioComparison
 from repro.exceptions import ConfigurationError, CorruptStateError, ShapeError
 from repro.nn.model import Sequential
 
@@ -213,14 +213,6 @@ def load_weights(model: Sequential, path: PathLike) -> Sequential:
 
 
 # -- lifetime results ----------------------------------------------------------
-def _window_to_dict(w: WindowRecord) -> dict:
-    return w.to_dict()
-
-
-def _window_from_dict(d: dict) -> WindowRecord:
-    return WindowRecord.from_dict(d)
-
-
 def result_to_dict(result: LifetimeResult) -> dict:
     """JSON-ready dict of a lifetime result."""
     return result.to_dict()
@@ -249,18 +241,6 @@ def save_comparison(comparison: ScenarioComparison, path: PathLike) -> None:
         "results": {k: result_to_dict(r) for k, r in comparison.results.items()},
     }
     pathlib.Path(path).write_text(json.dumps(payload, indent=2))
-
-
-def save_sweep_result(result, path: PathLike) -> None:
-    """Write a :class:`repro.core.sweep.SweepResult` to JSON."""
-    save_json_atomic(result.to_dict(), path)
-
-
-def load_sweep_result(path: PathLike):
-    """Read a :class:`repro.core.sweep.SweepResult` from JSON."""
-    from repro.core.sweep import SweepResult
-
-    return SweepResult.from_dict(load_json(path))
 
 
 def load_comparison(path: PathLike) -> ScenarioComparison:

@@ -82,7 +82,7 @@ class AgingAwareMapper:
         effectively dead/stuck) are dropped from candidate generation
         as long as healthy traces remain; the stuck devices themselves
         clamp to their pinned value at program time regardless, and the
-        residual error is left to tuning/differential compensation.
+        residual error is left to tuning.
     """
 
     name = "aging_aware"

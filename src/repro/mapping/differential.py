@@ -19,21 +19,21 @@ minus arm.  Compared with Eq. (4):
   which is exactly why the comparison benchmark
   (``benchmarks/test_ext_differential.py``) is interesting.
 
-:class:`DifferentialMappedNetwork` mirrors the
-:class:`~repro.mapping.network.MappedNetwork` API surface (map / score /
-gradient tuning / aging bookkeeping) so the tuner and lifetime engine
-work unchanged.
+:class:`DifferentialMappedNetwork` maps a trained network onto pairs and
+scores it, so the benchmark can compare accuracy and programming stress
+against the single-device mapping.  It does not tune or age in the
+lifetime loop.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.crossbar.tiling import TiledMatrix
 from repro.device.config import DeviceConfig
-from repro.exceptions import ConfigurationError, ShapeError
+from repro.exceptions import ConfigurationError
 from repro.mapping.network import _layer_matrix, _matrix_to_kernel, clone_model
 from repro.nn.model import Sequential
 from repro.rng import SeedLike, ensure_rng, spawn_rng
@@ -122,16 +122,8 @@ class DifferentialMappedLayer:
     def software_matrix(self) -> np.ndarray:
         return _layer_matrix(self.layer)
 
-    def program(self, compensate_stuck: bool = False) -> None:
-        """Map + program both arms (each device takes a pulse).
-
-        With ``compensate_stuck=True`` (graceful degradation), pairs
-        where exactly one arm is dead get a second pass: the healthy
-        arm is retargeted so the pair *difference* still realizes the
-        weight against the stuck arm's actual pinned conductance,
-        clipped to ``[g_min, g_max]``.  Pairs with both arms dead are
-        beyond repair and keep whatever they are stuck at.
-        """
+    def program(self) -> None:
+        """Map + program both arms (each device takes a pulse)."""
         self.mapping = DifferentialPairMapping.from_weights(
             self.software_matrix(), self.device_config.g_min, self.device_config.g_max
         )
@@ -139,36 +131,6 @@ class DifferentialMappedLayer:
         r_plus, r_minus = self.mapping.weight_to_resistances(w)
         self.plus.program(np.asarray(r_plus))
         self.minus.program(np.asarray(r_minus))
-        if compensate_stuck:
-            self._compensate_stuck(w)
-
-    def _compensate_stuck(self, w: np.ndarray) -> None:
-        """Retarget healthy arms of half-dead pairs (see :meth:`program`)."""
-        assert self.mapping is not None
-        dead_p = self.plus.dead_mask()
-        dead_m = self.minus.dead_mask()
-        slope = self.mapping.slope
-        g_lo, g_hi = self.device_config.g_min, self.device_config.g_max
-        fix_minus = dead_p & ~dead_m
-        if fix_minus.any():
-            g_p_stuck = 1.0 / self.plus.resistances()
-            g_m_new = np.clip(g_p_stuck - w * slope, g_lo, g_hi)
-            targets = np.where(fix_minus, 1.0 / g_m_new, self.minus.resistances())
-            self.minus.program(targets)
-        fix_plus = dead_m & ~dead_p
-        if fix_plus.any():
-            g_m_stuck = 1.0 / self.minus.resistances()
-            g_p_new = np.clip(g_m_stuck + w * slope, g_lo, g_hi)
-            targets = np.where(fix_plus, 1.0 / g_p_new, self.plus.resistances())
-            self.plus.program(targets)
-
-    def dead_device_mask(self) -> np.ndarray:
-        """Pairs that can no longer represent their weight at all.
-
-        A pair is only unrecoverable once *both* arms are dead — a
-        single stuck arm can still be compensated by its partner.
-        """
-        return self.plus.dead_mask() & self.minus.dead_mask()
 
     def hardware_matrix(self) -> np.ndarray:
         if self.mapping is None:
@@ -177,42 +139,12 @@ class DifferentialMappedLayer:
         g_minus = 1.0 / self.minus.read_resistances()
         return self.mapping.conductances_to_weight(g_plus, g_minus)
 
-    def apply_gradient_signs(
-        self, weight_grad: np.ndarray, threshold: float, step_fraction: float = 0.5
-    ) -> int:
-        """Eq. (5) tuning on the pair: raise one arm's conductance.
-
-        To increase a weight, grow the plus arm; to decrease it, grow
-        the minus arm.  (Growing is the reliable filament direction;
-        periodic reprogramming resets saturated pairs.)
-        """
-        if weight_grad.shape != self.matrix_shape:
-            raise ShapeError(
-                f"grad shape {weight_grad.shape} != device matrix {self.matrix_shape}"
-            )
-        scale = float(np.max(np.abs(weight_grad)))
-        if scale == 0.0:
-            return 0
-        active = np.abs(weight_grad) >= threshold * scale
-        increase = active & (weight_grad < 0)  # want w up -> plus arm up
-        decrease = active & (weight_grad > 0)  # want w down -> minus arm up
-        self.plus.step_conductance(increase.astype(np.int64), fraction=step_fraction)
-        self.minus.step_conductance(decrease.astype(np.int64), fraction=step_fraction)
-        return int(active.sum())
-
-    def total_pulses(self) -> int:
-        return self.plus.pulse_totals() + self.minus.pulse_totals()
-
     def mean_stress_factor(self) -> float:
         """Mean per-pulse stress of the *programmed* state (both arms)."""
         r_all = np.concatenate(
             [self.plus.resistances().ravel(), self.minus.resistances().ravel()]
         )
         return float(np.mean(self.device_config.stress_factor(r_all)))
-
-    def apply_drift(self, magnitude: float) -> None:
-        self.plus.apply_drift(magnitude)
-        self.minus.apply_drift(magnitude)
 
 
 class DifferentialMappedNetwork:
@@ -245,10 +177,10 @@ class DifferentialMappedNetwork:
         self._scratch = clone_model(model)
         self._scratch.set_regularizers(None)
 
-    def map_network(self, compensate_stuck: bool = False) -> None:
+    def map_network(self) -> None:
         """Program every layer's pair arrays."""
         for layer in self.layers:
-            layer.program(compensate_stuck=compensate_stuck)
+            layer.program()
 
     def effective_model(self) -> Sequential:
         self._scratch.set_weights(self.model.get_weights())
@@ -262,37 +194,6 @@ class DifferentialMappedNetwork:
 
     def score(self, x: np.ndarray, y: np.ndarray) -> float:
         return self.evaluate(x, y)[1]
-
-    def gradient_sign_matrices(self, x: np.ndarray, y: np.ndarray) -> Dict[int, np.ndarray]:
-        scratch = self.effective_model()
-        pred = scratch.forward(np.asarray(x, dtype=np.float64), training=False)
-        scratch.backward(scratch.loss.gradient(pred, np.asarray(y, dtype=np.float64)))
-        out: Dict[int, np.ndarray] = {}
-        for layer in self.layers:
-            grad_kernel = scratch.layers[layer.layer_index].grads["W"]
-            out[layer.layer_index] = (
-                grad_kernel.copy()
-                if grad_kernel.ndim == 2
-                else grad_kernel.reshape(grad_kernel.shape[0], -1).T.copy()
-            )
-        return out
-
-    def total_pulses(self) -> int:
-        return sum(layer.total_pulses() for layer in self.layers)
-
-    def dead_fraction(self) -> float:
-        total = sum(2 * l.matrix_shape[0] * l.matrix_shape[1] for l in self.layers)
-        dead = sum(
-            (l.plus.dead_fraction() + l.minus.dead_fraction())
-            * l.matrix_shape[0]
-            * l.matrix_shape[1]
-            for l in self.layers
-        )
-        return float(dead / total) if total else 0.0
-
-    def apply_drift(self, magnitude: float) -> None:
-        for layer in self.layers:
-            layer.apply_drift(magnitude)
 
     def mean_stress_factor(self) -> float:
         """Device-count-weighted mean per-pulse stress across layers."""

@@ -234,10 +234,6 @@ class MappedLayer:
             self.mapping.conductance_to_weight(self._to_logical(g))
         )
 
-    def hardware_kernel(self) -> np.ndarray:
-        """Effective weights reshaped to the layer's kernel shape."""
-        return _matrix_to_kernel(self.hardware_matrix(), self.layer)
-
     def apply_gradient_signs(
         self, weight_grad: np.ndarray, threshold: float, step_fraction: float = 0.5
     ) -> int:

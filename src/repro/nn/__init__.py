@@ -2,31 +2,21 @@
 
 The paper trains its networks with TensorFlow; this offline reproduction
 implements the required subset of a deep-learning framework directly on
-numpy: layers with explicit forward/backward passes, losses, optimizers,
-weight initializers, learning-rate schedules and — the piece the paper
+numpy: layers with explicit forward/backward passes, the cross-entropy
+loss, optimizers, weight initializers and — the piece the paper
 actually contributes — the **two-segment skewed regularizer** of
-Eq. (8)–(10).
+Eq. (8)–(10).  It carries what the two networks train with and no more.
 
 Public surface::
 
     from repro.nn import (
-        Sequential, Dense, Conv2D, MaxPool2D, AvgPool2D, Flatten, Dropout,
-        BatchNorm, Activation, ReLU, LeakyReLU, Tanh, Sigmoid,
-        SoftmaxCrossEntropy, MeanSquaredError, HingeLoss,
-        SGD, Momentum, Adam, RMSProp,
+        Sequential, Dense, Conv2D, MaxPool2D, AvgPool2D, Flatten,
+        Activation, ReLU, SoftmaxCrossEntropy, SGD, Adam,
         L2Regularizer, SkewedL2Regularizer,
     )
 """
 
-from repro.nn.activations import (
-    Identity,
-    LeakyReLU,
-    ReLU,
-    Sigmoid,
-    Softmax,
-    Tanh,
-    get_activation,
-)
+from repro.nn.activations import ReLU, get_activation
 from repro.nn.gradcheck import check_gradients, numerical_gradient
 from repro.nn.initializers import (
     GlorotNormal,
@@ -34,8 +24,6 @@ from repro.nn.initializers import (
     HeNormal,
     HeUniform,
     LeCunNormal,
-    NormalInit,
-    UniformInit,
     ZerosInit,
     get_initializer,
 )
@@ -43,71 +31,47 @@ from repro.nn.layers.activation import Activation
 from repro.nn.layers.base import Layer, ParamLayer
 from repro.nn.layers.conv import Conv2D
 from repro.nn.layers.dense import Dense
-from repro.nn.layers.dropout import Dropout
-from repro.nn.layers.norm import BatchNorm
 from repro.nn.layers.pool import AvgPool2D, MaxPool2D
 from repro.nn.layers.reshape import Flatten
-from repro.nn.losses import HingeLoss, Loss, MeanSquaredError, SoftmaxCrossEntropy
-from repro.nn.metrics import accuracy, confusion_matrix, top_k_accuracy
+from repro.nn.losses import Loss, SoftmaxCrossEntropy
+from repro.nn.metrics import accuracy
 from repro.nn.model import Sequential, TrainingHistory
-from repro.nn.optimizers import SGD, Adam, Momentum, Optimizer, RMSProp
+from repro.nn.optimizers import SGD, Adam, Optimizer
 from repro.nn.regularizers import (
     L2Regularizer,
-    NoRegularizer,
     Regularizer,
     SkewedL2Regularizer,
 )
-from repro.nn.schedules import ConstantLR, CosineLR, ExponentialLR, StepLR
 
 __all__ = [
     "Activation",
     "Adam",
     "AvgPool2D",
-    "BatchNorm",
-    "ConstantLR",
     "Conv2D",
-    "CosineLR",
     "Dense",
-    "Dropout",
-    "ExponentialLR",
     "Flatten",
     "GlorotNormal",
     "GlorotUniform",
     "HeNormal",
     "HeUniform",
-    "HingeLoss",
-    "Identity",
     "L2Regularizer",
     "Layer",
     "LeCunNormal",
-    "LeakyReLU",
     "Loss",
     "MaxPool2D",
-    "MeanSquaredError",
-    "Momentum",
-    "NoRegularizer",
-    "NormalInit",
     "Optimizer",
     "ParamLayer",
     "ReLU",
-    "RMSProp",
     "Regularizer",
     "SGD",
     "Sequential",
-    "Sigmoid",
     "SkewedL2Regularizer",
-    "Softmax",
     "SoftmaxCrossEntropy",
-    "StepLR",
-    "Tanh",
     "TrainingHistory",
-    "UniformInit",
     "ZerosInit",
     "accuracy",
     "check_gradients",
-    "confusion_matrix",
     "get_activation",
     "get_initializer",
     "numerical_gradient",
-    "top_k_accuracy",
 ]

@@ -49,34 +49,6 @@ class ZerosInit(Initializer):
         return np.zeros(shape, dtype=np.float64)
 
 
-class NormalInit(Initializer):
-    """Gaussian init with fixed standard deviation."""
-
-    def __init__(self, std: float = 0.01, mean: float = 0.0) -> None:
-        if std < 0:
-            raise ConfigurationError(f"std must be >= 0, got {std}")
-        self.std = float(std)
-        self.mean = float(mean)
-
-    def __call__(self, shape: Sequence[int], rng: SeedLike = None) -> np.ndarray:
-        rng = ensure_rng(rng)
-        return rng.normal(self.mean, self.std, size=shape)
-
-
-class UniformInit(Initializer):
-    """Uniform init on ``[low, high)``."""
-
-    def __init__(self, low: float = -0.05, high: float = 0.05) -> None:
-        if high < low:
-            raise ConfigurationError(f"need high >= low, got [{low}, {high})")
-        self.low = float(low)
-        self.high = float(high)
-
-    def __call__(self, shape: Sequence[int], rng: SeedLike = None) -> np.ndarray:
-        rng = ensure_rng(rng)
-        return rng.uniform(self.low, self.high, size=shape)
-
-
 class _VarianceScaling(Initializer):
     """Shared machinery for Glorot/He/LeCun families."""
 
@@ -133,8 +105,6 @@ class LeCunNormal(_VarianceScaling):
 
 _REGISTRY = {
     "zeros": ZerosInit,
-    "normal": NormalInit,
-    "uniform": UniformInit,
     "glorot_normal": GlorotNormal,
     "glorot_uniform": GlorotUniform,
     "he_normal": HeNormal,

@@ -91,10 +91,6 @@ class Layer:
         """Names of parameters the model's regularizer applies to."""
         return []
 
-    def num_params(self) -> int:
-        """Total number of scalar parameters in this layer."""
-        return int(sum(p.size for p in self.params.values()))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
 
@@ -136,13 +132,3 @@ class ParamLayer(Layer):
         if regularize and name not in self._regularized:
             self._regularized.append(name)
         return value
-
-    def set_param(self, name: str, value: np.ndarray) -> None:
-        """Replace parameter ``name`` in place (shape must match)."""
-        current = self._params[name]
-        value = np.asarray(value, dtype=np.float64)
-        if value.shape != current.shape:
-            raise ValueError(
-                f"shape mismatch for param {name!r}: {value.shape} != {current.shape}"
-            )
-        current[...] = value

@@ -61,46 +61,3 @@ class SoftmaxCrossEntropy(Loss):
         _check_same_shape(pred, target)
         p = self.probabilities(pred)
         return (p - target) / pred.shape[0]
-
-
-class MeanSquaredError(Loss):
-    """Mean squared error, averaged over batch *and* features."""
-
-    name = "mse"
-
-    def value(self, pred: np.ndarray, target: np.ndarray) -> float:
-        _check_same_shape(pred, target)
-        return float(np.mean((pred - target) ** 2))
-
-    def gradient(self, pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-        _check_same_shape(pred, target)
-        return 2.0 * (pred - target) / pred.size
-
-
-class HingeLoss(Loss):
-    """Multi-class (Crammer–Singer) hinge loss on raw scores.
-
-    For each sample with true class ``c``: ``mean_j max(0, margin +
-    s_j - s_c)`` over ``j != c``.
-    """
-
-    name = "hinge"
-
-    def __init__(self, margin: float = 1.0) -> None:
-        self.margin = float(margin)
-
-    def _margins(self, pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-        true_scores = np.sum(pred * target, axis=1, keepdims=True)
-        margins = np.maximum(0.0, self.margin + pred - true_scores)
-        return margins * (1.0 - target)  # zero-out the true class
-
-    def value(self, pred: np.ndarray, target: np.ndarray) -> float:
-        _check_same_shape(pred, target)
-        return float(np.sum(self._margins(pred, target)) / pred.shape[0])
-
-    def gradient(self, pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-        _check_same_shape(pred, target)
-        active = (self._margins(pred, target) > 0.0).astype(np.float64)
-        grad = active.copy()
-        grad -= target * active.sum(axis=1, keepdims=True)
-        return grad / pred.shape[0]

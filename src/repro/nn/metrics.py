@@ -25,22 +25,3 @@ def accuracy(pred: np.ndarray, target: np.ndarray) -> float:
     if p.size == 0:
         return 0.0
     return float(np.mean(p == t))
-
-
-def top_k_accuracy(pred: np.ndarray, target: np.ndarray, k: int = 5) -> float:
-    """Fraction of samples whose target is within the top-``k`` scores."""
-    pred = np.asarray(pred)
-    if pred.ndim != 2:
-        raise ShapeError(f"top_k needs score matrix, got shape {pred.shape}")
-    k = min(k, pred.shape[1])
-    t = _labels(target)
-    topk = np.argpartition(-pred, k - 1, axis=1)[:, :k]
-    return float(np.mean(np.any(topk == t[:, None], axis=1)))
-
-
-def confusion_matrix(pred: np.ndarray, target: np.ndarray, n_classes: int) -> np.ndarray:
-    """``(n_classes, n_classes)`` count matrix, rows = true class."""
-    p, t = _labels(pred), _labels(target)
-    cm = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(cm, (t, p), 1)
-    return cm

@@ -21,7 +21,6 @@ from repro.nn.losses import Loss, SoftmaxCrossEntropy
 from repro.nn.metrics import accuracy
 from repro.nn.optimizers import SGD, Optimizer
 from repro.nn.regularizers import Regularizer
-from repro.nn.schedules import Schedule
 from repro.rng import SeedLike, ensure_rng
 
 RegularizerSpec = Union[Regularizer, Dict[int, Regularizer], None]
@@ -36,15 +35,6 @@ class TrainingHistory:
     val_loss: List[float] = field(default_factory=list)
     val_accuracy: List[float] = field(default_factory=list)
     lr: List[float] = field(default_factory=list)
-
-    def last(self) -> Dict[str, float]:
-        """Final epoch's metrics as a flat dict."""
-        out: Dict[str, float] = {}
-        for name in ("loss", "accuracy", "val_loss", "val_accuracy", "lr"):
-            values = getattr(self, name)
-            if values:
-                out[name] = values[-1]
-        return out
 
 
 class Sequential:
@@ -112,22 +102,6 @@ class Sequential:
         memristor crossbars.
         """
         return [(i, l) for i, l in enumerate(self.layers) if l.regularized]
-
-    def num_params(self) -> int:
-        """Total scalar parameter count."""
-        return sum(layer.num_params() for layer in self.layers)
-
-    def summary(self) -> str:
-        """Human-readable architecture table."""
-        self._require_built()
-        lines = [f"{'#':>3}  {'layer':<42} {'output':<18} {'params':>10}"]
-        for i, layer in enumerate(self.layers):
-            lines.append(
-                f"{i:>3}  {repr(layer):<42} {str(layer.output_shape()):<18} "
-                f"{layer.num_params():>10}"
-            )
-        lines.append(f"total params: {self.num_params()}")
-        return "\n".join(lines)
 
     # -- forward/backward ---------------------------------------------------
     def forward(
@@ -204,7 +178,6 @@ class Sequential:
         epochs: int = 10,
         batch_size: int = 32,
         validation_data: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-        schedule: Optional[Schedule] = None,
         shuffle: bool = True,
         verbose: bool = False,
     ) -> TrainingHistory:
@@ -219,8 +192,6 @@ class Sequential:
         history = TrainingHistory()
         n = len(x)
         for epoch in range(epochs):
-            if schedule is not None:
-                self.optimizer.lr = schedule(epoch)
             order = self._rng.permutation(n) if shuffle else np.arange(n)
             epoch_cost = 0.0
             n_batches = 0
@@ -266,10 +237,6 @@ class Sequential:
             for i in range(0, len(x), batch_size)
         ]
         return np.concatenate(outputs, axis=0)
-
-    def predict_classes(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """Argmax class indices for ``x``."""
-        return self.predict(x, batch_size=batch_size).argmax(axis=1)
 
     def evaluate(
         self, x: np.ndarray, y: np.ndarray, batch_size: int = 256

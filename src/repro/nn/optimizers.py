@@ -2,8 +2,7 @@
 
 An optimizer holds per-parameter state keyed by ``id`` of the parameter
 array (arrays are updated in place, so identity is stable for the life of
-a model).  ``update(param, grad)`` applies one step; ``lr`` may be
-mutated between steps by a schedule.
+a model).  ``update(param, grad)`` applies one step.
 """
 
 from __future__ import annotations
@@ -54,51 +53,6 @@ class SGD(Optimizer):
 
     def update(self, param: np.ndarray, grad: np.ndarray) -> None:
         param -= self.lr * grad
-
-
-class Momentum(Optimizer):
-    """SGD with (optionally Nesterov) momentum."""
-
-    def __init__(self, lr: float = 0.01, momentum: float = 0.9, nesterov: bool = False) -> None:
-        super().__init__(lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigurationError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = float(momentum)
-        self.nesterov = bool(nesterov)
-
-    def update(self, param: np.ndarray, grad: np.ndarray) -> None:
-        state = self.state_for(param)
-        v = state.get("velocity")
-        if v is None:
-            v = np.zeros_like(param)
-            state["velocity"] = v
-        v *= self.momentum
-        v -= self.lr * grad
-        if self.nesterov:
-            param += self.momentum * v - self.lr * grad
-        else:
-            param += v
-
-
-class RMSProp(Optimizer):
-    """RMSProp with exponential moving average of squared gradients."""
-
-    def __init__(self, lr: float = 0.001, rho: float = 0.9, eps: float = 1e-8) -> None:
-        super().__init__(lr)
-        if not 0.0 <= rho < 1.0:
-            raise ConfigurationError(f"rho must be in [0, 1), got {rho}")
-        self.rho = float(rho)
-        self.eps = float(eps)
-
-    def update(self, param: np.ndarray, grad: np.ndarray) -> None:
-        state = self.state_for(param)
-        sq = state.get("sq")
-        if sq is None:
-            sq = np.zeros_like(param)
-            state["sq"] = sq
-        sq *= self.rho
-        sq += (1.0 - self.rho) * grad * grad
-        param -= self.lr * grad / (np.sqrt(sq) + self.eps)
 
 
 class Adam(Optimizer):

@@ -40,16 +40,6 @@ class Regularizer:
         return f"{type(self).__name__}()"
 
 
-class NoRegularizer(Regularizer):
-    """Zero penalty — plain cross-entropy training."""
-
-    def penalty(self, w: np.ndarray) -> float:
-        return 0.0
-
-    def gradient(self, w: np.ndarray) -> np.ndarray:
-        return np.zeros_like(w)
-
-
 class L2Regularizer(Regularizer):
     """Classic ridge penalty ``lam * ||W||^2`` (paper Eq. (1)–(2))."""
 

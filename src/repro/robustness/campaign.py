@@ -149,8 +149,8 @@ class FaultCampaign:
         point_perf = {}
         if self.workers <= 1:
             # Serial mode: capture per-point perf-counter deltas so the
-            # report can attribute kernel-cache savings and vmm
-            # throughput to individual grid points.  (Counters are
+            # report can attribute windows, tuning iterations and
+            # hardware reads to individual grid points.  (Counters are
             # process-local; the parallel branch leaves perf empty.
             # Journal-replayed points also skip perf capture — nothing
             # executed.)

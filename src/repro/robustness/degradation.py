@@ -1,7 +1,7 @@
 """Graceful-degradation policy bundle.
 
 Injected faults are only half the story — the interesting question is
-how much of the damage the *controller* can absorb.  The repo has three
+how much of the damage the *controller* can absorb.  The repo has two
 degradation levers, each living in the subsystem it protects:
 
 * **Dead-device gradient masking**
@@ -14,11 +14,6 @@ degradation levers, each living in the subsystem it protects:
   ``fault_aware=True``): traced bounds of stuck/dead devices are
   excluded from common-range candidates so a handful of welded cells
   cannot compress every healthy device into a few levels.
-* **Stuck-arm compensation** (differential pairs,
-  :meth:`repro.mapping.differential.DifferentialMappedLayer.program`
-  with ``compensate_stuck=True``): when one arm of a pair is stuck the
-  healthy partner is retargeted so the pair difference still realizes
-  the weight.
 
 :class:`DegradationPolicy` bundles the switches so campaigns can toggle
 recovery as one axis of the fault grid.
@@ -35,7 +30,6 @@ class DegradationPolicy:
 
     mask_dead_devices: bool = True
     fault_aware_mapping: bool = True
-    compensate_stuck: bool = True
 
     @classmethod
     def enabled(cls) -> "DegradationPolicy":
@@ -45,27 +39,8 @@ class DegradationPolicy:
     @classmethod
     def disabled(cls) -> "DegradationPolicy":
         """All mechanisms off — the ablation baseline."""
-        return cls(
-            mask_dead_devices=False,
-            fault_aware_mapping=False,
-            compensate_stuck=False,
-        )
+        return cls(mask_dead_devices=False, fault_aware_mapping=False)
 
     @property
     def any_enabled(self) -> bool:
-        return self.mask_dead_devices or self.fault_aware_mapping or self.compensate_stuck
-
-    def to_dict(self) -> dict:
-        return {
-            "mask_dead_devices": self.mask_dead_devices,
-            "fault_aware_mapping": self.fault_aware_mapping,
-            "compensate_stuck": self.compensate_stuck,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DegradationPolicy":
-        return cls(
-            mask_dead_devices=bool(d.get("mask_dead_devices", True)),
-            fault_aware_mapping=bool(d.get("fault_aware_mapping", True)),
-            compensate_stuck=bool(d.get("compensate_stuck", True)),
-        )
+        return self.mask_dead_devices or self.fault_aware_mapping

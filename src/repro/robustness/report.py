@@ -129,21 +129,6 @@ class SurvivabilityReport:
             key=lambda r: r.fault_rate,
         )
 
-    def accuracy_curve(
-        self, kind: str, degradation: Optional[bool] = None
-    ) -> List[Tuple[float, float]]:
-        """``(fault_rate, final_accuracy)`` points, sorted by rate."""
-        return [(r.fault_rate, r.final_accuracy) for r in self._select(kind, degradation)]
-
-    def lifetime_curve(
-        self, kind: str, degradation: Optional[bool] = None
-    ) -> List[Tuple[float, int]]:
-        """``(fault_rate, lifetime_applications)`` points, sorted by rate."""
-        return [
-            (r.fault_rate, r.lifetime_applications)
-            for r in self._select(kind, degradation)
-        ]
-
     def lifetime_degradation(
         self, kind: str, degradation: Optional[bool] = None
     ) -> List[Tuple[float, float]]:
@@ -250,18 +235,11 @@ class SurvivabilityReport:
             for name, delta in self.perf.items():
                 counters = delta.get("counters", {})
                 elapsed = float(delta.get("elapsed_s", 0.0))
-                avoided = int(
-                    counters.get("kernels.cache_hits", 0)
-                    + counters.get("crossbar.conductance_cache_hits", 0)
-                )
-                vmm = counters.get("crossbar.vmm_calls", 0)
-                reads = counters.get("network.hardware_reads", 0)
-                throughput = (
-                    f"{vmm / elapsed:,.0f} vmm/s" if elapsed > 0 and vmm else "n/a"
-                )
+                windows = int(counters.get("lifetime.windows", 0))
+                iterations = int(counters.get("tuning.iterations", 0))
+                reads = int(counters.get("network.hardware_reads", 0))
                 lines.append(
-                    f"  {name}: factorizations avoided={avoided}, "
-                    f"vmm calls={int(vmm)}, hardware reads={int(reads)}, "
-                    f"throughput={throughput}, elapsed={elapsed:.2f}s"
+                    f"  {name}: windows={windows}, tuning iterations={iterations}, "
+                    f"hardware reads={reads}, elapsed={elapsed:.2f}s"
                 )
         return "\n".join(lines)

@@ -99,29 +99,6 @@ class FaultEvent:
             return self.sigma
         return self.miss_rate
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "window": self.window,
-            "rate_lrs": self.rate_lrs,
-            "rate_hrs": self.rate_hrs,
-            "magnitude": self.magnitude,
-            "sigma": self.sigma,
-            "miss_rate": self.miss_rate,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FaultEvent":
-        return cls(
-            kind=str(d["kind"]),
-            window=int(d["window"]),
-            rate_lrs=float(d.get("rate_lrs", 0.0)),
-            rate_hrs=float(d.get("rate_hrs", 0.0)),
-            magnitude=float(d.get("magnitude", 0.0)),
-            sigma=float(d.get("sigma", 0.0)),
-            miss_rate=float(d.get("miss_rate", 0.0)),
-        )
-
 
 @dataclass(frozen=True)
 class FaultSchedule:
@@ -136,16 +113,9 @@ class FaultSchedule:
     def __post_init__(self) -> None:
         object.__setattr__(self, "events", tuple(self.events))
 
-    def __bool__(self) -> bool:
-        return bool(self.events)
-
     def events_at(self, window: int) -> List[FaultEvent]:
         """Events due at the start of ``window`` (0-based)."""
         return [e for e in self.events if e.window == window]
-
-    def last_window(self) -> int:
-        """Index of the latest scheduled window (-1 when empty)."""
-        return max((e.window for e in self.events), default=-1)
 
     def apply(self, network, window: int, rng: np.random.Generator) -> List[FaultEvent]:
         """Apply all events due at ``window`` to ``network``.
@@ -205,22 +175,9 @@ class FaultSchedule:
             return cls(events=(FaultEvent(kind="pulse_miss", window=window, miss_rate=rate),))
         raise ConfigurationError(f"unknown fault kind {kind!r}; choose from {_KINDS}")
 
-    def to_dict(self) -> dict:
-        return {"events": [e.to_dict() for e in self.events]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FaultSchedule":
-        return cls(events=tuple(FaultEvent.from_dict(e) for e in d.get("events", ())))
-
 
 def _iter_tiles(network):
-    """All crossbar tiles of a mapped network (single or differential)."""
+    """All crossbar tiles of a mapped network."""
     for layer in network.layers:
-        if hasattr(layer, "tiles"):
-            for _rs, _cs, tile in layer.tiles.iter_tiles():
-                yield tile
-        else:  # differential pair: plus/minus arms
-            for _rs, _cs, tile in layer.plus.iter_tiles():
-                yield tile
-            for _rs, _cs, tile in layer.minus.iter_tiles():
-                yield tile
+        for _rs, _cs, tile in layer.tiles.iter_tiles():
+            yield tile

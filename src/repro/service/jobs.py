@@ -369,9 +369,6 @@ class JobStore:
             )
         return document
 
-    def spec(self, job_id: str) -> CampaignJobSpec:
-        return CampaignJobSpec.from_dict(self.load(job_id)["spec"])
-
     # -- state machine -----------------------------------------------------
     def _read_state(self, job_id: str) -> dict:
         path = self._state_path(job_id)

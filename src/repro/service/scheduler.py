@@ -46,7 +46,7 @@ import logging
 import pathlib
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.exceptions import ConfigurationError, CorruptStateError, ServiceError
 from repro.io import file_lock, load_json_guarded, save_json_guarded
@@ -348,10 +348,6 @@ class LeaseBoard:
         return quarantined
 
     # -- introspection -----------------------------------------------------
-    def chunk_points(self, chunks: List[List[int]], lease: Lease) -> List[int]:
-        """Point indices of a leased chunk (from the job's chunk list)."""
-        return list(chunks[lease.chunk_id])
-
     def snapshot(self) -> Dict[str, int]:
         """Summary counts: pending/leased/expired/done/quarantined/stolen."""
         now = self._clock()

@@ -30,7 +30,6 @@ path against bit for bit lives in ``tests/oracles/``.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -180,19 +179,14 @@ class OnlineTuner:
         if len(x_tune) != len(y_tune):
             raise ConfigurationError("x_tune and y_tune lengths differ")
 
-        # Batched network-level sweep and read-reuse scope where the
-        # network offers them (differential networks tune per layer).
-        use_batched = hasattr(network, "apply_tuning_sweep")
-        reuse = network.read_reuse() if hasattr(network, "read_reuse") else nullcontext()
-        with reuse:
-            return self._tune_loop(network, x_tune, y_tune, use_batched)
+        with network.read_reuse():
+            return self._tune_loop(network, x_tune, y_tune)
 
     def _tune_loop(
         self,
         network: MappedNetwork,
         x_tune: np.ndarray,
         y_tune: np.ndarray,
-        use_batched: bool,
     ) -> TuningResult:
         cfg = self.config
         initial = network.score(x_tune, y_tune)
@@ -210,22 +204,12 @@ class OnlineTuner:
         for iteration in range(1, cfg.max_iterations + 1):
             idx = self._rng.choice(len(x_tune), size=min(cfg.batch_size, len(x_tune)), replace=False)
             grads = network.gradient_sign_matrices(x_tune[idx], y_tune[idx])
-            if use_batched:
-                network.apply_tuning_sweep(
-                    grads,
-                    cfg.threshold,
-                    step_fraction,
-                    mask_dead=cfg.mask_dead_devices,
-                )
-            else:
-                # Networks without apply_tuning_sweep tune per layer.
-                for mapped in network.layers:
-                    grad = grads[mapped.layer_index]
-                    if cfg.mask_dead_devices:
-                        dead = mapped.dead_device_mask()
-                        if dead.any():
-                            grad = np.where(dead, 0.0, grad)
-                    mapped.apply_gradient_signs(grad, cfg.threshold, step_fraction)
+            network.apply_tuning_sweep(
+                grads,
+                cfg.threshold,
+                step_fraction,
+                mask_dead=cfg.mask_dead_devices,
+            )
 
             if iteration % cfg.eval_every == 0 or iteration == cfg.max_iterations:
                 accuracy = network.score(x_tune, y_tune)

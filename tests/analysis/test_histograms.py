@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    conductance_histogram,
     resistance_histogram,
     summarize_distribution,
     weight_histogram,
@@ -45,12 +44,6 @@ class TestHistograms:
         assert counts.sum() == 300
         assert edges[0] >= 1e4 - 1e-6
         assert edges[-1] <= 1e5 + 1e-6
-
-    def test_conductance_histogram_in_range(self, mapping, rng):
-        w = rng.uniform(-1, 1, 300)
-        edges, counts = conductance_histogram(w, mapping, bins=10)
-        assert counts.sum() == 300
-        assert edges[0] >= 1e-5 - 1e-12
 
     def test_fig3_reciprocal_shape(self, mapping, rng):
         """A symmetric weight distribution produces a resistance

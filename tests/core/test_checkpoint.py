@@ -314,8 +314,6 @@ def _tile_caches(network):
                     for cache in ("_conductance_cache", "_bounds_cache", "_dead_cache")
                     if getattr(tile, cache) is not None
                 ]
-                if len(tile._solver_cache):
-                    filled.append("_solver_cache")
                 out += [(mapped.layer_index, name, cache) for cache in filled]
     return out
 

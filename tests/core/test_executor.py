@@ -325,12 +325,3 @@ class TestSweepParallel:
         # A different token invalidates everything.
         third = sweep.run([1, 2], cache=cache, cache_token="v2")
         assert [p.cached for p in third.points] == [False, False]
-
-    def test_cached_sweep_result_serializes(self, tmp_path):
-        from repro.io import load_sweep_result, save_sweep_result
-
-        result = Sweep("x", _draw_metrics, seed=9).run([1, 2])
-        path = tmp_path / "sweep.json"
-        save_sweep_result(result, path)
-        loaded = load_sweep_result(path)
-        assert loaded == result

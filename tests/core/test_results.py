@@ -59,8 +59,3 @@ class TestScenarioComparison:
         cmp.add(make_result("t+t", 0, [150]))
         cmp.add(make_result("st+t", 100, [150]))
         assert cmp.improvement("st+t") == float("inf")
-
-    def test_lifetime_lookup(self):
-        cmp = ScenarioComparison(workload="x")
-        cmp.add(make_result("t+t", 1234, [150]))
-        assert cmp.lifetime("t+t") == 1234

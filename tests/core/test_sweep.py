@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.sweep import Sweep, SweepPoint, SweepResult
+from repro.core.sweep import Sweep
 from repro.exceptions import ConfigurationError
 
 
@@ -15,7 +15,6 @@ class TestSweep:
         sweep = Sweep("x", lambda v, rng: {"square": v * v}, seed=1)
         result = sweep.run([1, 2, 3])
         assert result.metric("square") == [1.0, 4.0, 9.0]
-        assert result.values() == [1, 2, 3]
 
     def test_per_point_rng_is_order_independent(self):
         def fn(v, rng):
@@ -49,19 +48,3 @@ class TestSweep:
     def test_non_dict_return_rejected(self):
         result = Sweep("x", lambda v, rng: 5, seed=1).run([1])
         assert not result.points[0].ok
-
-    def test_table_rendering(self):
-        sweep = Sweep("levels", lambda v, rng: {"acc": v / 100}, seed=1)
-        result = sweep.run([8, 16])
-        table = result.to_table(title="sweep")
-        assert "levels" in table and "acc" in table and "sweep" in table
-
-    def test_table_with_errors(self):
-        result = SweepResult(parameter="x")
-        result.points.append(SweepPoint(value=1, metrics={"m": 1.0}))
-        result.points.append(SweepPoint(value=2, error="boom"))
-        assert "ERROR" in result.to_table()
-
-    def test_empty_table(self):
-        result = SweepResult(parameter="x")
-        assert "no successful points" in result.to_table("t")

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.crossbar import Crossbar
-from repro.crossbar.parasitics import ParasiticModel
 from repro.device import DeviceConfig, DeviceVariability, Memristor
 from repro.exceptions import ConfigurationError, ShapeError
 
@@ -89,24 +88,6 @@ class TestProgramming:
 
 
 class TestStepping:
-    def test_step_levels(self, xb):
-        xb.program(np.full(xb.shape, 5e4))
-        before = xb.resistance.copy()
-        directions = np.zeros(xb.shape, dtype=int)
-        directions[0, 0], directions[1, 1] = 1, -1
-        xb.step_levels(directions)
-        assert xb.resistance[0, 0] == pytest.approx(before[0, 0] + xb.grid.step)
-        assert xb.resistance[1, 1] == pytest.approx(before[1, 1] - xb.grid.step)
-        assert xb.resistance[2, 2] == before[2, 2]
-
-    def test_step_levels_validation(self, xb):
-        with pytest.raises(ShapeError):
-            xb.step_levels(np.zeros((2, 2), dtype=int))
-        bad = np.zeros(xb.shape, dtype=int)
-        bad[0, 0] = 5
-        with pytest.raises(ConfigurationError):
-            xb.step_levels(bad)
-
     def test_step_conductance_moves_conductance(self, xb):
         xb.program(np.full(xb.shape, 5e4))
         g_before = xb.conductances().copy()
@@ -178,32 +159,6 @@ class TestDrift:
             xb.apply_drift(-0.1)
 
 
-class TestVmm:
-    def test_matches_matrix_product(self, xb):
-        xb.program(np.full(xb.shape, 2e4))
-        v = np.ones(xb.rows)
-        out = xb.vmm(v)
-        expected = v @ (1.0 / xb.resistance) * xb.r_tia
-        np.testing.assert_allclose(out, expected)
-
-    def test_batched_input(self, xb, rng):
-        xb.program(np.full(xb.shape, 3e4))
-        v = rng.normal(size=(7, xb.rows))
-        assert xb.vmm(v).shape == (7, xb.cols)
-
-    def test_width_check(self, xb):
-        with pytest.raises(ShapeError):
-            xb.vmm(np.ones(xb.rows + 1))
-
-    def test_linearity(self, xb, rng):
-        """Column currents sum linearly — the property that forces a
-        common conductance range in the mapping."""
-        xb.program(rng.uniform(2e4, 8e4, xb.shape))
-        a = rng.normal(size=xb.rows)
-        b = rng.normal(size=xb.rows)
-        np.testing.assert_allclose(xb.vmm(a + b), xb.vmm(a) + xb.vmm(b), atol=1e-9)
-
-
 class TestReadout:
     def test_read_noise(self):
         cfg = DeviceConfig(write_noise=0.0, read_noise=0.05)
@@ -237,7 +192,6 @@ class TestStateCopy:
         # Fill every cache.
         xb.conductances()
         xb.dead_mask()
-        xb.nodal_solver(ParasiticModel(2.0))
         assert 0 < xb.dead_fraction() < 1
         return xb
 
@@ -248,12 +202,9 @@ class TestStateCopy:
         assert clone._conductance_cache is None
         assert clone._bounds_cache is None
         assert clone._dead_cache is None
-        assert len(clone._solver_cache) == 0
-        assert clone._solver_cache is not worn._solver_cache
         assert (clone.state_version, clone._stress_version) == versions
         # The original keeps its caches.
         assert worn._conductance_cache is not None
-        assert len(worn._solver_cache) == 1
         pairs = [
             (clone.conductances(), worn.conductances()),
             (clone.dead_mask(), worn.dead_mask()),

@@ -61,30 +61,3 @@ class TestProgrammingInvariants:
         a.program(targets)
         b.program(targets)
         np.testing.assert_array_equal(a.resistance, b.resistance)
-
-
-class TestVmmInvariants:
-    @given(
-        scale=st.floats(-3.0, 3.0),
-        seed=st.integers(0, 20),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_homogeneity(self, scale, seed):
-        xb = make_crossbar(seed)
-        rng = np.random.default_rng(seed)
-        xb.program(rng.uniform(2e4, 8e4, (4, 4)))
-        v = rng.normal(size=4)
-        np.testing.assert_allclose(
-            xb.vmm(scale * v), scale * xb.vmm(v), rtol=1e-9, atol=1e-12
-        )
-
-    @given(seed=st.integers(0, 20))
-    @settings(max_examples=20, deadline=None)
-    def test_additivity(self, seed):
-        xb = make_crossbar(seed)
-        rng = np.random.default_rng(seed + 100)
-        xb.program(rng.uniform(2e4, 8e4, (4, 4)))
-        a, b = rng.normal(size=4), rng.normal(size=4)
-        np.testing.assert_allclose(
-            xb.vmm(a + b), xb.vmm(a) + xb.vmm(b), rtol=1e-9, atol=1e-12
-        )

@@ -76,25 +76,5 @@ class TestDataset:
         with pytest.raises(ShapeError):
             Dataset(x, y, x, y)
 
-    def test_batches_cover_all(self, ds):
-        seen = 0
-        for bx, by in ds.batches(8, seed=3):
-            assert len(bx) == len(by)
-            seen += len(bx)
-        assert seen == ds.n_train
-
-    def test_batches_validate_size(self, ds):
-        with pytest.raises(ConfigurationError):
-            list(ds.batches(0))
-
-    def test_subset(self, ds):
-        sub = ds.subset(10, 5)
-        assert sub.n_train == 10 and sub.n_test == 5
-
-    def test_normalized_statistics(self, ds):
-        norm = ds.normalized()
-        assert abs(norm.x_train.mean()) < 1e-12
-        assert abs(norm.x_train.std() - 1.0) < 1e-12
-
     def test_describe_mentions_name(self, ds):
         assert "toy" in ds.describe()

@@ -1,9 +1,9 @@
-"""Unit tests for the toy vector datasets."""
+"""Unit tests for the toy vector dataset."""
 
 import numpy as np
 import pytest
 
-from repro.data.synthetic import make_blobs, make_rings, make_spirals, make_xor
+from repro.data.synthetic import make_blobs
 from repro.exceptions import ConfigurationError
 
 
@@ -33,35 +33,3 @@ class TestBlobs:
         a = make_blobs(seed=7)
         b = make_blobs(seed=7)
         np.testing.assert_array_equal(a.x_train, b.x_train)
-
-
-class TestSpirals:
-    def test_shapes_and_balance(self):
-        ds = make_spirals(n_samples=120, n_classes=3, seed=3)
-        counts = ds.y_train.sum(axis=0) + ds.y_test.sum(axis=0)
-        assert counts.sum() == 120
-        assert counts.min() >= 30  # roughly balanced
-
-    def test_points_bounded(self):
-        ds = make_spirals(n_samples=100, noise=0.0, seed=4)
-        radii = np.linalg.norm(np.concatenate([ds.x_train, ds.x_test]), axis=1)
-        assert radii.max() <= 1.05
-
-
-class TestXor:
-    def test_labels_match_quadrants_when_noise_free(self):
-        ds = make_xor(n_samples=200, noise=0.0, seed=5)
-        x = np.concatenate([ds.x_train, ds.x_test])
-        y = np.concatenate([ds.y_train, ds.y_test]).argmax(axis=1)
-        expected = ((x[:, 0] > 0) ^ (x[:, 1] > 0)).astype(int)
-        assert np.mean(expected == y) == 1.0
-
-
-class TestRings:
-    def test_radius_bands(self):
-        ds = make_rings(n_samples=300, n_classes=3, noise=0.0, seed=6)
-        x = np.concatenate([ds.x_train, ds.x_test])
-        y = np.concatenate([ds.y_train, ds.y_test]).argmax(axis=1)
-        radii = np.linalg.norm(x, axis=1)
-        for c in range(3):
-            np.testing.assert_allclose(radii[y == c], c + 1.0, atol=1e-9)

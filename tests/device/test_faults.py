@@ -83,18 +83,6 @@ class TestDeterminism:
                 layer_a.tiles.dead_mask(), layer_b.tiles.dead_mask()
             )
 
-    def test_inject_faults_network_differential(self, trained_mlp, device_config):
-        from repro.mapping.differential import DifferentialMappedNetwork
-
-        net = DifferentialMappedNetwork(trained_mlp, device_config, seed=23)
-        net.map_network()
-        frac = inject_faults_network(net, FaultModel(rate_lrs=0.1), seed=24)
-        assert frac == pytest.approx(0.1, abs=0.05)
-        assert any(
-            layer.plus.dead_mask().any() or layer.minus.dead_mask().any()
-            for layer in net.layers
-        )
-
 
 class TestInjectFaults:
     def test_stuck_values_pinned(self, device_config):

@@ -77,45 +77,6 @@ class TestProgramming:
         assert len(cell.usable_levels()) < n0
 
 
-class TestStepping:
-    def test_step_level_moves_one_step(self, cell):
-        cell.program(5e4)
-        before = cell.resistance
-        cell.step_level(+1)
-        assert cell.resistance == pytest.approx(before + cell.grid.step)
-        cell.step_level(-1)
-        assert cell.resistance == pytest.approx(before)
-
-    def test_step_level_zero_is_free(self, cell):
-        pulses = cell.pulse_count
-        cell.step_level(0)
-        assert cell.pulse_count == pulses
-
-    def test_step_level_validates(self, cell):
-        with pytest.raises(ConfigurationError):
-            cell.step_level(2)
-
-    def test_step_conductance_direction(self, cell):
-        cell.program(5e4)
-        before_g = cell.conductance
-        cell.step_conductance(+1)
-        assert cell.conductance > before_g
-        cell.step_conductance(-1)
-
-    def test_step_conductance_magnitude(self, cell):
-        cell.program(5e4)
-        g0 = cell.conductance
-        cell.step_conductance(+1, fraction=0.5)
-        g_step = (cell.config.g_max - cell.config.g_min) / (cell.grid.n_levels - 1)
-        assert cell.conductance - g0 == pytest.approx(0.5 * g_step, rel=1e-6)
-
-    def test_step_conductance_validates(self, cell):
-        with pytest.raises(ConfigurationError):
-            cell.step_conductance(3)
-        with pytest.raises(ConfigurationError):
-            cell.step_conductance(1, fraction=0.0)
-
-
 class TestReadout:
     def test_noise_free_read(self, cell):
         cell.program(3e4)

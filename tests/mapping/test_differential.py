@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError, ShapeError
+from repro.exceptions import ConfigurationError
 from repro.mapping.differential import (
     DifferentialMappedNetwork,
     DifferentialPairMapping,
@@ -88,24 +88,6 @@ class TestDifferentialNetwork:
         )
         at_high_r = np.mean(r_all > 0.9 * network.device_config.r_max)
         assert at_high_r > 0.4
-
-    def test_tuning_moves_downhill(self, network, blob_dataset):
-        x, y = blob_dataset.x_train[:64], blob_dataset.y_train[:64]
-        network.apply_drift(0.3)
-        loss_before = network.evaluate(x, y)[0]
-        for _ in range(5):
-            grads = network.gradient_sign_matrices(x, y)
-            for layer in network.layers:
-                layer.apply_gradient_signs(grads[layer.layer_index], 0.25)
-        assert network.evaluate(x, y)[0] <= loss_before + 0.05
-
-    def test_gradient_shape_check(self, network):
-        with pytest.raises(ShapeError):
-            network.layers[0].apply_gradient_signs(np.zeros((2, 2)), 0.5)
-
-    def test_pulse_accounting(self, network):
-        assert network.total_pulses() > 0
-        assert network.dead_fraction() == 0.0
 
     def test_unprogrammed_layer_raises(self, trained_mlp, device_config):
         net = DifferentialMappedNetwork(trained_mlp, device_config, seed=5)

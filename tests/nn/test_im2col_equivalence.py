@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.nn.layers import conv as conv_module
 from repro.nn.layers.conv import Conv2D, _window_index, im2col
+from tests.nn.helpers import NormalInit
 
 MAX_EXAMPLES = 25 if os.environ.get("HYPOTHESIS_PROFILE") == "smoke" else 200
 
@@ -143,7 +144,7 @@ def test_conv2d_forward_and_backward_bit_identical(case):
     k, s, p = case["k"], case["stride"], case["padding"]
     layers = []
     for _ in range(2):
-        layer = Conv2D(case["filters"], k, stride=s, padding=p, bias_init="normal")
+        layer = Conv2D(case["filters"], k, stride=s, padding=p, bias_init=NormalInit())
         layer.build(x.shape[1:], rng=case["seed"])
         layers.append(layer)
     fast, ref = layers

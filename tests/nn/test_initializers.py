@@ -12,8 +12,6 @@ from repro.nn.initializers import (
     HeNormal,
     HeUniform,
     LeCunNormal,
-    NormalInit,
-    UniformInit,
     ZerosInit,
     compute_fans,
     get_initializer,
@@ -41,24 +39,6 @@ class TestBasicInitializers:
         out = ZerosInit()((3, 4))
         assert out.shape == (3, 4)
         assert np.all(out == 0.0)
-
-    def test_normal_statistics(self, rng):
-        out = NormalInit(std=0.5, mean=2.0)((200, 200), rng)
-        assert abs(out.mean() - 2.0) < 0.02
-        assert abs(out.std() - 0.5) < 0.02
-
-    def test_normal_rejects_negative_std(self):
-        with pytest.raises(ConfigurationError):
-            NormalInit(std=-1.0)
-
-    def test_uniform_bounds(self, rng):
-        out = UniformInit(-0.2, 0.3)((100, 100), rng)
-        assert out.min() >= -0.2
-        assert out.max() < 0.3
-
-    def test_uniform_rejects_inverted_bounds(self):
-        with pytest.raises(ConfigurationError):
-            UniformInit(1.0, -1.0)
 
 
 class TestVarianceScaling:

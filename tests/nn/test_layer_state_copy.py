@@ -6,8 +6,7 @@ class's ``_transient`` tuple to ``None``.  Checked here for every layer
 class ``repro.nn.layers`` exports, after a training forward + backward:
 
 * each transient attribute of the copy is ``None``;
-* parameters, gradients, RNG state and running statistics are bitwise
-  equal to the original's;
+* parameters and gradients are bitwise equal to the original's;
 * the copy's next forward + backward is bitwise equal to that of an
   identically built and stepped twin of the original.
 
@@ -33,11 +32,8 @@ from repro.nn import layers as L
 CASES = {
     "Activation": (lambda: L.Activation("relu"), (6,)),
     "AvgPool2D": (lambda: L.AvgPool2D(2), (2, 6, 6)),
-    "BatchNorm-flat": (lambda: L.BatchNorm(), (5,)),
-    "BatchNorm-nchw": (lambda: L.BatchNorm(), (3, 4, 4)),
     "Conv2D": (lambda: L.Conv2D(4, 3, stride=1, padding=1), (2, 6, 6)),
     "Dense": (lambda: L.Dense(3), (7,)),
-    "Dropout": (lambda: L.Dropout(0.5, seed=3), (8,)),
     "Flatten": (lambda: L.Flatten(), (2, 3, 3)),
     "MaxPool2D": (lambda: L.MaxPool2D(2), (2, 6, 6)),
 }
@@ -76,21 +72,13 @@ def _state(layer) -> dict:
     """Everything a copy must carry, as comparable arrays or values."""
     out = {f"param.{k}": v for k, v in layer.params.items()}
     out.update({f"grad.{k}": v for k, v in layer.grads.items()})
-    for name in ("running_mean", "running_var"):
-        if hasattr(layer, name):
-            out[name] = getattr(layer, name)
-    if hasattr(layer, "_rng"):
-        out["rng"] = layer._rng.bit_generator.state
     return out
 
 
 def _assert_same_state(copy_state, original_state):
     assert copy_state.keys() == original_state.keys()
     for key, value in original_state.items():
-        if key == "rng":
-            assert copy_state[key] == value
-        else:
-            assert _same(copy_state[key], value), key
+        assert _same(copy_state[key], value), key
 
 
 def test_every_layer_class_has_a_case():

@@ -1,13 +1,10 @@
-"""Unit tests for Flatten, Dropout, Activation and BatchNorm layers."""
+"""Unit tests for the Flatten and Activation layers."""
 
 import numpy as np
-import pytest
 
-from repro.exceptions import ConfigurationError, ShapeError
 from repro.nn.layers.activation import Activation
-from repro.nn.layers.dropout import Dropout
-from repro.nn.layers.norm import BatchNorm
 from repro.nn.layers.reshape import Flatten
+from tests.nn.helpers import Tanh
 
 
 class TestFlatten:
@@ -27,35 +24,6 @@ class TestFlatten:
         np.testing.assert_array_equal(dx, x)
 
 
-class TestDropout:
-    def test_rejects_bad_rate(self):
-        with pytest.raises(ConfigurationError):
-            Dropout(1.0)
-
-    def test_inference_is_identity(self, rng):
-        layer = Dropout(0.5, seed=1)
-        x = rng.normal(size=(10, 10))
-        np.testing.assert_array_equal(layer.forward(x, training=False), x)
-
-    def test_training_preserves_expectation(self):
-        layer = Dropout(0.3, seed=2)
-        x = np.ones((200, 200))
-        out = layer.forward(x, training=True)
-        assert abs(out.mean() - 1.0) < 0.02
-
-    def test_backward_uses_same_mask(self):
-        layer = Dropout(0.5, seed=3)
-        x = np.ones((20, 20))
-        out = layer.forward(x, training=True)
-        grad = layer.backward(np.ones_like(x))
-        np.testing.assert_array_equal(grad == 0.0, out == 0.0)
-
-    def test_zero_rate_is_identity_in_training(self, rng):
-        layer = Dropout(0.0)
-        x = rng.normal(size=(5, 5))
-        np.testing.assert_array_equal(layer.forward(x, training=True), x)
-
-
 class TestActivationLayer:
     def test_wraps_by_name(self, rng):
         layer = Activation("relu")
@@ -64,73 +32,9 @@ class TestActivationLayer:
         np.testing.assert_array_equal(layer.forward(x), np.maximum(x, 0))
 
     def test_backward(self, rng):
-        layer = Activation("tanh")
+        layer = Activation(Tanh())
         layer.build((4,))
         x = rng.normal(size=(3, 4))
         y = layer.forward(x)
         grad = layer.backward(np.ones_like(x))
         np.testing.assert_allclose(grad, 1 - y * y)
-
-
-class TestBatchNorm:
-    def test_rejects_bad_momentum(self):
-        with pytest.raises(ConfigurationError):
-            BatchNorm(momentum=1.0)
-
-    def test_rejects_2d_samples(self, rng):
-        with pytest.raises(ShapeError):
-            BatchNorm().build((3, 4), rng)
-
-    def test_training_normalizes_flat(self, rng):
-        layer = BatchNorm()
-        layer.build((6,), rng)
-        x = rng.normal(3.0, 2.0, size=(64, 6))
-        out = layer.forward(x, training=True)
-        np.testing.assert_allclose(out.mean(axis=0), np.zeros(6), atol=1e-7)
-        np.testing.assert_allclose(out.std(axis=0), np.ones(6), atol=1e-3)
-
-    def test_training_normalizes_channels(self, rng):
-        layer = BatchNorm()
-        layer.build((3, 4, 4), rng)
-        x = rng.normal(1.0, 3.0, size=(16, 3, 4, 4))
-        out = layer.forward(x, training=True)
-        np.testing.assert_allclose(out.mean(axis=(0, 2, 3)), np.zeros(3), atol=1e-7)
-
-    def test_running_stats_converge(self, rng):
-        layer = BatchNorm(momentum=0.5)
-        layer.build((4,), rng)
-        for _ in range(30):
-            layer.forward(rng.normal(2.0, 1.0, size=(256, 4)), training=True)
-        np.testing.assert_allclose(layer.running_mean, np.full(4, 2.0), atol=0.2)
-
-    def test_inference_uses_running_stats(self, rng):
-        layer = BatchNorm(momentum=0.0)
-        layer.build((4,), rng)
-        layer.forward(rng.normal(5.0, 1.0, size=(512, 4)), training=True)
-        out = layer.forward(np.full((2, 4), 5.0), training=False)
-        np.testing.assert_allclose(out, np.zeros((2, 4)), atol=0.2)
-
-    def test_gradient_numeric(self, rng):
-        layer = BatchNorm()
-        layer.build((3,), rng)
-        x = rng.normal(size=(8, 3))
-
-        def loss():
-            return float(np.sum(layer.forward(x, training=True) ** 2))
-
-        out = layer.forward(x, training=True)
-        dx = layer.backward(2.0 * out)
-        eps = 1e-6
-        numeric = np.zeros_like(x)
-        it = np.nditer(x, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            orig = x[idx]
-            x[idx] = orig + eps
-            plus = loss()
-            x[idx] = orig - eps
-            minus = loss()
-            x[idx] = orig
-            numeric[idx] = (plus - minus) / (2 * eps)
-            it.iternext()
-        np.testing.assert_allclose(dx, numeric, atol=1e-4)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ShapeError
-from repro.nn.losses import HingeLoss, MeanSquaredError, SoftmaxCrossEntropy
+from repro.nn.losses import SoftmaxCrossEntropy
 
 
 def numeric_grad(loss, pred, target, eps=1e-6):
@@ -65,44 +65,3 @@ class TestSoftmaxCrossEntropy:
         p = SoftmaxCrossEntropy.probabilities(np.array([[1e5, 0.0]]))
         assert np.isfinite(p).all()
         np.testing.assert_allclose(p[0, 0], 1.0)
-
-
-class TestMeanSquaredError:
-    def test_zero_for_exact(self, rng):
-        x = rng.normal(size=(3, 3))
-        assert MeanSquaredError().value(x, x.copy()) == 0.0
-
-    def test_known_value(self):
-        pred = np.array([[1.0, 2.0]])
-        target = np.array([[0.0, 0.0]])
-        assert MeanSquaredError().value(pred, target) == pytest.approx(2.5)
-
-    def test_gradient_matches_numeric(self, rng):
-        loss = MeanSquaredError()
-        pred = rng.normal(size=(4, 3))
-        target = rng.normal(size=(4, 3))
-        np.testing.assert_allclose(
-            loss.gradient(pred, target), numeric_grad(loss, pred, target), atol=1e-6
-        )
-
-
-class TestHingeLoss:
-    def test_zero_when_margin_satisfied(self):
-        loss = HingeLoss(margin=1.0)
-        pred = np.array([[5.0, 0.0, 0.0]])
-        target = np.array([[1.0, 0.0, 0.0]])
-        assert loss.value(pred, target) == 0.0
-
-    def test_penalizes_violations(self):
-        loss = HingeLoss(margin=1.0)
-        pred = np.array([[0.0, 0.5, 0.0]])
-        target = np.array([[1.0, 0.0, 0.0]])
-        assert loss.value(pred, target) == pytest.approx(1.5 + 1.0)
-
-    def test_gradient_matches_numeric(self, rng):
-        loss = HingeLoss()
-        pred = rng.normal(size=(5, 4))
-        target = np.eye(4)[rng.integers(0, 4, 5)]
-        np.testing.assert_allclose(
-            loss.gradient(pred, target), numeric_grad(loss, pred, target), atol=1e-6
-        )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ShapeError
-from repro.nn.metrics import accuracy, confusion_matrix, top_k_accuracy
+from repro.nn.metrics import accuracy
 
 
 class TestAccuracy:
@@ -27,40 +27,3 @@ class TestAccuracy:
     def test_rejects_3d(self):
         with pytest.raises(ShapeError):
             accuracy(np.zeros((2, 3, 4)), np.zeros((2, 3, 4)))
-
-
-class TestTopK:
-    def test_top1_equals_accuracy(self, rng):
-        pred = rng.normal(size=(20, 5))
-        target = rng.integers(0, 5, 20)
-        assert top_k_accuracy(pred, target, k=1) == accuracy(pred, target)
-
-    def test_top_all_is_one(self, rng):
-        pred = rng.normal(size=(10, 4))
-        target = rng.integers(0, 4, 10)
-        assert top_k_accuracy(pred, target, k=4) == 1.0
-
-    def test_monotone_in_k(self, rng):
-        pred = rng.normal(size=(50, 6))
-        target = rng.integers(0, 6, 50)
-        values = [top_k_accuracy(pred, target, k=k) for k in range(1, 7)]
-        assert values == sorted(values)
-
-
-class TestConfusionMatrix:
-    def test_diagonal_for_perfect(self):
-        pred = np.eye(3)
-        cm = confusion_matrix(pred, pred, 3)
-        np.testing.assert_array_equal(cm, np.eye(3, dtype=int))
-
-    def test_counts_sum_to_samples(self, rng):
-        pred = rng.normal(size=(40, 4))
-        target = rng.integers(0, 4, 40)
-        cm = confusion_matrix(pred, target, 4)
-        assert cm.sum() == 40
-
-    def test_rows_are_true_classes(self):
-        pred = np.array([[0.0, 1.0]])  # predicted class 1
-        target = np.array([0])  # true class 0
-        cm = confusion_matrix(pred, target, 2)
-        assert cm[0, 1] == 1

@@ -12,7 +12,6 @@ from repro.nn import (
     Sequential,
     SkewedL2Regularizer,
 )
-from repro.nn.schedules import StepLR
 
 
 @pytest.fixture()
@@ -38,13 +37,6 @@ class TestConstruction:
         model = Sequential([Dense(2)])
         with pytest.raises(ConfigurationError, match="not built"):
             model.forward(np.zeros((1, 4)))
-
-    def test_summary_lists_layers(self, tiny_model):
-        text = tiny_model.summary()
-        assert "Dense" in text and "total params" in text
-
-    def test_num_params(self, tiny_model):
-        assert tiny_model.num_params() == (4 * 8 + 8) + (8 * 3 + 3)
 
     def test_weighted_layers(self, tiny_model):
         assert [i for i, _l in tiny_model.weighted_layers()] == [0, 2]
@@ -89,23 +81,10 @@ class TestTraining:
         with pytest.raises(ShapeError):
             tiny_model.fit(x, y[:-1], epochs=1)
 
-    def test_schedule_sets_lr(self, tiny_model, batch):
-        x, y = batch
-        history = tiny_model.fit(
-            x, y, epochs=4, schedule=StepLR(0.1, step_size=2, gamma=0.1)
-        )
-        assert history.lr == pytest.approx([0.1, 0.1, 0.01, 0.01])
-
     def test_validation_metrics_recorded(self, tiny_model, batch):
         x, y = batch
         history = tiny_model.fit(x, y, epochs=2, validation_data=(x, y))
         assert len(history.val_accuracy) == 2
-
-    def test_history_last(self, tiny_model, batch):
-        x, y = batch
-        history = tiny_model.fit(x, y, epochs=2)
-        last = history.last()
-        assert set(last) >= {"loss", "accuracy", "lr"}
 
 
 class TestPredictEvaluate:
@@ -113,12 +92,6 @@ class TestPredictEvaluate:
         x = rng.normal(size=(30, 4))
         out = tiny_model.predict(x, batch_size=7)
         assert out.shape == (30, 3)
-
-    def test_predict_classes(self, tiny_model, rng):
-        x = rng.normal(size=(5, 4))
-        classes = tiny_model.predict_classes(x)
-        assert classes.shape == (5,)
-        assert set(classes) <= {0, 1, 2}
 
     def test_evaluate_consistency(self, tiny_model, batch):
         x, y = batch

@@ -8,7 +8,8 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.nn import Activation, Dense, Sequential
-from repro.nn.optimizers import SGD, Adam, Momentum, RMSProp
+from repro.nn.optimizers import SGD, Adam
+from tests.nn.helpers import Tanh
 
 
 def quadratic_descent(optimizer, steps=500, start=5.0):
@@ -21,30 +22,21 @@ def quadratic_descent(optimizer, steps=500, start=5.0):
 
 
 class TestValidation:
-    @pytest.mark.parametrize("cls", [SGD, Momentum, RMSProp, Adam])
+    @pytest.mark.parametrize("cls", [SGD, Adam])
     def test_rejects_nonpositive_lr(self, cls):
         with pytest.raises(ConfigurationError):
             cls(lr=0.0)
-
-    def test_momentum_range(self):
-        with pytest.raises(ConfigurationError):
-            Momentum(momentum=1.0)
 
     def test_adam_beta_range(self):
         with pytest.raises(ConfigurationError):
             Adam(beta1=1.0)
 
-    def test_rmsprop_rho_range(self):
-        with pytest.raises(ConfigurationError):
-            RMSProp(rho=-0.1)
-
 
 class TestConvergence:
     @pytest.mark.parametrize(
         "optimizer",
-        [SGD(0.1), Momentum(0.05, 0.9), Momentum(0.05, 0.9, nesterov=True),
-         RMSProp(0.02), Adam(0.3)],
-        ids=["sgd", "momentum", "nesterov", "rmsprop", "adam"],
+        [SGD(0.1), Adam(0.3)],
+        ids=["sgd", "adam"],
     )
     def test_minimizes_quadratic(self, optimizer):
         assert quadratic_descent(optimizer) < 1e-2
@@ -56,13 +48,6 @@ class TestMechanics:
         x = np.array([1.0, 2.0])
         opt.update(x, np.array([1.0, -1.0]))
         np.testing.assert_allclose(x, [0.5, 2.5])
-
-    def test_momentum_accumulates_velocity(self):
-        opt = Momentum(lr=1.0, momentum=0.5)
-        x = np.array([0.0])
-        opt.update(x, np.array([1.0]))  # v=-1, x=-1
-        opt.update(x, np.array([1.0]))  # v=-1.5, x=-2.5
-        np.testing.assert_allclose(x, [-2.5])
 
     def test_adam_first_step_is_approximately_lr(self):
         opt = Adam(lr=0.1)
@@ -80,7 +65,7 @@ class TestMechanics:
         assert opt.state_for(a) and not opt.state_for(b)
 
     def test_reset_clears_state(self):
-        opt = Momentum(0.1)
+        opt = Adam(0.1)
         x = np.array([1.0])
         opt.begin_step()
         opt.update(x, np.array([1.0]))
@@ -98,7 +83,7 @@ COPIES = {
 def _trained_mlp(optimizer, steps=3):
     """A seeded MLP after ``steps`` optimizer steps on seeded batches."""
     model = Sequential(
-        [Dense(6), Activation("tanh"), Dense(3)], optimizer=optimizer, seed=0
+        [Dense(6), Activation(Tanh()), Dense(3)], optimizer=optimizer, seed=0
     ).build((4,))
     _train(model, range(steps))
     return model
@@ -115,9 +100,7 @@ class TestCopies:
     pickles and copies carry none; everything else travels."""
 
     @pytest.mark.parametrize("how", sorted(COPIES))
-    @pytest.mark.parametrize(
-        "make", [lambda: Adam(0.01, beta1=0.8), lambda: Momentum(0.02)]
-    )
+    @pytest.mark.parametrize("make", [lambda: Adam(0.01, beta1=0.8)])
     def test_copy_carries_no_moments(self, how, make):
         model = _trained_mlp(make())
         clone = COPIES[how](model)

@@ -9,20 +9,11 @@ from hypothesis import strategies as st
 from repro.exceptions import ConfigurationError
 from repro.nn.regularizers import (
     L2Regularizer,
-    NoRegularizer,
     SkewedL2Regularizer,
     beta_from_std,
 )
 
 finite_floats = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
-
-
-class TestNoRegularizer:
-    def test_zero_everything(self, rng):
-        w = rng.normal(size=(4, 4))
-        reg = NoRegularizer()
-        assert reg.penalty(w) == 0.0
-        np.testing.assert_array_equal(reg.gradient(w), np.zeros_like(w))
 
 
 class TestL2:

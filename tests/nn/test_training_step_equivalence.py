@@ -33,6 +33,7 @@ from repro.nn.layers import conv as conv_module
 from repro.nn.layers.conv import col2im, im2col
 from repro.nn.regularizers import SkewedL2Regularizer
 from repro.training.networks import build_lenet, build_vggnet
+from tests.nn.helpers import NormalInit, Tanh
 from tests.nn.test_im2col_equivalence import (
     _SHIPPED_CONVS,
     assert_same_array,
@@ -219,7 +220,7 @@ def reference_backward(self: Sequential, grad: np.ndarray) -> np.ndarray:
 
 
 def _dense_first(seed: int) -> Sequential:
-    layers = [Dense(6), Activation("tanh"), Dense(3)]
+    layers = [Dense(6), Activation(Tanh()), Dense(3)]
     return Sequential(layers, optimizer=Adam(0.01), seed=seed).build((5,))
 
 
@@ -316,8 +317,8 @@ def test_backward_returns_none():
 @pytest.mark.parametrize(
     "factory, shape",
     [
-        (lambda: Conv2D(3, 3, stride=2, padding=1, bias_init="normal"), (2, 7, 6)),
-        (lambda: Dense(4, bias_init="normal"), (5,)),
+        (lambda: Conv2D(3, 3, stride=2, padding=1, bias_init=NormalInit()), (2, 7, 6)),
+        (lambda: Dense(4, bias_init=NormalInit()), (5,)),
     ],
 )
 def test_param_grads_match_backward(factory, shape):

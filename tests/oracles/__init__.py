@@ -1,8 +1,8 @@
 """Reference bodies the production hot path is diffed against.
 
 Production runs one path: batched pulse programming, stress-versioned
-aged-bounds/dead-mask caches, state-versioned conductance and
-factorization caches, and read-reuse memoization (DESIGN.md §9, §11).
+aged-bounds/dead-mask caches, a state-versioned conductance cache,
+and read-reuse memoization (DESIGN.md §9, §11).
 The two context managers here swap slower reference bodies onto the
 production classes for the duration of a ``with`` block, so a test can
 run the same workload both ways and demand bit-identical results:
@@ -10,8 +10,8 @@ run the same workload both ways and demand bit-identical results:
 * :func:`scalar_tuner` — the paper's Eq. (5) pulse loop device by
   device, uncached aged windows, per-call ``program`` /
   ``step_conductance`` entry points, and no read reuse;
-* :func:`uncached_reads` — every conductance read, aged window and
-  nodal factorization recomputed from scratch, and no read reuse.
+* :func:`uncached_reads` — every conductance read and aged window
+  recomputed from scratch, and no read reuse.
 
 Each yields a :class:`collections.Counter` of reference-body calls keyed
 ``"Class.method"``, so a test can prove the oracle actually ran rather
@@ -30,7 +30,6 @@ from typing import Callable, ContextManager, Dict, Iterator, Tuple
 
 import numpy as np
 
-from repro.core.kernels import FactorizationCache
 from repro.crossbar.crossbar import Crossbar
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.mapping.network import MappedLayer, MappedNetwork
@@ -85,10 +84,6 @@ def _uncached_conductances(self):
     g = 1.0 / self._resistance
     g.setflags(write=False)
     return g
-
-
-def _always_build(self, state_version, r_wire, build):
-    return build()
 
 
 def _program_via_tiles(self):
@@ -169,7 +164,6 @@ def uncached_reads() -> ContextManager[Counter]:
             (Crossbar, "conductances"): _uncached_conductances,
             (Crossbar, "aged_bounds"): _uncached_aged_bounds,
             (Crossbar, "dead_mask"): _uncached_dead_mask,
-            (FactorizationCache, "get"): _always_build,
             (MappedNetwork, "read_reuse"): _no_read_reuse,
         }
     )

@@ -104,9 +104,8 @@ class TestFaultCampaign:
         base = report.baseline()
         assert base is not None and base.fault_kind == "none"
         assert report.fault_kinds() == ["stuck_at"]
-        curve = report.lifetime_curve("stuck_at", degradation=False)
-        assert len(curve) == 1
         ratios = report.lifetime_degradation("stuck_at", degradation=False)
+        assert len(ratios) == 1
         assert all(ratio <= 1.0 + 1e-9 for _rate, ratio in ratios)
 
         clone = SurvivabilityReport.from_dict(
@@ -119,18 +118,18 @@ class TestFaultCampaign:
         assert "baseline" in text and "stuck_at" in text
 
     def test_serial_run_captures_perf_per_point(self, mini_framework):
-        """Satellite of ISSUE 4: serial campaigns attribute kernel-cache
-        savings and vmm throughput to each grid point."""
+        """Serial campaigns attribute windows, tuning iterations and
+        hardware reads to each grid point."""
         points = build_grid(**self.GRID)
         report = FaultCampaign(mini_framework, scenario="st+at").run(points)
         assert set(report.perf) == {p.name for p in points}
         for delta in report.perf.values():
             assert delta["elapsed_s"] > 0
-            assert delta["counters"].get("crossbar.vmm_calls", 0) >= 0
+            assert delta["counters"].get("lifetime.windows", 0) > 0
             assert delta["counters"].get("network.hardware_reads", 0) > 0
         text = report.render_text()
         assert "perf (serial run):" in text
-        assert "factorizations avoided" in text
+        assert "windows=" in text and "hardware reads=" in text
 
     def test_perf_excluded_from_default_serialization(self, mini_framework):
         """Perf is serial-mode-only and wall-clock-noisy, so the default

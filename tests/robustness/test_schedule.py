@@ -37,10 +37,6 @@ class TestFaultEvent:
         assert FaultEvent(kind="read_noise", sigma=0.05).total_rate == 0.05
         assert FaultEvent(kind="pulse_miss", miss_rate=0.1).total_rate == 0.1
 
-    def test_roundtrip(self):
-        event = FaultEvent(kind="stuck_at", window=3, rate_lrs=0.01, rate_hrs=0.005)
-        assert FaultEvent.from_dict(event.to_dict()) == event
-
 
 class TestFaultSchedule:
     def test_events_at_filters_by_window(self):
@@ -54,13 +50,6 @@ class TestFaultSchedule:
         assert len(schedule.events_at(0)) == 1
         assert len(schedule.events_at(1)) == 0
         assert len(schedule.events_at(2)) == 2
-        assert schedule.last_window() == 2
-        assert bool(schedule)
-        assert not bool(FaultSchedule())
-
-    def test_roundtrip(self):
-        schedule = FaultSchedule.stuck_at_midlife(0.02, window=4)
-        assert FaultSchedule.from_dict(schedule.to_dict()) == schedule
 
     def test_single_constructor_kinds(self):
         for kind in ("stuck_at", "drift", "read_noise", "pulse_miss"):
@@ -110,7 +99,7 @@ class TestFaultSchedule:
             assert tile.pulse_miss_rate == pytest.approx(0.6)
         # A full step sweep should leave a substantial fraction unmoved.
         before = layer.tiles.resistances().copy()
-        layer.tiles.step_levels(np.ones(layer.matrix_shape, dtype=np.int64))
+        layer.tiles.step_conductance(np.ones(layer.matrix_shape, dtype=np.int64))
         moved = np.mean(~np.isclose(layer.tiles.resistances(), before))
         assert 0.05 < moved < 0.75
 

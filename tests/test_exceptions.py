@@ -5,7 +5,6 @@ import pytest
 from repro.exceptions import (
     ConfigurationError,
     ConvergenceError,
-    CrossbarFailure,
     DeviceError,
     ReproError,
     ShapeError,
@@ -15,7 +14,7 @@ from repro.exceptions import (
 class TestHierarchy:
     @pytest.mark.parametrize(
         "exc",
-        [ConfigurationError, ConvergenceError, CrossbarFailure, DeviceError, ShapeError],
+        [ConfigurationError, ConvergenceError, DeviceError, ShapeError],
     )
     def test_all_derive_from_repro_error(self, exc):
         assert issubclass(exc, ReproError)
@@ -27,12 +26,6 @@ class TestHierarchy:
 
     def test_runtime_family(self):
         assert issubclass(ConvergenceError, RuntimeError)
-        assert issubclass(CrossbarFailure, RuntimeError)
-
-    def test_crossbar_failure_carries_progress(self):
-        failure = CrossbarFailure("dead", applications_completed=12345)
-        assert failure.applications_completed == 12345
-        assert "dead" in str(failure)
 
     def test_catch_all(self):
         with pytest.raises(ReproError):

@@ -54,8 +54,8 @@ class TestVggnet:
         convs = [l for l in model.layers if isinstance(l, Conv2D)]
         denses = [l for l in model.layers if isinstance(l, Dense)]
         assert len(convs) == 5 and len(denses) == 2
-        conv_params = sum(l.num_params() for l in convs)
-        dense_params = sum(l.num_params() for l in denses)
+        conv_params = sum(p.size for l in convs for p in l.params.values())
+        dense_params = sum(p.size for l in denses for p in l.params.values())
         assert conv_params > dense_params
 
     def test_width_doubling(self):

@@ -26,7 +26,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.kernels import FactorizationCache
 from repro.crossbar.crossbar import Crossbar
 from repro.data import make_blobs
 from repro.device import DeviceConfig
@@ -263,7 +262,7 @@ class TestOracleInstallation:
     def _class_attrs() -> list:
         return [
             dict(vars(cls))
-            for cls in (Crossbar, FactorizationCache, MappedLayer, MappedNetwork)
+            for cls in (Crossbar, MappedLayer, MappedNetwork)
         ]
 
     @pytest.mark.parametrize("oracle", [scalar_tuner, uncached_reads])

@@ -247,3 +247,55 @@ class TestProperties:
         f = aging.degradation_max(300.0, t)
         g = aging.degradation_min(300.0, t)
         assert f - g == pytest.approx((1 - frac) * 9e4, rel=1e-9)
+
+
+@pytest.mark.parametrize("time_exponent", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("min_bound_fraction", [0.0, 0.2, 0.4])
+class TestCalibrationContract:
+    """The calibration targets hold for every exponent and lower-bound
+    fraction, not only the defaults.  The 60-100 kOhm window keeps the
+    lower bound clear of its 1 Ohm floor up to collapse."""
+
+    @staticmethod
+    def _aging(time_exponent, min_bound_fraction):
+        params = AgingParams.calibrated(
+            6e4,
+            1e5,
+            pulses_to_collapse=500,
+            pulse_width=1e-6,
+            min_bound_fraction=min_bound_fraction,
+            time_exponent=time_exponent,
+        )
+        return ArrheniusAging(params)
+
+    def test_bounds_at_calibration_time(self, time_exponent, min_bound_fraction):
+        """After ``pulses_to_collapse`` pulses the upper bound has dropped
+        by the whole fresh window and the lower bound by its fraction."""
+        aging = self._aging(time_exponent, min_bound_fraction)
+        t_cal = 500 * 1e-6
+        assert aging.degradation_max(300.0, t_cal) == pytest.approx(4e4, rel=1e-12)
+        assert aging.degradation_min(300.0, t_cal) == pytest.approx(
+            min_bound_fraction * 4e4, rel=1e-12, abs=1e-9
+        )
+
+    def test_collapse_time_closed_form(self, time_exponent, min_bound_fraction):
+        """The window narrows by (1 - fraction) * W * (t / t_cal)**m, so
+        it closes at t_cal * (1 - fraction)**(-1/m)."""
+        aging = self._aging(time_exponent, min_bound_fraction)
+        t_cal = 500 * 1e-6
+        expected = t_cal * (1.0 - min_bound_fraction) ** (-1.0 / time_exponent)
+        t_dead = aging.stress_time_to_collapse(6e4, 1e5, 300.0)
+        assert t_dead == pytest.approx(expected, rel=1e-9)
+        lo, hi = aging.aged_bounds(6e4, 1e5, 300.0, t_dead * (1 + 1e-9))
+        assert hi == lo
+        lo, hi = aging.aged_bounds(6e4, 1e5, 300.0, t_dead * 0.99)
+        assert hi > lo
+
+    def test_window_shrinks_from_the_top(self, time_exponent, min_bound_fraction):
+        """Fig. 4: the upper bound falls at least as fast as the lower one,
+        so the fresh lower level is never lost first."""
+        aging = self._aging(time_exponent, min_bound_fraction)
+        t = np.linspace(0.0, 500e-6, 41)
+        lo, hi = aging.aged_bounds(np.full(41, 6e4), np.full(41, 1e5), 300.0, t)
+        assert np.all(np.diff(hi) <= 0) and np.all(np.diff(lo) <= 0)
+        assert np.all(1e5 - hi >= 6e4 - lo)

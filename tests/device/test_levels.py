@@ -132,3 +132,49 @@ class TestProperties:
         hi = 1e4 + hi_steps * grid.step
         q = grid.quantize(target, aged_min=lo, aged_max=hi)
         assert lo - grid.tolerance <= q <= hi + grid.tolerance
+
+
+GRID_SIZES = [2, 3, 8, 32, 64]
+
+
+@pytest.mark.parametrize("n_levels", GRID_SIZES)
+class TestAcrossGridSizes:
+    """Invariants that must hold for every level count, not only the
+    32-level default: the paper's lifetime hinges on how many levels an
+    aged window still holds."""
+
+    def test_usable_count_matches_usable_levels(self, n_levels, rng):
+        """The closed-form count equals the levels the mask keeps."""
+        grid = LevelGrid(1e4, 1e5, n_levels)
+        los = rng.uniform(5e3, 1.1e5, 200)
+        his = rng.uniform(5e3, 1.1e5, 200)
+        counts = grid.usable_count(los, his)
+        for lo, hi, count in zip(los, his, counts):
+            expected = 0 if hi < lo else len(grid.usable_levels(lo, hi))
+            assert count == expected
+
+    def test_levels_count_as_usable_on_exact_bounds(self, n_levels):
+        grid = LevelGrid(1e4, 1e5, n_levels)
+        levels = grid.resistance_levels
+        for k in range(n_levels):
+            assert grid.usable_count(levels[0], levels[k]) == k + 1
+            assert grid.usable_count(levels[k], levels[-1]) == n_levels - k
+
+    def test_quantize_is_idempotent(self, n_levels, rng):
+        grid = LevelGrid(1e4, 1e5, n_levels)
+        r = rng.uniform(0.5e4, 1.5e5, 500)
+        once = grid.quantize(r)
+        np.testing.assert_array_equal(grid.quantize(once), once)
+
+    def test_quantized_values_are_grid_levels(self, n_levels, rng):
+        grid = LevelGrid(1e4, 1e5, n_levels)
+        q = grid.quantize(rng.uniform(0.5e4, 1.5e5, 500))
+        distance = np.abs(q[:, None] - grid.resistance_levels[None, :]).min(axis=1)
+        assert distance.max() <= 1e-9 * grid.step
+
+    def test_conductance_levels_are_reciprocal_and_descending(self, n_levels):
+        grid = LevelGrid(1e4, 1e5, n_levels)
+        g = grid.conductance_levels
+        np.testing.assert_allclose(g * grid.resistance_levels, 1.0, rtol=1e-15)
+        assert np.all(np.diff(g) < 0)
+        assert g[0] == pytest.approx(1e-4) and g[-1] == pytest.approx(1e-5)

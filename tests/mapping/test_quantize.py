@@ -79,3 +79,33 @@ class TestQuantizationError:
         g_levels = np.sort(grid.conductance_levels)
         max_gap_w = np.max(np.diff(g_levels)) / mapping.slope
         assert err <= max_gap_w
+
+
+@pytest.mark.parametrize("n_levels", [4, 8, 16, 32, 64])
+class TestReachableWeights:
+    """The weights a device can hold are the images of the resistance
+    levels under the inverse of Eq. (4)."""
+
+    @staticmethod
+    def _level_weights(n_levels):
+        grid = LevelGrid(1e4, 1e5, n_levels)
+        mapping = LinearWeightMapping(-1.0, 1.0, 1e-5, 1e-4)
+        return grid, mapping, np.sort(mapping.resistance_to_weight(grid.resistance_levels))
+
+    def test_quantized_weights_are_fixed_points(self, n_levels, rng):
+        grid, mapping, _ = self._level_weights(n_levels)
+        q = quantize_weights(rng.uniform(-1.2, 1.2, 400), mapping, grid)
+        np.testing.assert_allclose(quantize_weights(q, mapping, grid), q, atol=1e-12)
+
+    def test_quantized_weights_are_level_images(self, n_levels, rng):
+        grid, mapping, reachable = self._level_weights(n_levels)
+        q = quantize_weights(rng.uniform(-1.2, 1.2, 400), mapping, grid)
+        assert np.abs(q[:, None] - reachable[None, :]).min(axis=1).max() < 1e-12
+        assert reachable[0] == pytest.approx(-1.0) and reachable[-1] == pytest.approx(1.0)
+
+    def test_levels_are_densest_at_small_weights(self, n_levels):
+        """Fig. 3(c): uniform resistance levels crowd the conductance (and
+        so the weight) axis at its low end, which is where skewed training
+        moves the weights."""
+        _, _, reachable = self._level_weights(n_levels)
+        assert np.all(np.diff(np.diff(reachable)) > 0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, ShapeError
+from repro.nn.gradcheck import numerical_gradient
 from repro.nn.layers.conv import Conv2D, col2im, im2col
 
 
@@ -131,3 +132,69 @@ class TestConv2D:
         layer = Conv2D(2, 3)
         layer.build((1, 5, 5), rng)
         assert layer.regularized == ["W"]
+
+
+# (channels, size, filters, kernel, stride, padding)
+GEOMETRIES = [
+    (1, 5, 2, 3, 1, 0),
+    (2, 6, 3, 3, 2, 0),
+    (2, 7, 2, 3, 2, 1),
+    (3, 5, 2, 1, 1, 0),
+    (1, 6, 2, 2, 2, 0),
+    (2, 5, 2, 5, 1, 2),
+    (1, 8, 3, 3, 3, 1),
+    (2, 4, 1, 4, 1, 0),
+]
+
+
+def _geometry_id(geometry):
+    c, size, f, k, s, p = geometry
+    return f"c{c}-{size}x{size}-f{f}-k{k}-s{s}-p{p}"
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES, ids=_geometry_id)
+class TestGeometries:
+    """Forward and backward across kernel, stride and padding choices;
+    strided and padded backward passes go through ``col2im``, where
+    overlap bookkeeping errors would show."""
+
+    @staticmethod
+    def _layer(geometry, rng):
+        c, size, f, k, s, p = geometry
+        layer = Conv2D(f, k, stride=s, padding=p, bias_init="glorot_uniform")
+        layer.build((c, size, size), rng)
+        return layer, rng.normal(size=(2, c, size, size))
+
+    def test_forward_matches_reference(self, geometry, rng):
+        layer, x = self._layer(geometry, rng)
+        _, _, _, _, s, p = geometry
+        expected = reference_conv(x, layer.params["W"], layer.params["b"], s, p)
+        np.testing.assert_allclose(layer.forward(x), expected, atol=1e-10)
+
+    def test_backward_matches_numeric(self, geometry, rng):
+        layer, x = self._layer(geometry, rng)
+        upstream = rng.normal(size=(2,) + layer.output_shape())
+
+        def loss():
+            return float(np.sum(layer.forward(x) * upstream))
+
+        layer.forward(x)
+        dx = layer.backward(upstream)
+        np.testing.assert_allclose(dx, numerical_gradient(loss, x), atol=1e-6)
+        for name in ("W", "b"):
+            analytic = layer.grads[name].copy()
+            numeric = numerical_gradient(loss, layer.params[name])
+            np.testing.assert_allclose(analytic, numeric, atol=1e-6)
+
+    def test_param_grads_match_backward(self, geometry, rng):
+        """The first layer skips its input gradient; the parameter
+        gradients it keeps must be the ones a full backward computes."""
+        layer, x = self._layer(geometry, rng)
+        upstream = rng.normal(size=(2,) + layer.output_shape())
+        layer.forward(x)
+        layer.backward(upstream)
+        full = {name: g.copy() for name, g in layer.grads.items()}
+        layer.forward(x)
+        layer.param_grads(upstream)
+        for name, g in full.items():
+            assert layer.grads[name].tobytes() == g.tobytes()

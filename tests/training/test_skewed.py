@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.exceptions import ConfigurationError
 from repro.training import (
@@ -111,3 +112,32 @@ class TestSkewness:
     def test_degenerate_inputs(self):
         assert distribution_skewness(np.array([1.0, 2.0])) == 0.0
         assert distribution_skewness(np.full(10, 3.0)) == 0.0
+
+
+SAMPLES = {
+    "normal": lambda gen: gen.normal(0.0, 1.0, 500),
+    "gamma": lambda gen: gen.gamma(2.0, 1.0, 500),
+    "lognormal": lambda gen: gen.lognormal(0.0, 0.6, 500),
+    "exponential": lambda gen: gen.exponential(1.0, 500),
+    "uniform": lambda gen: gen.uniform(-1.0, 1.0, 500),
+    "beta": lambda gen: gen.beta(2.0, 5.0, 500),
+    "tiny": lambda gen: gen.normal(0.0, 1.0, 3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SAMPLES))
+class TestSkewnessAgainstScipy:
+    """The adjusted Fisher-Pearson coefficient is scipy's bias-corrected
+    sample skewness; the sign convention makes a mirrored sample flip."""
+
+    def test_matches_scipy_bias_corrected(self, kind):
+        w = SAMPLES[kind](np.random.default_rng(7))
+        assert distribution_skewness(w) == pytest.approx(
+            stats.skew(w, bias=False), rel=1e-9, abs=1e-12
+        )
+
+    def test_mirror_flips_sign(self, kind):
+        w = SAMPLES[kind](np.random.default_rng(8))
+        assert distribution_skewness(-w) == pytest.approx(
+            -distribution_skewness(w), rel=1e-9, abs=1e-12
+        )

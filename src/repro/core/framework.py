@@ -90,14 +90,15 @@ class AgingAwareFramework:
         """Train (once) and cache the model for a training style."""
         if skewed not in self._trained:
             model = self.network_builder(derive_rng(self._entropy, f"train-{skewed}"))
+            # Training validates on the test set after its last epoch, so
+            # that value is the test accuracy of the final weights.
             if skewed:
-                skewed_train(model, self.dataset, self.config.skewed)
+                result = skewed_train(model, self.dataset, self.config.skewed)
+                history = result.skew_history
             else:
-                train_baseline(model, self.dataset, self.config.train)
+                history = train_baseline(model, self.dataset, self.config.train)
             self._trained[skewed] = model
-            self._software_accuracy[skewed] = model.score(
-                self.dataset.x_test, self.dataset.y_test
-            )
+            self._software_accuracy[skewed] = history.val_accuracy[-1]
         return self._trained[skewed]
 
     def software_accuracy(self, skewed: bool) -> float:

@@ -20,7 +20,7 @@ class Flatten(Layer):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._x_shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], int(np.prod(x.shape[1:])))
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         return grad.reshape(self._x_shape)

@@ -28,13 +28,17 @@ RegularizerSpec = Union[Regularizer, Dict[int, Regularizer], None]
 
 @dataclass
 class TrainingHistory:
-    """Per-epoch training curves collected by :meth:`Sequential.fit`."""
+    """Per-epoch training curves collected by :meth:`Sequential.fit`.
+
+    ``loss`` and ``accuracy`` are running minibatch values, each batch
+    scored by its own step's forward at the weights before the update;
+    ``val_*`` are :meth:`Sequential.evaluate` results after the epoch.
+    """
 
     loss: List[float] = field(default_factory=list)
     accuracy: List[float] = field(default_factory=list)
     val_loss: List[float] = field(default_factory=list)
     val_accuracy: List[float] = field(default_factory=list)
-    lr: List[float] = field(default_factory=list)
 
 
 class Sequential:
@@ -155,20 +159,28 @@ class Sequential:
         update parameters — used by gradient checking and by the online
         tuning engine, which needs gradient *signs* only (Eq. (5)).
         """
+        return self._gradients(x, y)[0]
+
+    def _gradients(self, x: np.ndarray, y: np.ndarray) -> Tuple[float, np.ndarray]:
+        """:meth:`compute_gradients`, also returning the batch's logits."""
         pred = self.forward(x, training=True)
         data_loss = self.loss.value(pred, y)
         self.backward(self.loss.gradient(pred, y))
         self._apply_regularizer_grads()
-        return data_loss + self.regularization_penalty()
+        return data_loss + self.regularization_penalty(), pred
 
     def train_batch(self, x: np.ndarray, y: np.ndarray) -> float:
         """One optimizer step on a minibatch; returns the total cost."""
-        cost = self.compute_gradients(x, y)
+        return self._train_step(x, y)[0]
+
+    def _train_step(self, x: np.ndarray, y: np.ndarray) -> Tuple[float, np.ndarray]:
+        """:meth:`train_batch`, also returning the pre-update logits."""
+        cost, pred = self._gradients(x, y)
         self.optimizer.begin_step()
         for layer in self.layers:
             for name, param in layer.params.items():
                 self.optimizer.update(param, layer.grads[name])
-        return cost
+        return cost, pred
 
     # -- high-level API ----------------------------------------------------
     def fit(
@@ -187,6 +199,8 @@ class Sequential:
         y = np.asarray(y, dtype=np.float64)
         if len(x) != len(y):
             raise ShapeError(f"x has {len(x)} samples but y has {len(y)}")
+        if len(x) == 0:
+            raise ShapeError("fit needs at least one sample")
         if batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
         history = TrainingHistory()
@@ -195,13 +209,15 @@ class Sequential:
             order = self._rng.permutation(n) if shuffle else np.arange(n)
             epoch_cost = 0.0
             n_batches = 0
+            correct = 0
             for start in range(0, n, batch_size):
                 idx = order[start : start + batch_size]
-                epoch_cost += self.train_batch(x[idx], y[idx])
+                cost, pred = self._train_step(x[idx], y[idx])
+                epoch_cost += cost
+                correct += int(np.count_nonzero(pred.argmax(1) == y[idx].argmax(1)))
                 n_batches += 1
-            history.loss.append(epoch_cost / max(1, n_batches))
-            history.accuracy.append(self.score(x, y, batch_size=max(batch_size, 256)))
-            history.lr.append(self.optimizer.lr)
+            history.loss.append(epoch_cost / n_batches)
+            history.accuracy.append(correct / n)
             if validation_data is not None:
                 vx, vy = validation_data
                 val_loss, val_acc = self.evaluate(vx, vy)
@@ -209,8 +225,8 @@ class Sequential:
                 history.val_accuracy.append(val_acc)
             if verbose:  # pragma: no cover - console output
                 msg = (
-                    f"epoch {epoch + 1}/{epochs} "
-                    f"loss={history.loss[-1]:.4f} acc={history.accuracy[-1]:.4f}"
+                    f"epoch {epoch + 1}/{epochs} loss={history.loss[-1]:.4f} "
+                    f"running_acc={history.accuracy[-1]:.4f}"
                 )
                 if validation_data is not None:
                     msg += f" val_acc={history.val_accuracy[-1]:.4f}"
@@ -232,9 +248,10 @@ class Sequential:
         every layer on exactly the batches a full ``predict(x)`` would.
         """
         x = np.asarray(x, dtype=np.float64)
+        # An empty ``x`` still runs one (empty) chunk, for the output shape.
         outputs = [
             self.forward(x[i : i + batch_size], training=False, start=start, stop=stop)
-            for i in range(0, len(x), batch_size)
+            for i in range(0, max(len(x), 1), batch_size)
         ]
         return np.concatenate(outputs, axis=0)
 

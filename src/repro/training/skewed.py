@@ -87,9 +87,7 @@ class SkewedTrainingResult:
 
     def final_accuracy(self) -> float:
         """Validation accuracy at the end of the skewed phase."""
-        if self.skew_history.val_accuracy:
-            return self.skew_history.val_accuracy[-1]
-        return self.skew_history.accuracy[-1]
+        return self.skew_history.val_accuracy[-1]
 
 
 def layer_betas(model: Sequential, beta_scale: float) -> Dict[int, float]:

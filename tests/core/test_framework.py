@@ -54,6 +54,23 @@ class TestTrainingCache:
         c = framework.trained_model(True)
         assert c is not a
 
+    @pytest.mark.parametrize("skewed", [False, True])
+    def test_software_accuracy_is_the_test_score(self, skewed):
+        # Overlapping blobs and short training keep every accuracy below
+        # 1, so a training-set or running accuracy would not pass.
+        data = make_blobs(n_samples=240, n_classes=3, n_features=4, spread=1.5, seed=5)
+        config = FrameworkConfig(
+            train=TrainConfig(epochs=3),
+            skewed=SkewedTrainingConfig(pretrain=TrainConfig(epochs=3), skew_epochs=2),
+        )
+        framework = AgingAwareFramework(
+            lambda seed: build_mlp(4, 3, hidden=(16,), seed=seed), data, config, seed=7
+        )
+        model = framework.trained_model(skewed)
+        accuracy = framework.software_accuracy(skewed)
+        assert accuracy == model.score(data.x_test, data.y_test)
+        assert accuracy != model.score(data.x_train, data.y_train)
+
     def test_software_accuracy_reasonable(self, framework):
         assert framework.software_accuracy(False) > 0.85
         assert framework.software_accuracy(True) > 0.85

@@ -12,6 +12,7 @@ from repro.nn import (
     Sequential,
     SkewedL2Regularizer,
 )
+from repro.training.networks import build_lenet, build_vggnet
 
 
 @pytest.fixture()
@@ -81,6 +82,16 @@ class TestTraining:
         with pytest.raises(ShapeError):
             tiny_model.fit(x, y[:-1], epochs=1)
 
+    def test_fit_rejects_empty_input(self, tiny_model):
+        before = tiny_model.get_weights()
+        rng_state = tiny_model._rng.bit_generator.state
+        with pytest.raises(ShapeError, match="at least one sample"):
+            tiny_model.fit(np.empty((0, 4)), np.empty((0, 3)), epochs=1)
+        for got, want in zip(tiny_model.get_weights(), before):
+            for key in want:
+                assert np.array_equal(got[key], want[key])
+        assert tiny_model._rng.bit_generator.state == rng_state
+
     def test_validation_metrics_recorded(self, tiny_model, batch):
         x, y = batch
         history = tiny_model.fit(x, y, epochs=2, validation_data=(x, y))
@@ -92,6 +103,28 @@ class TestPredictEvaluate:
         x = rng.normal(size=(30, 4))
         out = tiny_model.predict(x, batch_size=7)
         assert out.shape == (30, 3)
+
+    def test_predict_empty_input(self, tiny_model):
+        out = tiny_model.predict(np.empty((0, 4)))
+        assert out.shape == (0, 3)
+        assert out.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "build, shape",
+        [
+            (lambda: build_lenet(seed=0), (1, 12, 12)),
+            (lambda: build_vggnet(width=6, seed=0), (1, 16, 16)),
+        ],
+    )
+    def test_predict_empty_input_conv(self, build, shape):
+        model = build()
+        x = np.empty((0,) + shape)
+        assert model.predict(x).shape == (0,) + model.layers[-1].output_shape()
+        for stop in range(1, len(model.layers)):
+            prefix = model.predict(x, stop=stop)
+            assert prefix.shape == (0,) + model.layers[stop - 1].output_shape()
+            suffix = model.predict(prefix, start=stop)
+            assert suffix.shape == (0,) + model.layers[-1].output_shape()
 
     def test_evaluate_consistency(self, tiny_model, batch):
         x, y = batch

@@ -1,12 +1,12 @@
 """Process-parallel execution engine with deterministic seeding and caching.
 
 Every experiment in this repository — the Table-I scenario comparison,
-per-scenario repeats and the ablation sweeps — decomposes into
-independent *tasks* whose randomness is derived purely from an
-``(entropy, purpose-key)`` pair (see :mod:`repro.rng`).  Because no task
-consumes shared generator state, the set of results is independent of
-execution order, which is exactly the property that makes process
-parallelism safe: fanning tasks out across a
+per-scenario repeats, the fault campaigns and the ablation sweeps —
+decomposes into independent *tasks* whose randomness is derived purely
+from an ``(entropy, purpose-key)`` pair (see :mod:`repro.rng`).  Because
+no task consumes shared generator state, the set of results is
+independent of execution order, which is exactly the property that
+makes process parallelism safe: fanning tasks out across a
 :class:`concurrent.futures.ProcessPoolExecutor` yields **bit-identical**
 results to running them serially.  The equivalence is enforced by
 ``tests/core/test_executor.py``, not left to convention.
@@ -17,22 +17,14 @@ Three pieces live here:
   datasets and arrays, used to build cache keys;
 * :class:`ResultCache` — an on-disk JSON store keyed by fingerprint, so
   re-running an unchanged scenario configuration is instant;
-* :class:`ParallelExecutor` — runs a list of :class:`Task` objects
-  serially (``workers <= 1``) or across worker processes, consulting
-  the cache first and capturing per-task failures (a crashing worker
-  surfaces as a failed task, never a hung pool).
+* :class:`ParallelExecutor` — the one way a grid of tasks executes:
+  in-process (``workers <= 1``) or in chunks across worker processes,
+  consulting the cache and the run journal first and capturing
+  per-task failures (a crashing worker fails its own chunk, never the
+  whole grid, and never hangs the pool).
 
-Resilience (used by the fault-injection campaigns of
-:mod:`repro.robustness`, where worker failures are part of the job):
-
-* :class:`RetryPolicy` — bounded re-execution of failed tasks with
-  exponential backoff, for transient worker failures;
-* per-task timeouts (``Task.timeout`` or the executor-wide
-  ``task_timeout``), enforced in parallel mode;
-* pool reconstruction — when a worker dies hard (``BrokenProcessPool``)
-  or a task times out, the pool is rebuilt and the *sibling* in-flight
-  tasks are resubmitted at no retry cost, so one poisoned task can no
-  longer fail its whole batch.
+:class:`RetryPolicy` (bounded retries with seeded-jitter backoff) also
+lives here; the campaign service's worker and HTTP client use it.
 
 Tasks are shipped to workers with :mod:`cloudpickle` when available, so
 closures and lambdas (ubiquitous in presets and test fixtures) work;
@@ -47,13 +39,13 @@ import logging
 import os
 import time
 import traceback
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as _FutureTimeout
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.profiling import PROFILER
 from repro.exceptions import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -216,9 +208,9 @@ class ResultCache:
 class RetryPolicy:
     """Bounded re-execution of failed tasks with exponential backoff.
 
-    A task that raises (or whose worker dies) is re-run up to
-    ``max_retries`` further times; before the *n*-th retry the executor
-    sleeps ``min(backoff_max, backoff_base * 2**(n-1))`` seconds.
+    A call that raises is re-run up to ``max_retries`` further times;
+    before the *n*-th retry :meth:`call` sleeps
+    ``min(backoff_max, backoff_base * 2**(n-1))`` seconds.
     Retries re-run the identical payload, so for derivation-seeded tasks
     a retried success is bit-identical to a first-attempt success —
     retrying can only recover *transient* infrastructure failures
@@ -279,9 +271,8 @@ class RetryPolicy:
     ) -> Any:
         """Run ``fn()`` with this policy's retry schedule applied.
 
-        The generic in-process counterpart of the executor's task
-        retries, shared by the service worker (point execution) and the
-        HTTP client (transient network errors).  ``retryable`` filters
+        Used by the service worker (point execution) and the HTTP
+        client (transient network errors).  ``retryable`` filters
         which exceptions are worth another attempt — anything it
         rejects (or every exception, once ``max_retries`` is exhausted)
         propagates unchanged.
@@ -307,10 +298,7 @@ class Task:
     ``key`` is a human-readable purpose key (also the outcome label);
     ``cache_key`` is the full content-hash key (``None`` disables
     caching for this task).  ``encode``/``decode`` convert the result to
-    and from a JSON-serializable payload for the cache.  ``timeout``
-    (seconds) bounds one execution attempt of this task — enforced in
-    parallel mode, where a hung worker can be reclaimed; serial
-    in-process execution cannot be preempted and ignores it.
+    and from a JSON-serializable payload for the cache.
     """
 
     key: str
@@ -320,7 +308,6 @@ class Task:
     cache_key: Optional[str] = None
     encode: Optional[Callable[[Any], Any]] = None
     decode: Optional[Callable[[Any], Any]] = None
-    timeout: Optional[float] = None
     #: Content-hash key under which a completed result is journaled
     #: (crash-safe resume of campaign/sweep grids); falls back to
     #: ``cache_key``.  ``None`` on both disables journaling for the task.
@@ -334,135 +321,114 @@ class TaskOutcome:
     key: str
     value: Any = None
     error: Optional[str] = None
+    #: Wall time of the task body, measured where it ran.
     seconds: float = 0.0
     cached: bool = False
     #: True when the value was replayed from a crash-safe run journal.
     journaled: bool = False
-    #: Execution attempts consumed (0 for cache hits).
-    attempts: int = 0
+    #: The task body's :data:`~repro.core.profiling.PROFILER` delta
+    #: (``PerfDelta.to_dict()``), also from a pool worker; ``None`` when
+    #: the body never ran here (cache or journal hit, lost worker).
+    perf: Optional[dict] = None
 
     @property
     def ok(self) -> bool:
         return self.error is None
 
 
-def _invoke_payload(payload: bytes) -> bytes:
-    """Worker-side trampoline: deserialize, run, reserialize.
+#: Chunks per worker a fan-out aims for, so an uneven grid's tail stays
+#: balanced.
+_OVERSUBSCRIBE = 4
+#: Upper bound on the tasks of one chunk.
+_MAX_CHUNK = 32
+#: Pool rebuilds one :meth:`ParallelExecutor.run` allows after hard
+#: worker deaths before it fails the chunks still waiting.
+_MAX_POOL_REBUILDS = 3
 
-    Module-level so the stdlib pool can always pickle *it*; the real
-    callable travels inside ``payload`` via cloudpickle.
-    """
-    fn, args, kwargs = _serializer.loads(payload)
-    return _serializer.dumps(fn(*args, **kwargs))
 
-
-def adaptive_chunk_size(
-    n_tasks: int,
-    workers: int,
-    oversubscribe: int = 4,
-    max_chunk: int = 32,
-) -> int:
+def adaptive_chunk_size(n_tasks: int, workers: int) -> int:
     """Tasks per pool submission for an ``n_tasks``-point fan-out.
 
     One future per task pays serialization + IPC + scheduling per
     *point*; for large grids of short points that overhead eats the
-    parallel win (BENCH_campaign's historical 0.99x).  Chunking
-    amortizes it while still leaving each worker ``oversubscribe``
-    chunks on average, so the tail of an uneven grid stays balanced.
-    Small grids degrade to one point per task — exactly the historical
-    behaviour.
+    parallel win.  Chunking amortizes it while still leaving each
+    worker ``_OVERSUBSCRIBE`` chunks on average, so the tail of an
+    uneven grid stays balanced.  Small grids degrade to one point per
+    chunk.
     """
     if n_tasks <= 0:
         return 1
-    per_worker = max(1, workers) * max(1, oversubscribe)
-    return max(1, min(max_chunk, -(-n_tasks // per_worker)))
+    per_worker = max(1, workers) * _OVERSUBSCRIBE
+    return max(1, min(_MAX_CHUNK, -(-n_tasks // per_worker)))
 
 
-def _run_task_chunk(blobs: List[bytes]) -> list:
-    """Worker-side trampoline for a *chunk* of tasks.
+def _run_task(fn: Callable[..., Any], args, kwargs) -> tuple:
+    """Run one task body where it executes, in-process or in a worker.
 
-    Runs each serialized ``(fn, args, kwargs)`` payload in order and
-    captures per-task failures, so one raising task cannot poison its
-    chunk-mates.  Returns ``(True, value)`` or ``(False, exception,
-    traceback_text)`` per task; exceptions that refuse to serialize are
-    downgraded to a ``RuntimeError`` carrying their repr, keeping the
-    chunk result transportable.
+    Returns ``(value, exception, traceback_text, seconds, perf)``: the
+    body's own wall time and :data:`PROFILER` delta, whether it returned
+    or raised.
     """
-    out: list = []
-    for blob in blobs:
-        fn, args, kwargs = _serializer.loads(blob)
+    exc = text = value = None
+    with PROFILER.capture() as delta:
         try:
-            out.append((True, fn(*args, **kwargs)))
-        except Exception as exc:
-            text = traceback.format_exc(limit=8)
+            value = fn(*args, **kwargs)
+        except Exception as caught:
+            exc, text = caught, traceback.format_exc(limit=8)
+    return value, exc, text, delta.elapsed_s, delta.to_dict()
+
+
+def _run_task_chunk(blob: bytes) -> bytes:
+    """Worker-side trampoline for one chunk of ``(fn, args, kwargs)``.
+
+    Module-level so the stdlib pool can always pickle *it*; the chunk
+    travels as one cloudpickle ``blob``, and so do its results.  Each
+    task's failure is captured on its own, so one raising task cannot
+    poison its chunk-mates; exceptions that refuse to serialize are
+    downgraded to a ``RuntimeError`` carrying their repr.
+    """
+    results = []
+    for fn, args, kwargs in _serializer.loads(blob):
+        value, exc, text, seconds, perf = _run_task(fn, args, kwargs)
+        if exc is not None:
             exc.__traceback__ = None  # frames are not transportable
             try:
                 _serializer.dumps(exc)
             except Exception:
                 exc = RuntimeError(f"unserializable task exception: {exc!r}")
-            out.append((False, exc, text))
-    return out
+        results.append((value, exc, text, seconds, perf))
+    return _serializer.dumps(results)
 
 
 # -- the executor -------------------------------------------------------------
 class ParallelExecutor:
-    """Run tasks serially or across processes, with identical results.
+    """Run tasks in-process or across processes, with identical results.
 
     ``workers <= 1`` runs in-process (the reference semantics);
-    ``workers > 1`` fans out over a process pool.  Both paths execute
-    the same task functions, and because every task derives its
-    randomness from ``(entropy, purpose-key)`` the outputs are
-    bit-identical.  Results are returned in task order regardless of
-    completion order.
+    ``workers > 1`` fans chunks of :func:`adaptive_chunk_size` tasks out
+    over a process pool — even for one task, so a crashing task can
+    never take the parent down.  Both paths run every task body through
+    the same helper, and because every task derives its randomness from
+    ``(entropy, purpose-key)`` the outputs are bit-identical.  Results
+    are returned in task order regardless of completion order.
 
-    ``retry`` enables bounded re-execution of failed tasks with
-    exponential backoff (both modes).  ``task_timeout`` bounds each
-    execution attempt (parallel mode; a per-task ``Task.timeout``
-    overrides it).  In parallel mode a hard worker death or a timeout
-    triggers pool reconstruction — bounded by ``max_pool_rebuilds`` —
-    and the unaffected in-flight tasks are resubmitted without
-    consuming one of their retries.
-
-    ``chunk_size`` groups tasks into one pool submission each
-    (``None`` picks :func:`adaptive_chunk_size` automatically, ``1``
-    forces the historical one-future-per-task behaviour).  Chunking
-    only changes *scheduling*: every task still runs the same function
-    with the same derivation-based randomness, so chunked results are
-    bit-identical to unchunked and serial ones.  A per-task timeout
-    inside a chunk becomes a chunk-level budget (the sum over its
-    tasks), since a chunk is the smallest preemptible unit.
+    A worker that dies hard (``BrokenProcessPool``) fails its own chunk:
+    the pool is rebuilt — at most ``_MAX_POOL_REBUILDS`` times per run —
+    and the chunks it took down with it are resubmitted.  The pool
+    cannot say which chunk killed the worker, so the first unfinished
+    chunk in submission order is charged.
     """
 
     def __init__(
         self,
         workers: int = 1,
         cache: Optional[ResultCache] = None,
-        retry: Optional[RetryPolicy] = None,
-        task_timeout: Optional[float] = None,
-        max_pool_rebuilds: int = 3,
         journal: Optional["RunJournal"] = None,
-        chunk_size: Optional[int] = None,
     ) -> None:
         if workers < 0:
             raise ConfigurationError(f"workers must be >= 0, got {workers}")
-        if task_timeout is not None and task_timeout <= 0:
-            raise ConfigurationError(
-                f"task_timeout must be > 0, got {task_timeout}"
-            )
-        if max_pool_rebuilds < 0:
-            raise ConfigurationError(
-                f"max_pool_rebuilds must be >= 0, got {max_pool_rebuilds}"
-            )
-        if chunk_size is not None and chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk_size must be >= 1 (or None for auto), got {chunk_size}"
-            )
         self.workers = int(workers)
         self.cache = cache
-        self.retry = retry
-        self.task_timeout = task_timeout
-        self.max_pool_rebuilds = int(max_pool_rebuilds)
-        self.chunk_size = chunk_size
         #: Optional :class:`repro.core.checkpoint.RunJournal`.  Tasks
         #: whose journal key (``Task.journal_key`` or ``cache_key``) is
         #: already journaled are replayed without executing; completed
@@ -476,70 +442,52 @@ class ParallelExecutor:
         With ``reraise=False`` a failing task's exception is captured in
         its outcome's ``error`` (traceback text) and the other tasks
         still complete — including when a worker process dies, which
-        surfaces as a ``BrokenProcessPool`` error on the affected task
-        rather than a hang.  With ``reraise=True`` the first failure
-        (in task order, after any retries) propagates to the caller.
+        surfaces as a ``BrokenProcessPool`` error on the affected chunk
+        rather than a hang.  With ``reraise=True`` the first failure in
+        task order propagates to the caller.
         """
         outcomes: List[Optional[TaskOutcome]] = [None] * len(tasks)
         pending: List[int] = []
         for idx, task in enumerate(tasks):
-            payload = (
-                self.cache.get(task.cache_key)
-                if self.cache is not None and task.cache_key
-                else _MISS
-            )
-            if payload is not _MISS:
-                value = task.decode(payload) if task.decode else payload
-                outcomes[idx] = TaskOutcome(task.key, value=value, cached=True)
-                continue
-            journal_key = self._journal_key(task)
-            if journal_key is not None and journal_key in self.journal:
-                payload = self.journal.get(journal_key)
-                value = task.decode(payload) if task.decode else payload
-                self.journal.skipped += 1
-                outcomes[idx] = TaskOutcome(task.key, value=value, journaled=True)
-                continue
-            pending.append(idx)
-
-        if pending:
-            # workers > 1 always means worker processes — even for one
-            # task — so a crashing task can never take the parent down.
-            if self.workers > 1:
-                self._run_parallel(tasks, pending, outcomes, reraise)
-            else:
-                self._run_serial(tasks, pending, outcomes, reraise)
-
-        for idx in pending:
-            task, outcome = tasks[idx], outcomes[idx]
-            if outcome.ok and self.cache is not None and task.cache_key:
-                payload = task.encode(outcome.value) if task.encode else outcome.value
-                self.cache.put(task.cache_key, payload)
+            outcomes[idx] = self._cached(task) or self._journal_replay(task)
+            if outcomes[idx] is None:
+                pending.append(idx)
+        if self.workers > 1 and pending:
+            self._run_parallel(tasks, pending, outcomes, reraise)
+        else:
+            for idx in pending:
+                task = tasks[idx]
+                # Tasks run long: a sibling sharing the journal may have
+                # completed this one since the run started.
+                outcomes[idx] = self._journal_replay(task) or self._complete(
+                    task, _run_task(task.fn, task.args, task.kwargs), reraise
+                )
         return outcomes  # type: ignore[return-value]
 
-    @property
-    def _max_attempts(self) -> int:
-        return (self.retry.max_retries if self.retry is not None else 0) + 1
+    def is_stored(self, task: Task) -> bool:
+        """Whether the cache or the journal already holds ``task``'s result."""
+        if self.cache is not None and task.cache_key:
+            if self.cache.path(task.cache_key).exists():
+                return True
+        journal_key = self._journal_key(task)
+        return journal_key is not None and journal_key in self.journal
+
+    def _cached(self, task: Task) -> Optional[TaskOutcome]:
+        if self.cache is None or not task.cache_key:
+            return None
+        payload = self.cache.get(task.cache_key)
+        if payload is _MISS:
+            return None
+        value = task.decode(payload) if task.decode else payload
+        return TaskOutcome(task.key, value=value, cached=True)
 
     def _journal_key(self, task: Task) -> Optional[str]:
         if self.journal is None:
             return None
         return task.journal_key or task.cache_key
 
-    def _journal_record(self, task: Task, value: Any) -> None:
-        """Durably append a completed task the moment it succeeds.
-
-        Called per task (serial) or per retry round (parallel), not
-        after the whole batch — the crash-safety granularity the journal
-        exists for.
-        """
-        journal_key = self._journal_key(task)
-        if journal_key is None:
-            return
-        payload = task.encode(value) if task.encode else value
-        self.journal.record(journal_key, payload)
-
     def _journal_replay(self, task: Task) -> Optional[TaskOutcome]:
-        """Re-check the (refreshed) journal for a concurrently completed task.
+        """Replay ``task`` from the (refreshed) journal, if it is there.
 
         The journal is shared state: with several executor processes
         draining the same grid, a sibling may have completed and
@@ -558,296 +506,104 @@ class ParallelExecutor:
         self.journal.skipped += 1
         return TaskOutcome(task.key, value=value, journaled=True)
 
-    def _run_serial(self, tasks, pending, outcomes, reraise) -> None:
-        for idx in pending:
-            task = tasks[idx]
-            replayed = self._journal_replay(task)
-            if replayed is not None:
-                outcomes[idx] = replayed
-                continue
-            start = time.perf_counter()
-            for attempt in range(1, self._max_attempts + 1):
-                try:
-                    value = task.fn(*task.args, **task.kwargs)
-                    outcomes[idx] = TaskOutcome(
-                        task.key,
-                        value=value,
-                        seconds=time.perf_counter() - start,
-                        attempts=attempt,
-                    )
-                    self._journal_record(task, value)
-                    break
-                except Exception:
-                    if attempt < self._max_attempts:
-                        logger.warning(
-                            "task %r failed (attempt %d/%d); retrying",
-                            task.key,
-                            attempt,
-                            self._max_attempts,
-                        )
-                        time.sleep(self.retry.delay(attempt, token=task.key))
-                        continue
-                    if reraise:
-                        raise
-                    outcomes[idx] = TaskOutcome(
-                        task.key,
-                        error=traceback.format_exc(limit=8),
-                        seconds=time.perf_counter() - start,
-                        attempts=attempt,
-                    )
+    def _complete(self, task: Task, result: tuple, reraise: bool) -> TaskOutcome:
+        """Turn one finished task body into its outcome.
 
-    # -- parallel path ----------------------------------------------------
-    def _make_pool(self, n_tasks: int) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=min(self.workers, max(1, n_tasks)))
-
-    @staticmethod
-    def _destroy_pool(pool: ProcessPoolExecutor) -> None:
-        """Tear a (possibly broken or hung) pool down without blocking.
-
-        Worker processes are terminated explicitly: after a timeout the
-        worker is still busy with the abandoned task, and ``shutdown``
-        alone would leave it running until interpreter exit.  The
-        process list is snapshotted *before* ``shutdown``, which clears
-        the pool's ``_processes`` table.
+        A success is written to the cache and durably appended to the
+        journal the moment it arrives — the crash-safety granularity
+        the journal exists for.  A failure raises here when ``reraise``.
         """
-        procs = list((getattr(pool, "_processes", None) or {}).values())
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:  # pragma: no cover - defensive
-            pass
-        for proc in procs:
-            try:
-                proc.terminate()
-            except Exception:  # pragma: no cover - already gone
-                pass
-        for proc in procs:
-            try:
-                proc.join(timeout=2.0)
-            except Exception:  # pragma: no cover - already gone
-                pass
-
-    def _effective_timeout(self, task: Task) -> Optional[float]:
-        return task.timeout if task.timeout is not None else self.task_timeout
-
-    def _run_round(self, tasks, todo, pool, rebuilds_left):
-        """Execute each task in ``todo`` exactly one attempt.
-
-        Returns ``(results, pool, rebuilds_left)`` where ``results`` maps
-        task index to ``(ok, value_or_exception)``.  A broken pool or a
-        timed-out task triggers pool reconstruction; sibling tasks whose
-        futures were lost are resubmitted within the same round (their
-        attempt has not been consumed by someone else's failure).
-        """
-        results: Dict[int, Tuple[bool, Any]] = {}
-        waiting = list(todo)
-        while waiting:
-            futures = {}
-            submit_broken = False
-            submitted_at = time.monotonic()
-            for idx in waiting:
-                task = tasks[idx]
-                blob = _serializer.dumps((task.fn, task.args, task.kwargs))
-                try:
-                    futures[idx] = pool.submit(_invoke_payload, blob)
-                except BrokenExecutor as exc:
-                    # Pool already dead at submit time; record the failure
-                    # and force a rebuild below.
-                    results[idx] = (False, exc)
-                    submit_broken = True
-            order = [idx for idx in waiting if idx in futures]
-            waiting = []
-            broken_at: Optional[int] = None
-            for pos, idx in enumerate(order):
-                timeout = self._effective_timeout(tasks[idx])
-                try:
-                    if timeout is None:
-                        raw = futures[idx].result()
-                    else:
-                        remaining = submitted_at + timeout - time.monotonic()
-                        raw = futures[idx].result(timeout=max(remaining, 0.0))
-                    results[idx] = (True, _serializer.loads(raw))
-                except _FutureTimeout:
-                    results[idx] = (
-                        False,
-                        TimeoutError(
-                            f"task {tasks[idx].key!r} exceeded its "
-                            f"{timeout}s timeout"
-                        ),
-                    )
-                    broken_at = pos
-                    break
-                except BrokenExecutor as exc:
-                    results[idx] = (False, exc)
-                    broken_at = pos
-                    break
-                except Exception as exc:
-                    results[idx] = (False, exc)
-            if broken_at is None and not submit_broken and not waiting:
-                break
-            if broken_at is not None:
-                # Reap the siblings: futures that already finished keep
-                # their results; the rest are collateral of the broken
-                # pool/hung worker and go back for a free resubmission.
-                for idx in order[broken_at + 1:]:
-                    fut = futures[idx]
-                    if fut.done():
-                        try:
-                            results[idx] = (
-                                True,
-                                _serializer.loads(fut.result(timeout=0)),
-                            )
-                        except (BrokenExecutor, _FutureTimeout):
-                            waiting.append(idx)
-                        except Exception as exc:
-                            results[idx] = (False, exc)
-                    else:
-                        waiting.append(idx)
-            self._destroy_pool(pool)
-            if waiting and rebuilds_left <= 0:
-                err = RuntimeError(
-                    "worker pool broke repeatedly "
-                    f"(max_pool_rebuilds={self.max_pool_rebuilds} exhausted); "
-                    "giving up on the remaining tasks of this round"
-                )
-                for idx in waiting:
-                    results[idx] = (False, err)
-                waiting = []
-            rebuilds_left -= 1
-            pool = self._make_pool(max(1, len(waiting) or len(todo)))
-            if waiting:
-                logger.warning(
-                    "worker pool rebuilt; resubmitting %d in-flight task(s)",
-                    len(waiting),
-                )
-        return results, pool, rebuilds_left
-
-    def _round_chunk_size(self, n_todo: int) -> int:
-        if self.chunk_size is not None:
-            return self.chunk_size
-        return adaptive_chunk_size(n_todo, self.workers)
-
-    def _chunk_task(self, tasks, idxs: List[int]) -> Task:
-        """Synthetic task wrapping a chunk of real tasks for one submission.
-
-        The chunk timeout is the sum of the members' effective timeouts
-        (``None`` as soon as any member is unbounded): the chunk is the
-        smallest unit a hung worker can be reclaimed at.
-        """
-        blobs = [
-            _serializer.dumps((tasks[i].fn, tasks[i].args, tasks[i].kwargs))
-            for i in idxs
-        ]
-        timeout: Optional[float] = 0.0
-        for i in idxs:
-            member = self._effective_timeout(tasks[i])
-            if member is None:
-                timeout = None
-                break
-            timeout += member
-        return Task(
-            key=f"chunk[{tasks[idxs[0]].key}..{tasks[idxs[-1]].key}]",
-            fn=_run_task_chunk,
-            args=(blobs,),
-            timeout=timeout,
-        )
-
-    def _run_chunked_round(self, tasks, todo, pool, rebuilds_left):
-        """One attempt for every task in ``todo``, chunked submissions.
-
-        Expands the chunk-level results of :meth:`_run_round` back to
-        per-task ``(ok, payload)`` / ``(False, exc, text)`` entries.  A
-        transport-level chunk failure (broken pool after rebuild budget,
-        chunk timeout) charges every member of the chunk.
-        """
-        size = self._round_chunk_size(len(todo))
-        if size <= 1:
-            return self._run_round(tasks, todo, pool, rebuilds_left)
-        chunks = [todo[i:i + size] for i in range(0, len(todo), size)]
-        meta = [self._chunk_task(tasks, chunk) for chunk in chunks]
-        raw, pool, rebuilds_left = self._run_round(
-            meta, list(range(len(meta))), pool, rebuilds_left
-        )
-        results: Dict[int, Tuple] = {}
-        for ci, chunk in enumerate(chunks):
-            ok, payload = raw[ci]
-            if ok:
-                for idx, entry in zip(chunk, payload):
-                    results[idx] = tuple(entry)
-            else:
-                for idx in chunk:
-                    results[idx] = (False, payload)
-        return results, pool, rebuilds_left
-
-    def _run_parallel(self, tasks, pending, outcomes, reraise) -> None:
-        start = time.perf_counter()
-        todo = list(pending)
-        failures: Dict[int, Tuple[BaseException, Optional[str]]] = {}
-        attempts = {idx: 0 for idx in pending}
-        pool = self._make_pool(len(pending))
-        rebuilds_left = self.max_pool_rebuilds
-        try:
-            round_no = 1
-            while todo:
-                if round_no > 1:
-                    time.sleep(self.retry.delay(round_no - 1))
-                if self.journal is not None:
-                    # Round-granularity work sharing: drop tasks a
-                    # sibling executor journaled since the last round.
-                    still: List[int] = []
-                    for idx in todo:
-                        replayed = self._journal_replay(tasks[idx])
-                        if replayed is not None:
-                            outcomes[idx] = replayed
-                        else:
-                            still.append(idx)
-                    todo = still
-                    if not todo:
-                        break
-                results, pool, rebuilds_left = self._run_chunked_round(
-                    tasks, todo, pool, rebuilds_left
-                )
-                retry_next: List[int] = []
-                for idx in todo:
-                    attempts[idx] += 1
-                    entry = results[idx]
-                    if entry[0]:
-                        outcomes[idx] = TaskOutcome(
-                            tasks[idx].key,
-                            value=entry[1],
-                            seconds=time.perf_counter() - start,
-                            attempts=attempts[idx],
-                        )
-                        self._journal_record(tasks[idx], entry[1])
-                    elif round_no < self._max_attempts:
-                        logger.warning(
-                            "task %r failed (attempt %d/%d); retrying",
-                            tasks[idx].key,
-                            round_no,
-                            self._max_attempts,
-                        )
-                        retry_next.append(idx)
-                    else:
-                        failures[idx] = (
-                            entry[1],
-                            entry[2] if len(entry) > 2 else None,
-                        )
-                todo = retry_next
-                round_no += 1
-        finally:
-            # The current pool is healthy/idle on every exit path (hung
-            # or broken pools were already destroyed and replaced inside
-            # _run_round), so a graceful shutdown cannot block.
-            pool.shutdown(wait=True, cancel_futures=True)
-
-        for idx, (exc, chunk_text) in failures.items():
+        value, exc, text, seconds, perf = result
+        if exc is not None:
             if reraise:
                 raise exc
-            text = chunk_text or "".join(
-                traceback.format_exception(type(exc), exc, exc.__traceback__)
+            return TaskOutcome(task.key, error=text, seconds=seconds, perf=perf)
+        payload = task.encode(value) if task.encode else value
+        if self.cache is not None and task.cache_key:
+            self.cache.put(task.cache_key, payload)
+        journal_key = self._journal_key(task)
+        if journal_key is not None:
+            self.journal.record(journal_key, payload)
+        return TaskOutcome(task.key, value=value, seconds=seconds, perf=perf)
+
+    def _run_parallel(self, tasks, pending, outcomes, reraise) -> None:
+        size = adaptive_chunk_size(len(pending), self.workers)
+        chunks = [pending[i:i + size] for i in range(0, len(pending), size)]
+        # Each chunk is serialized once, so an argument its tasks share
+        # (a grid's framework) crosses the process boundary once.
+        blobs = [
+            _serializer.dumps(
+                [(tasks[i].fn, tasks[i].args, tasks[i].kwargs) for i in chunk]
             )
-            outcomes[idx] = TaskOutcome(
-                tasks[idx].key,
-                error=text,
-                seconds=time.perf_counter() - start,
-                attempts=attempts[idx],
+            for chunk in chunks
+        ]
+        # Failures are held back so they complete (and raise) in task order.
+        failed: Dict[int, tuple] = {}
+        waiting = list(range(len(chunks)))
+        for rebuild in range(_MAX_POOL_REBUILDS + 1):
+            if rebuild:
+                logger.warning(
+                    "worker pool rebuilt; resubmitting %d chunk(s)", len(waiting)
+                )
+            broken: Dict[int, BaseException] = {}
+            for chunk, results, exc in self._pool_results(blobs, waiting):
+                if isinstance(exc, BrokenExecutor):
+                    broken[chunk] = exc
+                    continue
+                if exc is not None:  # the chunk itself could not run or report
+                    results = [_chunk_failure(exc)] * len(chunks[chunk])
+                for idx, result in zip(chunks[chunk], results):
+                    if result[1] is None:
+                        outcomes[idx] = self._complete(tasks[idx], result, False)
+                    else:
+                        failed[idx] = result
+            if not broken:
+                break
+            # The pool cannot say whose worker died: charge the first
+            # unfinished chunk and resubmit the others on a fresh pool.
+            culprit, *waiting = sorted(broken)
+            lost = _chunk_failure(broken[culprit])
+            failed.update((idx, lost) for idx in chunks[culprit])
+            if not waiting:
+                break
+        else:
+            exc = RuntimeError(
+                f"worker pool broke again after {_MAX_POOL_REBUILDS} rebuilds; "
+                "giving up on the remaining tasks"
             )
+            lost = _chunk_failure(exc)
+            failed.update((idx, lost) for c in waiting for idx in chunks[c])
+        for idx in sorted(failed):
+            outcomes[idx] = self._complete(tasks[idx], failed[idx], reraise)
+
+    def _pool_results(self, blobs, waiting):
+        """Run the ``waiting`` chunks on a fresh pool, yielding as they end.
+
+        Yields ``(chunk, results, None)`` for a chunk that reported, and
+        ``(chunk, None, exception)`` for one that did not: a
+        ``BrokenExecutor`` when a dead worker took it down.
+        """
+        pool = ProcessPoolExecutor(max_workers=min(self.workers, len(waiting)))
+        try:
+            futures = {}
+            for chunk in waiting:
+                try:
+                    futures[pool.submit(_run_task_chunk, blobs[chunk])] = chunk
+                except BrokenExecutor as exc:
+                    # A worker died while chunks were still being submitted.
+                    yield chunk, None, exc
+            for future in as_completed(futures):
+                try:
+                    results = _serializer.loads(future.result())
+                except Exception as exc:
+                    yield futures[future], None, exc
+                else:
+                    yield futures[future], results, None
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _chunk_failure(exc: BaseException) -> tuple:
+    """Task result for each task of a chunk that failed as a whole."""
+    text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+    return None, exc, text, 0.0, None

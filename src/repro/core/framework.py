@@ -245,23 +245,19 @@ class AgingAwareFramework:
             cache.put(key, result.to_dict())
         return result
 
-    def _scenario_tasks(
-        self, pairs: Sequence[tuple[Scenario, int]], cache: Optional[ResultCache]
-    ) -> list[Task]:
-        """Executor tasks for (scenario, repeat) pairs.
-
-        Training happens in the parent *before* fan-out so every worker
-        inherits the same cached software weights instead of retraining
-        (retraining would still be bit-identical — the training stream
-        is derived from ``(entropy, "train-<style>")`` — just wasteful).
-        """
-        for scenario, _ in pairs:
-            self.trained_model(scenario.skewed_training)
-        return [
+    def _run_pairs(
+        self,
+        pairs: Sequence[tuple[Scenario, int]],
+        workers: int,
+        cache: Optional[ResultCache],
+    ) -> list[LifetimeResult]:
+        """Run (scenario, repeat) pairs through the executor, in order."""
+        executor = ParallelExecutor(workers=workers, cache=cache)
+        tasks = [
             Task(
                 key=f"{scenario.key}#r{repeat}",
-                fn=_run_scenario_in_worker,
-                args=(self, scenario.key, repeat),
+                fn=self.run_scenario,
+                args=(scenario.key, repeat),
                 cache_key=(
                     self.scenario_cache_key(scenario, repeat)
                     if cache is not None
@@ -272,6 +268,13 @@ class AgingAwareFramework:
             )
             for scenario, repeat in pairs
         ]
+        # Train in the parent before fan-out, so pool workers inherit the
+        # software weights instead of each retraining (bit-identical, just
+        # wasteful).  A style whose runs are all cached needs no training.
+        for (scenario, _), task in zip(pairs, tasks):
+            if not executor.is_stored(task):
+                self.trained_model(scenario.skewed_training)
+        return [o.value for o in executor.run(tasks, reraise=True)]
 
     def run_scenario_repeats(
         self,
@@ -291,17 +294,8 @@ class AgingAwareFramework:
         """
         if repeats < 1:
             raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
-        if workers < 0:
-            raise ConfigurationError(f"workers must be >= 0, got {workers}")
         scenario = self._resolve_scenario(scenario)
-        if workers <= 1:
-            return [
-                self.run_scenario(scenario, repeat=i, cache=cache)
-                for i in range(repeats)
-            ]
-        tasks = self._scenario_tasks([(scenario, i) for i in range(repeats)], cache)
-        executor = ParallelExecutor(workers=workers, cache=cache)
-        return [o.value for o in executor.run(tasks, reraise=True)]
+        return self._run_pairs([(scenario, i) for i in range(repeats)], workers, cache)
 
     def compare(
         self,
@@ -320,32 +314,15 @@ class AgingAwareFramework:
         """
         if repeats < 1:
             raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
-        if workers < 0:
-            raise ConfigurationError(f"workers must be >= 0, got {workers}")
         comparison = ScenarioComparison(workload=self.dataset.name)
         scenarios = [self._resolve_scenario(k) for k in scenario_keys]
-        if workers <= 1:
-            grouped = [
-                [self.run_scenario(s, repeat=i, cache=cache) for i in range(repeats)]
-                for s in scenarios
-            ]
-        else:
-            pairs = [(s, i) for s in scenarios for i in range(repeats)]
-            tasks = self._scenario_tasks(pairs, cache)
-            executor = ParallelExecutor(workers=workers, cache=cache)
-            outcomes = executor.run(tasks, reraise=True)
-            grouped = [
-                [o.value for o in outcomes[j * repeats:(j + 1) * repeats]]
-                for j in range(len(scenarios))
-            ]
-        for results in grouped:
-            results.sort(key=lambda r: r.lifetime_applications)
-            comparison.add(results[len(results) // 2])
+        pairs = [(s, i) for s in scenarios for i in range(repeats)]
+        results = self._run_pairs(pairs, workers, cache)
+        for j in range(len(scenarios)):
+            group = sorted(
+                results[j * repeats:(j + 1) * repeats],
+                key=lambda r: r.lifetime_applications,
+            )
+            comparison.add(group[len(group) // 2])
         return comparison
 
-
-def _run_scenario_in_worker(
-    framework: AgingAwareFramework, scenario_key: str, repeat: int
-) -> LifetimeResult:
-    """Module-level task body so the executor can ship it to workers."""
-    return framework.run_scenario(scenario_key, repeat=repeat)

@@ -4,18 +4,19 @@ The read caches (state-versioned conductance caching — see DESIGN.md
 §9) only earn their complexity if the savings are *observable*.  This
 module provides a process-local registry of named monotonic counters
 and wall-clock timers with near-zero overhead (a dict update per
-event), JSON export, and a delta-capture context manager used by the
-fault-campaign runner to attribute work to individual scenario runs.
+event), JSON export, and a delta-capture context manager the executor
+uses to attribute work to individual tasks (campaign grid points).
 
 Design constraints:
 
 * **Always on.**  Counters are cheap enough to leave enabled; there is
   no global "profiling mode" that would bifurcate the code paths under
   test from the code paths in production.
-* **Process-local.**  Counters do not cross the
+* **Process-local.**  The registry does not merge across the
   :class:`~repro.core.executor.ParallelExecutor` process pool; a
   parent's snapshot after a fan-out reflects only parent-side work.
-  Serial runs (``workers <= 1``) see everything.
+  Each executor task's own counters come back, from whichever process
+  ran it, in ``TaskOutcome.perf``.
 * **No repro imports.**  This module is a leaf so any layer (device,
   crossbar, tuning, core) can import it without cycles.
 

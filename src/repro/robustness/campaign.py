@@ -3,10 +3,10 @@
 A campaign sweeps a grid of fault scenarios — fault kind × severity ×
 degradation on/off — over one lifetime scenario of an
 :class:`~repro.core.framework.AgingAwareFramework`.  Each grid point is
-one full lifetime simulation; points fan out through the
-:class:`~repro.core.executor.ParallelExecutor` (bit-identical to a
-serial run, resilient to worker crashes via its retry/rebuild
-machinery) and share the on-disk :class:`~repro.core.executor.ResultCache`
+one full lifetime simulation; points run through the
+:class:`~repro.core.executor.ParallelExecutor` (in-process or fanned out,
+bit-identical either way; a crashing worker fails only its own chunk)
+and share the on-disk :class:`~repro.core.executor.ResultCache`
 with plain scenario runs: the fault-free baseline point hits the same
 cache entry an ordinary ``run_scenario`` would write.
 """
@@ -19,7 +19,6 @@ from typing import List, Optional, Sequence
 from repro.core.checkpoint import RunJournal
 from repro.core.executor import ParallelExecutor, ResultCache, Task
 from repro.core.framework import AgingAwareFramework
-from repro.core.profiling import PROFILER
 from repro.core.results import LifetimeResult
 from repro.exceptions import ConfigurationError
 from repro.robustness.degradation import DegradationPolicy
@@ -93,7 +92,6 @@ class FaultCampaign:
         workers: int = 1,
         cache: Optional[ResultCache] = None,
         journal: Optional[RunJournal] = None,
-        chunk_size: Optional[int] = None,
     ) -> None:
         if workers < 0:
             raise ConfigurationError(f"workers must be >= 0, got {workers}")
@@ -104,9 +102,6 @@ class FaultCampaign:
         self.repeat = int(repeat)
         self.workers = int(workers)
         self.cache = cache
-        #: Points per pool submission in parallel mode (``None`` = auto
-        #: adaptive chunking, ``1`` = legacy one-future-per-point).
-        self.chunk_size = chunk_size
         #: Optional crash-safe journal: completed grid points are
         #: appended durably as they finish, and a re-launched campaign
         #: over the same journal re-executes zero of them.
@@ -139,82 +134,41 @@ class FaultCampaign:
 
         With ``workers > 1`` the points run concurrently through the
         executor (training happens once in the parent, before fan-out);
-        results are bit-identical to a serial run.
+        results are bit-identical to a serial run.  ``report.perf``
+        holds the perf-counter delta of every point that executed here
+        (not of cache or journal hits).
         """
         if not points:
             raise ConfigurationError("campaign needs at least one point")
         names = [p.name for p in points]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate campaign point names in {names}")
-        point_perf = {}
-        if self.workers <= 1:
-            # Serial mode: capture per-point perf-counter deltas so the
-            # report can attribute windows, tuning iterations and
-            # hardware reads to individual grid points.  (Counters are
-            # process-local; the parallel branch leaves perf empty.
-            # Journal-replayed points also skip perf capture — nothing
-            # executed.)
-            results = []
-            for p in points:
-                key = self.point_key(p) if self.journal is not None else None
-                if key is not None:
-                    # Pick up points completed by concurrent drainers of
-                    # the same journal (service workers, sibling runs).
-                    self.journal.refresh()
-                if key is not None and key in self.journal:
-                    self.journal.skipped += 1
-                    results.append(LifetimeResult.from_dict(self.journal.get(key)))
-                    continue
-                with PROFILER.capture() as delta:
-                    results.append(
-                        self.framework.run_scenario(
-                            self.scenario,
-                            repeat=self.repeat,
-                            cache=self.cache,
-                            fault_schedule=p.schedule,
-                            degradation=p.degradation,
-                        )
-                    )
-                point_perf[p.name] = delta.to_dict()
-                if key is not None:
-                    self.journal.record(key, results[-1].to_dict())
-        else:
-            self.framework.trained_model(self.scenario.skewed_training)
-            tasks = [
-                Task(
-                    key=p.name,
-                    fn=_run_point_in_worker,
-                    args=(
-                        self.framework,
-                        self.scenario.key,
-                        self.repeat,
-                        p.schedule,
-                        p.degradation,
-                    ),
-                    cache_key=self._point_cache_key(p),
-                    journal_key=(
-                        self.point_key(p) if self.journal is not None else None
-                    ),
-                    encode=LifetimeResult.to_dict,
-                    decode=LifetimeResult.from_dict,
-                )
-                for p in points
-            ]
-            executor = ParallelExecutor(
-                workers=self.workers,
-                cache=self.cache,
-                journal=self.journal,
-                chunk_size=self.chunk_size,
+        executor = ParallelExecutor(
+            workers=self.workers, cache=self.cache, journal=self.journal
+        )
+        tasks = [
+            Task(
+                key=p.name,
+                fn=self.framework.run_scenario,
+                args=(self.scenario.key, self.repeat),
+                kwargs={"fault_schedule": p.schedule, "degradation": p.degradation},
+                cache_key=self._point_cache_key(p),
+                journal_key=self.point_key(p) if self.journal is not None else None,
+                encode=LifetimeResult.to_dict,
+                decode=LifetimeResult.from_dict,
             )
-            results = [o.value for o in executor.run(tasks, reraise=True)]
-
+            for p in points
+        ]
+        if not all(executor.is_stored(t) for t in tasks):
+            self.framework.trained_model(self.scenario.skewed_training)
+        outcomes = executor.run(tasks, reraise=True)
         report = SurvivabilityReport(
             workload=self.framework.dataset.name,
             scenario_key=self.scenario.key,
-            perf=point_perf,
+            perf={o.key: o.perf for o in outcomes if o.perf is not None},
         )
-        for point, result in zip(points, results):
-            report.add(record_from_result(point, result))
+        for point, outcome in zip(points, outcomes):
+            report.add(record_from_result(point, outcome.value))
         return report
 
 
@@ -237,18 +191,3 @@ def record_from_result(
         failed=result.failed,
     )
 
-
-def _run_point_in_worker(
-    framework: AgingAwareFramework,
-    scenario_key: str,
-    repeat: int,
-    schedule: Optional[FaultSchedule],
-    degradation: Optional[DegradationPolicy],
-) -> LifetimeResult:
-    """Module-level task body so the executor can ship it to workers."""
-    return framework.run_scenario(
-        scenario_key,
-        repeat=repeat,
-        fault_schedule=schedule,
-        degradation=degradation,
-    )

@@ -84,11 +84,10 @@ class SurvivabilityReport:
     scenario_key: str
     records: List[SurvivabilityRecord] = field(default_factory=list)
     #: Per-point perf-counter deltas (``repro.core.profiling.PerfDelta``
-    #: dicts) captured around each simulation.  Only populated by serial
-    #: campaign runs — counters are process-local and do not cross the
-    #: executor's worker pool.  Excluded from :meth:`to_dict` by default
-    #: so serialized reports stay bit-identical across serial/parallel
-    #: execution modes.
+    #: dicts) captured around each simulation, in-process or in a pool
+    #: worker; points replayed from the cache or journal have none.
+    #: Excluded from :meth:`to_dict` by default: they carry wall-clock
+    #: noise, so serialized reports stay bit-identical across runs.
     perf: Dict[str, dict] = field(default_factory=dict)
     #: Structured failure details for points that terminally failed
     #: (campaign-service quarantine): point name -> {error, attempts,
@@ -151,9 +150,9 @@ class SurvivabilityReport:
     def to_dict(self, include_perf: bool = False) -> dict:
         """JSON-ready dict; ``include_perf`` adds the per-point counters.
 
-        Perf is opt-in because it is populated only in serial mode and
-        carries wall-clock noise — the default output is identical
-        regardless of execution mode or machine speed.
+        Perf is opt-in because it carries wall-clock noise and skips
+        replayed points — the default output is identical regardless of
+        execution mode, cache state or machine speed.
         """
         out = {
             "workload": self.workload,
@@ -231,7 +230,7 @@ class SurvivabilityReport:
                 lines.append(f"  {name}: {error} (after {attempts} attempt(s))")
         if self.perf:
             lines.append("")
-            lines.append("perf (serial run):")
+            lines.append("perf:")
             for name, delta in self.perf.items():
                 counters = delta.get("counters", {})
                 elapsed = float(delta.get("elapsed_s", 0.0))

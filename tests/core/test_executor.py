@@ -1,7 +1,8 @@
 """The execution engine's contract: parallel == serial, bit for bit.
 
-Every parallel entry point (``compare``, ``run_scenario_repeats``,
-``Sweep.run``) is pinned against its serial output — identical
+Every grid entry point (``compare``, ``run_scenario_repeats``,
+``Sweep.run``) is pinned against a serial reference — a direct
+``run_scenario`` loop for the framework grids — with identical
 ``LifetimeResult``/``SweepResult`` fields, not approximately equal
 ones.  Also covered: the on-disk result cache (hit/miss semantics,
 exact round-trip) and failure surfacing (a crashing worker produces a
@@ -10,6 +11,7 @@ failed point, never a hung pool).
 
 import dataclasses
 import os
+import time
 
 import numpy as np
 import pytest
@@ -132,6 +134,18 @@ def _die(x):
     os._exit(3)  # simulate a hard worker crash (segfault/OOM-kill)
 
 
+def _sleep(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
+def _count(n):
+    from repro.core import PROFILER
+
+    PROFILER.increment("test.executor.count", n)
+    return n
+
+
 class TestParallelExecutor:
     def test_rejects_negative_workers(self):
         with pytest.raises(ConfigurationError):
@@ -164,11 +178,41 @@ class TestParallelExecutor:
         with pytest.raises(RuntimeError, match="boom"):
             ParallelExecutor(workers=workers).run(tasks, reraise=True)
 
+    def test_serial_reraise_stops_at_the_failure(self):
+        ran = []
+
+        def body(x):
+            ran.append(x)
+            return _maybe_boom(x)
+
+        tasks = [Task(key=str(i), fn=body, args=(i,)) for i in (1, 2, 3)]
+        with pytest.raises(RuntimeError, match="boom"):
+            ParallelExecutor(workers=1).run(tasks, reraise=True)
+        assert ran == [1, 2]
+
     def test_worker_crash_surfaces_not_hangs(self):
         tasks = [Task(key="crash", fn=_die, args=(0,))]
         outcomes = ParallelExecutor(workers=2).run(tasks)
         assert not outcomes[0].ok
         assert "Broken" in outcomes[0].error or "abruptly" in outcomes[0].error
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_seconds_time_each_task_where_it_runs(self, workers):
+        # Each task reports its own body's time, measured where it ran:
+        # under two workers a short task reports well under the long one.
+        naps = [0.05, 0.05, 0.6, 0.05]
+        tasks = [Task(key=str(i), fn=_sleep, args=(t,)) for i, t in enumerate(naps)]
+        seconds = [o.seconds for o in ParallelExecutor(workers=workers).run(tasks)]
+        assert 0.6 <= seconds[2] < 5.0
+        for short in (0, 1, 3):
+            assert 0.05 <= seconds[short] < 0.3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_perf_is_the_task_bodys_counter_delta(self, workers):
+        tasks = [Task(key=str(i), fn=_count, args=(i + 1,)) for i in range(3)]
+        outcomes = ParallelExecutor(workers=workers).run(tasks)
+        assert [o.perf["counters"]["test.executor.count"] for o in outcomes] == [1, 2, 3]
+        assert all(o.perf["elapsed_s"] == o.seconds for o in outcomes)
 
     def test_cache_short_circuits(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -177,6 +221,7 @@ class TestParallelExecutor:
         second = ParallelExecutor(workers=1, cache=cache).run(tasks)
         assert first[0].value == second[0].value == 16
         assert not first[0].cached and second[0].cached
+        assert first[0].perf is not None and second[0].perf is None
 
     def test_failed_tasks_are_not_cached(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -195,19 +240,36 @@ def test_framework_rejects_negative_workers(framework):
         framework.compare(("t+t",), workers=-3)
 
 
-@pytest.mark.parametrize("workers", [1, 4])
+# Every workers= value runs the executor, so the serial reference is a
+# plain loop over run_scenario, the code path the executor must match.
+def _direct_repeats(framework, scenario, repeats):
+    return [framework.run_scenario(scenario, repeat=i) for i in range(repeats)]
+
+
+def _direct_compare(framework, scenarios, repeats=1):
+    """Median-lifetime result per scenario, as Table I reports it."""
+    results = {}
+    for key in scenarios:
+        runs = _direct_repeats(framework, key, repeats)
+        runs.sort(key=lambda r: r.lifetime_applications)
+        results[key] = runs[len(runs) // 2]
+    return results
+
+
+@pytest.mark.parametrize("workers", [0, 1, 4])
 def test_run_scenario_repeats_parallel_equals_serial(framework, workers):
-    serial = framework.run_scenario_repeats("t+t", repeats=2)
-    parallel = framework.run_scenario_repeats("t+t", repeats=2, workers=workers)
-    assert serial == parallel  # dataclass equality: every field, bit for bit
+    direct = _direct_repeats(framework, "t+t", 2)
+    runs = framework.run_scenario_repeats("t+t", repeats=2, workers=workers)
+    assert runs == direct  # dataclass equality: every field, bit for bit
 
 
-@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("workers", [0, 1, 4])
 def test_compare_parallel_equals_serial(framework, workers):
-    serial = framework.compare(("t+t", "st+at"))
-    parallel = framework.compare(("t+t", "st+at"), workers=workers)
-    assert serial.workload == parallel.workload
-    assert serial.results == parallel.results
+    direct = _direct_compare(framework, ("t+t", "st+at"), repeats=3)
+    comparison = framework.compare(("t+t", "st+at"), repeats=3, workers=workers)
+    assert comparison.workload == framework.dataset.name
+    assert list(comparison.results) == ["t+t", "st+at"]
+    assert comparison.results == direct
 
 
 def test_parallel_equivalence_from_fresh_framework(framework):
@@ -250,12 +312,22 @@ def test_scenario_cache_key_covers_config(framework):
 
 def test_compare_through_cache_equals_direct(framework, tmp_path):
     cache = ResultCache(tmp_path)
-    direct = framework.compare(("t+t", "st+at"))
+    direct = _direct_compare(framework, ("t+t", "st+at"))
     populated = framework.compare(("t+t", "st+at"), workers=2, cache=cache)
     replayed = framework.compare(("t+t", "st+at"), workers=2, cache=cache)
-    assert populated.results == direct.results
-    assert replayed.results == direct.results
+    assert populated.results == direct
+    assert replayed.results == direct
     assert cache.hits >= 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fully_cached_compare_trains_nothing(framework, tmp_path, workers):
+    cache = ResultCache(tmp_path)
+    populated = framework.compare(("t+t", "st+at"), cache=cache)
+    fresh = _make_framework()  # same seed and config: same cache keys
+    replayed = fresh.compare(("t+t", "st+at"), workers=workers, cache=cache)
+    assert replayed.results == populated.results
+    assert fresh._trained == {}
 
 
 def test_config_not_mutated_by_runs(framework):

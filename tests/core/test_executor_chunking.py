@@ -3,9 +3,9 @@
 The three scheduling upgrades behind the campaign service, each pinned
 to the engine's core invariant: scheduling may change, results may not.
 
-* :func:`adaptive_chunk_size` + chunked pool submission — identical
-  outcomes, identical ordering, identical error isolation to the
-  historical one-future-per-task path;
+* :func:`adaptive_chunk_size` + chunked pool submission — outcomes,
+  ordering and per-task error isolation identical to a serial run,
+  with one-task and many-task chunks alike;
 * :class:`RetryPolicy` seeded jitter — deterministic, bounded,
   per-worker decorrelated backoff delays;
 * two executors draining one grid through a shared ``RunJournal`` /
@@ -38,6 +38,12 @@ def _boom_on_two(x):
     return x
 
 
+def _boom_on_odd(x):
+    if x % 2:
+        raise RuntimeError(f"boom at {x}")
+    return x
+
+
 def _tasks(n, fn=_square):
     return [Task(key=f"t{i}", fn=fn, args=(i,)) for i in range(n)]
 
@@ -56,7 +62,6 @@ class TestAdaptiveChunkSize:
 
     def test_max_chunk_cap(self):
         assert adaptive_chunk_size(100_000, workers=1) == 32
-        assert adaptive_chunk_size(100_000, workers=1, max_chunk=8) == 8
 
     def test_oversubscription_keeps_tail_balanced(self):
         # Every worker gets multiple chunks, so one slow chunk cannot
@@ -65,64 +70,68 @@ class TestAdaptiveChunkSize:
         chunk = adaptive_chunk_size(n, workers)
         assert n / chunk >= workers * 4
 
-    def test_executor_rejects_bad_chunk_size(self):
-        with pytest.raises(ConfigurationError):
-            ParallelExecutor(workers=2, chunk_size=0)
-
 
 # -- chunked execution equivalence --------------------------------------------
 class TestChunkedEquivalence:
-    @pytest.mark.parametrize("chunk_size", [None, 1, 3, 64])
-    def test_results_match_serial_in_order(self, chunk_size):
-        serial = [o.value for o in ParallelExecutor(workers=0).run(_tasks(10))]
-        chunked = [
-            o.value
-            for o in ParallelExecutor(workers=2, chunk_size=chunk_size).run(
-                _tasks(10)
-            )
-        ]
-        assert chunked == serial == [i * i for i in range(10)]
+    # Over two workers, 3 and 8 tasks go out one per chunk; 10, 40 and
+    # 300 tasks in chunks of 2, 5 and (capped) 32.
+    @pytest.mark.parametrize("n, chunk", [(3, 1), (8, 1), (10, 2), (40, 5), (300, 32)])
+    def test_results_match_serial_in_order(self, n, chunk):
+        assert adaptive_chunk_size(n, workers=2) == chunk
+        serial = [o.value for o in ParallelExecutor(workers=0).run(_tasks(n))]
+        chunked = [o.value for o in ParallelExecutor(workers=2).run(_tasks(n))]
+        assert chunked == serial == [i * i for i in range(n)]
 
     def test_failure_isolated_within_chunk(self):
         # Task 2 raises; its chunk-mates (same pool submission) succeed.
-        outcomes = ParallelExecutor(workers=2, chunk_size=5).run(
-            _tasks(10, fn=_boom_on_two)
-        )
+        assert adaptive_chunk_size(40, workers=2) == 5
+        outcomes = ParallelExecutor(workers=2).run(_tasks(40, fn=_boom_on_two))
         assert not outcomes[2].ok
         assert "boom at 2" in str(outcomes[2].error)
         assert [o.value for o in outcomes if o.ok] == [
-            i for i in range(10) if i != 2
+            i for i in range(40) if i != 2
         ]
 
-    def test_failed_chunk_member_retries_alone(self, tmp_path):
-        # Retry machinery still operates per-task under chunking: the
-        # one flaky task is re-run, not its whole chunk.
-        flaky = tmp_path / "flaky"
+    def test_unpicklable_result_fails_its_chunk_only(self):
+        def body(x):
+            return (i for i in range(x)) if x == 1 else x  # generators don't pickle
 
-        def sometimes(x):
-            if x == 3 and not flaky.exists():
-                flaky.write_text("tried")
-                raise RuntimeError("transient")
-            return x
+        outcomes = ParallelExecutor(workers=2).run(_tasks(3, fn=body))
+        assert [o.ok for o in outcomes] == [True, False, True]
+        assert "generator" in outcomes[1].error
+        assert [outcomes[0].value, outcomes[2].value] == [0, 2]
 
-        outcomes = ParallelExecutor(
-            workers=0,
-            retry=RetryPolicy(max_retries=2, backoff_base=0.0),
-            chunk_size=4,
-        ).run(_tasks(8, fn=sometimes))
-        assert all(o.ok for o in outcomes)
-        assert [o.value for o in outcomes] == list(range(8))
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_reraise_raises_the_first_failure_in_task_order(self, workers):
+        with pytest.raises(RuntimeError, match="boom at 1$"):
+            ParallelExecutor(workers=workers).run(
+                _tasks(40, fn=_boom_on_odd), reraise=True
+            )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_successes_are_stored_failures_are_not(self, tmp_path, workers):
+        cache = ResultCache(tmp_path / "cache")
+        journal = RunJournal(tmp_path / "journal.jsonl")
+        tasks = [
+            Task(key=f"t{i}", fn=_boom_on_two, args=(i,), cache_key=f"ck{i}")
+            for i in range(24)
+        ]
+        ParallelExecutor(workers=workers, cache=cache, journal=journal).run(tasks)
+        stored = {f"ck{i}" for i in range(24) if i != 2}
+        assert {p.stem for p in cache.root.glob("*.json")} == stored
+        assert set(RunJournal(tmp_path / "journal.jsonl").entries) == stored
 
     def test_chunked_cache_hits_short_circuit(self, tmp_path):
         cache = ResultCache(tmp_path)
         tasks = [
             Task(key=f"t{i}", fn=_square, args=(i,), cache_key=f"ck{i}")
-            for i in range(6)
+            for i in range(24)
         ]
-        ParallelExecutor(workers=2, chunk_size=3, cache=cache).run(tasks)
-        again = ParallelExecutor(workers=2, chunk_size=3, cache=cache).run(tasks)
-        assert [o.value for o in again] == [i * i for i in range(6)]
-        assert cache.hits >= 6
+        ParallelExecutor(workers=2, cache=cache).run(tasks)
+        again = ParallelExecutor(workers=2, cache=cache).run(tasks)
+        assert [o.value for o in again] == [i * i for i in range(24)]
+        assert all(o.cached for o in again)
+        assert cache.hits >= 24
 
 
 # -- seeded retry jitter ------------------------------------------------------

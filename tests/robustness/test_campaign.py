@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core import ResultCache
+from repro.core import ResultCache, RunJournal
 from repro.exceptions import ConfigurationError
 from repro.robustness import (
     CampaignPoint,
@@ -13,6 +13,20 @@ from repro.robustness import (
     SurvivabilityReport,
     build_grid,
 )
+from repro.robustness.campaign import record_from_result
+
+
+def _direct_records(framework, scenario, points):
+    """Serial reference: one plain ``run_scenario`` call per grid point."""
+    return [
+        record_from_result(
+            p,
+            framework.run_scenario(
+                scenario, fault_schedule=p.schedule, degradation=p.degradation
+            ),
+        ).to_dict()
+        for p in points
+    ]
 
 
 class TestBuildGrid:
@@ -60,15 +74,15 @@ class TestFaultCampaign:
 
     def test_serial_parallel_and_cache_agree(self, mini_framework, tmp_path):
         points = build_grid(**self.GRID)
+        direct = _direct_records(mini_framework, "st+at", points)
         serial = FaultCampaign(mini_framework, scenario="st+at").run(points)
+        assert [r.to_dict() for r in serial.records] == direct
 
         cache = ResultCache(tmp_path / "cache")
         par = FaultCampaign(
             mini_framework, scenario="st+at", workers=2, cache=cache
         ).run(points)
-        assert [r.to_dict() for r in par.records] == [
-            r.to_dict() for r in serial.records
-        ]
+        assert [r.to_dict() for r in par.records] == direct
 
         # Second run must be pure cache hits and still identical.
         assert len(cache) == len(points)
@@ -76,9 +90,8 @@ class TestFaultCampaign:
             mini_framework, scenario="st+at", workers=2, cache=cache
         ).run(points)
         assert cache.hits >= len(points)
-        assert [r.to_dict() for r in warm.records] == [
-            r.to_dict() for r in serial.records
-        ]
+        assert [r.to_dict() for r in warm.records] == direct
+        assert warm.perf == {}  # nothing executed
 
     def test_baseline_point_shares_plain_scenario_cache(
         self, mini_framework, tmp_path
@@ -128,13 +141,38 @@ class TestFaultCampaign:
             assert delta["counters"].get("lifetime.windows", 0) > 0
             assert delta["counters"].get("network.hardware_reads", 0) > 0
         text = report.render_text()
-        assert "perf (serial run):" in text
+        assert "\nperf:\n" in text
         assert "windows=" in text and "hardware reads=" in text
 
+    def test_parallel_run_captures_perf_per_point(self, mini_framework, tmp_path):
+        """Counters come back from the pool workers; a journal relaunch
+        replays every point, so it carries no perf and trains nothing."""
+        from tests.robustness.conftest import make_mini_framework
+
+        points = build_grid(**self.GRID)
+        path = tmp_path / "journal.jsonl"
+        report = FaultCampaign(
+            mini_framework, scenario="st+at", workers=2, journal=RunJournal(path)
+        ).run(points)
+        assert set(report.perf) == {p.name for p in points}
+        for delta in report.perf.values():
+            assert delta["elapsed_s"] > 0
+            assert delta["counters"].get("lifetime.windows", 0) > 0
+
+        journal = RunJournal(path)
+        fresh = make_mini_framework()  # same seed and config: same point keys
+        again = FaultCampaign(
+            fresh, scenario="st+at", workers=2, journal=journal
+        ).run(points)
+        assert journal.skipped == len(points)
+        assert again.perf == {}
+        assert fresh._trained == {}
+        assert again.to_dict() == report.to_dict()
+
     def test_perf_excluded_from_default_serialization(self, mini_framework):
-        """Perf is serial-mode-only and wall-clock-noisy, so the default
-        to_dict must not carry it — keeping serialized reports identical
-        across execution modes."""
+        """Perf is wall-clock-noisy and skips replayed points, so the
+        default to_dict must not carry it — keeping serialized reports
+        identical across execution modes and cache states."""
         points = build_grid(**self.GRID)
         report = FaultCampaign(mini_framework, scenario="st+at").run(points)
         assert "perf" not in report.to_dict()

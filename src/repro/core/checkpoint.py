@@ -16,8 +16,7 @@ module provides two complementary durability primitives:
   ``tests/integration/test_checkpoint_resume.py``).
 
 * **Journals** — an append-only JSONL record of completed grid points
-  for :class:`~repro.robustness.campaign.FaultCampaign` and
-  :class:`~repro.core.sweep.Sweep` runs through the
+  for :class:`~repro.robustness.campaign.FaultCampaign` runs through the
   :class:`~repro.core.executor.ParallelExecutor`.  A re-launched
   campaign skips journaled points outright.  The journal is
   corrupt-tail tolerant: a crash mid-append leaves a truncated last
@@ -476,7 +475,7 @@ class CheckpointManager:
         return removed
 
 
-# -- campaign / sweep journal --------------------------------------------------
+# -- campaign journal ---------------------------------------------------------
 class RunJournal:
     """Append-only JSONL record of completed grid points.
 

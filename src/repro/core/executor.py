@@ -144,23 +144,38 @@ class ResultCache:
 
     def get(self, key: str) -> Any:
         """Cached payload for ``key``, or the module-level miss sentinel."""
-        from repro.io import load_json
-
         path = self.path(key)
         if not path.exists():
             self.misses += 1
             return _MISS
         try:
-            entry = load_json(path)
-            if entry.get("schema") != CACHE_SCHEMA:
-                raise ValueError(f"unknown cache schema {entry.get('schema')!r}")
-            payload = entry["payload"]
+            payload = self._read(key)
         except Exception as exc:
             self.misses += 1
             self._quarantine(path, exc)
             return _MISS
         self.hits += 1
         return payload
+
+    def __contains__(self, key: str) -> bool:
+        """Whether ``key`` has a readable entry of the current schema.
+
+        A side-effect-free probe: no hit or miss is counted and a
+        corrupt entry stays in place for :meth:`get` to quarantine.
+        """
+        try:
+            self._read(key)
+        except Exception:
+            return False
+        return True
+
+    def _read(self, key: str) -> Any:
+        from repro.io import load_json
+
+        entry = load_json(self.path(key))
+        if entry.get("schema") != CACHE_SCHEMA:
+            raise ValueError(f"unknown cache schema {entry.get('schema')!r}")
+        return entry["payload"]
 
     def _quarantine(self, path, exc: Exception) -> None:
         """Rename a corrupt entry aside so the damage stays observable."""
@@ -309,7 +324,7 @@ class Task:
     encode: Optional[Callable[[Any], Any]] = None
     decode: Optional[Callable[[Any], Any]] = None
     #: Content-hash key under which a completed result is journaled
-    #: (crash-safe resume of campaign/sweep grids); falls back to
+    #: (crash-safe resume of campaign grids); falls back to
     #: ``cache_key``.  ``None`` on both disables journaling for the task.
     journal_key: Optional[str] = None
 
@@ -324,8 +339,6 @@ class TaskOutcome:
     #: Wall time of the task body, measured where it ran.
     seconds: float = 0.0
     cached: bool = False
-    #: True when the value was replayed from a crash-safe run journal.
-    journaled: bool = False
     #: The task body's :data:`~repro.core.profiling.PROFILER` delta
     #: (``PerfDelta.to_dict()``), also from a pool worker; ``None`` when
     #: the body never ran here (cache or journal hit, lost worker).
@@ -466,9 +479,8 @@ class ParallelExecutor:
 
     def is_stored(self, task: Task) -> bool:
         """Whether the cache or the journal already holds ``task``'s result."""
-        if self.cache is not None and task.cache_key:
-            if self.cache.path(task.cache_key).exists():
-                return True
+        if self.cache is not None and task.cache_key and task.cache_key in self.cache:
+            return True
         journal_key = self._journal_key(task)
         return journal_key is not None and journal_key in self.journal
 
@@ -504,7 +516,7 @@ class ParallelExecutor:
         payload = self.journal.get(journal_key)
         value = task.decode(payload) if task.decode else payload
         self.journal.skipped += 1
-        return TaskOutcome(task.key, value=value, journaled=True)
+        return TaskOutcome(task.key, value=value)
 
     def _complete(self, task: Task, result: tuple, reraise: bool) -> TaskOutcome:
         """Turn one finished task body into its outcome.

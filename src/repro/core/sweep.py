@@ -10,9 +10,7 @@ only — no shared stream — so the evaluation order is irrelevant and the
 sweep can fan out across worker processes
 (:class:`repro.core.executor.ParallelExecutor`) with **bit-identical**
 metrics: ``run(values, workers=4)`` equals ``run(values)`` except for
-the wall-clock ``seconds`` field.  Point results can also be cached on
-disk (``cache=ResultCache(...)``), keyed by the sweep configuration and
-the point value, so re-running an unchanged sweep is instant.
+the wall-clock ``seconds`` field.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.core.executor import ParallelExecutor, ResultCache, Task, fingerprint
+from repro.core.executor import ParallelExecutor, Task
 from repro.exceptions import ConfigurationError
 from repro.rng import derive_rng, ensure_rng
 
@@ -34,8 +32,6 @@ class SweepPoint:
     metrics: Dict[str, float] = field(default_factory=dict)
     error: Optional[str] = None
     seconds: float = 0.0
-    #: True when the metrics came from the on-disk result cache.
-    cached: bool = False
 
     @property
     def ok(self) -> bool:
@@ -98,72 +94,29 @@ class Sweep:
         self.fn = fn
         self._entropy = int(ensure_rng(seed).integers(0, 2**63 - 1))
 
-    def point_cache_key(self, value: Any, cache_token: Optional[str] = None) -> str:
-        """Cache key of one point: sweep identity + entropy + value.
-
-        The sweep function itself is fingerprinted via its serialized
-        form; pass an explicit ``cache_token`` (e.g. a version string
-        plus the relevant config) for keys that must stay stable across
-        interpreter versions.
-        """
-        token = cache_token if cache_token is not None else self.fn
-        return fingerprint(
-            "sweep-point/v1", self.parameter, repr(value), self._entropy, token
-        )
-
     def run(
-        self,
-        values: Sequence[Any],
-        fail_fast: bool = False,
-        workers: int = 1,
-        cache: Optional[ResultCache] = None,
-        cache_token: Optional[str] = None,
-        journal=None,
+        self, values: Sequence[Any], fail_fast: bool = False, workers: int = 1
     ) -> SweepResult:
         """Evaluate all ``values``; errors are captured per point.
 
         ``workers > 1`` fans the points out over a process pool with
         bit-identical metrics (per-point seeds are derivation-based, not
-        sequential).  ``cache`` short-circuits points whose key — see
-        :meth:`point_cache_key` — already has a stored result.  With
-        ``fail_fast=True`` the first failing point's original exception
-        propagates instead of being captured.  ``journal`` (a
-        :class:`repro.core.checkpoint.RunJournal`) makes the sweep
-        crash-safe: completed points are appended durably as they
-        finish, and a re-launched sweep over the same journal skips
-        them (keyed by :meth:`point_cache_key`, so a config change
-        still re-executes).
+        sequential).  With ``fail_fast=True`` the first failing point's
+        original exception propagates instead of being captured.
         """
         tasks = [
             Task(
                 key=f"{self.parameter}={value!r}",
                 fn=_evaluate_point,
                 args=(self.fn, self._entropy, self.parameter, value, not fail_fast),
-                cache_key=(
-                    self.point_cache_key(value, cache_token)
-                    if cache is not None
-                    else None
-                ),
-                journal_key=(
-                    self.point_cache_key(value, cache_token)
-                    if journal is not None
-                    else None
-                ),
             )
             for value in values
         ]
-        outcomes = ParallelExecutor(workers=workers, cache=cache, journal=journal).run(
-            tasks, reraise=fail_fast
-        )
+        outcomes = ParallelExecutor(workers=workers).run(tasks, reraise=fail_fast)
 
         result = SweepResult(parameter=self.parameter)
         for value, outcome in zip(values, outcomes):
-            point = SweepPoint(
-                value=value,
-                seconds=outcome.seconds,
-                # Journal replay is storage too: the point did not execute.
-                cached=outcome.cached or outcome.journaled,
-            )
+            point = SweepPoint(value=value, seconds=outcome.seconds)
             if not outcome.ok:
                 # Transport-level failure: the worker process died (e.g.
                 # BrokenProcessPool) before the point could even report.

@@ -66,12 +66,3 @@ class CorruptStateError(ReproError, RuntimeError):
     ``state.json``) from the journal, which stays the single source of
     truth.
     """
-
-
-class ChaosError(ReproError, RuntimeError):
-    """A failure injected by the chaos harness (never raised in production).
-
-    Deliberately *not* a subclass of the errors it imitates: recovery
-    paths must treat it like any other unexpected exception, which is
-    exactly what the chaos battery verifies.
-    """

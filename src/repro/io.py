@@ -78,8 +78,8 @@ def save_json_guarded(payload: Any, path: PathLike, durable: bool = True) -> Non
 
     The campaign service persists its mutable coordination files
     (``leases.json``, ``state.json``) through this wrapper so that *any*
-    corruption — a torn write that still parses, bit rot, a hostile
-    chaos test — is detected at load time instead of being acted on.
+    corruption — a torn write that still parses, bit rot — is detected
+    at load time instead of being acted on.
     """
     save_json_atomic(
         {"sha256": _guarded_digest(payload), "payload": payload},

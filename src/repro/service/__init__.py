@@ -13,10 +13,7 @@ of workers drain cooperatively (DESIGN.md §12):
 * :mod:`~repro.service.server` — the stdlib HTTP API + worker fleet
   (:class:`CampaignService`, ``repro serve``);
 * :mod:`~repro.service.client` — the urllib client
-  (:class:`ServiceClient`, ``repro submit`` / ``repro jobs``);
-* :mod:`~repro.service.chaos` — seeded fault injection
-  (:class:`ChaosConfig`, ``REPRO_CHAOS`` env config) exercising the
-  failure-containment layer (DESIGN.md §13).
+  (:class:`ServiceClient`, ``repro submit`` / ``repro jobs``).
 
 The invariant everything here leans on: grid points are
 derivation-seeded and content-hash keyed, so a service-drained campaign
@@ -24,7 +21,6 @@ is **bit-identical** to a serial one no matter how work is split,
 stolen, or re-run.
 """
 
-from repro.service.chaos import CHAOS_MODES, ChaosConfig, ChaosController
 from repro.service.client import ServiceClient
 from repro.service.jobs import CampaignJobSpec, JobStatus, JobStore
 from repro.service.scheduler import Lease, LeaseBoard
@@ -32,11 +28,8 @@ from repro.service.server import CampaignService
 from repro.service.worker import ServiceWorker, worker_main
 
 __all__ = [
-    "CHAOS_MODES",
     "CampaignJobSpec",
     "CampaignService",
-    "ChaosConfig",
-    "ChaosController",
     "JobStatus",
     "JobStore",
     "Lease",

@@ -29,14 +29,13 @@ import urllib.request
 from typing import Callable, List, Optional, Union
 
 from repro.core.executor import RetryPolicy
-from repro.exceptions import ChaosError, ServiceError, ServiceUnavailableError
-from repro.service import chaos
+from repro.exceptions import ServiceError, ServiceUnavailableError
 from repro.service.jobs import TERMINAL_STATES, CampaignJobSpec
 
 
 def _retryable(exc: Exception) -> bool:
-    """Retry typed-retryable errors and injected (transient) drops."""
-    return isinstance(exc, ChaosError) or bool(getattr(exc, "retryable", False))
+    """Retry typed-retryable errors (transport faults, HTTP 5xx)."""
+    return bool(getattr(exc, "retryable", False))
 
 
 class ServiceClient:
@@ -76,7 +75,6 @@ class ServiceClient:
     def _attempt(
         self, method: str, path: str, payload: Optional[dict], route: str, attempt: int
     ) -> dict:
-        chaos.controller().drop_response(route, attempt)
         body = None if payload is None else json.dumps(payload).encode("utf-8")
         request = urllib.request.Request(
             f"{self.base_url}{path}",
@@ -117,7 +115,7 @@ class ServiceClient:
         return self._request("GET", "/healthz")
 
     def metrics(self) -> dict:
-        """Request/error counters plus recovery and chaos tallies."""
+        """Request/error counters plus the store's corruption recoveries."""
         return self._request("GET", "/metrics")
 
     def jobs_root(self) -> str:

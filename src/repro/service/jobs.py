@@ -57,7 +57,6 @@ from repro.robustness.campaign import (
     record_from_result,
 )
 from repro.robustness.report import SurvivabilityRecord, SurvivabilityReport
-from repro.service import chaos
 from repro.service.scheduler import DEFAULT_MAX_ATTEMPTS, LeaseBoard, fresh_entry
 
 logger = logging.getLogger(__name__)
@@ -236,8 +235,7 @@ class JobStore:
         self.lease_ttl = float(lease_ttl)
         self.max_chunk_attempts = int(max_chunk_attempts)
         #: Corrupt coordination files rebuilt from the journal by this
-        #: instance (lease tables + state files) — observability for
-        #: the chaos battery and `/metrics`.
+        #: instance (lease tables + state files), reported by `/metrics`.
         self.recoveries = 0
 
     # -- paths -------------------------------------------------------------
@@ -429,7 +427,6 @@ class JobStore:
             state.update({"status": status, "updated_unix": time.time()})
             state.update(extra)
             save_json_guarded(state, self._state_path(job_id))
-            chaos.controller().corrupt_file(self._state_path(job_id))
 
     def mark_running(self, job_id: str) -> None:
         if self._read_state(job_id).get("status") == "queued":
@@ -448,41 +445,60 @@ class JobStore:
         return self._read_state(job_id).get("status") not in TERMINAL_STATES
 
     # -- progress / results ------------------------------------------------
-    def status(self, job_id: str) -> JobStatus:
-        document = self.load(job_id)
-        state = self._read_state(job_id)
-        journal = self.journal(job_id)
-        board = self.leases(job_id)
-        leases = board.snapshot()
-        keys = [p["key"] for p in document["points"]]
+    def _resolve_points(
+        self, job_id: str, document: dict, journal: RunJournal
+    ) -> Tuple[int, Dict[int, dict], int]:
+        """Classify every point as done, failed or outstanding.
+
+        A point is done when its key is journaled.  It is failed when a
+        failure record is journaled under :func:`failure_key`, or when
+        its chunk is quarantined (the holders may have died before
+        journaling a record).  Returns ``(done, failures, outstanding)``
+        with ``failures`` mapping point index to its failure details.
+        """
         chunk_of = {
             index: chunk_id
             for chunk_id, chunk in enumerate(document["chunks"])
             for index in chunk
         }
         quarantined: Optional[Dict[int, dict]] = None
-        done = 0
-        failed = 0
-        for index, key in enumerate(keys):
+        done = outstanding = 0
+        failures: Dict[int, dict] = {}
+        for index, point in enumerate(document["points"]):
+            key = point["key"]
             if key in journal:
                 done += 1
-                continue
-            if failure_key(key) in journal:
-                failed += 1
-                continue
-            # A point in a quarantined chunk counts as failed even when
-            # its holders died before journaling a failure record.
-            if leases["quarantined"]:
+            elif failure_key(key) in journal:
+                failures[index] = dict(journal.get(failure_key(key)))
+            else:
                 if quarantined is None:
-                    quarantined = board.quarantined_chunks()
-                if chunk_of[index] in quarantined:
-                    failed += 1
+                    quarantined = self.leases(job_id).quarantined_chunks()
+                verdict = quarantined.get(chunk_of[index])
+                if verdict is None:
+                    outstanding += 1
+                    continue
+                failures[index] = {
+                    "point": point["name"],
+                    "error": verdict.get("error")
+                    or "chunk quarantined: holders died repeatedly",
+                    "attempts": verdict.get("attempts", 0),
+                    "worker": verdict.get("worker"),
+                }
+        return done, failures, outstanding
+
+    def status(self, job_id: str) -> JobStatus:
+        document = self.load(job_id)
+        state = self._read_state(job_id)
+        leases = self.leases(job_id).snapshot()
+        done, failures, _ = self._resolve_points(
+            job_id, document, self.journal(job_id)
+        )
         return JobStatus(
             job_id=job_id,
             status=state.get("status", "queued"),
-            total=len(keys),
+            total=len(document["points"]),
             done=done,
-            failed=failed,
+            failed=len(failures),
             workload=document["workload"],
             scenario_key=document["scenario_key"],
             leases=leases,
@@ -517,34 +533,10 @@ class JobStore:
         if state.get("status") in ("cancelled", "failed"):
             return None
         journal = self.journal(job_id)
+        _, failures, outstanding = self._resolve_points(job_id, document, journal)
+        if outstanding:
+            return None  # keep waiting
         keys = [p["key"] for p in document["points"]]
-        chunk_of = {
-            index: chunk_id
-            for chunk_id, chunk in enumerate(document["chunks"])
-            for index in chunk
-        }
-        quarantined: Optional[Dict[int, dict]] = None
-        failures: Dict[int, dict] = {}
-        for index, key in enumerate(keys):
-            if key in journal:
-                continue
-            if failure_key(key) in journal:
-                failures[index] = dict(journal.get(failure_key(key)))
-                continue
-            if quarantined is None:
-                quarantined = self.leases(job_id).quarantined_chunks()
-            verdict = quarantined.get(chunk_of[index])
-            if verdict is None:
-                return None  # still outstanding: keep waiting
-            # Quarantined without a failure record: the chunk's holders
-            # kept dying before reporting (e.g. hard crashes).
-            failures[index] = {
-                "point": document["points"][index]["name"],
-                "error": verdict.get("error")
-                or "chunk quarantined: holders died repeatedly",
-                "attempts": verdict.get("attempts", 0),
-                "worker": verdict.get("worker"),
-            }
         points = CampaignJobSpec.from_dict(document["spec"]).build_points()
         report = SurvivabilityReport(
             workload=document["workload"],

@@ -50,7 +50,6 @@ from typing import Callable, Dict, Optional
 
 from repro.exceptions import ConfigurationError, CorruptStateError, ServiceError
 from repro.io import file_lock, load_json_guarded, save_json_guarded
-from repro.service import chaos
 
 logger = logging.getLogger(__name__)
 
@@ -99,8 +98,8 @@ class LeaseBoard:
     every chunk ``pending``; thereafter all transitions go through
     :meth:`claim` / :meth:`renew` / :meth:`complete` / :meth:`release`
     / :meth:`fail`, each a single locked read-modify-write.  ``clock``
-    is injectable so tests can expire leases without sleeping (and so
-    the chaos harness can skew one worker's view of time).  ``recover``
+    is injectable so tests can expire leases without sleeping or skew
+    one worker's view of time.  ``recover``
     — when given — turns an unreadable table into a rebuilt one instead
     of an error.
     """
@@ -177,7 +176,6 @@ class LeaseBoard:
 
     def _save(self, table: dict) -> None:
         save_json_guarded(table, self.path)
-        chaos.controller().corrupt_file(self.path)
 
     # -- lease lifecycle ---------------------------------------------------
     def claim(self, worker_id: str) -> Optional[Lease]:

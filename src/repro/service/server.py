@@ -12,7 +12,7 @@ Endpoints (all JSON)::
     POST /api/jobs/<id>/cancel    stop further execution (journal kept)
     GET  /healthz                 liveness: job/worker counts + uptime
     GET  /metrics                 request/error counters, corruption
-                                  recoveries, chaos injection tallies
+                                  recoveries
 
 The server holds no job state of its own — every request reads or
 writes the shared on-disk :class:`~repro.service.jobs.JobStore`, which
@@ -38,7 +38,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError, ReproError, ServiceError
-from repro.service import chaos
 from repro.service.jobs import CampaignJobSpec, JobStore
 from repro.service.worker import worker_main
 
@@ -131,17 +130,11 @@ class _JobsAPIHandler(BaseHTTPRequestHandler):
                 "errors_total": metrics["errors_total"],
                 "routes": dict(metrics["routes"]),
             }
-        ctrl = chaos.controller()
         return {
             "requests": requests,
             "store": {
                 "jobs": len(store.list_ids()),
                 "recoveries": store.recoveries,
-            },
-            "chaos": {
-                "enabled": ctrl.enabled,
-                "modes": list(ctrl.config.modes),
-                "injected": dict(ctrl.injected),
             },
         }
 

@@ -46,7 +46,6 @@ from typing import Dict, Optional
 
 from repro.core.executor import ResultCache, RetryPolicy
 from repro.core.framework import AgingAwareFramework
-from repro.service import chaos
 from repro.service.jobs import CampaignJobSpec, JobStore, failure_key
 
 logger = logging.getLogger(__name__)
@@ -93,18 +92,6 @@ class ServiceWorker:
         self._frameworks: Dict[str, AgingAwareFramework] = {}
         self._max_cached = max(1, max_cached_frameworks)
 
-    def _leases(self, job_id: str):
-        """The job's lease board, viewed through this worker's clock.
-
-        Under chaos clock-skew the worker sees wall time shifted by a
-        deterministic per-identity offset — deadlines it writes and
-        expiry checks it makes are all skewed together, exactly like a
-        host with a drifted clock.
-        """
-        return self.store.leases(
-            job_id, clock=chaos.controller().skewed_clock(self.worker_id)
-        )
-
     # -- framework reuse ---------------------------------------------------
     def _framework(self, job_id: str, spec: CampaignJobSpec) -> AgingAwareFramework:
         if job_id not in self._frameworks:
@@ -119,7 +106,7 @@ class ServiceWorker:
         for job_id in self.store.list_ids():
             if not self.store.is_active(job_id):
                 continue
-            lease = self._leases(job_id).claim(self.worker_id)
+            lease = self.store.leases(job_id).claim(self.worker_id)
             if lease is None:
                 # Every chunk is leased or done; opportunistically
                 # finalize (covers the race where the last chunk's
@@ -203,7 +190,7 @@ class ServiceWorker:
     def _execute_chunk(self, job_id: str, lease) -> None:
         document = self.store.load(job_id)
         spec = CampaignJobSpec.from_dict(document["spec"])
-        leases = self._leases(job_id)
+        leases = self.store.leases(job_id)
         journal = self.store.journal(job_id)
         self.store.mark_running(job_id)
         try:
@@ -291,18 +278,16 @@ class ServiceWorker:
 
     def _run_point(self, framework, spec: CampaignJobSpec, point, key: str):
         """One lifetime simulation with seeded-jitter retries."""
-
-        def attempt():
-            chaos.controller().crash_point(key)
-            return framework.run_scenario(
+        return self.retry.call(
+            lambda: framework.run_scenario(
                 spec.scenario,
                 repeat=spec.repeat,
                 cache=self.cache,
                 fault_schedule=point.schedule,
                 degradation=point.degradation,
-            )
-
-        return self.retry.call(attempt, token=f"{self.worker_id}/{key}")
+            ),
+            token=f"{self.worker_id}/{key}",
+        )
 
 
 def worker_main(

@@ -320,6 +320,25 @@ def test_compare_through_cache_equals_direct(framework, tmp_path):
     assert cache.hits >= 2
 
 
+def test_torn_cache_entry_is_not_stored(framework, tmp_path):
+    """A torn entry is a miss: the parent trains before fan-out instead of
+    leaving it to a pool worker, and the entry is quarantined on read."""
+    cache = ResultCache(tmp_path)
+    direct = _direct_compare(framework, ("st+t",))
+    framework.compare(("st+t",), cache=cache)
+    key = framework.scenario_cache_key("st+t", 0)
+    path = cache.path(key)
+    path.write_text(path.read_text()[: path.stat().st_size // 2])
+
+    fresh = _make_framework()  # same seed and config: same cache key
+    task = Task(key="st+t", fn=fresh.run_scenario, cache_key=key)
+    assert not ParallelExecutor(cache=cache).is_stored(task)
+    torn = fresh.compare(("st+t",), workers=2, cache=cache)
+    assert True in fresh._trained  # skewed model trained in the parent
+    assert cache.quarantined == 1
+    assert torn.results == direct
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_fully_cached_compare_trains_nothing(framework, tmp_path, workers):
     cache = ResultCache(tmp_path)
@@ -384,16 +403,3 @@ class TestSweepParallel:
         with pytest.raises(RuntimeError, match="boom"):
             Sweep("x", _sweep_boom, seed=1).run([1, 2, 3], workers=4, fail_fast=True)
 
-    def test_cache_hit_and_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        sweep = Sweep("x", _draw_metrics, seed=9)
-        first = sweep.run([1, 2], cache=cache, cache_token="v1")
-        second = sweep.run([1, 2, 3], cache=cache, cache_token="v1")
-        assert [p.cached for p in first.points] == [False, False]
-        assert [p.cached for p in second.points] == [True, True, False]
-        assert [p.metrics for p in second.points[:2]] == [
-            p.metrics for p in first.points
-        ]
-        # A different token invalidates everything.
-        third = sweep.run([1, 2], cache=cache, cache_token="v2")
-        assert [p.cached for p in third.points] == [False, False]

@@ -212,36 +212,6 @@ class TestCampaignJournalRelaunch:
         ]
 
 
-class TestSweepJournal:
-    def test_sweep_relaunch_skips_journaled_points(self, tmp_path):
-        from repro.core.sweep import Sweep
-
-        calls = []
-
-        def fn(value, rng):
-            calls.append(value)
-            return {"metric": value * 2.0 + float(rng.standard_normal())}
-
-        journal_path = tmp_path / "sweep.jsonl"
-        sweep = Sweep("alpha", fn, seed=5)
-        first = sweep.run(
-            [1, 2, 3], journal=RunJournal(journal_path), cache_token="v1"
-        )
-        assert calls == [1, 2, 3]
-        second = sweep.run(
-            [1, 2, 3, 4], journal=RunJournal(journal_path), cache_token="v1"
-        )
-        assert calls == [1, 2, 3, 4]  # only the new point executed
-        assert [p.cached for p in second.points] == [True, True, True, False]
-        assert [p.metrics for p in second.points[:3]] == [
-            p.metrics for p in first.points
-        ]
-        # A different cache token means different physics: nothing replays.
-        third = sweep.run([1], journal=RunJournal(journal_path), cache_token="v2")
-        assert calls == [1, 2, 3, 4, 1]
-        assert not third.points[0].cached
-
-
 class TestResumeCli:
     def test_run_resume_and_checkpoint_tools(
         self, tmp_path, capsys, trained_mlp, device_config_module, blob_dataset

@@ -9,15 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.service import CampaignJobSpec, chaos
-
-
-@pytest.fixture(autouse=True)
-def chaos_isolation():
-    """Keep the process-global chaos controller out of unrelated tests."""
-    chaos.reset()
-    yield
-    chaos.reset()
+from repro.service import CampaignJobSpec
 
 
 @pytest.fixture(scope="session")

@@ -5,48 +5,34 @@ must reach a terminal state (never hang), leave no live leases behind,
 list every quarantined point, and keep the *surviving* points
 bit-identical to the serial campaign's records.
 
-All injection decisions are pure functions of ``(seed, site, token)``,
-so every test here is deterministic: the seeds are picked by scanning
-for one that produces the shape the test needs (e.g. a mixed
-doomed/healthy grid), which is itself a deterministic computation.
+All injection decisions are pure functions of ``(seed, site, token)``
+(see ``tests/service/chaos.py``), so every test here is deterministic:
+the seeds are picked by scanning for one that produces the shape the
+test needs (e.g. a mixed doomed/healthy grid), which is itself a
+deterministic computation.
 """
 
 import pytest
 
-from repro.exceptions import ChaosError, ConfigurationError
+from repro.exceptions import ConfigurationError, ServiceUnavailableError
 from repro.service import (
     CampaignJobSpec,
     CampaignService,
-    ChaosConfig,
-    ChaosController,
     JobStore,
     ServiceClient,
     ServiceWorker,
-    chaos,
 )
 from repro.service.jobs import TERMINAL_STATES, failure_key
+from tests.service.chaos import (
+    CHAOS_MODES,
+    ChaosConfig,
+    ChaosController,
+    ChaosError,
+    arm,
+)
 
 
 class TestChaosConfig:
-    def test_disabled_by_default(self):
-        config = ChaosConfig.from_env(env={})
-        assert config.modes == ()
-        assert not ChaosController(config).enabled
-
-    def test_from_env_parses_modes_and_rates(self):
-        config = ChaosConfig.from_env(
-            env={
-                "REPRO_CHAOS": "crash-point, corrupt-write",
-                "REPRO_CHAOS_SEED": "7",
-                "REPRO_CHAOS_CRASH_RATE": "0.9",
-                "REPRO_CHAOS_SKEW": "2.5",
-            }
-        )
-        assert config.modes == ("crash-point", "corrupt-write")
-        assert config.seed == 7
-        assert config.crash_rate == 0.9
-        assert config.skew_s == 2.5
-
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown chaos mode"):
             ChaosConfig(modes=("set-on-fire",))
@@ -99,7 +85,7 @@ class TestDeterminism:
             try:
                 ctrl.drop_response("GET /api/info", attempt)
                 outcomes.append(True)
-            except ChaosError:
+            except ServiceUnavailableError:
                 outcomes.append(False)
         assert any(outcomes) and not all(outcomes)
 
@@ -156,14 +142,14 @@ def _pick_mixed_crash_seed(keys):
 
 class TestCrashPointMode:
     def test_poison_points_quarantined_survivors_bit_identical(
-        self, tmp_path, spec, golden_report
+        self, tmp_path, monkeypatch, spec, golden_report
     ):
         store = JobStore(tmp_path)
         job_id = _submit_per_point_chunks(store, spec)
         document = store.load(job_id)
         keys = [p["key"] for p in document["points"]]
         seed, doomed = _pick_mixed_crash_seed(keys)
-        chaos.configure(ChaosConfig(modes=("crash-point",), seed=seed))
+        ctrl = arm(monkeypatch, ChaosConfig(modes=("crash-point",), seed=seed))
 
         _drain(store)
 
@@ -190,12 +176,12 @@ class TestCrashPointMode:
         assert set(result["failures"]) == doomed_names
         for record in result["records"]:
             assert record["failed"] == (record["point"] in doomed_names)
-        assert chaos.controller().injected["crash-point"] > 0
+        assert ctrl.injected["crash-point"] > 0
 
-    def test_all_points_doomed_still_terminates(self, tmp_path, spec):
+    def test_all_points_doomed_still_terminates(self, tmp_path, monkeypatch, spec):
         store = JobStore(tmp_path)
         job_id = _submit_per_point_chunks(store, spec)
-        chaos.configure(ChaosConfig(modes=("crash-point",), seed=0, crash_rate=1.0))
+        arm(monkeypatch, ChaosConfig(modes=("crash-point",), seed=0, crash_rate=1.0))
         _drain(store)
         status = store.status(job_id)
         assert status.status == "completed_with_failures"
@@ -208,15 +194,16 @@ class TestCrashPointMode:
 
 class TestCorruptWriteMode:
     def test_corrupted_tables_rebuilt_and_result_bit_identical(
-        self, tmp_path, spec, golden_report
+        self, tmp_path, monkeypatch, spec, golden_report
     ):
         store = JobStore(tmp_path)
         job_id = _submit_per_point_chunks(store, spec)
-        chaos.configure(
-            ChaosConfig(modes=("corrupt-write",), seed=0, corrupt_rate=0.5)
+        ctrl = arm(
+            monkeypatch,
+            ChaosConfig(modes=("corrupt-write",), seed=0, corrupt_rate=0.5),
         )
         _drain(store, n_workers=2)
-        assert chaos.controller().injected.get("corrupt-write", 0) > 0
+        assert ctrl.injected.get("corrupt-write", 0) > 0
         assert store.recoveries > 0  # rebuilt from the journal at least once
         assert store.status(job_id).status == "done"
         _assert_no_hung_leases(store, job_id)
@@ -242,7 +229,9 @@ class TestDropResponseMode:
                 return seed
         pytest.fail("no suitable drop seed in range")
 
-    def test_flaky_http_retries_through(self, tmp_path, spec, golden_report):
+    def test_flaky_http_retries_through(
+        self, tmp_path, monkeypatch, spec, golden_report
+    ):
         job_id_predicted = spec.job_id()
         routes = (
             "POST /api/jobs",
@@ -252,8 +241,9 @@ class TestDropResponseMode:
         )
         seed = self._pick_drop_seed(routes)
         with CampaignService(tmp_path / "jobs", workers=0) as svc:
-            chaos.configure(
-                ChaosConfig(modes=("drop-response",), seed=seed, drop_rate=0.5)
+            ctrl = arm(
+                monkeypatch,
+                ChaosConfig(modes=("drop-response",), seed=seed, drop_rate=0.5),
             )
             client = ServiceClient(svc.url, timeout=10.0)
             job_id = client.submit(spec)
@@ -262,18 +252,20 @@ class TestDropResponseMode:
             assert client.status(job_id)["status"] == "done"
             assert client.result(job_id) == golden_report.to_dict()
             assert client.healthz()["status"] == "ok"
-        assert chaos.controller().injected.get("drop-response", 0) > 0
+        assert ctrl.injected.get("drop-response", 0) > 0
 
 
 class TestClockSkewMode:
     def test_skewed_workers_still_converge_bit_identically(
-        self, tmp_path, spec, golden_report
+        self, tmp_path, monkeypatch, spec, golden_report
     ):
         store = JobStore(tmp_path, lease_ttl=60.0)
         job_id = _submit_per_point_chunks(store, spec)
-        chaos.configure(ChaosConfig(modes=("clock-skew",), seed=3, skew_s=5.0))
+        ctrl = arm(
+            monkeypatch, ChaosConfig(modes=("clock-skew",), seed=3, skew_s=5.0)
+        )
         _drain(store, n_workers=2)
-        assert chaos.controller().injected.get("clock-skew", 0) > 0
+        assert ctrl.injected.get("clock-skew", 0) > 0
         assert store.status(job_id).status == "done"
         _assert_no_hung_leases(store, job_id)
         assert store.result(job_id) == golden_report.to_dict()
@@ -281,7 +273,7 @@ class TestClockSkewMode:
 
 class TestCombinedModes:
     def test_full_storm_reaches_a_terminal_state(
-        self, tmp_path, spec, golden_report
+        self, tmp_path, monkeypatch, spec, golden_report
     ):
         """Crash + corruption + skew at once: the worst realistic day.
 
@@ -292,16 +284,55 @@ class TestCombinedModes:
         job_id = _submit_per_point_chunks(store, spec)
         keys = [p["key"] for p in store.load(job_id)["points"]]
         seed, _doomed = _pick_mixed_crash_seed(keys)
-        chaos.configure(
+        arm(
+            monkeypatch,
             ChaosConfig(
                 modes=("crash-point", "corrupt-write", "clock-skew"),
                 seed=seed,
                 corrupt_rate=0.3,
                 skew_s=2.0,
-            )
+            ),
         )
         _drain(store, n_workers=2)
         status = store.status(job_id)
         assert status.status in TERMINAL_STATES
         _assert_no_hung_leases(store, job_id)
         _surviving_records_match_golden(store.result(job_id), golden_report)
+
+
+# -- the drive: the whole service stack under each mode --------------------
+
+#: Injection rates of the drive: one seed, each mode biting hard.
+_DRIVE = dict(seed=4, crash_rate=0.4, corrupt_rate=0.4, drop_rate=0.3, skew_s=5.0)
+
+
+@pytest.mark.parametrize(
+    "modes",
+    [("crash-point",), ("corrupt-write",), ("drop-response",), ("clock-skew",),
+     CHAOS_MODES],
+    ids=["crash-point", "corrupt-write", "drop-response", "clock-skew", "storm"],
+)
+def test_service_drive_survives(tmp_path, monkeypatch, spec, golden_report, modes):
+    """A real CampaignService, a ServiceClient over HTTP and two workers
+    draining the shared store, with faults injected at every layer the
+    modes select.  The job must land on a terminal state with every
+    chunk resolved and no hung leases, the harness must have injected
+    something, and every surviving record must equal the serial one.
+    """
+    ctrl = arm(monkeypatch, ChaosConfig(modes=modes, **_DRIVE))
+    drive_spec = CampaignJobSpec(**{**spec.to_dict(), "chunk_points": 1})
+    with CampaignService(tmp_path / "jobs", workers=0) as svc:
+        client = ServiceClient(svc.url, timeout=30.0)
+        job_id = client.submit(drive_spec)
+        _drain(svc.store, n_workers=2)
+        status = client.status(job_id)
+        board = svc.store.leases(job_id)
+        snapshot = board.snapshot()
+        result = client.result(job_id)
+    assert status["status"] in TERMINAL_STATES
+    assert board.all_resolved()
+    assert snapshot["leased"] == 0 and snapshot["expired"] == 0
+    assert ctrl.injected
+    _surviving_records_match_golden(result, golden_report)
+    if "crash-point" not in modes:
+        assert result == golden_report.to_dict()

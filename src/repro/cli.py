@@ -10,11 +10,6 @@ Exposes the main reproduction flows without writing Python::
     python -m repro campaign --fast --journal campaign.jsonl --resume
     python -m repro checkpoints ls --dir ckpts
     python -m repro train --preset lenet-glyphs --skewed --weights model.npz
-    python -m repro serve --jobs jobs/ --port 8351 --workers 2
-    python -m repro submit --server http://127.0.0.1:8351 --preset blobs-mini \
-        --fast --watch
-    python -m repro jobs ls --server http://127.0.0.1:8351
-    python -m repro worker --jobs jobs/ --drain
 
 All subcommands are deterministic for a given ``--seed``; a killed
 ``run`` resumed from its latest checkpoint is bit-identical to an
@@ -24,7 +19,6 @@ uninterrupted one (DESIGN.md §10).
 from __future__ import annotations
 
 import argparse
-import signal
 import sys
 import time
 from typing import Optional, Sequence
@@ -40,6 +34,7 @@ from repro.core.lifetime import LifetimeSimulator
 from repro.core.presets import PRESETS
 from repro.core.profiling import PROFILER
 from repro.core.scenarios import SCENARIOS
+from repro.exceptions import ConfigurationError
 from repro.io import load_comparison, save_comparison, save_result, save_weights
 
 
@@ -110,9 +105,6 @@ def _resume_run_id(path: str) -> str:
 
 
 def cmd_run(args) -> int:
-    if args.scenario not in SCENARIOS:
-        print(f"unknown scenario {args.scenario!r}; choose from {sorted(SCENARIOS)}")
-        return 2
     start = time.time()
     if args.resume:
         # The snapshot carries the whole mid-run simulator (model,
@@ -182,13 +174,13 @@ def cmd_compare(args) -> int:
 def cmd_campaign(args) -> int:
     from repro.robustness import FaultCampaign, build_grid
 
-    if args.scenario not in SCENARIOS:
-        print(f"unknown scenario {args.scenario!r}; choose from {sorted(SCENARIOS)}")
-        return 2
-    grid = _parse_grid_args(args)
-    if grid is None:
-        return 2
-    kinds, rates = grid
+    kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
+    try:
+        rates = tuple(float(r) for r in args.rates.split(",") if r.strip())
+    except ValueError:
+        raise ConfigurationError(
+            f"could not parse --rates {args.rates!r} as comma-separated floats"
+        ) from None
     points = build_grid(
         kinds=kinds,
         rates=rates,
@@ -228,194 +220,6 @@ def cmd_campaign(args) -> int:
         print(f"report written to {args.out}")
     _emit_profile(args)
     return 0
-
-
-def _parse_grid_args(args):
-    """``--kinds``/``--rates`` strings -> validated tuples (or an error)."""
-    kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
-    try:
-        rates = tuple(float(r) for r in args.rates.split(",") if r.strip())
-    except ValueError:
-        print(f"could not parse --rates {args.rates!r} as comma-separated floats")
-        return None
-    return kinds, rates
-
-
-def cmd_serve(args) -> int:
-    from repro.service import CampaignService
-
-    service = CampaignService(
-        args.jobs,
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        lease_ttl=args.lease_ttl,
-    )
-    service.start()
-    # SIGTERM (kill, systemd, docker) takes the Ctrl-C path, so stop()
-    # reaps the local workers.  Installed after start(): the forked
-    # workers keep the default action that stop() terminates them with.
-    previous = signal.signal(signal.SIGTERM, _interrupt)
-    print(
-        f"campaign service on {service.url} "
-        f"(jobs in {args.jobs}, {args.workers} local worker(s))",
-        flush=True,
-    )
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        print("shutting down")
-    finally:
-        service.stop()
-        signal.signal(signal.SIGTERM, previous)
-    return 0
-
-
-def _interrupt(signum, frame) -> None:
-    raise KeyboardInterrupt
-
-
-def cmd_submit(args) -> int:
-    from repro.robustness import SurvivabilityReport
-    from repro.service import CampaignJobSpec, ServiceClient
-
-    grid = _parse_grid_args(args)
-    if grid is None:
-        return 2
-    kinds, rates = grid
-    spec = CampaignJobSpec(
-        preset=args.preset,
-        fast=args.fast,
-        seed=args.seed,
-        scenario=args.scenario,
-        repeat=args.repeat,
-        kinds=kinds,
-        rates=rates,
-        window=args.window,
-        with_degradation=not args.no_degradation,
-    )
-    client = ServiceClient(args.server)
-    job_id = client.submit(spec)
-    status = client.status(job_id)
-    print(
-        f"submitted {job_id}: {status['total']} grid point(s), "
-        f"{status['done']} already done"
-    )
-    if not args.watch:
-        return 0
-    seen = [-1]
-
-    def progress(s) -> None:
-        if s["done"] != seen[0]:
-            seen[0] = s["done"]
-            print(f"  {s['done']}/{s['total']} points done [{s['status']}]")
-
-    status = client.wait(
-        job_id, timeout=args.timeout, poll_interval=1.0, on_progress=progress
-    )
-    if status["status"] == "completed_with_failures":
-        print(
-            f"job completed with failures: {status.get('failed', '?')} of "
-            f"{status['total']} point(s) quarantined (partial report below)"
-        )
-    elif status["status"] != "done":
-        print(f"job ended {status['status']}: {status.get('error', '')}")
-        return 1
-    result = client.result(job_id)
-    print(SurvivabilityReport.from_dict(result).render_text())
-    if args.out:
-        import json
-
-        with open(args.out, "w") as handle:
-            json.dump(result, handle, indent=2)
-        print(f"report written to {args.out}")
-    return 1 if status["status"] == "completed_with_failures" else 0
-
-
-def cmd_jobs(args) -> int:
-    import json
-
-    from repro.robustness import SurvivabilityReport
-    from repro.service import ServiceClient
-
-    client = ServiceClient(args.server)
-    if args.jobs_command == "ls":
-        jobs = client.jobs()
-        if not jobs:
-            print("no jobs")
-            return 0
-        rows = [
-            [
-                j["job_id"],
-                j["status"],
-                f"{j['done']}/{j['total']}"
-                + (f" ({j['failed']} failed)" if j.get("failed") else ""),
-                j["workload"],
-                j["scenario_key"],
-            ]
-            for j in jobs
-        ]
-        print(render_table(["job", "status", "points", "workload", "scenario"], rows))
-        return 0
-    if args.jobs_command == "status":
-        from repro.exceptions import ServiceError
-
-        payload = client.status(args.job_id)
-        quarantined = payload.get("leases", {}).get("quarantined", 0)
-        if quarantined or payload.get("failed"):
-            payload["containment"] = {
-                "failed_points": payload.get("failed", 0),
-                "quarantined_chunks": quarantined,
-            }
-        try:
-            payload["healthz"] = client.healthz()
-        except ServiceError:  # a pre-/healthz server; status still works
-            pass
-        print(json.dumps(payload, indent=2))
-        return 0
-    if args.jobs_command == "result":
-        result = client.result(args.job_id)
-        if args.out:
-            with open(args.out, "w") as handle:
-                json.dump(result, handle, indent=2)
-            print(f"report written to {args.out}")
-        else:
-            print(SurvivabilityReport.from_dict(result).render_text())
-        return 0
-    if args.jobs_command == "cancel":
-        print(json.dumps(client.cancel(args.job_id), indent=2))
-        return 0
-    raise AssertionError(f"unhandled jobs subcommand {args.jobs_command!r}")
-
-
-def cmd_worker(args) -> int:
-    from repro.exceptions import ServiceUnavailableError
-    from repro.service import ServiceClient, worker_main
-
-    jobs_root = args.jobs
-    if jobs_root is None:
-        if not args.server:
-            print("worker needs --jobs DIR or --server URL")
-            return 2
-        # The server advertises its jobs directory; attaching this way
-        # assumes it is reachable from here (same host or a shared
-        # filesystem mount).  The client already retries with jittered
-        # backoff; if the server stays unreachable, exit with a message
-        # instead of a traceback.
-        try:
-            jobs_root = ServiceClient(args.server).jobs_root()
-        except ServiceUnavailableError as exc:
-            print(f"cannot attach worker: {exc}")
-            return 1
-        print(f"attached to {args.server} (jobs in {jobs_root})")
-    return worker_main(
-        jobs_root,
-        drain=args.drain,
-        worker_id=args.worker_id,
-        lease_ttl=args.lease_ttl,
-        poll_interval=args.poll_interval,
-    )
 
 
 def cmd_checkpoints(args) -> int:
@@ -561,33 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--out", default=None, help="write comparison JSON here")
     p_cmp.set_defaults(func=cmd_compare)
 
-    def grid(p: argparse.ArgumentParser) -> None:
-        """Campaign grid flags shared by `campaign` and `submit`."""
-        p.add_argument("--scenario", default="st+at", choices=sorted(SCENARIOS))
-        p.add_argument(
-            "--kinds",
-            default="stuck_at",
-            help="comma-separated fault kinds (stuck_at, drift, read_noise, "
-            "pulse_miss); default: %(default)s",
-        )
-        p.add_argument(
-            "--rates",
-            default="0.005,0.01,0.02",
-            help="comma-separated fault severities; default: %(default)s",
-        )
-        p.add_argument(
-            "--window",
-            type=int,
-            default=1,
-            help="application window at which faults strike; default: %(default)s",
-        )
-        p.add_argument("--repeat", type=int, default=0, help="hardware seed index")
-        p.add_argument(
-            "--no-degradation",
-            action="store_true",
-            help="skip the graceful-degradation half of the grid",
-        )
-
     p_camp = sub.add_parser(
         "campaign",
         help="fault-injection campaign: sweep a fault grid over one scenario",
@@ -595,7 +372,30 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_camp)
     caching(p_camp)
     profiling(p_camp)
-    grid(p_camp)
+    p_camp.add_argument("--scenario", default="st+at", choices=sorted(SCENARIOS))
+    p_camp.add_argument(
+        "--kinds",
+        default="stuck_at",
+        help="comma-separated fault kinds (stuck_at, drift, read_noise, "
+        "pulse_miss); default: %(default)s",
+    )
+    p_camp.add_argument(
+        "--rates",
+        default="0.005,0.01,0.02",
+        help="comma-separated fault severities; default: %(default)s",
+    )
+    p_camp.add_argument(
+        "--window",
+        type=int,
+        default=1,
+        help="application window at which faults strike; default: %(default)s",
+    )
+    p_camp.add_argument("--repeat", type=int, default=0, help="hardware seed index")
+    p_camp.add_argument(
+        "--no-degradation",
+        action="store_true",
+        help="skip the graceful-degradation half of the grid",
+    )
     p_camp.add_argument(
         "--workers",
         type=int,
@@ -642,109 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gc.add_argument("--run-id", default=None, help="only collect this run's snapshots")
     p_gc.set_defaults(func=cmd_checkpoints)
 
-    p_srv = sub.add_parser(
-        "serve",
-        help="run the campaign service: HTTP job API + optional local workers",
-    )
-    p_srv.add_argument(
-        "--jobs",
-        default=".repro-jobs",
-        help="jobs directory shared with workers; default: %(default)s",
-    )
-    p_srv.add_argument("--host", default="127.0.0.1")
-    p_srv.add_argument(
-        "--port", type=int, default=8351, help="0 binds an ephemeral port"
-    )
-    p_srv.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="worker processes to spawn alongside the server "
-        "(more can attach with `repro worker`); default: %(default)s",
-    )
-    p_srv.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=60.0,
-        help="seconds before an unrenewed chunk lease can be stolen; "
-        "default: %(default)s",
-    )
-    p_srv.set_defaults(func=cmd_serve)
-
-    p_sub = sub.add_parser(
-        "submit", help="submit a campaign to a running `repro serve`"
-    )
-    common(p_sub)
-    grid(p_sub)
-    p_sub.add_argument(
-        "--server",
-        default="http://127.0.0.1:8351",
-        help="campaign service base URL; default: %(default)s",
-    )
-    p_sub.add_argument(
-        "--watch",
-        action="store_true",
-        help="poll until the job finishes and print the report",
-    )
-    p_sub.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="give up on --watch after this many seconds",
-    )
-    p_sub.add_argument(
-        "--out", default=None, help="with --watch: write the report JSON here"
-    )
-    p_sub.set_defaults(func=cmd_submit)
-
-    p_jobs = sub.add_parser("jobs", help="inspect jobs on a running `repro serve`")
-    p_jobs.add_argument(
-        "--server",
-        default="http://127.0.0.1:8351",
-        help="campaign service base URL; default: %(default)s",
-    )
-    jobs_sub = p_jobs.add_subparsers(dest="jobs_command", required=True)
-    jobs_sub.add_parser("ls", help="list all jobs").set_defaults(func=cmd_jobs)
-    p_jst = jobs_sub.add_parser("status", help="progress of one job")
-    p_jst.add_argument("job_id")
-    p_jst.set_defaults(func=cmd_jobs)
-    p_jre = jobs_sub.add_parser("result", help="fetch a finished job's report")
-    p_jre.add_argument("job_id")
-    p_jre.add_argument("--out", default=None, help="write the report JSON here")
-    p_jre.set_defaults(func=cmd_jobs)
-    p_jca = jobs_sub.add_parser("cancel", help="cancel a job")
-    p_jca.add_argument("job_id")
-    p_jca.set_defaults(func=cmd_jobs)
-
-    p_wrk = sub.add_parser(
-        "worker", help="drain campaign jobs from a shared jobs directory"
-    )
-    p_wrk.add_argument(
-        "--jobs",
-        default=None,
-        help="jobs directory (the `repro serve --jobs` path)",
-    )
-    p_wrk.add_argument(
-        "--server",
-        default=None,
-        help="resolve the jobs directory from this service URL instead "
-        "(same host or shared filesystem)",
-    )
-    p_wrk.add_argument(
-        "--drain",
-        action="store_true",
-        help="exit once no claimable work remains (default: poll forever)",
-    )
-    p_wrk.add_argument("--worker-id", default=None, help="override the lease id")
-    p_wrk.add_argument("--lease-ttl", type=float, default=60.0)
-    p_wrk.add_argument(
-        "--poll-interval",
-        type=float,
-        default=0.5,
-        help="idle sleep between job-store polls; default: %(default)s",
-    )
-    p_wrk.set_defaults(func=cmd_worker)
-
     p_rep = sub.add_parser("report", help="render a saved comparison as Markdown")
     p_rep.add_argument("comparison", help="comparison JSON from `compare --out`")
     p_rep.add_argument("--out", default=None, help="write Markdown here (default: stdout)")
@@ -756,7 +453,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -30,7 +30,6 @@ from repro.core.checkpoint import (
 from repro.core.executor import (
     ParallelExecutor,
     ResultCache,
-    RetryPolicy,
     Task,
     TaskOutcome,
     adaptive_chunk_size,
@@ -66,7 +65,6 @@ __all__ = [
     "PerfDelta",
     "PerfRegistry",
     "ResultCache",
-    "RetryPolicy",
     "RunJournal",
     "SCENARIOS",
     "Scenario",

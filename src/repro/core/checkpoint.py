@@ -491,14 +491,15 @@ class RunJournal:
     still honored.  Appends are flushed and fsync'd line-by-line, so a
     completed point survives any later crash.
 
-    The journal is also the shared completion ledger of the campaign
-    service: any number of worker processes (or hosts, over a shared
-    filesystem) append to one file.  :meth:`record` serializes writers
-    through an advisory file lock and re-scans for the key before
-    appending, so every point lands in the file **exactly once** even
-    when two workers race to finish it; :meth:`refresh` incrementally
-    picks up lines appended by other processes (tracking a byte offset,
-    so a refresh after *n* new points reads only those *n* lines).
+    Several writers may share one journal: two
+    :class:`~repro.core.executor.ParallelExecutor` instances, or two
+    ``repro campaign --journal`` processes draining the same grid.
+    :meth:`record` serializes writers through an advisory file lock and
+    re-scans for the key before appending, so every point lands in the
+    file **exactly once** even when two writers race to finish it;
+    :meth:`refresh` incrementally picks up lines appended by other
+    processes (tracking a byte offset, so a refresh after *n* new points
+    reads only those *n* lines).
     """
 
     def __init__(self, path, resume: bool = True) -> None:

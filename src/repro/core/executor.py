@@ -23,9 +23,6 @@ Three pieces live here:
   per-task failures (a crashing worker fails its own chunk, never the
   whole grid, and never hangs the pool).
 
-:class:`RetryPolicy` (bounded retries with seeded-jitter backoff) also
-lives here; the campaign service's worker and HTTP client use it.
-
 Tasks are shipped to workers with :mod:`cloudpickle` when available, so
 closures and lambdas (ubiquitous in presets and test fixtures) work;
 plain :mod:`pickle` is the fallback.
@@ -216,93 +213,6 @@ class ResultCache:
             path.unlink(missing_ok=True)
             removed += 1
         return removed
-
-
-# -- retry policy -------------------------------------------------------------
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded re-execution of failed tasks with exponential backoff.
-
-    A call that raises is re-run up to ``max_retries`` further times;
-    before the *n*-th retry :meth:`call` sleeps
-    ``min(backoff_max, backoff_base * 2**(n-1))`` seconds.
-    Retries re-run the identical payload, so for derivation-seeded tasks
-    a retried success is bit-identical to a first-attempt success —
-    retrying can only recover *transient* infrastructure failures
-    (OOM-killed worker, flaky filesystem), never change a result.
-
-    ``jitter`` (a fraction in ``[0, 1]``) spreads the delays of
-    simultaneous retriers: the backoff is scaled by a factor drawn
-    deterministically from ``(jitter_seed, token, failures)``, landing
-    in ``[1 - jitter, 1]`` of the nominal delay.  Give each worker of a
-    fleet a distinct ``jitter_seed`` (or pass a per-worker ``token`` to
-    :meth:`delay`) so a shared-cache hiccup does not make every worker
-    retry in lock-step — the thundering herd that knocked the cache
-    over in the first place.  The schedule stays fully deterministic:
-    the same (seed, token, failure count) always yields the same delay.
-    """
-
-    max_retries: int = 2
-    backoff_base: float = 0.1
-    backoff_max: float = 5.0
-    jitter: float = 0.0
-    jitter_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ConfigurationError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.backoff_base < 0 or self.backoff_max < 0:
-            raise ConfigurationError("backoff delays must be >= 0")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ConfigurationError(
-                f"jitter must be in [0, 1], got {self.jitter}"
-            )
-
-    def _jitter_factor(self, failures: int, token: Optional[str]) -> float:
-        blob = f"{self.jitter_seed}/{token}/{failures}".encode("utf-8")
-        unit = int.from_bytes(hashlib.sha256(blob).digest()[:8], "big") / 2.0**64
-        return 1.0 - self.jitter * unit
-
-    def delay(self, failures: int, token: Optional[str] = None) -> float:
-        """Backoff before the retry following the ``failures``-th failure.
-
-        ``token`` (e.g. a worker id or task key) decorrelates the jitter
-        of concurrent retriers without sacrificing determinism.
-        """
-        if failures < 1:
-            return 0.0
-        base = min(self.backoff_max, self.backoff_base * (2.0 ** (failures - 1)))
-        if self.jitter <= 0.0 or base <= 0.0:
-            return base
-        return base * self._jitter_factor(failures, token)
-
-    def call(
-        self,
-        fn: Callable[[], Any],
-        token: Optional[str] = None,
-        retryable: Optional[Callable[[BaseException], bool]] = None,
-    ) -> Any:
-        """Run ``fn()`` with this policy's retry schedule applied.
-
-        Used by the service worker (point execution) and the HTTP
-        client (transient network errors).  ``retryable`` filters
-        which exceptions are worth another attempt — anything it
-        rejects (or every exception, once ``max_retries`` is exhausted)
-        propagates unchanged.
-        """
-        failures = 0
-        while True:
-            try:
-                return fn()
-            except Exception as exc:
-                if retryable is not None and not retryable(exc):
-                    raise
-                failures += 1
-                if failures > self.max_retries:
-                    raise
-                time.sleep(self.delay(failures, token=token))
 
 
 # -- tasks --------------------------------------------------------------------

@@ -158,11 +158,11 @@ def vggnet_shapes(fast: bool = False) -> ExperimentPreset:
 
 
 def blobs_mini(fast: bool = False) -> ExperimentPreset:
-    """Miniature MLP-on-blobs workload for service/bench smoke runs.
+    """Miniature MLP-on-blobs workload for campaign smoke runs.
 
     Matches the campaign benchmark's workload: lifetimes are seconds,
-    not minutes, so multi-worker service campaigns and CI smoke jobs
-    can drain real grids end-to-end.  ``fast=True`` shrinks the horizon
+    not minutes, so multi-worker campaigns and CI smoke jobs can drain
+    real grids end-to-end.  ``fast=True`` shrinks the horizon
     further for the test suite.
     """
     if fast:

@@ -31,38 +31,3 @@ class DeviceError(ReproError, RuntimeError):
 
 class CheckpointError(ReproError, RuntimeError):
     """A checkpoint file is missing, corrupt, or from an unknown schema."""
-
-
-class ServiceError(ReproError, RuntimeError):
-    """A campaign-service operation failed (unknown job, bad spec, HTTP error).
-
-    ``retryable`` distinguishes errors a caller may sensibly retry
-    (transient infrastructure trouble) from ones that will fail the
-    same way every time (bad spec, unknown job, 4xx responses).
-    """
-
-    #: Whether retrying the same operation can plausibly succeed.
-    retryable = False
-
-
-class ServiceUnavailableError(ServiceError):
-    """The campaign service could not be reached or answered 5xx.
-
-    Raised by :class:`~repro.service.client.ServiceClient` for
-    connection failures (``urllib.error.URLError``,
-    ``ConnectionResetError``) and HTTP 5xx responses — the transient
-    class of failures worth retrying with backoff.  4xx responses stay
-    plain (fatal) :class:`ServiceError`.
-    """
-
-    retryable = True
-
-
-class CorruptStateError(ReproError, RuntimeError):
-    """A guarded on-disk state file failed its checksum or did not parse.
-
-    Raised by :func:`repro.io.load_json_guarded`; the campaign service
-    catches it and rebuilds the damaged file (``leases.json`` /
-    ``state.json``) from the journal, which stays the single source of
-    truth.
-    """

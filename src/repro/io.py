@@ -13,7 +13,6 @@
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import os
 import pathlib
@@ -28,7 +27,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback path
 import numpy as np
 
 from repro.core.results import LifetimeResult, ScenarioComparison
-from repro.exceptions import ConfigurationError, CorruptStateError, ShapeError
+from repro.exceptions import ConfigurationError, ShapeError
 from repro.nn.model import Sequential
 
 PathLike = Union[str, pathlib.Path]
@@ -68,56 +67,15 @@ def save_text_atomic(text: str, path: PathLike, durable: bool = False) -> None:
         _fsync_dir(path.parent)
 
 
-def _guarded_digest(payload: Any) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def save_json_guarded(payload: Any, path: PathLike, durable: bool = True) -> None:
-    """Atomically write ``payload`` wrapped with a SHA-256 content hash.
-
-    The campaign service persists its mutable coordination files
-    (``leases.json``, ``state.json``) through this wrapper so that *any*
-    corruption — a torn write that still parses, bit rot — is detected
-    at load time instead of being acted on.
-    """
-    save_json_atomic(
-        {"sha256": _guarded_digest(payload), "payload": payload},
-        path,
-        durable=durable,
-    )
-
-
-def load_json_guarded(path: PathLike) -> Any:
-    """Read a document written by :func:`save_json_guarded`.
-
-    Raises :class:`~repro.exceptions.CorruptStateError` when the file
-    does not parse, is not a guarded document, or fails its checksum —
-    one exception type for callers that rebuild from a better source.
-    """
-    path = pathlib.Path(path)
-    try:
-        document = load_json(path)
-    except FileNotFoundError:
-        raise
-    except Exception as exc:
-        raise CorruptStateError(f"{path} does not parse: {exc}") from exc
-    if not isinstance(document, dict) or "payload" not in document:
-        raise CorruptStateError(f"{path} is not a guarded JSON document")
-    if _guarded_digest(document["payload"]) != document.get("sha256"):
-        raise CorruptStateError(f"{path} failed its content checksum")
-    return document["payload"]
-
-
 @contextlib.contextmanager
 def file_lock(path: PathLike, timeout: float = 30.0) -> Iterator[None]:
     """Exclusive advisory lock guarding cross-process read-modify-write.
 
-    The multi-worker campaign service serializes journal appends and
-    lease-table updates through these locks.  On POSIX the lock is
-    ``flock`` on ``path`` itself (created empty if missing) — released
-    automatically when the holder dies, so a killed worker can never
-    wedge its fleet.  Elsewhere a best-effort ``O_CREAT|O_EXCL`` spin
+    :class:`~repro.core.checkpoint.RunJournal` serializes the appends of
+    processes sharing one journal through this lock.  On POSIX the lock
+    is ``flock`` on ``path`` itself (created empty if missing) — released
+    automatically when the holder dies, so a killed process can never
+    wedge the others.  Elsewhere a best-effort ``O_CREAT|O_EXCL`` spin
     lock is used, with ``timeout`` bounding the wait (a stale lock file
     older than the timeout is broken rather than waited on forever).
     """

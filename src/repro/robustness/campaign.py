@@ -113,9 +113,8 @@ class FaultCampaign:
         The same fingerprint the :class:`ResultCache` uses, so journal
         replay obeys identical invalidation semantics: any change to the
         framework config, dataset, scenario or fault grid re-executes.
-        The campaign service leases and journals grid points under these
-        keys, which is what keeps service-drained campaigns idempotent
-        and bit-identical to serial runs.
+        Two campaigns sharing one journal therefore drain the grid
+        exactly once, bit-identical to a serial run.
         """
         extra = (
             None

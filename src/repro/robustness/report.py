@@ -55,26 +55,6 @@ class SurvivabilityRecord:
             failed=bool(d["failed"]),
         )
 
-    @classmethod
-    def failed_point(cls, point) -> "SurvivabilityRecord":
-        """The ``failed`` marker record for a point that never produced
-        a result (quarantined poison work in a service campaign).
-
-        All-zero metrics with ``failed=True``: deterministic, so a
-        partially-failed report is still byte-stable in grid order.
-        """
-        return cls(
-            point=point.name,
-            fault_kind=point.fault_kind,
-            fault_rate=point.fault_rate,
-            degradation=point.degradation_enabled,
-            lifetime_applications=0,
-            windows_survived=0,
-            tuning_success_rate=0.0,
-            final_accuracy=0.0,
-            failed=True,
-        )
-
 
 @dataclass
 class SurvivabilityReport:
@@ -89,12 +69,6 @@ class SurvivabilityReport:
     #: Excluded from :meth:`to_dict` by default: they carry wall-clock
     #: noise, so serialized reports stay bit-identical across runs.
     perf: Dict[str, dict] = field(default_factory=dict)
-    #: Structured failure details for points that terminally failed
-    #: (campaign-service quarantine): point name -> {error, attempts,
-    #: worker}.  Empty on fully-successful runs, and serialized only
-    #: when non-empty, so healthy reports stay bit-identical to builds
-    #: that predate failure containment.
-    failures: Dict[str, dict] = field(default_factory=dict)
 
     def add(self, record: SurvivabilityRecord) -> None:
         self.records.append(record)
@@ -161,8 +135,6 @@ class SurvivabilityReport:
         }
         if include_perf:
             out["perf"] = {name: dict(delta) for name, delta in self.perf.items()}
-        if self.failures:
-            out["failures"] = {name: dict(f) for name, f in self.failures.items()}
         return out
 
     @classmethod
@@ -172,7 +144,6 @@ class SurvivabilityReport:
             scenario_key=str(d["scenario_key"]),
             records=[SurvivabilityRecord.from_dict(r) for r in d.get("records", [])],
             perf={str(k): dict(v) for k, v in d.get("perf", {}).items()},
-            failures={str(k): dict(v) for k, v in d.get("failures", {}).items()},
         )
 
     # -- rendering ---------------------------------------------------------
@@ -221,13 +192,6 @@ class SurvivabilityReport:
                             f"  {kind} ({label}): worst lifetime ratio "
                             f"{worst:.2f}x over {len(curve)} rate(s)"
                         )
-        if self.failures:
-            lines.append("")
-            lines.append(f"failed points ({len(self.failures)}):")
-            for name, info in self.failures.items():
-                attempts = info.get("attempts", "?")
-                error = str(info.get("error", "unknown error"))
-                lines.append(f"  {name}: {error} (after {attempts} attempt(s))")
         if self.perf:
             lines.append("")
             lines.append("perf:")

@@ -448,8 +448,153 @@ class TestJournal:
         assert sorted(third.entries) == ["k1", "k2"]
 
 
+def _three_line_journal(path):
+    journal = RunJournal(path)
+    for i in range(3):
+        journal.record(f"k{i}", {"x": i})
+    return path.read_bytes().splitlines(keepends=True)
+
+
+def _rewrite_line(line: bytes, mutate) -> bytes:
+    doc = json.loads(line)
+    return mutate(doc) + b"\n"
+
+
+def _dumps(doc) -> bytes:
+    return json.dumps(doc).encode()
+
+
+_CORRUPTIONS = {
+    "not-json": lambda doc: b"{this is not json",
+    "json-array": lambda doc: _dumps([doc["key"], doc["payload"]]),
+    "missing-key": lambda doc: _dumps({k: v for k, v in doc.items() if k != "key"}),
+    "missing-payload": lambda doc: _dumps(
+        {k: v for k, v in doc.items() if k != "payload"}
+    ),
+    "missing-digest": lambda doc: _dumps(
+        {k: v for k, v in doc.items() if k != "sha256"}
+    ),
+    "wrong-schema": lambda doc: _dumps({**doc, "schema": 2}),
+    "tampered-payload": lambda doc: _dumps({**doc, "payload": {"x": 99}}),
+    "renamed-key": lambda doc: _dumps({**doc, "key": "k9"}),
+}
+
+
+class TestJournalCorruption:
+    """Whatever a bad line looks like, it costs that line and no other."""
+
+    @pytest.mark.parametrize("kind", sorted(_CORRUPTIONS))
+    def test_bad_middle_line_dropped_neighbours_kept(self, tmp_path, kind):
+        path = tmp_path / "run.jsonl"
+        lines = _three_line_journal(path)
+        lines[1] = _rewrite_line(lines[1], _CORRUPTIONS[kind])
+        path.write_bytes(b"".join(lines))
+        relaunch = RunJournal(path)
+        assert sorted(relaunch.entries) == ["k0", "k2"]
+        assert relaunch.dropped_lines == 1
+
+    @pytest.mark.parametrize("cut", [1, 2, 17, 0.5, -2, -1])
+    def test_tail_torn_at_any_byte(self, tmp_path, cut):
+        path = tmp_path / "run.jsonl"
+        lines = _three_line_journal(path)
+        last = lines[-1]
+        keep = int(len(last) * cut) if isinstance(cut, float) else cut % len(last)
+        path.write_bytes(b"".join(lines[:-1]) + last[:keep])
+        relaunch = RunJournal(path)
+        assert sorted(relaunch.entries) == ["k0", "k1"]
+        assert relaunch.dropped_lines == 1
+        # Re-executing the lost point lands it intact after the torn bytes.
+        relaunch.record("k2", {"x": 2})
+        final = RunJournal(path)
+        assert final.get("k2") == {"x": 2}
+        assert sorted(final.entries) == ["k0", "k1", "k2"]
+
+    def test_blank_lines_are_not_corruption(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        lines = _three_line_journal(path)
+        path.write_bytes(b"\n".join(lines) + b"\n  \n")
+        relaunch = RunJournal(path)
+        assert len(relaunch) == 3 and relaunch.dropped_lines == 0
+
+    def test_duplicate_key_lines_keep_the_first(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        lines = _three_line_journal(path)
+        other = RunJournal(tmp_path / "other.jsonl")
+        other.record("k0", {"x": "late"})
+        path.write_bytes(b"".join(lines) + other.path.read_bytes())
+        relaunch = RunJournal(path)
+        assert relaunch.get("k0") == {"x": 0}
+        assert len(relaunch) == 3 and relaunch.dropped_lines == 0
+
+
+class TestJournalRecords:
+    @pytest.mark.parametrize(
+        "payload",
+        [None, 0.1 + 0.2, "µΩ", [1, [2, None]], {"z": 1, "a": {"y": [0.5]}}],
+        ids=["none", "float", "unicode", "nested-list", "unsorted-dict"],
+    )
+    def test_payload_survives_a_relaunch_exactly(self, tmp_path, payload):
+        path = tmp_path / "run.jsonl"
+        RunJournal(path).record("k", payload)
+        relaunch = RunJournal(path)
+        assert "k" in relaunch
+        assert relaunch.get("k") == payload
+        assert relaunch.dropped_lines == 0
+
+    def test_lines_are_canonical_and_self_verifying(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        RunJournal(path).record("k", {"b": 1, "a": 2})
+        doc = json.loads(path.read_text())
+        assert doc["schema"] == 1 and doc["key"] == "k"
+        blob = json.dumps(
+            ["k", {"a": 2, "b": 1}], sort_keys=True, separators=(",", ":")
+        )
+        assert doc["sha256"] == hashlib.sha256(blob.encode()).hexdigest()
+        assert path.read_text() == json.dumps(
+            doc, sort_keys=True, separators=(",", ":")
+        ) + "\n"
+
+    def test_lock_file_sits_beside_the_journal(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        RunJournal(path).record("k", 1)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "run.jsonl",
+            "run.jsonl.lock",
+        ]
+
+    def test_creates_missing_parent_directories(self, tmp_path):
+        path = tmp_path / "a" / "b" / "run.jsonl"
+        journal = RunJournal(path, resume=False)
+        assert len(journal) == 0 and path.parent.is_dir()
+        journal.record("k", 1)
+        assert RunJournal(path).get("k") == 1
+
+    def test_every_record_is_fsynced(self, tmp_path, monkeypatch):
+        import os
+
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd) or real_fsync(fd))
+        journal = RunJournal(tmp_path / "run.jsonl")
+        journal.record("k1", 1)
+        journal.record("k2", 2)
+        journal.record("k1", 3)  # already journaled: no write, no sync
+        assert len(synced) == 2
+
+    def test_refresh_counts_only_new_keys(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        mine = RunJournal(path)
+        mine.record("k0", 0)
+        sibling = RunJournal(path)
+        sibling.record("k1", 1)
+        sibling.record("k2", 2)
+        assert mine.refresh() == 2
+        assert mine.refresh() == 0
+        assert sorted(mine.entries) == ["k0", "k1", "k2"]
+
+
 class TestJournalSharing:
-    """Two journal handles on one file: the service-worker access pattern."""
+    """Two journal handles on one file: two campaigns draining one grid."""
 
     def test_refresh_picks_up_sibling_appends(self, tmp_path):
         path = tmp_path / "run.jsonl"

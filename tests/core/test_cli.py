@@ -182,6 +182,15 @@ class TestCommands:
         assert main(["campaign", "--resume"]) == 2
         assert "--journal" in capsys.readouterr().out
 
+    def test_bad_value_is_one_line_error_not_traceback(self, capsys):
+        argv = ["campaign", "--preset", "blobs-mini", "--fast", "--no-cache"]
+        assert main(argv + ["--kinds", "bogus"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "'bogus'" in lines[0]
+        assert "Traceback" not in captured.out + captured.err
+
     def test_checkpoints_ls_empty_dir(self, tmp_path, capsys):
         assert main(["checkpoints", "ls", "--dir", str(tmp_path)]) == 0
         assert "no checkpoints" in capsys.readouterr().out
@@ -192,3 +201,64 @@ class TestCommands:
         )
         assert args.workers == 4
         assert args.no_cache
+
+
+_MINI = ["--preset", "blobs-mini", "--fast", "--no-cache"]
+
+
+class TestBadValues:
+    """Every rejected value ends in one ``error:`` line and exit code 2.
+
+    Each case is validated before any training, so the table stays fast.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            pytest.param(["campaign", *_MINI, "--kinds", "stuck_at,bogus"],
+                         "'bogus'", id="campaign-kinds-one-unknown"),
+            pytest.param(["campaign", *_MINI, "--kinds", ","],
+                         "at least one kind", id="campaign-kinds-empty"),
+            pytest.param(["campaign", *_MINI, "--rates", ","],
+                         "at least one kind and one rate", id="campaign-rates-empty"),
+            pytest.param(["campaign", *_MINI, "--rates", "abc"],
+                         "'abc'", id="campaign-rates-not-a-number"),
+            pytest.param(["campaign", *_MINI, "--rates", "0.01,x"],
+                         "'0.01,x'", id="campaign-rates-one-not-a-number"),
+            pytest.param(["campaign", *_MINI, "--rates", "0"],
+                         "> 0", id="campaign-rates-zero"),
+            pytest.param(["campaign", *_MINI, "--rates=-0.01"],
+                         "> 0", id="campaign-rates-negative"),
+            pytest.param(["campaign", *_MINI, "--window", "-1"],
+                         "window", id="campaign-window-negative"),
+            pytest.param(["campaign", *_MINI, "--workers", "-1"],
+                         "workers", id="campaign-workers-negative"),
+            pytest.param(["campaign", *_MINI, "--repeat", "-1"],
+                         "repeat", id="campaign-repeat-negative"),
+            pytest.param(["run", *_MINI, "--repeat", "-1"],
+                         "repeat", id="run-repeat-negative"),
+            pytest.param(["compare", *_MINI, "--repeats", "0"],
+                         "repeats", id="compare-repeats-zero"),
+            pytest.param(["compare", *_MINI, "--workers", "-1"],
+                         "workers", id="compare-workers-negative"),
+        ],
+    )
+    def test_one_line_error_and_exit_2(self, argv, fragment, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("error: ") and fragment in lines[0]
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_gc_negative_keep(self, tmp_path, capsys):
+        argv = ["checkpoints", "gc", "--dir", str(tmp_path), "--keep", "-1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == ["error: keep must be >= 0, got -1"]
+
+    def test_rejected_campaign_leaves_journal_untouched(self, tmp_path, capsys):
+        journal = tmp_path / "j.jsonl"
+        argv = ["campaign", *_MINI, "--kinds", "bogus", "--journal", str(journal)]
+        assert main(argv) == 2
+        assert not journal.exists()

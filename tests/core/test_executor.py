@@ -403,3 +403,180 @@ class TestSweepParallel:
         with pytest.raises(RuntimeError, match="boom"):
             Sweep("x", _sweep_boom, seed=1).run([1, 2, 3], workers=4, fail_fast=True)
 
+
+
+# -- cache-key properties -----------------------------------------------------
+@dataclasses.dataclass
+class _ConfigA:
+    x: int = 1
+
+
+@dataclasses.dataclass
+class _ConfigB:
+    x: int = 1
+
+
+_ARR = np.arange(12, dtype=np.float64)
+
+#: Inputs a cache key must tell apart (a collision serves a stale result).
+_DISTINCT = {
+    "float-rounding": ((0.1 + 0.2,), (0.3,)),
+    "bool-vs-int": ((True,), (1,)),
+    "none-vs-empty": ((None,), ([],)),
+    "list-order": (([1, 2],), ([2, 1],)),
+    "nested-dict-value": (({"a": {"b": 1}},), ({"a": {"b": 2}},)),
+    "dataclass-type": ((_ConfigA(),), (_ConfigB(),)),
+    "set-members": (({1, 2},), ({1, 3},)),
+    "callable-body": ((_square,), (_maybe_boom,)),
+    "part-boundaries": (("ab", "c"), ("a", "bc")),
+    "array-values": ((_ARR,), (_ARR + 1e-12,)),
+}
+
+#: Inputs a cache key must identify (a mismatch only costs a re-run, but
+#: makes the cache useless for that config).
+_EQUIVALENT = {
+    "numpy-int-scalar": ((np.int64(3),), (3,)),
+    "set-vs-frozenset": (({3, 1, 2},), (frozenset({1, 2, 3}),)),
+    "tuple-vs-list": (((1, 2),), ([1, 2],)),
+    "strided-view": ((_ARR[::2],), (_ARR[::2].copy(),)),
+    "nested-dict-order": (({"x": {"a": 1, "b": 2}},), ({"x": {"b": 2, "a": 1}},)),
+}
+
+
+class TestFingerprintTable:
+    @pytest.mark.parametrize("case", sorted(_DISTINCT))
+    def test_distinct_inputs_get_distinct_keys(self, case):
+        left, right = _DISTINCT[case]
+        assert fingerprint(*left) != fingerprint(*right)
+
+    @pytest.mark.parametrize("case", sorted(_EQUIVALENT))
+    def test_equivalent_inputs_share_a_key(self, case):
+        left, right = _EQUIVALENT[case]
+        assert fingerprint(*left) == fingerprint(*right)
+
+
+class TestResultCacheProbes:
+    def test_cached_none_is_a_hit(self, tmp_path):
+        from repro.core.executor import _MISS
+
+        cache = ResultCache(tmp_path)
+        cache.put("k", None)
+        assert cache.get("k") is None and cache.get("k") is not _MISS
+        assert (cache.hits, cache.misses) == (2, 0)
+
+    def test_contains_is_side_effect_free(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put("good", 1)
+        cache.put("bad", 2)
+        cache.path("bad").write_text("{torn")
+        assert "good" in cache and "bad" not in cache and "absent" not in cache
+        assert (cache.hits, cache.misses, cache.quarantined) == (0, 0, 0)
+        assert cache.path("bad").exists()
+
+    def test_empty_cache_is_truthy(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        assert len(cache) == 0 and bool(cache)
+
+    def test_put_overwrites(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put("k", {"v": 1})
+        cache.put("k", {"v": 2})
+        assert cache.get("k") == {"v": 2} and len(cache) == 1
+
+    def test_quarantined_entries_are_not_counted_or_cleared(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put("k", 1)
+        cache.path("k").write_text("{torn")
+        cache.get("k")  # quarantines
+        assert len(cache) == 0 and cache.clear() == 0
+        assert cache.path("k").with_name("k.json.corrupt").exists()
+
+
+# -- journal replay -----------------------------------------------------------
+class TestJournalReplay:
+    """How the executor consults and feeds the run journal."""
+
+    @staticmethod
+    def _journal(tmp_path):
+        from repro.core import RunJournal
+
+        return RunJournal(tmp_path / "run.jsonl")
+
+    def test_journal_key_falls_back_to_cache_key(self, tmp_path):
+        journal = self._journal(tmp_path)
+        task = Task(key="t", fn=_square, args=(3,), cache_key="ck")
+        ParallelExecutor(journal=journal).run([task])
+        assert journal.get("ck") == 9
+
+    def test_explicit_journal_key_wins(self, tmp_path):
+        journal = self._journal(tmp_path)
+        task = Task(key="t", fn=_square, args=(3,), cache_key="ck", journal_key="jk")
+        ParallelExecutor(journal=journal).run([task])
+        assert list(journal.entries) == ["jk"]
+
+    def test_task_without_keys_is_not_journaled(self, tmp_path):
+        journal = self._journal(tmp_path)
+        ParallelExecutor(journal=journal).run([Task(key="t", fn=_square, args=(3,))])
+        assert len(journal) == 0 and not journal.path.exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failures_are_not_journaled(self, tmp_path, workers):
+        journal = self._journal(tmp_path)
+        tasks = [
+            Task(key=f"t{i}", fn=_maybe_boom, args=(i,), journal_key=f"jk{i}")
+            for i in range(4)
+        ]
+        outcomes = ParallelExecutor(workers=workers, journal=journal).run(tasks)
+        assert [o.ok for o in outcomes] == [True, True, False, True]
+        assert sorted(journal.entries) == ["jk0", "jk1", "jk3"]
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_replay_decodes_and_reports_no_perf(self, tmp_path, workers):
+        journal = self._journal(tmp_path)
+        journal.record("jk", {"boxed": 9})
+        task = Task(
+            key="t",
+            fn=_maybe_boom,
+            args=(2,),  # would raise if it ran
+            journal_key="jk",
+            encode=lambda v: {"boxed": v},
+            decode=lambda p: p["boxed"],
+        )
+        (outcome,) = ParallelExecutor(workers=workers, journal=journal).run([task])
+        assert outcome.ok and outcome.value == 9
+        assert outcome.perf is None and not outcome.cached
+        assert journal.skipped == 1
+
+    def test_cache_hit_is_preferred_to_the_journal(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        cache.put("ck", 9)
+        journal = self._journal(tmp_path)
+        journal.record("ck", 9)
+        task = Task(key="t", fn=_square, args=(3,), cache_key="ck")
+        (outcome,) = ParallelExecutor(cache=cache, journal=journal).run([task])
+        assert outcome.cached and journal.skipped == 0
+
+    @pytest.mark.parametrize("store", ["cache", "journal", "neither"])
+    def test_is_stored(self, tmp_path, store):
+        cache = ResultCache(tmp_path / "cache")
+        journal = self._journal(tmp_path)
+        if store == "cache":
+            cache.put("ck", 9)
+        elif store == "journal":
+            journal.record("jk", 9)
+        task = Task(key="t", fn=_square, args=(3,), cache_key="ck", journal_key="jk")
+        executor = ParallelExecutor(cache=cache, journal=journal)
+        assert executor.is_stored(task) == (store != "neither")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_reraise_keeps_completed_points_for_the_relaunch(self, tmp_path, workers):
+        journal = self._journal(tmp_path)
+        tasks = [
+            Task(key=f"t{i}", fn=_maybe_boom, args=(i,), journal_key=f"jk{i}")
+            for i in range(3)
+        ]
+        with pytest.raises(RuntimeError, match="boom"):
+            ParallelExecutor(workers=workers, journal=journal).run(tasks, reraise=True)
+        from repro.core import RunJournal
+
+        assert sorted(RunJournal(journal.path).entries) == ["jk0", "jk1"]

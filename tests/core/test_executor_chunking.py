@@ -1,13 +1,11 @@
-"""Chunked submission, seeded retry jitter, and shared-journal draining.
+"""Chunked submission and shared-journal draining.
 
-The three scheduling upgrades behind the campaign service, each pinned
-to the engine's core invariant: scheduling may change, results may not.
+Two scheduling features of :class:`ParallelExecutor`, each pinned to
+the engine's core invariant: scheduling may change, results may not.
 
 * :func:`adaptive_chunk_size` + chunked pool submission — outcomes,
   ordering and per-task error isolation identical to a serial run,
   with one-task and many-task chunks alike;
-* :class:`RetryPolicy` seeded jitter — deterministic, bounded,
-  per-worker decorrelated backoff delays;
 * two executors draining one grid through a shared ``RunJournal`` /
   ``ResultCache`` — every point lands exactly once, results
   bit-identical to a lone serial run.
@@ -20,12 +18,10 @@ import pytest
 from repro.core import (
     ParallelExecutor,
     ResultCache,
-    RetryPolicy,
     RunJournal,
     Task,
     adaptive_chunk_size,
 )
-from repro.exceptions import ConfigurationError
 
 
 def _square(x):
@@ -135,46 +131,6 @@ class TestChunkedEquivalence:
 
 
 # -- seeded retry jitter ------------------------------------------------------
-class TestSeededJitter:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(jitter=-0.1)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(jitter=1.5)
-
-    def test_zero_jitter_is_exact_exponential(self):
-        policy = RetryPolicy(max_retries=5, backoff_base=0.1, backoff_max=10.0)
-        assert [policy.delay(i) for i in range(4)] == pytest.approx(
-            [0.0, 0.1, 0.2, 0.4]
-        )
-
-    def test_jitter_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(
-            max_retries=5, backoff_base=0.1, backoff_max=10.0,
-            jitter=0.5, jitter_seed=7,
-        )
-        for failures in (1, 2, 3):
-            base = 0.1 * 2 ** (failures - 1)
-            d1 = policy.delay(failures, token="task-a")
-            d2 = policy.delay(failures, token="task-a")
-            assert d1 == d2  # same schedule every time
-            assert base * 0.5 <= d1 <= base  # bounded shrink, never grow
-
-    def test_schedule_varies_by_seed_token_and_attempt(self):
-        kw = dict(max_retries=5, backoff_base=0.1, jitter=0.5)
-        a = RetryPolicy(jitter_seed=1, **kw)
-        b = RetryPolicy(jitter_seed=2, **kw)
-        assert a.delay(1, token="t") != b.delay(1, token="t")
-        assert a.delay(1, token="t1") != a.delay(1, token="t2")
-        # Attempts are decorrelated too (not one scale factor reused).
-        assert a.delay(1, token="t") * 2 != pytest.approx(a.delay(2, token="t"))
-
-    def test_jitter_without_token_still_works(self):
-        policy = RetryPolicy(backoff_base=0.1, jitter=1.0, jitter_seed=3)
-        assert 0.0 <= policy.delay(1) <= 0.1
-
-
-# -- two executors, one journal -----------------------------------------------
 class TestSharedJournalDrain:
     def _journal_tasks(self, n):
         return [

@@ -1,19 +1,17 @@
-"""Executor hardening: crash isolation, retry policy, cache quarantine.
+"""Executor hardening: crash isolation, bounded rebuilds, cache quarantine.
 
 Complements ``test_executor.py`` (which pins parallel == serial
 equivalence and basic failure surfacing) with the resilience contract:
 a hard-crashing worker fails its own chunk without hanging the pool or
-taking the other chunks down, the :class:`RetryPolicy` the campaign
-service uses validates and backs off as documented, and corrupt cache
-entries are quarantined rather than silently re-missed forever.
+taking the other chunks down, pool rebuilds are bounded, and corrupt
+cache entries are quarantined rather than silently re-missed forever.
 """
 
 import os
 
 import pytest
 
-from repro.core import ParallelExecutor, ResultCache, RetryPolicy, Task
-from repro.exceptions import ConfigurationError
+from repro.core import ParallelExecutor, ResultCache, Task
 
 
 # -- task bodies (module-level so the pool can ship them) ---------------------
@@ -23,22 +21,6 @@ def _square(x):
 
 def _die(_x):
     os._exit(3)  # simulate a hard worker crash (segfault/OOM-kill)
-
-
-class TestRetryPolicy:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(backoff_base=-0.1)
-
-    def test_exponential_backoff_with_cap(self):
-        policy = RetryPolicy(max_retries=5, backoff_base=0.1, backoff_max=0.35)
-        assert policy.delay(0) == 0.0
-        assert policy.delay(1) == pytest.approx(0.1)
-        assert policy.delay(2) == pytest.approx(0.2)
-        assert policy.delay(3) == pytest.approx(0.35)  # capped
-        assert policy.delay(10) == pytest.approx(0.35)
 
 
 class TestPermanentCrasher:

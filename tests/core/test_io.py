@@ -1,20 +1,31 @@
-"""Unit tests for persistence (weights, results, comparisons)."""
+"""Unit tests for persistence (weights, results, comparisons) and the
+atomic-write and file-lock helpers the cache and the journal rely on."""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import repro
+
 from repro.core.results import LifetimeResult, ScenarioComparison, WindowRecord
-from repro.exceptions import ConfigurationError, CorruptStateError
+from repro.exceptions import ConfigurationError, ShapeError
 from repro.io import (
+    file_lock,
     load_comparison,
-    load_json_guarded,
+    load_json,
     load_result,
     load_weights,
     result_from_dict,
     result_to_dict,
     save_comparison,
-    save_json_guarded,
+    save_json_atomic,
     save_result,
+    save_text_atomic,
     save_weights,
 )
 from repro.nn import Activation, Dense, Sequential
@@ -71,42 +82,6 @@ class TestWeights:
             load_weights(bigger, path)
 
 
-class TestGuardedJson:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "state.json"
-        payload = {"status": "running", "nested": {"x": [1, 2, 3]}}
-        save_json_guarded(payload, path)
-        assert load_json_guarded(path) == payload
-
-    def test_missing_file_raises_file_not_found(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_json_guarded(tmp_path / "nope.json")
-
-    def test_torn_write_detected(self, tmp_path):
-        path = tmp_path / "state.json"
-        save_json_guarded({"status": "running"}, path)
-        raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) // 2])
-        with pytest.raises(CorruptStateError):
-            load_json_guarded(path)
-
-    def test_bit_rot_detected_by_checksum(self, tmp_path):
-        path = tmp_path / "state.json"
-        save_json_guarded({"status": "running"}, path)
-        # Flip payload content while keeping the file valid JSON: only
-        # the embedded digest can catch this.
-        text = path.read_text().replace("running", "rynning")
-        path.write_text(text)
-        with pytest.raises(CorruptStateError, match="checksum"):
-            load_json_guarded(path)
-
-    def test_unguarded_document_rejected(self, tmp_path):
-        path = tmp_path / "state.json"
-        path.write_text('{"status": "running"}')
-        with pytest.raises(CorruptStateError):
-            load_json_guarded(path)
-
-
 class TestResults:
     def test_dict_round_trip(self):
         result = make_result()
@@ -132,3 +107,169 @@ class TestResults:
         assert back.workload == "glyphs"
         assert set(back.results) == {"st+at"}
         assert back.results["st+at"].lifetime_applications == 120_000
+
+    def test_comparison_keeps_its_baseline_key(self, tmp_path):
+        comparison = ScenarioComparison(workload="glyphs", baseline_key="st+t")
+        comparison.add(make_result())
+        path = tmp_path / "cmp.json"
+        save_comparison(comparison, path)
+        assert load_comparison(path).baseline_key == "st+t"
+
+
+class TestWeightShapes:
+    def test_shape_mismatch_rejected(self, tmp_path, trained_mlp):
+        path = tmp_path / "weights.npz"
+        save_weights(trained_mlp, path)
+        wider = Sequential(
+            [Dense(32), Activation("relu"), Dense(3)], seed=1
+        ).build((4,))
+        with pytest.raises(ShapeError, match="layer0.W"):
+            load_weights(wider, path)
+
+    def test_load_fills_the_given_model(self, tmp_path, trained_mlp):
+        path = tmp_path / "weights.npz"
+        save_weights(trained_mlp, path)
+        fresh = Sequential(
+            [Dense(16), Activation("relu"), Dense(3)], seed=99
+        ).build((4,))
+        assert load_weights(fresh, path) is fresh
+
+
+PAYLOAD = {"b": [1, 2.5, None], "a": {"unicode": "µΩ", "exact": 0.1 + 0.2}}
+
+
+class TestAtomicJson:
+    @pytest.mark.parametrize("durable", [False, True], ids=["plain", "durable"])
+    def test_round_trip_leaves_no_temp_file(self, tmp_path, durable):
+        path = tmp_path / "entry.json"
+        save_json_atomic(PAYLOAD, path, durable=durable)
+        assert load_json(path) == PAYLOAD
+        assert [p.name for p in tmp_path.iterdir()] == ["entry.json"]
+
+    def test_keys_are_sorted(self, tmp_path):
+        path = tmp_path / "entry.json"
+        save_json_atomic({"z": 1, "a": 2, "m": {"y": 0, "b": 1}}, path)
+        assert path.read_text() == '{"a": 2, "m": {"b": 1, "y": 0}, "z": 1}'
+
+    def test_replaces_an_existing_file(self, tmp_path):
+        path = tmp_path / "entry.json"
+        save_json_atomic({"v": 1}, path)
+        save_json_atomic({"v": 2}, path)
+        assert load_json(path) == {"v": 2}
+
+    def test_failed_rename_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "entry.json"
+        save_json_atomic({"v": 1}, path)
+
+        def crash(src, dst):
+            raise OSError("killed before the rename")
+
+        monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(OSError):
+            save_json_atomic({"v": 2}, path, durable=True)
+        assert load_json(path) == {"v": 1}
+
+    def test_unserializable_payload_writes_nothing(self, tmp_path):
+        path = tmp_path / "entry.json"
+        with pytest.raises(TypeError):
+            save_json_atomic({"v": object()}, path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("durable, syncs", [(False, 0), (True, 2)])
+    def test_durable_write_syncs_file_and_directory(
+        self, tmp_path, monkeypatch, durable, syncs
+    ):
+        calls = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: calls.append(fd) or real_fsync(fd))
+        save_text_atomic("payload", tmp_path / "entry.txt", durable=durable)
+        assert len(calls) == syncs
+        assert (tmp_path / "entry.txt").read_text() == "payload"
+
+    def test_load_json_missing_file_raises(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_json(tmp_path / "absent.json")
+
+    def test_load_json_torn_file_raises(self, tmp_path):
+        path = tmp_path / "torn.json"
+        path.write_text(json.dumps(PAYLOAD)[:-7])
+        with pytest.raises(json.JSONDecodeError):
+            load_json(path)
+
+
+_HOLDER = textwrap.dedent(
+    """
+    import sys
+    from repro.io import file_lock
+
+    with file_lock(sys.argv[1]):
+        print("held", flush=True)
+        sys.stdin.read()
+    """
+)
+
+
+@pytest.fixture()
+def lock_holder(tmp_path):
+    """A child process that holds ``file_lock`` until its stdin closes."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    path = tmp_path / "sub" / "journal.lock"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _HOLDER, str(path)],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    try:
+        assert proc.stdout.readline().strip() == "held"
+        yield proc, path
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+
+
+def _lock_is_free(path) -> bool:
+    import fcntl
+
+    fd = os.open(path, os.O_RDWR)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        return False
+    finally:
+        os.close(fd)
+    return True
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="flock is POSIX-only")
+class TestFileLock:
+    def test_creates_the_lock_file_and_its_directory(self, tmp_path):
+        path = tmp_path / "a" / "b" / "journal.lock"
+        with file_lock(path):
+            assert path.exists()
+        assert _lock_is_free(path)
+
+    def test_released_when_the_body_raises(self, tmp_path):
+        path = tmp_path / "journal.lock"
+        with pytest.raises(RuntimeError):
+            with file_lock(path):
+                raise RuntimeError("body failed")
+        assert _lock_is_free(path)
+
+    def test_excludes_another_process_until_it_releases(self, lock_holder):
+        proc, path = lock_holder
+        assert not _lock_is_free(path)
+        proc.stdin.close()
+        assert proc.wait(timeout=30) == 0
+        with file_lock(path):
+            pass
+
+    def test_killed_holder_cannot_wedge_the_lock(self, lock_holder):
+        proc, path = lock_holder
+        assert not _lock_is_free(path)
+        proc.kill()
+        proc.wait(timeout=30)
+        assert _lock_is_free(path)

@@ -63,6 +63,99 @@ class TestBuildGrid:
         assert not point.degradation_enabled
 
 
+class TestGridValidation:
+    @pytest.mark.parametrize(
+        "kwargs, fragment",
+        [
+            pytest.param(dict(kinds=(), rates=(0.01,)), "at least one kind",
+                         id="no-kinds"),
+            pytest.param(dict(kinds=("drift",), rates=()), "at least one kind",
+                         id="no-rates"),
+            pytest.param(dict(kinds=("bogus",), rates=(0.01,)), "'bogus'",
+                         id="unknown-kind"),
+            pytest.param(dict(kinds=("drift",), rates=(-0.01,)), "> 0",
+                         id="negative-rate"),
+            pytest.param(dict(kinds=("stuck_at",), rates=(0.01,), window=-1),
+                         "window", id="negative-window"),
+            pytest.param(dict(kinds=("pulse_miss",), rates=(1.0,)), "miss_rate",
+                         id="certain-pulse-miss"),
+        ],
+    )
+    def test_rejected(self, kwargs, fragment):
+        with pytest.raises(ConfigurationError, match=fragment):
+            build_grid(**kwargs)
+
+    @pytest.mark.parametrize("kind", ["stuck_at", "drift", "read_noise", "pulse_miss"])
+    def test_every_kind_strikes_at_the_window_with_its_rate(self, kind):
+        points = build_grid(kinds=(kind,), rates=(0.03,), window=2,
+                            include_baseline=False)
+        assert [p.name for p in points] == [f"{kind}@0.03/raw", f"{kind}@0.03/deg"]
+        for point in points:
+            (event,) = point.schedule.events
+            assert event.kind == kind and event.window == 2
+            assert event.total_rate == pytest.approx(0.03)
+
+    def test_names_unique_across_kinds_and_rates(self):
+        points = build_grid(kinds=("stuck_at", "drift"), rates=(0.01, 0.02))
+        names = [p.name for p in points]
+        assert len(names) == len(set(names)) == 1 + 2 * 2 * 2
+
+
+class TestPointKey:
+    """Grid points are identified by content, as the journal requires."""
+
+    def test_every_point_of_a_grid_has_its_own_key(self, mini_framework):
+        campaign = FaultCampaign(mini_framework, scenario="st+at")
+        points = build_grid(kinds=("stuck_at", "drift"), rates=(0.01, 0.02))
+        keys = [campaign.point_key(p) for p in points]
+        assert len(set(keys)) == len(keys)
+
+    def test_key_is_stable_across_campaigns(self, mini_framework):
+        point = build_grid(kinds=("drift",), rates=(0.01,))[1]
+        first = FaultCampaign(mini_framework, scenario="st+at").point_key(point)
+        again = FaultCampaign(mini_framework, scenario="st+at", workers=4)
+        assert again.point_key(point) == first
+
+    def test_key_ignores_the_point_name(self, mini_framework):
+        campaign = FaultCampaign(mini_framework, scenario="st+at")
+        point = build_grid(kinds=("drift",), rates=(0.01,))[1]
+        renamed = CampaignPoint(
+            name="renamed",
+            fault_kind=point.fault_kind,
+            fault_rate=point.fault_rate,
+            schedule=point.schedule,
+            degradation=point.degradation,
+        )
+        assert campaign.point_key(renamed) == campaign.point_key(point)
+
+    @pytest.mark.parametrize(
+        "other", [dict(scenario="st+t"), dict(repeat=1)], ids=["scenario", "repeat"]
+    )
+    def test_key_depends_on_the_run(self, mini_framework, other):
+        point = build_grid(kinds=("drift",), rates=(0.01,))[1]
+        base = FaultCampaign(mini_framework, scenario="st+at").point_key(point)
+        kwargs = {"scenario": "st+at", **other}
+        assert FaultCampaign(mini_framework, **kwargs).point_key(point) != base
+
+    def test_baseline_key_is_the_plain_scenario_key(self, mini_framework):
+        campaign = FaultCampaign(mini_framework, scenario="st+at", repeat=2)
+        baseline = build_grid()[0]
+        assert campaign.point_key(baseline) == mini_framework.scenario_cache_key(
+            "st+at", 2
+        )
+
+    @pytest.mark.parametrize(
+        "kwargs", [dict(workers=-1), dict(repeat=-1)], ids=["workers", "repeat"]
+    )
+    def test_negative_settings_rejected(self, mini_framework, kwargs):
+        with pytest.raises(ConfigurationError):
+            FaultCampaign(mini_framework, **kwargs)
+
+    def test_empty_grid_rejected(self, mini_framework):
+        with pytest.raises(ConfigurationError, match="at least one point"):
+            FaultCampaign(mini_framework).run([])
+
+
 class TestFaultCampaign:
     GRID = dict(kinds=("stuck_at",), rates=(0.02,), window=1)
 
@@ -236,3 +329,27 @@ class TestCampaignCli:
         report = SurvivabilityReport.from_dict(json.loads(out_path.read_text()))
         assert {r.fault_kind for r in report.records} == {"none", "stuck_at"}
         assert "Survivability" in capsys.readouterr().out
+
+    def test_serial_parallel_and_resumed_reports_agree(self, tmp_path, capsys):
+        from repro.cli import main
+
+        grid = ["campaign", "--preset", "blobs-mini", "--fast", "--kinds",
+                "stuck_at", "--rates", "0.01", "--no-cache"]
+        journal = ["--workers", "2", "--journal", str(tmp_path / "j.jsonl")]
+        runs = {
+            "serial": grid,
+            "parallel": grid + journal,
+            "resumed": grid + journal + ["--resume"],
+        }
+        reports, stdout = {}, {}
+        for name, argv in runs.items():
+            out_path = tmp_path / f"{name}.json"
+            assert main(argv + ["--out", str(out_path)]) == 0
+            reports[name] = json.loads(out_path.read_text())
+            stdout[name] = capsys.readouterr().out
+        assert "0 replayed, 3 executed" in stdout["parallel"]
+        assert "3 replayed, 0 executed" in stdout["resumed"]
+        perf = {name: report.pop("perf") for name, report in reports.items()}
+        assert perf["resumed"] == {} and perf["parallel"]
+        assert reports["parallel"] == reports["serial"]
+        assert reports["resumed"] == reports["serial"]

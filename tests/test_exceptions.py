@@ -3,6 +3,7 @@
 import pytest
 
 from repro.exceptions import (
+    CheckpointError,
     ConfigurationError,
     ConvergenceError,
     DeviceError,
@@ -14,7 +15,13 @@ from repro.exceptions import (
 class TestHierarchy:
     @pytest.mark.parametrize(
         "exc",
-        [ConfigurationError, ConvergenceError, DeviceError, ShapeError],
+        [
+            CheckpointError,
+            ConfigurationError,
+            ConvergenceError,
+            DeviceError,
+            ShapeError,
+        ],
     )
     def test_all_derive_from_repro_error(self, exc):
         assert issubclass(exc, ReproError)
@@ -26,6 +33,11 @@ class TestHierarchy:
 
     def test_runtime_family(self):
         assert issubclass(ConvergenceError, RuntimeError)
+
+    @pytest.mark.parametrize("exc", [CheckpointError, DeviceError])
+    def test_failures_are_runtime_not_value_errors(self, exc):
+        assert issubclass(exc, RuntimeError)
+        assert not issubclass(exc, ValueError)
 
     def test_catch_all(self):
         with pytest.raises(ReproError):

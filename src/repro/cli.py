@@ -26,9 +26,9 @@ from typing import Optional, Sequence
 from repro.analysis import ascii_series, comparison_report, render_table
 from repro.core import AgingAwareFramework, ResultCache, RunJournal
 from repro.core.checkpoint import (
-    CHECKPOINT_SUFFIX,
     CheckpointManager,
     inspect_checkpoint,
+    split_snapshot_name,
 )
 from repro.core.lifetime import LifetimeSimulator
 from repro.core.presets import PRESETS
@@ -93,17 +93,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _resume_run_id(path: str) -> str:
-    """Run id a snapshot file was saved under (``<run-id>-wNNNNN``)."""
-    import pathlib
-
-    name = pathlib.Path(path).name
-    if name.endswith(CHECKPOINT_SUFFIX):
-        name = name[: -len(CHECKPOINT_SUFFIX)]
-    run_id, sep, tail = name.rpartition("-w")
-    return run_id if sep and tail.isdigit() else name
-
-
 def cmd_run(args) -> int:
     start = time.time()
     if args.resume:
@@ -113,7 +102,7 @@ def cmd_run(args) -> int:
         result = simulator.run(
             checkpoint_every=args.checkpoint_every,
             checkpoint_dir=args.checkpoint_dir,
-            run_id=_resume_run_id(args.resume),
+            run_id=split_snapshot_name(args.resume)[0],
         )
         scenario_label = result.scenario_key
     else:

@@ -42,7 +42,6 @@ from repro.core.presets import (
     PRESETS,
     ExperimentPreset,
     blobs_mini,
-    blobs_wide,
     lenet_glyphs,
     vggnet_shapes,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "WindowRecord",
     "adaptive_chunk_size",
     "blobs_mini",
-    "blobs_wide",
     "fingerprint",
     "inspect_checkpoint",
     "lenet_glyphs",

@@ -6,14 +6,13 @@ worker or a CI timeout must not throw away completed windows, so this
 module provides two complementary durability primitives:
 
 * **Snapshots** — a versioned, atomic, content-hashed file capturing one
-  :class:`~repro.core.lifetime.LifetimeSimulator` mid-run: every
-  crossbar tile's programmed state and ``state_version``, the aging
-  bookkeeping the tracers read (pulse counts, stress times), the tuner's
-  and fault stream's RNG bit-generator states, and the partial
-  :class:`~repro.core.results.LifetimeResult`.  Resuming from a snapshot
-  continues **bit-identically** to an uninterrupted run: every random
-  stream picks up exactly where it stopped (golden-suite-verified by
-  ``tests/integration/test_checkpoint_resume.py``).
+  :class:`~repro.core.lifetime.LifetimeSimulator` mid-run: the pickled
+  simulator (every crossbar tile's arrays, ``state_version`` and fault
+  knobs, the tuner's, tiles' and fault stream's RNG states) beside the
+  partial :class:`~repro.core.results.LifetimeResult`.  Resuming from a
+  snapshot continues **bit-identically** to an uninterrupted run: every
+  random stream picks up exactly where it stopped
+  (``tests/integration/test_checkpoint_resume.py``).
 
 * **Journals** — an append-only JSONL record of completed grid points
   for :class:`~repro.robustness.campaign.FaultCampaign` runs through the
@@ -30,25 +29,19 @@ canonical (sorted-key, compact) JSON, and the file holds the payload in
 exactly that encoding; bit rot is detected at load time, not silently
 resumed from.
 
-Schema layout (``CHECKPOINT_SCHEMA = 1``)::
+Schema layout (``CHECKPOINT_SCHEMA = 2``)::
 
-    {"schema": 1, "kind": "repro-lifetime-checkpoint", "sha256": ...,
+    {"schema": 2, "kind": "repro-lifetime-checkpoint", "sha256": ...,
      "payload": {
-        "meta":     {scenario_key, next_window, applications, created_unix},
+        "meta":     {scenario_key, next_window, applications, created_unix,
+                     layers, tiles, devices},
         "result":   <partial LifetimeResult.to_dict()>,
-        "rng":      {"tuner": <bit-generator state>, "fault": ... | null},
-        "layers":   [{"layer_index", "arms": [{"name",
-                      "tiles": [{resistance, stress_time, pulse_counts,
-                                 r_fresh_min, r_fresh_max, state_version,
-                                 read_noise_extra, pulse_miss_rate,
-                                 rng: <bit-generator state>}, ...]}]}],
         "context_pickle": <base64 cloudpickle of the simulator>}}
 
-The structured sections are authoritative on restore: the simulator
-skeleton is rebuilt from the context pickle, then every tile array, the
-``state_version`` counters and all RNG streams are overwritten from the
-schema'd data — so the inspectable format *is* the resume path, not a
-decorative sidecar.
+The pickled context is the state: restoring a snapshot is unpickling
+it.  Only state is pickled (layers and crossbars drop their derived
+caches in ``__getstate__``), and ``meta`` carries the counts that
+``repro checkpoints inspect`` shows without unpickling anything.
 """
 
 from __future__ import annotations
@@ -61,9 +54,7 @@ import os
 import pathlib
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
-
-import numpy as np
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.results import LifetimeResult
 from repro.exceptions import CheckpointError, ConfigurationError
@@ -77,7 +68,7 @@ except Exception:  # pragma: no cover - exercised only without cloudpickle
     import pickle as _serializer
 
 #: Snapshot format version; bump when the payload layout changes.
-CHECKPOINT_SCHEMA = 1
+CHECKPOINT_SCHEMA = 2
 #: Journal line format version.
 JOURNAL_SCHEMA = 1
 
@@ -86,94 +77,14 @@ _CHECKPOINT_KIND = "repro-lifetime-checkpoint"
 CHECKPOINT_SUFFIX = ".ckpt.json"
 
 
-# -- array + RNG (de)serialization --------------------------------------------
-def _encode_array(arr: np.ndarray) -> dict:
-    """Exact (dtype/shape/bytes) JSON-ready form of a numpy array."""
-    arr = np.ascontiguousarray(arr)
-    return {
-        "dtype": str(arr.dtype),
-        "shape": list(arr.shape),
-        "data": base64.b64encode(arr.tobytes()).decode("ascii"),
-    }
-
-
-def _decode_array(d: dict) -> np.ndarray:
-    """Inverse of :func:`_encode_array` (bit-exact round trip)."""
-    raw = base64.b64decode(d["data"])
-    arr = np.frombuffer(raw, dtype=np.dtype(d["dtype"]))
-    return arr.reshape(tuple(d["shape"])).copy()
-
-
-def rng_state(gen: np.random.Generator) -> dict:
-    """JSON-ready bit-generator state of a numpy Generator."""
-    return json.loads(json.dumps(gen.bit_generator.state))
-
-
-def restore_rng(gen: np.random.Generator, state: dict) -> None:
-    """Install a captured bit-generator state (exact stream position)."""
-    if state.get("bit_generator") != gen.bit_generator.state.get("bit_generator"):
-        raise CheckpointError(
-            "bit-generator mismatch: snapshot has "
-            f"{state.get('bit_generator')!r}, simulator has "
-            f"{gen.bit_generator.state.get('bit_generator')!r}"
-        )
-    gen.bit_generator.state = state
-
-
 # -- simulator state capture ---------------------------------------------------
-def _layer_arms(mapped_layer) -> List[Tuple[str, Any]]:
-    """Named :class:`~repro.crossbar.tiling.TiledMatrix` arms of a layer.
-
-    A mapped layer has one arm, ``tiles``; snapshots key tile state by
-    arm name.
-    """
-    return [("tiles", mapped_layer.tiles)]
-
-
-def _iter_arm_tiles(arm) -> Iterator[Any]:
-    for _rs, _cs, tile in arm.iter_tiles():
-        yield tile
-
-
-def _capture_tile(tile) -> dict:
-    return {
-        "resistance": _encode_array(tile.resistance),
-        "stress_time": _encode_array(tile.stress_time),
-        "pulse_counts": _encode_array(tile.pulse_counts),
-        "r_fresh_min": _encode_array(tile.r_fresh_min),
-        "r_fresh_max": _encode_array(tile.r_fresh_max),
-        "state_version": int(tile.state_version),
-        "read_noise_extra": float(tile.read_noise_extra),
-        "pulse_miss_rate": float(tile.pulse_miss_rate),
-        "rng": rng_state(tile._rng),
-    }
-
-
-def _restore_tile(tile, d: dict) -> None:
-    # Arrays are installed directly (not via the ``resistance`` setter)
-    # so the restored ``state_version`` matches the uninterrupted run's
-    # counter exactly; caches are dropped by hand instead.
-    tile._resistance = _decode_array(d["resistance"])
-    tile.stress_time = _decode_array(d["stress_time"])
-    tile.pulse_counts = _decode_array(d["pulse_counts"])
-    tile.r_fresh_min = _decode_array(d["r_fresh_min"])
-    tile.r_fresh_max = _decode_array(d["r_fresh_max"])
-    tile.read_noise_extra = float(d["read_noise_extra"])
-    tile.pulse_miss_rate = float(d["pulse_miss_rate"])
-    tile._conductance_cache = None
-    tile._bounds_cache = None
-    tile._dead_cache = None
-    tile._state_version = int(d["state_version"])
-    restore_rng(tile._rng, d["rng"])
-
-
 def capture_simulator(
     simulator,
     result: LifetimeResult,
     next_window: int,
     applications: int,
 ) -> dict:
-    """Schema'd snapshot payload of a mid-run lifetime simulator.
+    """Snapshot payload of a mid-run lifetime simulator.
 
     Must be called at a window boundary (after a window's record has
     been appended to ``result``); ``next_window`` is the first window
@@ -181,37 +92,19 @@ def capture_simulator(
     mutates nothing, so a checkpointing run is bit-identical to a
     non-checkpointing one.
     """
-    layers = []
-    for mapped in simulator.network.layers:
-        layers.append(
-            {
-                "layer_index": int(mapped.layer_index),
-                "arms": [
-                    {
-                        "name": name,
-                        "tiles": [_capture_tile(t) for t in _iter_arm_tiles(arm)],
-                    }
-                    for name, arm in _layer_arms(mapped)
-                ],
-            }
-        )
+    layers = simulator.network.layers
+    tiles = [tile for mapped in layers for _, _, tile in mapped.tiles.iter_tiles()]
     return {
         "meta": {
             "scenario_key": result.scenario_key,
             "next_window": int(next_window),
             "applications": int(applications),
             "created_unix": time.time(),
+            "layers": len(layers),
+            "tiles": len(tiles),
+            "devices": sum(tile.rows * tile.cols for tile in tiles),
         },
         "result": result.to_dict(),
-        "rng": {
-            "tuner": rng_state(simulator.tuner._rng),
-            "fault": (
-                rng_state(simulator._fault_rng)
-                if simulator._fault_rng is not None
-                else None
-            ),
-        },
-        "layers": layers,
         "context_pickle": base64.b64encode(
             _serializer.dumps(simulator)
         ).decode("ascii"),
@@ -219,13 +112,9 @@ def capture_simulator(
 
 
 def restore_simulator(payload: dict):
-    """Rebuild a simulator from a snapshot payload.
+    """Rebuild a simulator from a snapshot payload by unpickling it.
 
     Returns ``(simulator, partial_result, next_window, applications)``.
-    The object graph comes from the context pickle; every tile array,
-    ``state_version`` and RNG stream is then overwritten from the
-    structured sections, which are the format's source of truth.
-
     Raises :class:`~repro.exceptions.CheckpointError` when the context
     pickle does not load in this build (e.g. it references a class that
     has since been removed).
@@ -237,57 +126,6 @@ def restore_simulator(payload: dict):
             "the snapshot's pickled context is incompatible with this build "
             f"({type(exc).__name__}: {exc}); rerun from the start instead"
         ) from exc
-    # Captures happen outside any read-reuse scope, but reset the
-    # network-level memo state anyway (covers snapshots pickled by
-    # builds without it, and makes restore independent of capture
-    # context): scratch-model contents are derived state, rebuilt from
-    # the authoritative tile arrays on first read.
-    network = simulator.network
-    network._reuse_depth = 0
-    network._scratch_holds = None
-    network._software_snapshot = None
-    restore_rng(simulator.tuner._rng, payload["rng"]["tuner"])
-    fault_state = payload["rng"].get("fault")
-    if fault_state is not None:
-        if simulator._fault_rng is None:
-            raise CheckpointError(
-                "snapshot has a fault RNG stream but the restored simulator "
-                "has no fault schedule"
-            )
-        restore_rng(simulator._fault_rng, fault_state)
-
-    by_index = {m.layer_index: m for m in simulator.network.layers}
-    for layer_doc in payload["layers"]:
-        mapped = by_index.get(int(layer_doc["layer_index"]))
-        if mapped is None:
-            raise CheckpointError(
-                f"snapshot references layer {layer_doc['layer_index']} "
-                "missing from the restored network"
-            )
-        arms = dict(_layer_arms(mapped))
-        for arm_doc in layer_doc["arms"]:
-            arm = arms.get(arm_doc["name"])
-            if arm is None:
-                raise CheckpointError(
-                    f"snapshot arm {arm_doc['name']!r} missing on layer "
-                    f"{mapped.layer_index}"
-                )
-            tiles = list(_iter_arm_tiles(arm))
-            if len(tiles) != len(arm_doc["tiles"]):
-                raise CheckpointError(
-                    f"snapshot has {len(arm_doc['tiles'])} tiles for layer "
-                    f"{mapped.layer_index}/{arm_doc['name']}, network has "
-                    f"{len(tiles)}"
-                )
-            for tile, tile_doc in zip(tiles, arm_doc["tiles"]):
-                if tuple(tile_doc["resistance"]["shape"]) != tile.shape:
-                    raise CheckpointError(
-                        f"tile shape mismatch on layer {mapped.layer_index}: "
-                        f"snapshot {tile_doc['resistance']['shape']} vs "
-                        f"network {list(tile.shape)}"
-                    )
-                _restore_tile(tile, tile_doc)
-
     meta = payload["meta"]
     result = LifetimeResult.from_dict(payload["result"])
     return simulator, result, int(meta["next_window"]), int(meta["applications"])
@@ -352,22 +190,11 @@ def load_checkpoint(path) -> dict:
 def inspect_checkpoint(path) -> dict:
     """Verified summary of a snapshot, without unpickling the context.
 
-    ``context_bytes`` is the size of the decoded context pickle and
-    ``state_bytes`` that of the structured ``layers`` section as
-    encoded in the file.
+    ``context_bytes`` is the size of the decoded context pickle.
     """
     payload = load_checkpoint(path)
     meta = payload["meta"]
     result = payload["result"]
-    n_tiles = sum(
-        len(arm["tiles"]) for layer in payload["layers"] for arm in layer["arms"]
-    )
-    n_devices = sum(
-        int(np.prod(tile["resistance"]["shape"]))
-        for layer in payload["layers"]
-        for arm in layer["arms"]
-        for tile in arm["tiles"]
-    )
     return {
         "path": str(path),
         "schema": CHECKPOINT_SCHEMA,
@@ -377,16 +204,30 @@ def inspect_checkpoint(path) -> dict:
         "created_unix": float(meta["created_unix"]),
         "windows_recorded": len(result.get("windows", [])),
         "failed": bool(result.get("failed", False)),
-        "layers": len(payload["layers"]),
-        "tiles": n_tiles,
-        "devices": n_devices,
+        "layers": int(meta["layers"]),
+        "tiles": int(meta["tiles"]),
+        "devices": int(meta["devices"]),
         "bytes": pathlib.Path(path).stat().st_size,
         "context_bytes": len(base64.b64decode(payload["context_pickle"])),
-        "state_bytes": len(_canonical_json(payload["layers"])),
     }
 
 
 # -- checkpoint directory management ------------------------------------------
+def split_snapshot_name(path) -> Tuple[str, Optional[int]]:
+    """``(run_id, window)`` of a ``<run-id>-wNNNNN.ckpt.json`` path.
+
+    ``window`` is ``None`` for a name off that pattern; ``run_id`` is
+    then the file name without the snapshot suffix.
+    """
+    name = pathlib.Path(path).name
+    if name.endswith(CHECKPOINT_SUFFIX):
+        name = name[: -len(CHECKPOINT_SUFFIX)]
+    run_id, sep, tail = name.rpartition("-w")
+    if not sep or not tail.isdigit():
+        return name, None
+    return run_id, int(tail)
+
+
 @dataclass(frozen=True)
 class CheckpointInfo:
     """One snapshot file as seen by ls/gc (no payload verification)."""
@@ -426,16 +267,15 @@ class CheckpointManager:
         """All snapshots in the directory, oldest window first per run."""
         out: List[CheckpointInfo] = []
         for path in self.root.glob(f"*{CHECKPOINT_SUFFIX}"):
-            stem = path.name[: -len(CHECKPOINT_SUFFIX)]
-            run_id, sep, tail = stem.rpartition("-w")
-            if not sep or not tail.isdigit():
+            run_id, window = split_snapshot_name(path)
+            if window is None:
                 continue
             stat = path.stat()
             out.append(
                 CheckpointInfo(
                     path=path,
                     run_id=run_id,
-                    window=int(tail),
+                    window=window,
                     bytes=stat.st_size,
                     modified_unix=stat.st_mtime,
                 )

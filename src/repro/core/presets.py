@@ -222,82 +222,8 @@ def blobs_mini(fast: bool = False) -> ExperimentPreset:
     )
 
 
-def blobs_wide(fast: bool = False) -> ExperimentPreset:
-    """Wider MLP-on-blobs workload with GEMM-dominated evaluation.
-
-    The matrices of ``blobs-mini`` are too small for GEMM cost to show;
-    this preset widens the MLP (256/128 hidden units over 32 input
-    features) and enlarges the held-out split so the per-window
-    evaluate step is dominated by real GEMM work while a full lifetime
-    stays seconds-scale.
-    ``fast=True`` shrinks the horizon for the test suite without
-    shrinking the matrices (the point of the preset is their size).
-    """
-    hidden = (256, 128)
-    make_dataset = lambda: make_blobs(  # noqa: E731 - mirrors the other presets
-        n_samples=1200,
-        n_classes=6,
-        n_features=32,
-        spread=0.45,
-        test_fraction=0.4,
-        seed=5,
-    )
-    if fast:
-        cfg = FrameworkConfig(
-            device=DeviceConfig(pulses_to_collapse=30, write_noise=0.1),
-            train=TrainConfig(epochs=4),
-            skewed=SkewedTrainingConfig(
-                beta_scale=-1.0,
-                lambda1=0.05,
-                lambda2=1e-3,
-                pretrain=TrainConfig(epochs=4),
-                skew_epochs=3,
-            ),
-            lifetime=LifetimeConfig(
-                apps_per_window=1000,
-                max_windows=4,
-                tuning=TuningConfig(max_iterations=15),
-            ),
-            tune_samples=128,
-            target_fraction=0.9,
-        )
-        return ExperimentPreset(
-            name="blobs-wide-fast",
-            make_dataset=make_dataset,
-            build_network=lambda seed: build_mlp(32, 6, hidden=hidden, seed=seed),
-            framework_config=cfg,
-            seed=7,
-        )
-    cfg = FrameworkConfig(
-        device=DeviceConfig(pulses_to_collapse=30, write_noise=0.1),
-        train=TrainConfig(epochs=10),
-        skewed=SkewedTrainingConfig(
-            beta_scale=-1.0,
-            lambda1=0.05,
-            lambda2=1e-3,
-            pretrain=TrainConfig(epochs=10),
-            skew_epochs=6,
-        ),
-        lifetime=LifetimeConfig(
-            apps_per_window=1000,
-            max_windows=12,
-            tuning=TuningConfig(max_iterations=30),
-        ),
-        tune_samples=192,
-        target_fraction=0.9,
-    )
-    return ExperimentPreset(
-        name="blobs-wide",
-        make_dataset=make_dataset,
-        build_network=lambda seed: build_mlp(32, 6, hidden=hidden, seed=seed),
-        framework_config=cfg,
-        seed=7,
-    )
-
-
 PRESETS = {
     "blobs-mini": blobs_mini,
-    "blobs-wide": blobs_wide,
     "lenet-glyphs": lenet_glyphs,
     "vggnet-shapes": vggnet_shapes,
 }

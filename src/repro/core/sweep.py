@@ -15,7 +15,6 @@ the wall-clock ``seconds`` field.
 
 from __future__ import annotations
 
-import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -53,29 +52,15 @@ class SweepResult:
         return [p.metrics[name] for p in self.successful()]
 
 
-def _evaluate_point(fn, entropy: int, parameter: str, value, catch: bool) -> dict:
-    """Evaluate one point; the shared task body for serial AND parallel.
-
-    With ``catch=True`` an exception becomes an ``{"__error__": tb}``
-    payload (failure isolation); with ``catch=False`` it propagates —
-    that is the ``fail_fast`` path, where the executor re-raises the
-    original exception in the parent.
-    """
+def _evaluate_point(fn, entropy: int, parameter: str, value) -> dict:
+    """Evaluate one point; the shared task body for serial AND parallel."""
     rng = derive_rng(entropy, f"{parameter}={value!r}")
-
-    def coerce(metrics) -> dict:
-        if not isinstance(metrics, dict):
-            raise ConfigurationError(
-                f"sweep fn must return a metrics dict, got {type(metrics)}"
-            )
-        return {str(k): float(v) for k, v in metrics.items()}
-
-    if not catch:
-        return coerce(fn(value, rng))
-    try:
-        return coerce(fn(value, rng))
-    except Exception:
-        return {"__error__": traceback.format_exc(limit=3)}
+    metrics = fn(value, rng)
+    if not isinstance(metrics, dict):
+        raise ConfigurationError(
+            f"sweep fn must return a metrics dict, got {type(metrics)}"
+        )
+    return {str(k): float(v) for k, v in metrics.items()}
 
 
 class Sweep:
@@ -108,7 +93,7 @@ class Sweep:
             Task(
                 key=f"{self.parameter}={value!r}",
                 fn=_evaluate_point,
-                args=(self.fn, self._entropy, self.parameter, value, not fail_fast),
+                args=(self.fn, self._entropy, self.parameter, value),
             )
             for value in values
         ]
@@ -116,14 +101,12 @@ class Sweep:
 
         result = SweepResult(parameter=self.parameter)
         for value, outcome in zip(values, outcomes):
-            point = SweepPoint(value=value, seconds=outcome.seconds)
-            if not outcome.ok:
-                # Transport-level failure: the worker process died (e.g.
-                # BrokenProcessPool) before the point could even report.
-                point.error = outcome.error
-            elif "__error__" in outcome.value:
-                point.error = outcome.value["__error__"]
-            else:
-                point.metrics = outcome.value
-            result.points.append(point)
+            result.points.append(
+                SweepPoint(
+                    value=value,
+                    metrics=outcome.value if outcome.ok else {},
+                    error=outcome.error,
+                    seconds=outcome.seconds,
+                )
+            )
         return result

@@ -171,24 +171,14 @@ def load_weights(model: Sequential, path: PathLike) -> Sequential:
 
 
 # -- lifetime results ----------------------------------------------------------
-def result_to_dict(result: LifetimeResult) -> dict:
-    """JSON-ready dict of a lifetime result."""
-    return result.to_dict()
-
-
-def result_from_dict(d: dict) -> LifetimeResult:
-    """Inverse of :func:`result_to_dict`."""
-    return LifetimeResult.from_dict(d)
-
-
 def save_result(result: LifetimeResult, path: PathLike) -> None:
     """Write a lifetime result to JSON."""
-    pathlib.Path(path).write_text(json.dumps(result_to_dict(result), indent=2))
+    pathlib.Path(path).write_text(json.dumps(result.to_dict(), indent=2))
 
 
 def load_result(path: PathLike) -> LifetimeResult:
     """Read a lifetime result from JSON."""
-    return result_from_dict(json.loads(pathlib.Path(path).read_text()))
+    return LifetimeResult.from_dict(json.loads(pathlib.Path(path).read_text()))
 
 
 def save_comparison(comparison: ScenarioComparison, path: PathLike) -> None:
@@ -196,7 +186,7 @@ def save_comparison(comparison: ScenarioComparison, path: PathLike) -> None:
     payload = {
         "workload": comparison.workload,
         "baseline_key": comparison.baseline_key,
-        "results": {k: result_to_dict(r) for k, r in comparison.results.items()},
+        "results": {k: r.to_dict() for k, r in comparison.results.items()},
     }
     pathlib.Path(path).write_text(json.dumps(payload, indent=2))
 
@@ -209,5 +199,5 @@ def load_comparison(path: PathLike) -> ScenarioComparison:
         baseline_key=str(payload.get("baseline_key", "t+t")),
     )
     for key, d in payload.get("results", {}).items():
-        comparison.results[key] = result_from_dict(d)
+        comparison.results[key] = LifetimeResult.from_dict(d)
     return comparison

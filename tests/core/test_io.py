@@ -20,8 +20,6 @@ from repro.io import (
     load_json,
     load_result,
     load_weights,
-    result_from_dict,
-    result_to_dict,
     save_comparison,
     save_json_atomic,
     save_result,
@@ -85,7 +83,7 @@ class TestWeights:
 class TestResults:
     def test_dict_round_trip(self):
         result = make_result()
-        back = result_from_dict(result_to_dict(result))
+        back = LifetimeResult.from_dict(result.to_dict())
         assert back.scenario_key == result.scenario_key
         assert back.lifetime_applications == result.lifetime_applications
         assert back.windows[0].aged_upper_by_layer == {0: 99_000.0, 2: 98_500.0}

@@ -3,7 +3,6 @@
 from repro.core.presets import (
     PRESETS,
     blobs_mini,
-    blobs_wide,
     lenet_glyphs,
     vggnet_shapes,
 )
@@ -13,7 +12,6 @@ class TestPresets:
     def test_registry(self):
         assert set(PRESETS) == {
             "blobs-mini",
-            "blobs-wide",
             "lenet-glyphs",
             "vggnet-shapes",
         }
@@ -30,28 +28,6 @@ class TestPresets:
         fast = blobs_mini(fast=True)
         full = blobs_mini(fast=False)
         assert fast.make_dataset().n_train < full.make_dataset().n_train
-        assert (
-            fast.framework_config.lifetime.max_windows
-            < full.framework_config.lifetime.max_windows
-        )
-
-    def test_blobs_wide_preset_builds(self):
-        preset = blobs_wide(fast=True)
-        data = preset.make_dataset()
-        model = preset.build_network(1)
-        assert data.n_classes == 6
-        out = model.forward(data.x_train[:2])
-        assert out.shape == (2, 6)
-
-    def test_blobs_wide_matrices_are_wide(self):
-        # The point of the preset: fast mode shrinks the horizon, never
-        # the matrices, so backend benchmarks see real GEMM sizes.
-        fast = blobs_wide(fast=True)
-        full = blobs_wide(fast=False)
-        model = fast.build_network(1)
-        widths = [p.shape for layer in model.layers for p in getattr(layer, "params", {}).values()]
-        assert (32, 256) in widths and (256, 128) in widths
-        assert fast.make_dataset().n_test == full.make_dataset().n_test
         assert (
             fast.framework_config.lifetime.max_windows
             < full.framework_config.lifetime.max_windows

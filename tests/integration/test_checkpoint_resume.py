@@ -8,8 +8,10 @@ as a run that was never interrupted.  Likewise a re-launched campaign
 over a journal re-executes zero completed points.
 """
 
+import base64
 import json
 
+import cloudpickle
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,7 +21,6 @@ from repro.core.checkpoint import (
     CheckpointManager,
     RunJournal,
     load_checkpoint,
-    rng_state,
 )
 from repro.core.lifetime import LifetimeConfig, LifetimeSimulator
 from repro.mapping import MappedNetwork
@@ -101,8 +102,7 @@ class TestKillAndResume:
         for window in range(resume_at + 1, MAX_WINDOWS + 1):
             original = load_checkpoint(manager.path_for("t", window))
             again = load_checkpoint(CheckpointManager(tmp_path).path_for("t", window))
-            assert again["layers"] == original["layers"]
-            assert again["rng"] == original["rng"]
+            assert _device_state(again) == _device_state(original)
             assert again["result"] == original["result"]
 
     @settings(
@@ -121,13 +121,82 @@ class TestKillAndResume:
         )
         result = restored.run()
         assert result.to_dict() == plain.to_dict()
-        assert rng_state(restored.tuner._rng) == rng_state(sim.tuner._rng)
+        assert (
+            restored.tuner._rng.bit_generator.state
+            == sim.tuner._rng.bit_generator.state
+        )
         for mapped_a, mapped_b in zip(restored.network.layers, sim.network.layers):
             for (_, _, ta), (_, _, tb) in zip(
                 mapped_a.tiles.iter_tiles(), mapped_b.tiles.iter_tiles()
             ):
                 assert np.array_equal(ta.resistance, tb.resistance)
                 assert ta.state_version == tb.state_version
+
+
+def _device_state(payload):
+    """Every tile's arrays, counters, fault knobs and RNG state, plus the
+    tuner and fault streams, decoded from a snapshot's pickled context."""
+    from tests.core.test_checkpoint import _tile_states
+
+    sim = cloudpickle.loads(base64.b64decode(payload["context_pickle"]))
+    fault = sim._fault_rng.bit_generator.state if sim._fault_rng is not None else None
+    return _tile_states(sim.network), sim.tuner._rng.bit_generator.state, fault
+
+
+#: Stuck-at bursts before and after the persistent knobs, so a resume
+#: past window 1 must continue the fault stream, and every knob event
+#: lands before later snapshots (noisy reads draw the tiles' streams).
+FAULTS = (
+    ("stuck_at", dict(window=1, rate_lrs=0.005, rate_hrs=0.005)),
+    ("read_noise", dict(window=2, sigma=0.05)),
+    ("pulse_miss", dict(window=3, miss_rate=0.1)),
+    ("stuck_at", dict(window=4, rate_lrs=0.005, rate_hrs=0.005)),
+)
+
+
+class TestResumeUnderFaults:
+    @pytest.fixture(scope="class")
+    def framework(self):
+        from repro.core import AgingAwareFramework
+        from repro.core.presets import blobs_mini
+
+        preset = blobs_mini(fast=True)
+        return AgingAwareFramework(
+            preset.build_network,
+            preset.make_dataset(),
+            preset.framework_config,
+            seed=preset.seed,
+        )
+
+    @pytest.mark.parametrize("scenario", ["st+t", "st+at"])
+    def test_resume_from_every_window_is_bit_identical(
+        self, framework, scenario, tmp_path
+    ):
+        from repro.robustness import FaultEvent, FaultSchedule
+
+        schedule = FaultSchedule(
+            events=tuple(FaultEvent(kind=k, **kw) for k, kw in FAULTS)
+        )
+        full = framework.run_scenario(
+            scenario,
+            fault_schedule=schedule,
+            checkpoint_every=1,
+            checkpoint_dir=tmp_path,
+        )
+        assert full.to_dict() == framework.run_scenario(
+            scenario, fault_schedule=schedule
+        ).to_dict()
+        entries = CheckpointManager(tmp_path).entries()
+        # Every fault event is behind some snapshot, and tuning worked.
+        assert len(entries) > FAULTS[-1][1]["window"]
+        assert sum(w.tuning_iterations for w in full.windows) > 0
+        last_tiles = _device_state(load_checkpoint(entries[-1].path))[0]
+        assert all(t[3:5] == (0.05, 0.1) for t in last_tiles)
+        for entry in entries:
+            resumed = LifetimeSimulator.resume(entry.path).run()
+            assert resumed.to_dict() == full.to_dict(), (
+                f"{scenario}: resume at window {entry.window} diverged"
+            )
 
 
 class TestCampaignJournalRelaunch:

@@ -29,9 +29,9 @@ canonical (sorted-key, compact) JSON, and the file holds the payload in
 exactly that encoding; bit rot is detected at load time, not silently
 resumed from.
 
-Schema layout (``CHECKPOINT_SCHEMA = 2``)::
+Schema layout (``CHECKPOINT_SCHEMA = 3``)::
 
-    {"schema": 2, "kind": "repro-lifetime-checkpoint", "sha256": ...,
+    {"schema": 3, "kind": "repro-lifetime-checkpoint", "sha256": ...,
      "payload": {
         "meta":     {scenario_key, next_window, applications, created_unix,
                      layers, tiles, devices},
@@ -42,6 +42,9 @@ The pickled context is the state: restoring a snapshot is unpickling
 it.  Only state is pickled (layers and crossbars drop their derived
 caches in ``__getstate__``), and ``meta`` carries the counts that
 ``repro checkpoints inspect`` shows without unpickling anything.
+Schema 3 has schema 2's layout; its pickled ``MappedLayer``s carry the
+``version`` counter that keys the network's read memo, which a schema-2
+pickle lacks, so a schema-2 snapshot is rejected at load.
 """
 
 from __future__ import annotations
@@ -67,8 +70,9 @@ try:  # cloudpickle ships closures (network builders, hooks); see executor.
 except Exception:  # pragma: no cover - exercised only without cloudpickle
     import pickle as _serializer
 
-#: Snapshot format version; bump when the payload layout changes.
-CHECKPOINT_SCHEMA = 2
+#: Snapshot format version; bump when the payload layout or the state
+#: of a pickled class changes.
+CHECKPOINT_SCHEMA = 3
 #: Journal line format version.
 JOURNAL_SCHEMA = 1
 

@@ -236,29 +236,22 @@ class LifetimeSimulator:
             applications += cfg.apps_per_window
             self.network.apply_drift(cfg.drift_magnitude)
 
-            # Maintenance cycle: hooks (wear levelling) + remap + tune,
-            # fused under one read-reuse scope (DESIGN.md §11): the
-            # aging-aware candidate scoring, the tuning session and the
-            # window metrics all read the same device state, so the
-            # scope lets the network memoize noise-free reads instead
-            # of rebuilding the scratch model between stages.  The scope
-            # is closed before any checkpoint capture below.
-            with self.network.read_reuse():
-                for hook in self.maintenance_hooks:
-                    hook(self.network)
-                self._remap()
-                tuning = self.tuner.tune(self.network, self.x_tune, self.y_tune)
+            # Maintenance cycle: hooks (wear levelling) + remap + tune.
+            for hook in self.maintenance_hooks:
+                hook(self.network)
+            self._remap()
+            tuning = self.tuner.tune(self.network, self.x_tune, self.y_tune)
 
-                record = WindowRecord(
-                    window_index=window,
-                    applications_total=applications,
-                    tuning_iterations=tuning.iterations,
-                    converged=tuning.converged,
-                    accuracy_after=tuning.final_accuracy,
-                    pulses_total=self.network.total_pulses(),
-                    dead_fraction=self.network.dead_fraction(),
-                    aged_upper_by_layer=self.network.aging_by_layer(),
-                )
+            record = WindowRecord(
+                window_index=window,
+                applications_total=applications,
+                tuning_iterations=tuning.iterations,
+                converged=tuning.converged,
+                accuracy_after=tuning.final_accuracy,
+                pulses_total=self.network.total_pulses(),
+                dead_fraction=self.network.dead_fraction(),
+                aged_upper_by_layer=self.network.aging_by_layer(),
+            )
             result.windows.append(record)
             PROFILER.increment("lifetime.windows")
 

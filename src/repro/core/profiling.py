@@ -1,11 +1,12 @@
 """Lightweight perf counters and timers for the hot paths.
 
-The read caches (state-versioned conductance caching — see DESIGN.md
-§9) only earn their complexity if the savings are *observable*.  This
-module provides a process-local registry of named monotonic counters
-and wall-clock timers with near-zero overhead (a dict update per
-event), JSON export, and a delta-capture context manager the executor
-uses to attribute work to individual tasks (campaign grid points).
+The hot-path shortcuts (the network's read memo, the aged-bounds
+caches — see DESIGN.md §9, §11) only earn their complexity if the
+savings are *observable*.  This module provides a process-local
+registry of named monotonic counters and wall-clock timers with
+near-zero overhead (a dict update per event), JSON export, and a
+delta-capture context manager the executor uses to attribute work to
+individual tasks (campaign grid points).
 
 Design constraints:
 

@@ -32,11 +32,10 @@ class Crossbar:
     programmed state — ``program``, ``step_conductance``,
     ``program_pulses``, ``apply_drift``, fault injection, or any
     direct assignment to :attr:`resistance` — bumps the monotonically
-    increasing :attr:`state_version`.  The version keys the cache that
-    makes simulated *reads* cheap relative to simulated *programming*:
-    the noise-free conductance matrix (:meth:`conductances`).  Reads
-    never bump the version; fault-free reads also never draw RNG, so
-    caching cannot perturb any random stream.
+    increasing :attr:`state_version`.  Reads never bump it, and
+    noise-free reads draw no RNG, so the network-level read memo
+    (:meth:`repro.mapping.network.MappedNetwork.effective_model`) can
+    key on the version without perturbing any random stream.
 
     A second counter tracks *stress* mutations only (pulse aging, fault
     injection) and keys the aged-bounds/dead-mask caches (DESIGN.md
@@ -66,9 +65,8 @@ class Crossbar:
         self._rng = ensure_rng(seed)
 
         #: Monotonic counter of programmed-state mutations; keys the
-        #: conductance cache (DESIGN.md §9).
+        #: network's read memo (DESIGN.md §11).
         self._state_version = 0
-        self._conductance_cache: Optional[Tuple[int, np.ndarray]] = None
         #: Monotonic counter of *stress* mutations (pulse aging, fault
         #: injection); keys the aged-bounds/dead-mask caches (DESIGN.md
         #: §11).  Resistance writes do not age devices and leave these
@@ -101,11 +99,10 @@ class Crossbar:
         self.pulse_miss_rate = 0.0
 
     def __getstate__(self) -> dict:
-        # The read and aged-bounds caches are pure functions of the
-        # arrays, keyed by the version counters that do travel: a copy
-        # rebuilds them on first use instead of carrying them.
+        # The aged-bounds caches are pure functions of the arrays,
+        # keyed by the stress counter that does travel: a copy rebuilds
+        # them on first use instead of carrying them.
         state = self.__dict__.copy()
-        state["_conductance_cache"] = None
         state["_bounds_cache"] = None
         state["_dead_cache"] = None
         return state
@@ -125,18 +122,14 @@ class Crossbar:
     @resistance.setter
     def resistance(self, value: np.ndarray) -> None:
         self._resistance = value
-        # A resistance write invalidates the read-path caches but not
-        # the aged-bounds caches: programming moves values, not stress.
-        self._invalidate_read_caches()
+        # A resistance write bumps the state version but keeps the
+        # aged-bounds caches: programming moves values, not stress.
+        self._state_version += 1
 
     @property
     def state_version(self) -> int:
         """Monotonic count of programmed-state mutations."""
         return self._state_version
-
-    def _invalidate_read_caches(self) -> None:
-        self._state_version += 1
-        self._conductance_cache = None
 
     def _invalidate_stress_caches(self) -> None:
         self._stress_version += 1
@@ -146,15 +139,13 @@ class Crossbar:
     def mark_state_dirty(self) -> None:
         """Invalidate every cached view after an out-of-band mutation.
 
-        Bumps :attr:`state_version`, drops the cached conductance
-        matrix, and also drops the aged-bounds
-        and dead-mask caches (fault injection mutates ``stress_time``
-        in place and relies on this hook).  Call it after mutating
+        Bumps :attr:`state_version` and drops the aged-bounds and
+        dead-mask caches (fault injection mutates ``stress_time`` in
+        place and relies on this hook).  Call it after mutating
         ``stress_time`` or ``resistance`` in place; in-repo writers
-        assign :attr:`resistance`, whose setter invalidates only the
-        read-path caches.
+        assign :attr:`resistance`, whose setter only bumps the version.
         """
-        self._invalidate_read_caches()
+        self._state_version += 1
         self._invalidate_stress_caches()
 
     # -- aging state ------------------------------------------------------
@@ -416,29 +407,14 @@ class Crossbar:
         return np.maximum(noisy, 1e-3)
 
     def conductances(self) -> np.ndarray:
-        """Programmed conductance matrix ``G`` (noise-free).
-
-        Cached per :attr:`state_version`; the returned array is
-        read-only so the cache cannot be corrupted through an alias.
-        Deterministic (no RNG draw), so caching is invisible to every
-        random stream.
-        """
-        cached = self._conductance_cache
-        if cached is not None and cached[0] == self._state_version:
-            PROFILER.increment("crossbar.conductance_cache_hits")
-            return cached[1]
-        g = 1.0 / self._resistance
-        g.setflags(write=False)
-        PROFILER.increment("crossbar.conductance_cache_misses")
-        self._conductance_cache = (self._state_version, g)
-        return g
+        """Programmed conductance matrix ``G`` (noise-free, no RNG draw)."""
+        return 1.0 / self._resistance
 
     def read_conductances(self) -> np.ndarray:
         """Conductance matrix as seen by a read (noise included).
 
-        Noise-free reads hit the :meth:`conductances` cache; noisy
-        reads must sample fresh resistances every call (each read draws
-        its own noise) and are never cached.
+        Noisy reads sample fresh resistances every call (each read
+        draws its own noise); noise-free reads are :meth:`conductances`.
         """
         if self.config.read_noise + self.read_noise_extra <= 0:
             return self.conductances()

@@ -14,13 +14,12 @@ Two models are provided:
   up to ~256x256.
 * :func:`ir_drop_factors` — the standard first-order approximation: the
   voltage reaching cell (i, j) is attenuated by the accumulated wire
-  resistance relative to the cell's path resistance.  O(RC), usable
-  in-loop.
+  resistance relative to the cell's path resistance.  O(RC).
 
 The :class:`ParasiticModel` wraps a wire resistance per segment, so
 experiments can quantify how much accuracy IR drop costs at a given
-array size (see ``benchmarks/test_ext_ir_drop.py`` and
-``MappedNetwork(parasitics=...)``).
+array size (``benchmarks/test_ext_ir_drop.py`` attenuates a mapped
+network's read conductances with :func:`ir_drop_factors`).
 """
 
 from __future__ import annotations

@@ -84,10 +84,9 @@ class TiledMatrix:
     def conductances(self) -> np.ndarray:
         """Logical conductance matrix (noise-free).
 
-        Assembled from the per-tile :meth:`Crossbar.conductances`
-        caches — bitwise identical to ``1.0 / self.resistances()``
-        (elementwise reciprocal commutes with tiling) but free between
-        reprogramming events.
+        Assembled from the per-tile :meth:`Crossbar.conductances` —
+        bitwise identical to ``1.0 / self.resistances()`` (elementwise
+        reciprocal commutes with tiling).
         """
         out = np.empty(self.shape, dtype=np.float64)
         for rs, cs, tile in self.iter_tiles():

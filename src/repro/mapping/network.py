@@ -27,8 +27,7 @@ still enters through the *device* arrays.
 from __future__ import annotations
 
 import copy
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -89,13 +88,10 @@ class MappedLayer:
         r_tia: float,
         trace_block: int,
         seed: SeedLike = None,
-        parasitics=None,
     ) -> None:
         self.layer_index = int(layer_index)
         self.layer = layer
         self.device_config = device_config
-        #: Optional :class:`repro.crossbar.parasitics.ParasiticModel`.
-        self.parasitics = parasitics
         self.kind = "conv" if isinstance(layer, Conv2D) else "dense"
         matrix = _layer_matrix(layer)
         self.matrix_shape: Tuple[int, int] = matrix.shape
@@ -118,20 +114,24 @@ class MappedLayer:
         #: see :class:`repro.mitigation.row_swap.RowSwapper`).  Row ``i``
         #: of the logical matrix is stored on physical row ``perm[i]``.
         self.row_permutation: Optional[np.ndarray] = None
+        #: Monotonic count of :meth:`set_range` / :meth:`set_row_permutation`
+        #: calls: the changes to what a read returns that write no
+        #: device.  With the tiles' ``state_version`` it keys the
+        #: network's read memo (DESIGN.md §11).
+        self.version = 0
         self._grid = device_config.make_level_grid()
 
     # -- row permutation (wear levelling) ---------------------------------
     def set_row_permutation(self, perm: Optional[np.ndarray]) -> None:
         """Install a logical→physical row permutation (or clear it)."""
-        if perm is None:
-            self.row_permutation = None
-            return
-        perm = np.asarray(perm, dtype=np.int64)
-        if sorted(perm.tolist()) != list(range(self.matrix_shape[0])):
-            raise ConfigurationError(
-                f"not a permutation of {self.matrix_shape[0]} rows"
-            )
+        if perm is not None:
+            perm = np.asarray(perm, dtype=np.int64)
+            if sorted(perm.tolist()) != list(range(self.matrix_shape[0])):
+                raise ConfigurationError(
+                    f"not a permutation of {self.matrix_shape[0]} rows"
+                )
         self.row_permutation = perm
+        self.version += 1
 
     def _to_physical(self, logical: np.ndarray) -> np.ndarray:
         if self.row_permutation is None:
@@ -173,6 +173,7 @@ class MappedLayer:
         self.mapping = LinearWeightMapping.from_resistance_range(
             self.software_matrix(), r_lo, r_hi
         )
+        self.version += 1
         return self.mapping
 
     def predicted_matrix(self, r_lo: float, r_hi: float) -> np.ndarray:
@@ -209,27 +210,13 @@ class MappedLayer:
     def hardware_matrix(self) -> np.ndarray:
         """Effective weight matrix read back from the devices.
 
-        When the owning network models wire parasitics, the read
-        conductances are first attenuated by the first-order IR-drop
-        factors — far-corner devices deliver less of their signal.
-
-        Reads go through the tiles' state-versioned conductance caches
-        (DESIGN.md §9): noise-free reads between reprogramming events
-        reuse the cached per-tile matrices instead of re-inverting the
-        resistance state.
+        Every call reads the tiles afresh; reuse between writes is
+        decided one level up, by :meth:`MappedNetwork.effective_model`.
         """
         if self.mapping is None:
             raise ConfigurationError("layer has never been programmed")
         PROFILER.increment("network.hardware_reads")
         g = self.tiles.read_conductances()
-        if self.parasitics is not None:
-            from repro.crossbar.parasitics import ir_drop_factors
-
-            g = g * ir_drop_factors(g, self.parasitics)
-            physical = 1.0 / np.maximum(g, 1e-12)
-            return np.asarray(
-                self.mapping.resistance_to_weight(self._to_logical(physical))
-            )
         return np.asarray(
             self.mapping.conductance_to_weight(self._to_logical(g))
         )
@@ -260,10 +247,7 @@ class MappedLayer:
         # mask == (polarity != 0) by construction, so this is
         # bit-identical to a step_conductance sweep (same draws, same
         # arithmetic).
-        applied = self.tiles.program_pulses(
-            physical != 0, physical, fraction=step_fraction
-        )
-        PROFILER.increment("tuning.batched_pulses", applied)
+        self.tiles.program_pulses(physical != 0, physical, fraction=step_fraction)
         return int(np.count_nonzero(directions))
 
     def dead_device_mask(self) -> np.ndarray:
@@ -299,7 +283,6 @@ class MappedNetwork:
         r_tia: float = 1e3,
         trace_block: int = 3,
         seed: SeedLike = None,
-        parasitics=None,
     ) -> None:
         if not model.built:
             raise ConfigurationError("model must be built before mapping")
@@ -316,7 +299,6 @@ class MappedNetwork:
                 r_tia,
                 trace_block,
                 seed=spawn_rng(rng, f"layer{idx}"),
-                parasitics=parasitics,
             )
             for idx, layer in model.weighted_layers()
         ]
@@ -326,13 +308,9 @@ class MappedNetwork:
         # gradients (the paper's online tuning minimizes the plain cost
         # on the mapped network).
         self._scratch.set_regularizers(None)
-        # Read-reuse scope state (DESIGN.md §11): inside a
-        # :meth:`read_reuse` scope, noise-free hardware reads are
-        # memoized per aggregate tile state version and the software
-        # weight snapshot is captured once instead of per install.
-        self._reuse_depth = 0
-        self._scratch_holds: Optional[Tuple[int, ...]] = None
-        self._software_snapshot: Optional[List[Dict[str, np.ndarray]]] = None
+        #: Read-memo key of the hardware weights the scratch model holds
+        #: (DESIGN.md §11); ``None`` when it holds anything else.
+        self._scratch_holds: Optional[Tuple[Tuple[int, int], ...]] = None
 
     # -- mapping --------------------------------------------------------
     def map_network(
@@ -383,33 +361,6 @@ class MappedNetwork:
             mapped.program()
 
     # -- hardware inference -----------------------------------------------
-    @contextmanager
-    def read_reuse(self) -> Iterator[None]:
-        """Scope in which hardware reads may be memoized (DESIGN.md §11).
-
-        The per-window map → tune → evaluate pipeline re-reads the same
-        unchanged device state many times (gradient evaluation, scoring,
-        window metrics).  Inside this scope — and only when reads are
-        noise-free — :meth:`effective_model` reuses the scratch model as long as no
-        tile's state version moved, and :meth:`_install_matrices`
-        captures the software weight snapshot once instead of per call.
-        Results are bit-identical by construction: the memo key is the
-        same state-version counter that already guards the conductance
-        caches, and noisy reads (which draw RNG) are never memoized.
-
-        Scopes nest; all network-level caches are dropped when the
-        outermost scope exits, so state held here can never leak into
-        code that runs outside the hot loop.
-        """
-        self._reuse_depth += 1
-        try:
-            yield
-        finally:
-            self._reuse_depth -= 1
-            if self._reuse_depth == 0:
-                self._scratch_holds = None
-                self._software_snapshot = None
-
     def _reads_deterministic(self) -> bool:
         """True when hardware reads are noise-free (hence memoizable).
 
@@ -430,13 +381,9 @@ class MappedNetwork:
         # Installing arbitrary matrices (e.g. candidate-scoring trials)
         # invalidates any memoized hardware state in the scratch model.
         self._scratch_holds = None
-        if self._reuse_depth > 0:
-            if self._software_snapshot is None:
-                self._software_snapshot = self.model.get_weights()
-            snapshot = self._software_snapshot
-        else:
-            snapshot = self.model.get_weights()
-        self._scratch.set_weights(snapshot)
+        for scratch, layer in zip(self._scratch.layers, self.model.layers):
+            for name, value in layer.params.items():
+                scratch.params[name][...] = value
         for mapped in self.layers:
             if mapped.layer_index in matrices:
                 kernel = _matrix_to_kernel(matrices[mapped.layer_index], mapped.layer)
@@ -454,15 +401,19 @@ class MappedNetwork:
         Valid until the next call that mutates the scratch model; copy
         it (``clone_model``) to keep a snapshot.
 
-        Inside a :meth:`read_reuse` scope with deterministic reads, the
-        assembled scratch model is memoized against the per-layer tile
-        state versions: repeated calls between reprogramming events
-        (gradient evaluation followed by accuracy scoring, say) skip
-        the read → invert → install rebuild entirely.
+        This is the one place that decides whether a hardware read can
+        be reused (DESIGN.md §11).  With noise-free reads the assembled
+        scratch model is memoized against every layer's
+        ``(tiles.state_version, version)``: repeated calls between
+        device writes, range changes and row permutations (gradient
+        evaluation followed by accuracy scoring, say) skip the
+        read → invert → install rebuild entirely.  The software model's
+        parameters are not part of the key; they never change once the
+        network is mapped.
         """
-        memoizable = self._reuse_depth > 0 and self._reads_deterministic()
+        memoizable = self._reads_deterministic()
         if memoizable:
-            key = tuple(m.tiles.state_version for m in self.layers)
+            key = tuple((m.tiles.state_version, m.version) for m in self.layers)
             if self._scratch_holds == key:
                 PROFILER.increment("network.effective_model_reuse")
                 return self._scratch

@@ -156,31 +156,21 @@ class OnlineTuner:
         random ``batch_size`` subsets.  Every sweep pulses the selected
         devices (aging them); evaluation itself applies no stress.
 
-        The whole session runs inside the network's
-        :meth:`~repro.mapping.network.MappedNetwork.read_reuse` scope
-        (hardware reads between sweeps are memoized) and each sweep goes
-        through ``apply_tuning_sweep`` → batched ``program_pulses``.
+        Hardware reads between sweeps are memoized by the network
+        (:meth:`~repro.mapping.network.MappedNetwork.effective_model`)
+        and each sweep goes through ``apply_tuning_sweep`` → batched
+        ``program_pulses``.
         """
         PROFILER.increment("tuning.sessions")
         with PROFILER.timer("tuning.session"):
-            result = self._tune_impl(network, x_tune, y_tune)
+            x_tune = np.asarray(x_tune, dtype=np.float64)
+            y_tune = np.asarray(y_tune, dtype=np.float64)
+            if len(x_tune) != len(y_tune):
+                raise ConfigurationError("x_tune and y_tune lengths differ")
+            result = self._tune_loop(network, x_tune, y_tune)
         PROFILER.increment("tuning.iterations", result.iterations)
         PROFILER.increment("tuning.pulses", result.pulses_applied)
         return result
-
-    def _tune_impl(
-        self,
-        network: MappedNetwork,
-        x_tune: np.ndarray,
-        y_tune: np.ndarray,
-    ) -> TuningResult:
-        x_tune = np.asarray(x_tune, dtype=np.float64)
-        y_tune = np.asarray(y_tune, dtype=np.float64)
-        if len(x_tune) != len(y_tune):
-            raise ConfigurationError("x_tune and y_tune lengths differ")
-
-        with network.read_reuse():
-            return self._tune_loop(network, x_tune, y_tune)
 
     def _tune_loop(
         self,

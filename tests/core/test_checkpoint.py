@@ -142,6 +142,22 @@ class TestSnapshotFile:
         with pytest.raises(CheckpointError, match="unknown checkpoint schema 1"):
             load_checkpoint(path)
 
+    def test_schema_2_rejected(self, tmp_path):
+        """Schema 2 had this layout, but its pickled mapped layers lack
+        the counter that keys the network's read memo."""
+        path = tmp_path / f"v2{CHECKPOINT_SUFFIX}"
+        payload = {**self.PAYLOAD, "context_pickle": ""}
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        document = {
+            "schema": 2,
+            "kind": "repro-lifetime-checkpoint",
+            "sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+            "payload": payload,
+        }
+        save_json_atomic(document, path, durable=True)
+        with pytest.raises(CheckpointError, match="unknown checkpoint schema 2"):
+            load_checkpoint(path)
+
     def test_bit_rot_detected(self, tmp_path):
         path = tmp_path / "rot.ckpt.json"
         save_checkpoint(self.PAYLOAD, path)
@@ -281,7 +297,7 @@ class TestCaptureRestore:
 
     def test_context_carries_no_derived_state(self, simulator):
         """The pickled context holds neither the models' forward caches
-        nor the tiles' read caches, although the live simulator has both."""
+        nor the tiles' aged-bounds caches, although the live simulator has both."""
         payload = self._mid_run_payload(simulator)
         assert _forward_caches(simulator.network) and _tile_caches(simulator.network)
         context = cloudpickle.loads(base64.b64decode(payload["context_pickle"]))
@@ -348,11 +364,11 @@ def _tiles(network):
     ]
 
 
-_TILE_CACHES = ("_conductance_cache", "_bounds_cache", "_dead_cache")
+_TILE_CACHES = ("_bounds_cache", "_dead_cache")
 
 
 def _tile_caches(network):
-    """``(layer, cache)`` of every filled crossbar read cache."""
+    """``(layer, cache)`` of every filled crossbar aged-bounds cache."""
     return [
         (index, cache)
         for index, tile in _tiles(network)

@@ -124,10 +124,10 @@ class TestVectorizedPathCounters:
     def test_lifetime_window_pulse_counters_match_network_delta(
         self, trained_mlp, blob_dataset
     ):
-        """A profiled lifetime window reports the batched-path pulse
-        counters (ISSUE 6), and their sum accounts for every pulse the
-        network fired: ``programming.batched`` (map/remap programming)
-        plus ``tuning.batched_pulses`` (tuning sweeps) equals the
+        """A profiled lifetime window reports the pulse counters, and
+        their sum accounts for every pulse the network fired:
+        ``programming.batched`` (map/remap programming) plus
+        ``tuning.pulses`` (tuning sessions) equals the
         ``network.total_pulses()`` delta across the run."""
         from repro.core.lifetime import LifetimeConfig, LifetimeSimulator
         from repro.device import DeviceConfig
@@ -160,9 +160,8 @@ class TestVectorizedPathCounters:
 
         assert pulses_delta > 0
         assert "programming.batched" in delta.counters
-        assert "tuning.batched_pulses" in delta.counters
+        assert "tuning.pulses" in delta.counters
         assert (
-            delta.counters["programming.batched"]
-            + delta.counters["tuning.batched_pulses"]
+            delta.counters["programming.batched"] + delta.counters["tuning.pulses"]
             == pulses_delta
         )

@@ -173,7 +173,7 @@ class TestReadout:
 
 
 class TestStateCopy:
-    """Copies carry the arrays and version counters, not the read caches."""
+    """Copies carry the arrays and version counters, not the aged-bounds caches."""
 
     COPIES = {
         "pickle": lambda xb: pickle.loads(pickle.dumps(xb)),
@@ -199,12 +199,11 @@ class TestStateCopy:
     def test_copy_has_empty_caches_and_equal_state(self, worn, how):
         versions = (worn.state_version, worn._stress_version)
         clone = self.COPIES[how](worn)
-        assert clone._conductance_cache is None
         assert clone._bounds_cache is None
         assert clone._dead_cache is None
         assert (clone.state_version, clone._stress_version) == versions
         # The original keeps its caches.
-        assert worn._conductance_cache is not None
+        assert worn._dead_cache is not None
         pairs = [
             (clone.conductances(), worn.conductances()),
             (clone.dead_mask(), worn.dead_mask()),

@@ -1,16 +1,15 @@
-"""The crossbar's state-versioned read cache (DESIGN.md §9).
+"""The crossbar's state version and read path (DESIGN.md §9).
 
-Every mutating operation must bump ``state_version`` and invalidate the
-cached conductances, while pure reads must not.
+Every mutating operation must bump ``state_version``, the key of the
+network's read memo, while pure reads must not; noise-free reads must
+draw no RNG and noisy reads must sample afresh every call.
 """
 
 import numpy as np
-import pytest
 
 from repro.crossbar import Crossbar
 from repro.device import DeviceConfig
 from repro.device.faults import FaultModel, inject_faults
-from tests.oracles import uncached_reads
 
 
 class TestCrossbarStateVersion:
@@ -48,44 +47,20 @@ class TestCrossbarStateVersion:
         xb.dead_mask()
         assert xb.state_version == version
 
-    def test_conductance_cache_hit_and_invalidation(self):
-        xb = self.make()
-        xb.program(np.full((4, 4), 5e4))
-        g1 = xb.conductances()
-        g2 = xb.conductances()
-        assert g1 is g2  # cached object between mutations
-        xb.apply_drift(0.05)
-        g3 = xb.conductances()
-        assert g3 is not g1
-        np.testing.assert_array_equal(g3, 1.0 / xb.resistance)
-
     def test_cached_conductances_are_correct_and_readonly(self):
         xb = self.make()
         xb.program(np.full((4, 4), 5e4))
         g = xb.conductances()
         np.testing.assert_array_equal(g, 1.0 / xb.resistance)
-        with pytest.raises(ValueError):
-            g[0, 0] = 1.0
 
     def test_mark_state_dirty_invalidates(self):
         xb = self.make()
         xb.program(np.full((4, 4), 5e4))
-        g1 = xb.conductances()
+        version = xb.state_version
         xb.resistance[...] = 6e4  # in-place edit bypasses the setter
         xb.mark_state_dirty()
-        g2 = xb.conductances()
-        assert g2 is not g1
-        np.testing.assert_array_equal(g2, 1.0 / xb.resistance)
-
-    def test_cache_disabled_is_bitwise_identical(self):
-        with uncached_reads() as calls:
-            xb_off = self.make()
-            xb_off.program(np.full((4, 4), 5e4))
-            g_off = xb_off.conductances().copy()
-        assert calls["Crossbar.conductances"] > 0
-        xb_on = self.make()
-        xb_on.program(np.full((4, 4), 5e4))
-        np.testing.assert_array_equal(xb_on.conductances(), g_off)
+        assert xb.state_version > version
+        np.testing.assert_array_equal(xb.conductances(), 1.0 / xb.resistance)
 
     def test_noisy_reads_bypass_cache(self):
         xb = self.make(read_noise=0.05)
@@ -118,12 +93,3 @@ class TestCrossbarStateVersion:
             return xb.resistance.copy()
 
         np.testing.assert_array_equal(run(True), run(False))
-
-
-class TestCacheToggle:
-    def test_toggle_returns_prior(self):
-        """Leaving the uncached oracle restores the cached read path."""
-        xb = Crossbar(4, 4, DeviceConfig(), seed=3)
-        with uncached_reads():
-            assert xb.conductances() is not xb.conductances()
-        assert xb.conductances() is xb.conductances()

@@ -156,7 +156,7 @@ class TestGoldenComparison:
         same snapshot as the default cached path."""
         with uncached_reads() as calls:
             comparison = _miniature_framework().compare()
-        assert calls["Crossbar.conductances"] > 0
+        assert calls["MappedNetwork.effective_model"] > 0
         if request.config.getoption("--update-golden"):
             pytest.skip("snapshot owned by test_table1_miniature")
         _compare_golden(

@@ -1,8 +1,11 @@
 """Unit tests for MappedNetwork / MappedLayer."""
 
+import copy
+
 import numpy as np
 import pytest
 
+from repro.core.profiling import PROFILER
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.mapping import AgingAwareMapper, FreshMapper, MappedNetwork
 from repro.mapping.network import clone_model
@@ -140,36 +143,66 @@ class TestGradients:
         assert layer.apply_gradient_signs(np.zeros(layer.matrix_shape), 0.5) == 0
 
 
-class TestParasitics:
-    def test_ir_drop_reduces_effective_weights(self, trained_mlp, device_config, blob_dataset):
-        from repro.crossbar.parasitics import ParasiticModel
+def _weights(model):
+    return [{k: v.copy() for k, v in layer.params.items()} for layer in model.layers]
 
-        ideal = MappedNetwork(trained_mlp, device_config, seed=71)
-        ideal.map_network()
-        lossy = MappedNetwork(
-            trained_mlp, device_config, seed=71, parasitics=ParasiticModel(50.0)
-        )
-        lossy.map_network()
-        # Attenuation reduces conductances -> effective weights shift
-        # towards the low end of the mapping.
-        w_ideal = ideal.layers[0].hardware_matrix()
-        w_lossy = lossy.layers[0].hardware_matrix()
-        assert w_lossy.mean() < w_ideal.mean()
 
-    def test_zero_parasitics_matches_default(self, trained_mlp, device_config):
-        from repro.crossbar.parasitics import ParasiticModel
+def _same(a, b) -> bool:
+    return all(
+        x.keys() == y.keys() and all(x[k].tobytes() == y[k].tobytes() for k in x)
+        for x, y in zip(a, b)
+    )
 
-        a = MappedNetwork(trained_mlp, device_config, seed=72)
-        a.map_network()
-        b = MappedNetwork(
-            trained_mlp, device_config, seed=72, parasitics=ParasiticModel(0.0)
-        )
-        b.map_network()
-        import numpy as _np
 
-        _np.testing.assert_allclose(
-            a.layers[0].hardware_matrix(), b.layers[0].hardware_matrix()
-        )
+def _rebuilt(network):
+    """Scratch model assembled from a fresh read of every layer."""
+    matrices = {m.layer_index: m.hardware_matrix() for m in network.layers}
+    return network._install_matrices(matrices)
+
+
+def _noisy_reads(network):
+    for mapped in network.layers:
+        for _rs, _cs, tile in mapped.tiles.iter_tiles():
+            tile.read_noise_extra = 0.05
+
+
+class TestReadMemo:
+    """``effective_model`` reuses a read only while nothing it returns moved."""
+
+    CHANGES = {
+        "tile_write": lambda net: net.apply_drift(0.2),
+        "set_range": lambda net: net.layers[0].set_range(
+            2 * net.device_config.r_min, net.device_config.r_max
+        ),
+        "row_permutation": lambda net: net.layers[0].set_row_permutation(
+            np.roll(np.arange(net.layers[0].matrix_shape[0]), 1)
+        ),
+        "read_noise_extra": _noisy_reads,
+        "install_matrices": lambda net: net._install_matrices(
+            {m.layer_index: np.zeros(m.matrix_shape) for m in net.layers}
+        ),
+    }
+
+    def test_unchanged_state_is_reused(self, mapped_mlp):
+        first = _weights(mapped_mlp.effective_model())
+        with PROFILER.capture() as delta:
+            again = _weights(mapped_mlp.effective_model())
+        assert delta.counters.get("network.effective_model_reuse") == 1
+        assert "network.hardware_reads" not in delta.counters
+        assert _same(again, first)
+
+    @pytest.mark.parametrize("change", sorted(CHANGES))
+    def test_change_forces_a_fresh_read(self, mapped_mlp, change):
+        primed = _weights(mapped_mlp.effective_model())
+        self.CHANGES[change](mapped_mlp)
+        # The twin's tile streams draw the same read noise as the original.
+        twin = copy.deepcopy(mapped_mlp)
+        with PROFILER.capture() as delta:
+            got = _weights(mapped_mlp.effective_model())
+        assert "network.effective_model_reuse" not in delta.counters
+        assert _same(got, _weights(_rebuilt(twin)))
+        # Only the trial install leaves the hardware read where it was.
+        assert _same(got, primed) == (change == "install_matrices")
 
 
 class TestBookkeeping:

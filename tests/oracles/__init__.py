@@ -1,8 +1,8 @@
 """Reference bodies the production hot path is diffed against.
 
 Production runs one path: batched pulse programming, stress-versioned
-aged-bounds/dead-mask caches, a state-versioned conductance cache,
-and read-reuse memoization (DESIGN.md §9, §11).
+aged-bounds/dead-mask caches, and the network's read memo in
+``MappedNetwork.effective_model`` (DESIGN.md §9, §11).
 The two context managers here swap slower reference bodies onto the
 production classes for the duration of a ``with`` block, so a test can
 run the same workload both ways and demand bit-identical results:
@@ -10,8 +10,8 @@ run the same workload both ways and demand bit-identical results:
 * :func:`scalar_tuner` — the paper's Eq. (5) pulse loop device by
   device, uncached aged windows, per-call ``program`` /
   ``step_conductance`` entry points, and no read reuse;
-* :func:`uncached_reads` — every conductance read and aged window
-  recomputed from scratch, and no read reuse.
+* :func:`uncached_reads` — every aged window recomputed from scratch,
+  and every hardware read rebuilt (no read reuse).
 
 Each yields a :class:`collections.Counter` of reference-body calls keyed
 ``"Class.method"``, so a test can prove the oracle actually ran rather
@@ -80,12 +80,6 @@ def _uncached_dead_mask(self):
     return self.usable_level_counts() < 2
 
 
-def _uncached_conductances(self):
-    g = 1.0 / self._resistance
-    g.setflags(write=False)
-    return g
-
-
 def _program_via_tiles(self):
     """``MappedLayer.program`` through ``TiledMatrix.program``."""
     if self.mapping is None:
@@ -111,10 +105,10 @@ def _gradient_signs_via_step_conductance(
     return int(np.count_nonzero(directions))
 
 
-@contextmanager
-def _no_read_reuse(self):
-    """``MappedNetwork.read_reuse`` that never raises the reuse depth."""
-    yield
+def _unmemoized_effective_model(self):
+    """``MappedNetwork.effective_model`` rebuilt from the tiles every call."""
+    matrices = {m.layer_index: m.hardware_matrix() for m in self.layers}
+    return self._install_matrices(matrices)
 
 
 # -- installation -------------------------------------------------------------
@@ -152,18 +146,17 @@ def scalar_tuner() -> ContextManager[Counter]:
             (Crossbar, "dead_mask"): _uncached_dead_mask,
             (MappedLayer, "program"): _program_via_tiles,
             (MappedLayer, "apply_gradient_signs"): _gradient_signs_via_step_conductance,
-            (MappedNetwork, "read_reuse"): _no_read_reuse,
+            (MappedNetwork, "effective_model"): _unmemoized_effective_model,
         }
     )
 
 
 def uncached_reads() -> ContextManager[Counter]:
-    """Run the block with every read-path cache bypassed (DESIGN.md §9)."""
+    """Run the block with every hardware read rebuilt (DESIGN.md §9)."""
     return _installed(
         {
-            (Crossbar, "conductances"): _uncached_conductances,
             (Crossbar, "aged_bounds"): _uncached_aged_bounds,
             (Crossbar, "dead_mask"): _uncached_dead_mask,
-            (MappedNetwork, "read_reuse"): _no_read_reuse,
+            (MappedNetwork, "effective_model"): _unmemoized_effective_model,
         }
     )

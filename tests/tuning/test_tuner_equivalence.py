@@ -1,16 +1,19 @@
 """Equivalence battery: vectorized tuning path vs scalar reference.
 
 The vectorized lifetime hot loop (DESIGN.md §11) — batched
-``program_pulses`` sweeps, read-reuse memoization, cached aged bounds —
-must be **bit-identical** to the scalar reference installed by
-:func:`tests.oracles.scalar_tuner`: same conductances, same pulse/stress
-bookkeeping, same RNG bit-generator states, same :class:`TuningResult`
-down to the accuracy trace.
+``program_pulses`` sweeps, the network's read memo, cached aged
+bounds — must be **bit-identical** to the scalar reference installed by
+:func:`tests.oracles.scalar_tuner` and to the unmemoized reads of
+:func:`tests.oracles.uncached_reads`: same conductances, same
+pulse/stress bookkeeping, same RNG bit-generator states, same
+:class:`TuningResult` down to the accuracy trace.
 
 The property tests drive random configurations (network width, batch
 sizes beyond the tuning-set length, amplitude-halving edges,
 ``pulse_miss``/stuck-at fault injections, dead-device masking, write
-noise on/off) through both paths and diff the complete end state.
+noise on/off, intrinsic and fault-injected read noise, under which no
+read may be memoized) through all three paths and diff the complete
+end state.
 
 ``HYPOTHESIS_PROFILE=smoke`` shrinks the example count for quick local
 runs; the default profile runs in the tier-1 suite.
@@ -98,14 +101,21 @@ def _assert_snapshots_equal(a: dict, b: dict) -> None:
         assert ta["rng_state"] == tb["rng_state"]
 
 
-def _run_session(vectorized: bool, params: dict) -> dict:
+_PATHS = {
+    "production": nullcontext,
+    "scalar": scalar_tuner,
+    "uncached": uncached_reads,
+}
+
+
+def _run_session(path: str, params: dict) -> dict:
     """One full map → degrade → tune session under one path."""
-    with nullcontext() if vectorized else scalar_tuner() as calls:
+    with _PATHS[path]() as calls:
         device = DeviceConfig(
             n_levels=6,
             pulses_to_collapse=60,
             write_noise=params["write_noise"],
-            read_noise=0.0,
+            read_noise=params.get("read_noise", 0.0),
         )
         network = MappedNetwork(
             _model(params["hidden"]),
@@ -125,10 +135,10 @@ def _run_session(vectorized: bool, params: dict) -> dict:
                 ),
                 seed=params["seed"] + 1,
             )
-        if params["miss_rate"] > 0:
-            for layer in network.layers:
-                for _rs, _cs, tile in layer.tiles.iter_tiles():
-                    tile.pulse_miss_rate = params["miss_rate"]
+        for layer in network.layers:
+            for _rs, _cs, tile in layer.tiles.iter_tiles():
+                tile.pulse_miss_rate = params["miss_rate"]
+                tile.read_noise_extra = params.get("noise_extra", 0.0)
         tuner = OnlineTuner(
             TuningConfig(
                 target_accuracy=0.999,
@@ -143,17 +153,26 @@ def _run_session(vectorized: bool, params: dict) -> dict:
             seed=params["seed"] + 2,
         )
         result = tuner.tune(network, _X, _Y)
-    if not vectorized:
-        # A scalar session that never ran the reference bodies would
-        # compare the fast path with itself.
+    # An oracle session that never ran the reference bodies would
+    # compare the fast path with itself.
+    if path == "scalar":
         assert calls["MappedLayer.program"] > 0
         if result.iterations:
             assert calls["Crossbar._pulse_impl"] > 0
+    if path != "production":
+        assert calls["MappedNetwork.effective_model"] > 0
     return _snapshot(network, tuner, result)
 
 
+def _assert_paths_agree(params: dict) -> None:
+    """Production ends in the same state as both oracles."""
+    production = _run_session("production", params)
+    for oracle in ("scalar", "uncached"):
+        _assert_snapshots_equal(production, _run_session(oracle, params))
+
+
 class TestPathEquivalence:
-    """Vectorized and scalar paths end in bit-identical states."""
+    """Production and both oracle paths end in bit-identical states."""
 
     @given(
         hidden=st.sampled_from([6, 10]),
@@ -162,13 +181,14 @@ class TestPathEquivalence:
         decay_after=st.sampled_from([0, 1]),
         eval_every=st.sampled_from([1, 3]),
         write_noise=st.sampled_from([0.0, 0.1]),
+        read_noise=st.sampled_from([0.0, 0.05]),
         mask_dead=st.booleans(),
         seed=st.integers(min_value=0, max_value=10_000),
     )
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
     def test_clean_array_equivalence(
         self, hidden, batch_size, threshold, decay_after, eval_every,
-        write_noise, mask_dead, seed,
+        write_noise, read_noise, mask_dead, seed,
     ):
         params = dict(
             hidden=hidden,
@@ -177,28 +197,30 @@ class TestPathEquivalence:
             decay_after=decay_after,
             eval_every=eval_every,
             write_noise=write_noise,
+            read_noise=read_noise,
             mask_dead=mask_dead,
             seed=seed,
             stuck_rate=0.0,
             miss_rate=0.0,
         )
-        _assert_snapshots_equal(
-            _run_session(True, params), _run_session(False, params)
-        )
+        _assert_paths_agree(params)
 
     @given(
         miss_rate=st.sampled_from([0.0, 0.3]),
         stuck_rate=st.sampled_from([0.0, 0.1]),
+        noise_extra=st.sampled_from([0.0, 0.03]),
         write_noise=st.sampled_from([0.0, 0.1]),
         mask_dead=st.booleans(),
         seed=st.integers(min_value=0, max_value=10_000),
     )
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
     def test_faulted_array_equivalence(
-        self, miss_rate, stuck_rate, write_noise, mask_dead, seed
+        self, miss_rate, stuck_rate, noise_extra, write_noise, mask_dead, seed
     ):
         """Pulse-miss and stuck-at hooks fold into the same masked
-        update on both paths: RNG draws and skip decisions line up."""
+        update on every path: RNG draws and skip decisions line up.  A
+        fault schedule's extra read noise makes every read draw, so
+        none may be memoized."""
         params = dict(
             hidden=6,
             batch_size=16,
@@ -210,10 +232,9 @@ class TestPathEquivalence:
             seed=seed,
             stuck_rate=stuck_rate,
             miss_rate=miss_rate,
+            noise_extra=noise_extra,
         )
-        _assert_snapshots_equal(
-            _run_session(True, params), _run_session(False, params)
-        )
+        _assert_paths_agree(params)
 
     def test_amplitude_halving_edge(self):
         """decay_after=1 halves the amplitude on every stale eval all
@@ -230,9 +251,7 @@ class TestPathEquivalence:
             stuck_rate=0.0,
             miss_rate=0.0,
         )
-        _assert_snapshots_equal(
-            _run_session(True, params), _run_session(False, params)
-        )
+        _assert_paths_agree(params)
 
     def test_batch_larger_than_tuning_set(self):
         """batch_size > len(x_tune) clamps to the set length; the
@@ -249,9 +268,7 @@ class TestPathEquivalence:
             stuck_rate=0.0,
             miss_rate=0.0,
         )
-        _assert_snapshots_equal(
-            _run_session(True, params), _run_session(False, params)
-        )
+        _assert_paths_agree(params)
 
 
 class TestOracleInstallation:

@@ -1,5 +1,5 @@
 """Device-level tour: a single memristor's aging life, and an analog
-crossbar doing vector-matrix multiplication behind DAC/ADC converters.
+crossbar doing vector-matrix multiplication.
 
 Run:  python examples/device_playground.py
 """
@@ -7,7 +7,6 @@ Run:  python examples/device_playground.py
 import numpy as np
 
 from repro import Crossbar, DeviceConfig, Memristor
-from repro.crossbar import InputDriver, OutputConverter
 
 
 def single_cell_demo() -> None:
@@ -40,19 +39,13 @@ def crossbar_vmm_demo() -> None:
     targets = rng.uniform(2e4, 8e4, size=(8, 4))
     xbar.program(targets)
 
-    dac = InputDriver(bits=6, v_max=1.0)
-    adc = OutputConverter(bits=8, r_tia=1e3, v_full_scale=1.0)
-
     v_in = rng.uniform(-1, 1, size=8)
-    v_driven = dac.convert(v_in)
-    currents = v_driven @ xbar.conductances()
-    v_out = adc.convert(currents)
-
-    ideal = v_in @ xbar.conductances() * 1e3
-    print(f"input (6-bit DAC):  {np.round(v_driven, 3)}")
-    print(f"analog ideal out:   {np.round(ideal, 4)}")
-    print(f"8-bit ADC out:      {np.round(v_out, 4)}")
-    print(f"interface error:    {np.max(np.abs(v_out - ideal)):.4f} (full scale 1.0)\n")
+    v_out = v_in @ xbar.conductances() * xbar.r_tia
+    ideal = v_in @ (1.0 / targets) * xbar.r_tia
+    print(f"input voltages:     {np.round(v_in, 3)}")
+    print(f"unquantized out:    {np.round(ideal, 4)}")
+    print(f"programmed out:     {np.round(v_out, 4)}")
+    print(f"quantization error: {np.max(np.abs(v_out - ideal)):.4f} V\n")
 
 
 def aging_gradient_demo() -> None:

@@ -15,7 +15,7 @@ Subpackages
     Memristor cell, Arrhenius aging (Eq. 6–7), quantized level grids.
 ``repro.crossbar``
     Array simulator: programming with per-pulse aging, noisy read-out,
-    1-of-9 block tracing, DAC/ADC peripherals, tiling.
+    1-of-9 block tracing, tiling.
 ``repro.mapping``
     Eq. (4) weight↔conductance mapping, fresh and aging-aware policies,
     and :class:`~repro.mapping.network.MappedNetwork`.
@@ -74,7 +74,7 @@ from repro.io import (
     save_result,
     save_weights,
 )
-from repro.mitigation import PulseShaping, RowSwapper, SeriesResistor
+from repro.mitigation import PulseShaping, SeriesResistor
 from repro.nn import Sequential, SkewedL2Regularizer
 from repro.training import (
     SkewedTrainingConfig,
@@ -114,7 +114,6 @@ __all__ = [
     "OnlineTuner",
     "PulseShaping",
     "ReproError",
-    "RowSwapper",
     "SeriesResistor",
     "SCENARIOS",
     "Scenario",

@@ -29,9 +29,9 @@ canonical (sorted-key, compact) JSON, and the file holds the payload in
 exactly that encoding; bit rot is detected at load time, not silently
 resumed from.
 
-Schema layout (``CHECKPOINT_SCHEMA = 3``)::
+Schema layout (``CHECKPOINT_SCHEMA = 4``)::
 
-    {"schema": 3, "kind": "repro-lifetime-checkpoint", "sha256": ...,
+    {"schema": 4, "kind": "repro-lifetime-checkpoint", "sha256": ...,
      "payload": {
         "meta":     {scenario_key, next_window, applications, created_unix,
                      layers, tiles, devices},
@@ -42,9 +42,12 @@ The pickled context is the state: restoring a snapshot is unpickling
 it.  Only state is pickled (layers and crossbars drop their derived
 caches in ``__getstate__``), and ``meta`` carries the counts that
 ``repro checkpoints inspect`` shows without unpickling anything.
-Schema 3 has schema 2's layout; its pickled ``MappedLayer``s carry the
-``version`` counter that keys the network's read memo, which a schema-2
-pickle lacks, so a schema-2 snapshot is rejected at load.
+Schemas 2 to 4 share this layout; only the pickled classes differ.
+Schema 3 added the ``version`` counter that keys the network's read
+memo to pickled ``MappedLayer``s.  Schema 4 dropped their row
+permutation and the simulator's maintenance hooks, so a schema-3
+snapshot taken with a permutation would resume with the wrong reads.
+Any schema but the current one is rejected at load.
 """
 
 from __future__ import annotations
@@ -65,14 +68,14 @@ from repro.io import load_json, save_text_atomic
 
 logger = logging.getLogger(__name__)
 
-try:  # cloudpickle ships closures (network builders, hooks); see executor.
+try:  # cloudpickle ships closures (network builders); see executor.
     import cloudpickle as _serializer
 except Exception:  # pragma: no cover - exercised only without cloudpickle
     import pickle as _serializer
 
 #: Snapshot format version; bump when the payload layout or the state
 #: of a pickled class changes.
-CHECKPOINT_SCHEMA = 3
+CHECKPOINT_SCHEMA = 4
 #: Journal line format version.
 JOURNAL_SCHEMA = 1
 

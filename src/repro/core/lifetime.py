@@ -109,7 +109,6 @@ class LifetimeSimulator:
         config: Optional[LifetimeConfig] = None,
         aging_aware: bool = False,
         mapper: Optional[AgingAwareMapper] = None,
-        maintenance_hooks=None,
         seed=None,
         fault_schedule=None,
     ) -> None:
@@ -121,10 +120,6 @@ class LifetimeSimulator:
         self.mapper = mapper if mapper is not None else (
             AgingAwareMapper() if aging_aware else None
         )
-        #: Callables invoked with the network before each remap — the
-        #: extension point for wear-levelling policies such as
-        #: :class:`repro.mitigation.row_swap.RowSwapper.apply_to_network`.
-        self.maintenance_hooks = list(maintenance_hooks or [])
         self.tuner = OnlineTuner(self.config.tuning, seed=seed)
         #: Optional :class:`repro.robustness.FaultSchedule`; its due
         #: events are applied at the start of each window.  The fault
@@ -236,9 +231,7 @@ class LifetimeSimulator:
             applications += cfg.apps_per_window
             self.network.apply_drift(cfg.drift_magnitude)
 
-            # Maintenance cycle: hooks (wear levelling) + remap + tune.
-            for hook in self.maintenance_hooks:
-                hook(self.network)
+            # Maintenance cycle: remap + tune.
             self._remap()
             tuning = self.tuner.tune(self.network, self.x_tune, self.y_tune)
 

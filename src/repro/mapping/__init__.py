@@ -17,11 +17,6 @@
 """
 
 from repro.mapping.aging_aware import AgingAwareMapper, RangeSelection
-from repro.mapping.differential import (
-    DifferentialMappedLayer,
-    DifferentialMappedNetwork,
-    DifferentialPairMapping,
-)
 from repro.mapping.fresh import FreshMapper
 from repro.mapping.linear import LinearWeightMapping
 from repro.mapping.network import MappedLayer, MappedNetwork, clone_model
@@ -29,9 +24,6 @@ from repro.mapping.quantize import quantization_error, quantize_weights
 
 __all__ = [
     "AgingAwareMapper",
-    "DifferentialMappedLayer",
-    "DifferentialMappedNetwork",
-    "DifferentialPairMapping",
     "FreshMapper",
     "LinearWeightMapping",
     "MappedLayer",

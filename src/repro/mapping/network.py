@@ -110,40 +110,12 @@ class MappedLayer:
         ]
         #: Mapping used at the most recent programming; set by set_range.
         self.mapping: Optional[LinearWeightMapping] = None
-        #: Optional logical→physical row permutation (wear levelling —
-        #: see :class:`repro.mitigation.row_swap.RowSwapper`).  Row ``i``
-        #: of the logical matrix is stored on physical row ``perm[i]``.
-        self.row_permutation: Optional[np.ndarray] = None
-        #: Monotonic count of :meth:`set_range` / :meth:`set_row_permutation`
-        #: calls: the changes to what a read returns that write no
-        #: device.  With the tiles' ``state_version`` it keys the
-        #: network's read memo (DESIGN.md §11).
+        #: Monotonic count of :meth:`set_range` calls: the one change
+        #: to what a read returns that writes no device.  With the
+        #: tiles' ``state_version`` it keys the network's read memo
+        #: (DESIGN.md §11).
         self.version = 0
         self._grid = device_config.make_level_grid()
-
-    # -- row permutation (wear levelling) ---------------------------------
-    def set_row_permutation(self, perm: Optional[np.ndarray]) -> None:
-        """Install a logical→physical row permutation (or clear it)."""
-        if perm is not None:
-            perm = np.asarray(perm, dtype=np.int64)
-            if sorted(perm.tolist()) != list(range(self.matrix_shape[0])):
-                raise ConfigurationError(
-                    f"not a permutation of {self.matrix_shape[0]} rows"
-                )
-        self.row_permutation = perm
-        self.version += 1
-
-    def _to_physical(self, logical: np.ndarray) -> np.ndarray:
-        if self.row_permutation is None:
-            return logical
-        out = np.empty_like(logical)
-        out[self.row_permutation] = logical
-        return out
-
-    def _to_logical(self, physical: np.ndarray) -> np.ndarray:
-        if self.row_permutation is None:
-            return physical
-        return physical[self.row_permutation]
 
     # -- software side -----------------------------------------------------
     def software_matrix(self) -> np.ndarray:
@@ -186,11 +158,9 @@ class MappedLayer:
             self.software_matrix(), r_lo, r_hi
         )
         est_lo, est_hi = self.estimated_bounds()
-        targets = self._to_physical(
-            np.asarray(mapping.weight_to_resistance(self.software_matrix()))
-        )
+        targets = np.asarray(mapping.weight_to_resistance(self.software_matrix()))
         achieved = self._grid.quantize(targets, est_lo, est_hi)
-        return np.asarray(mapping.resistance_to_weight(self._to_logical(achieved)))
+        return np.asarray(mapping.resistance_to_weight(achieved))
 
     def program(self) -> None:
         """Program the software weights into the tiles (ages devices).
@@ -203,7 +173,7 @@ class MappedLayer:
         if self.mapping is None:
             raise ConfigurationError("set_range must be called before program")
         targets = np.asarray(self.mapping.weight_to_resistance(self.software_matrix()))
-        applied = self.tiles.program_targets(self._to_physical(targets))
+        applied = self.tiles.program_targets(targets)
         PROFILER.increment("programming.batched", applied)
 
     # -- hardware side -------------------------------------------------------
@@ -217,9 +187,7 @@ class MappedLayer:
             raise ConfigurationError("layer has never been programmed")
         PROFILER.increment("network.hardware_reads")
         g = self.tiles.read_conductances()
-        return np.asarray(
-            self.mapping.conductance_to_weight(self._to_logical(g))
-        )
+        return np.asarray(self.mapping.conductance_to_weight(g))
 
     def apply_gradient_signs(
         self, weight_grad: np.ndarray, threshold: float, step_fraction: float = 0.5
@@ -243,21 +211,19 @@ class MappedLayer:
             return 0
         directions = (-np.sign(weight_grad)).astype(np.int64)
         directions[np.abs(weight_grad) < threshold * scale] = 0
-        physical = self._to_physical(directions)
         # mask == (polarity != 0) by construction, so this is
         # bit-identical to a step_conductance sweep (same draws, same
         # arithmetic).
-        self.tiles.program_pulses(physical != 0, physical, fraction=step_fraction)
+        self.tiles.program_pulses(directions != 0, directions, fraction=step_fraction)
         return int(np.count_nonzero(directions))
 
     def dead_device_mask(self) -> np.ndarray:
-        """Dead devices in the *logical* matrix arrangement.
+        """Dead devices in the layer's matrix arrangement.
 
-        Dead masks come out of the tiles in physical coordinates; the
-        logical view matches gradient/weight matrices so tuning can
+        The mask lines up with gradient/weight matrices so tuning can
         mask pulses to devices that cannot respond.
         """
-        return self._to_logical(self.tiles.dead_mask())
+        return self.tiles.dead_mask()
 
     def mean_aged_upper_bound(self) -> float:
         """Average aged ``R_max`` over all devices (Fig. 11 metric)."""
@@ -405,9 +371,9 @@ class MappedNetwork:
         be reused (DESIGN.md §11).  With noise-free reads the assembled
         scratch model is memoized against every layer's
         ``(tiles.state_version, version)``: repeated calls between
-        device writes, range changes and row permutations (gradient
-        evaluation followed by accuracy scoring, say) skip the
-        read → invert → install rebuild entirely.  The software model's
+        device writes and range changes (gradient evaluation followed by
+        accuracy scoring, say) skip the read → invert → install rebuild
+        entirely.  The software model's
         parameters are not part of the key; they never change once the
         network is mapped.
         """

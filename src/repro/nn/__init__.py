@@ -17,7 +17,6 @@ Public surface::
 """
 
 from repro.nn.activations import ReLU, get_activation
-from repro.nn.gradcheck import check_gradients, numerical_gradient
 from repro.nn.initializers import (
     GlorotNormal,
     GlorotUniform,
@@ -70,8 +69,6 @@ __all__ = [
     "TrainingHistory",
     "ZerosInit",
     "accuracy",
-    "check_gradients",
     "get_activation",
     "get_initializer",
-    "numerical_gradient",
 ]

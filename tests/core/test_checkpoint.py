@@ -126,36 +126,34 @@ class TestSnapshotFile:
         with pytest.raises(CheckpointError, match="unknown checkpoint schema"):
             load_checkpoint(path)
 
-    def test_schema_1_rejected(self, tmp_path):
-        """Schema 1 kept a structured copy of every tile beside the
-        pickle; this build reads only the pickled context."""
-        path = tmp_path / f"v1{CHECKPOINT_SUFFIX}"
-        payload = {**self.PAYLOAD, "layers": [], "rng": {"tuner": {}, "fault": None}}
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        document = {
-            "schema": 1,
-            "kind": "repro-lifetime-checkpoint",
-            "sha256": hashlib.sha256(canonical.encode()).hexdigest(),
-            "payload": payload,
-        }
-        save_json_atomic(document, path, durable=True)
-        with pytest.raises(CheckpointError, match="unknown checkpoint schema 1"):
-            load_checkpoint(path)
+    #: What each retired schema's payload held beside ``meta``/``result``.
+    #: Schema 1 kept a structured copy of every tile beside the pickle.
+    #: Schema 2 had this layout, but its pickled mapped layers lack the
+    #: counter that keys the network's read memo.  Schema 3's pickled
+    #: mapped layers and simulators carry a row permutation and a hook
+    #: list this build no longer has, so a snapshot taken with a
+    #: permutation would resume with the wrong reads.
+    OLD_SCHEMAS = {
+        1: {"layers": [], "rng": {"tuner": {}, "fault": None}},
+        2: {"context_pickle": ""},
+        3: {"context_pickle": ""},
+    }
 
-    def test_schema_2_rejected(self, tmp_path):
-        """Schema 2 had this layout, but its pickled mapped layers lack
-        the counter that keys the network's read memo."""
-        path = tmp_path / f"v2{CHECKPOINT_SUFFIX}"
-        payload = {**self.PAYLOAD, "context_pickle": ""}
+    @pytest.mark.parametrize("schema", sorted(OLD_SCHEMAS))
+    def test_old_schema_rejected(self, tmp_path, schema):
+        path = tmp_path / f"v{schema}{CHECKPOINT_SUFFIX}"
+        payload = {**self.PAYLOAD, **self.OLD_SCHEMAS[schema]}
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         document = {
-            "schema": 2,
+            "schema": schema,
             "kind": "repro-lifetime-checkpoint",
             "sha256": hashlib.sha256(canonical.encode()).hexdigest(),
             "payload": payload,
         }
         save_json_atomic(document, path, durable=True)
-        with pytest.raises(CheckpointError, match="unknown checkpoint schema 2"):
+        with pytest.raises(
+            CheckpointError, match=f"unknown checkpoint schema {schema}"
+        ):
             load_checkpoint(path)
 
     def test_bit_rot_detected(self, tmp_path):

@@ -34,7 +34,7 @@ class TestExamples:
     def test_device_playground(self, capsys, argv_guard):
         out = run_example("examples/device_playground.py", capsys)
         assert "cell died after" in out
-        assert "interface error" in out
+        assert "quantization error" in out
         assert "aged window" in out
 
     def test_skewed_training_demo(self, capsys, argv_guard):

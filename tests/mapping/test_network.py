@@ -174,9 +174,6 @@ class TestReadMemo:
         "set_range": lambda net: net.layers[0].set_range(
             2 * net.device_config.r_min, net.device_config.r_max
         ),
-        "row_permutation": lambda net: net.layers[0].set_row_permutation(
-            np.roll(np.arange(net.layers[0].matrix_shape[0]), 1)
-        ),
         "read_noise_extra": _noisy_reads,
         "install_matrices": lambda net: net._install_matrices(
             {m.layer_index: np.zeros(m.matrix_shape) for m in net.layers}

@@ -49,29 +49,3 @@ class TestQuantizePipeline:
         achieved = grid.quantize(targets, 1e4, aged_max)
         assert np.all(achieved <= aged_max + 1e-6)
         assert np.all(achieved >= 1e4 - 1e-6)
-
-
-class TestDifferentialProperties:
-    @given(w=WEIGHTS)
-    @settings(max_examples=40, deadline=None)
-    def test_pair_arms_are_complementary(self, w):
-        """At most one arm is above g_min for any weight."""
-        from repro.mapping.differential import DifferentialPairMapping
-
-        mapping = DifferentialPairMapping(1.0, 1e-5, 1e-4)
-        arr = np.asarray(w)
-        g_plus, g_minus = mapping.weight_to_conductances(arr)
-        raised_both = (g_plus > 1e-5 + 1e-12) & (g_minus > 1e-5 + 1e-12)
-        assert not np.any(raised_both)
-
-    @given(w=WEIGHTS, scale=st.floats(0.1, 5.0))
-    @settings(max_examples=40, deadline=None)
-    def test_roundtrip_for_any_scale(self, w, scale):
-        from repro.mapping.differential import DifferentialPairMapping
-
-        mapping = DifferentialPairMapping(scale, 1e-5, 1e-4)
-        arr = np.clip(np.asarray(w), -scale, scale)
-        g_plus, g_minus = mapping.weight_to_conductances(arr)
-        np.testing.assert_allclose(
-            mapping.conductances_to_weight(g_plus, g_minus), arr, atol=1e-9
-        )

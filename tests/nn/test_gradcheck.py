@@ -12,10 +12,8 @@ from repro.nn import (
     MaxPool2D,
     Sequential,
     SkewedL2Regularizer,
-    check_gradients,
-    numerical_gradient,
 )
-from tests.nn.helpers import Tanh
+from tests.nn.helpers import Tanh, check_gradients, numerical_gradient
 
 TOL = 1e-4
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, ShapeError
-from repro.nn.gradcheck import numerical_gradient
 from repro.nn.layers.conv import Conv2D, col2im, im2col
+from tests.nn.helpers import numerical_gradient
 
 
 def reference_conv(x, w, b, stride=1, padding=0):

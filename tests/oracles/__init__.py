@@ -85,7 +85,7 @@ def _program_via_tiles(self):
     if self.mapping is None:
         raise ConfigurationError("set_range must be called before program")
     targets = np.asarray(self.mapping.weight_to_resistance(self.software_matrix()))
-    self.tiles.program(self._to_physical(targets))
+    self.tiles.program(targets)
 
 
 def _gradient_signs_via_step_conductance(
@@ -101,7 +101,7 @@ def _gradient_signs_via_step_conductance(
         return 0
     directions = (-np.sign(weight_grad)).astype(np.int64)
     directions[np.abs(weight_grad) < threshold * scale] = 0
-    self.tiles.step_conductance(self._to_physical(directions), fraction=step_fraction)
+    self.tiles.step_conductance(directions, fraction=step_fraction)
     return int(np.count_nonzero(directions))
 
 

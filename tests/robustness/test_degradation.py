@@ -19,23 +19,6 @@ class TestDegradationPolicy:
 
 
 class TestDeadGradientMasking:
-    def test_dead_device_mask_respects_row_permutation(
-        self, trained_mlp, device_config
-    ):
-        net = MappedNetwork(trained_mlp, device_config, seed=53)
-        net.map_network()
-        layer = net.layers[0]
-        rows = layer.matrix_shape[0]
-        perm = np.roll(np.arange(rows), 1)
-        layer.set_row_permutation(perm)
-        # Kill physical row 0 by exhausting stress directly.
-        for _rs, _cs, tile in layer.tiles.iter_tiles():
-            tile.stress_time[0, :] = 1e12
-            break
-        logical = layer.dead_device_mask()
-        physical = layer.tiles.dead_mask()
-        np.testing.assert_array_equal(logical, physical[perm])
-
     def test_masked_tuner_skips_dead_gradients(self, trained_mlp, device_config):
         """With masking on, a dead device's gradient cannot anchor the
         per-layer pulse threshold."""

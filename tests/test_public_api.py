@@ -4,7 +4,11 @@ subpackage imports, and no list names anything twice."""
 from __future__ import annotations
 
 import importlib
+import os
+import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -44,3 +48,20 @@ def test_all_names_import(name):
 def test_all_has_no_duplicates(name):
     exported = importlib.import_module(name).__all__
     assert len(exported) == len(set(exported))
+
+
+def test_import_loads_no_scipy():
+    """``import repro`` needs numpy alone; scipy is a test-only dependency."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, repro; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"

@@ -1,9 +1,7 @@
-"""Tests for the tuner's amplitude decay and the lifetime engine's
-maintenance-hook extension point."""
+"""Tests for the tuner's amplitude decay and framework repeats."""
 
 import numpy as np
 
-from repro.core.lifetime import LifetimeConfig, LifetimeSimulator
 from repro.mapping import MappedNetwork
 from repro.tuning import OnlineTuner, TuningConfig
 
@@ -60,53 +58,6 @@ class TestAmplitudeDecay:
     def test_min_step_fraction_floor(self):
         cfg = TuningConfig(step_fraction=0.4, min_step_fraction=0.1, decay_after=1)
         assert cfg.min_step_fraction == 0.1
-
-
-class TestMaintenanceHooks:
-    def test_hooks_called_once_per_window(self, trained_mlp, device_config, blob_dataset):
-        network = MappedNetwork(trained_mlp, device_config, seed=21)
-        network.map_network()
-        calls = []
-
-        def hook(net):
-            calls.append(net)
-
-        sim = LifetimeSimulator(
-            network,
-            blob_dataset.x_train[:64],
-            blob_dataset.y_train[:64],
-            config=LifetimeConfig(
-                apps_per_window=100,
-                max_windows=4,
-                tuning=TuningConfig(target_accuracy=0.5, max_iterations=5),
-            ),
-            maintenance_hooks=[hook],
-            seed=22,
-        )
-        result = sim.run("hooked")
-        assert len(calls) == len(result.windows)
-        assert all(c is network for c in calls)
-
-    def test_row_swapper_as_hook(self, trained_mlp, device_config, blob_dataset):
-        from repro.mitigation import RowSwapper
-
-        network = MappedNetwork(trained_mlp, device_config, seed=23)
-        network.map_network()
-        swapper = RowSwapper(threshold=0.0)
-        sim = LifetimeSimulator(
-            network,
-            blob_dataset.x_train[:64],
-            blob_dataset.y_train[:64],
-            config=LifetimeConfig(
-                apps_per_window=100,
-                max_windows=3,
-                tuning=TuningConfig(target_accuracy=0.8, max_iterations=10),
-            ),
-            maintenance_hooks=[swapper.apply_to_network],
-            seed=24,
-        )
-        result = sim.run("swapped")
-        assert not result.failed or result.windows
 
 
 class TestFrameworkRepeats:

@@ -97,6 +97,39 @@ class TestCommands:
         assert main(["report", str(cmp_path), "--out", str(out_path)]) == 0
         assert out_path.read_text().startswith("# Lifetime comparison")
 
+    def test_compare_writes_comparison(self, tmp_path, capsys):
+        from repro.io import load_comparison
+
+        out = tmp_path / "cmp.json"
+        argv = ["compare", "--preset", "blobs-mini", "--fast", "--no-cache"]
+        assert main(argv + ["--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        comparison = load_comparison(out)
+        assert list(comparison.results) == ["t+t", "st+t", "st+at"]
+        for key, result in comparison.results.items():
+            assert key.upper() in printed
+            assert str(result.lifetime_applications) in printed
+        assert "vs T+T" in printed and "1.0x" in printed
+        assert f"comparison written to {out}" in printed
+
+    def test_python_dash_m_runs_the_cli(self):
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "list-presets"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "lenet-glyphs" in done.stdout
+
     def test_report_to_stdout(self, tmp_path, capsys):
         from repro.core.results import LifetimeResult, ScenarioComparison
         from repro.io import save_comparison

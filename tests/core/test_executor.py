@@ -90,6 +90,30 @@ class TestFingerprint:
     def test_dict_order_insensitive(self):
         assert fingerprint({"a": 1, "b": 2}) == fingerprint({"b": 2, "a": 1})
 
+    def test_unserializable_callable_keyed_by_name(self):
+        """A callable the serializer refuses still gets a stable key."""
+        import threading
+
+        lock = threading.Lock()
+
+        def holds_lock():
+            return lock
+
+        from repro.core.executor import _canonical
+
+        assert _canonical(holds_lock) == {"__callable__": holds_lock.__qualname__}
+        assert fingerprint(holds_lock) == fingerprint(holds_lock)
+
+    def test_other_objects_keyed_by_repr(self):
+        import pathlib
+
+        assert fingerprint(pathlib.PurePosixPath("a")) == fingerprint(
+            pathlib.PurePosixPath("a")
+        )
+        assert fingerprint(pathlib.PurePosixPath("a")) != fingerprint(
+            pathlib.PurePosixPath("b")
+        )
+
 
 # -- result cache -------------------------------------------------------------
 class TestResultCache:
@@ -144,6 +168,43 @@ def _count(n):
 
     PROFILER.increment("test.executor.count", n)
     return n
+
+
+class _LockedError(Exception):
+    """An exception that cannot be serialized back from a worker."""
+
+    def __init__(self):
+        import threading
+
+        super().__init__("locked")
+        self.lock = threading.Lock()
+
+
+def _raise_locked():
+    raise _LockedError()
+
+
+class TestTaskChunk:
+    """The worker-side trampoline, run in-process."""
+
+    def _run(self, tasks):
+        from repro.core.executor import _run_task_chunk, _serializer
+
+        return _serializer.loads(_run_task_chunk(_serializer.dumps(tasks)))
+
+    def test_each_task_fails_on_its_own(self):
+        results = self._run([(_square, (3,), {}), (_maybe_boom, (2,), {}), (_square, (4,), {})])
+        assert [r[0] for r in results] == [9, None, 16]
+        assert [type(r[1]) for r in results] == [type(None), RuntimeError, type(None)]
+        assert str(results[1][1]) == "boom"
+        assert "RuntimeError: boom" in results[1][2]
+
+    def test_unserializable_exception_becomes_runtime_error(self):
+        (value, exc, text, _seconds, _perf), = self._run([(_raise_locked, (), {})])
+        assert value is None
+        assert type(exc) is RuntimeError
+        assert "unserializable task exception" in str(exc) and "locked" in str(exc)
+        assert "_LockedError" in text
 
 
 class TestParallelExecutor:

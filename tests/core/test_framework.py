@@ -88,6 +88,32 @@ class TestScenarios:
         assert result.target_accuracy <= result.software_accuracy
         assert result.windows
 
+    def test_repeats_must_be_positive(self, framework):
+        with pytest.raises(ConfigurationError, match="repeats"):
+            framework.run_scenario_repeats("t+t", repeats=0)
+
+    def test_absolute_target_uses_tuning_target(self):
+        """With ``absolute_target`` the tuning target is the configured
+        accuracy itself, not a fraction of the software accuracy."""
+        data = make_blobs(n_samples=120, n_classes=3, n_features=4, spread=0.4, seed=3)
+        config = FrameworkConfig(
+            train=TrainConfig(epochs=4),
+            lifetime=LifetimeConfig(
+                apps_per_window=1000,
+                max_windows=1,
+                tuning=TuningConfig(target_accuracy=0.5, max_iterations=5),
+            ),
+            tune_samples=48,
+            target_fraction=0.9,
+            absolute_target=True,
+        )
+        framework = AgingAwareFramework(
+            lambda seed: build_mlp(4, 3, hidden=(8,), seed=seed), data, config, seed=7
+        )
+        result = framework.run_scenario("t+t")
+        assert result.target_accuracy == 0.5
+        assert result.target_accuracy != 0.9 * result.software_accuracy
+
     def test_compare_collects_all(self, framework):
         comparison = framework.compare(("t+t", "st+at"))
         assert set(comparison.results) == {"t+t", "st+at"}

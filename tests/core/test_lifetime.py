@@ -69,6 +69,23 @@ class TestSimulator:
             assert window.aged_upper_by_layer
             assert window.pulses_total >= 0
 
+    @pytest.mark.parametrize(
+        "every,with_dir,fragment",
+        [(0, True, "checkpoint_every must be >= 1"), (2, False, "requires a checkpoint_dir")],
+    )
+    def test_checkpoint_arguments_validated(
+        self, simulator, tmp_path, every, with_dir, fragment
+    ):
+        pulses = simulator.network.total_pulses()
+        with pytest.raises(ConfigurationError, match=fragment):
+            simulator.run(
+                "t+t",
+                checkpoint_every=every,
+                checkpoint_dir=tmp_path if with_dir else None,
+            )
+        assert simulator.network.total_pulses() == pulses
+        assert list(tmp_path.iterdir()) == []
+
     def test_pulses_accumulate_across_windows(self, simulator):
         result = simulator.run("t+t")
         pulses = [w.pulses_total for w in result.windows]

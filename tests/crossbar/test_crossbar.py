@@ -102,6 +102,19 @@ class TestStepping:
         with pytest.raises(ConfigurationError):
             xb.step_conductance(np.zeros(xb.shape, dtype=int), fraction=0.0)
 
+    def test_step_conductance_shape_check(self, xb):
+        with pytest.raises(ShapeError):
+            xb.step_conductance(np.zeros((2, 2), dtype=int))
+
+    def test_step_conductance_rejects_other_directions(self, xb):
+        before = xb.resistance.copy()
+        directions = np.zeros(xb.shape, dtype=int)
+        directions[0, 0] = 2
+        with pytest.raises(ConfigurationError, match="-1, 0, 1"):
+            xb.step_conductance(directions)
+        np.testing.assert_array_equal(xb.resistance, before)
+        assert xb.total_pulses() == 0
+
     def test_steps_age_devices(self, xb):
         xb.program(np.full(xb.shape, 5e4))
         pulses = xb.total_pulses()

@@ -64,6 +64,21 @@ class TestOperations:
         with pytest.raises(ShapeError):
             tiled.step_conductance(np.zeros((2, 2), dtype=int))
 
+    def test_program_pulses_shape_check(self, tiled):
+        mask = np.ones((2, 2), dtype=bool)
+        with pytest.raises(ShapeError):
+            tiled.program_pulses(mask, mask.astype(int))
+        assert tiled.pulse_totals() == 0
+
+    def test_program_targets_shape_check(self, tiled):
+        with pytest.raises(ShapeError):
+            tiled.program_targets(np.full((3, 3), 5e4))
+        assert tiled.pulse_totals() == 0
+
+    def test_conductances_are_reciprocal_resistances(self, tiled, rng):
+        tiled.program(rng.uniform(2e4, 8e4, tiled.shape))
+        np.testing.assert_array_equal(tiled.conductances(), 1.0 / tiled.resistances())
+
     def test_pulse_totals_aggregate(self, tiled):
         tiled.program(np.full(tiled.shape, 5e4))
         assert tiled.pulse_totals() == 70

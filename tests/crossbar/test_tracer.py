@@ -28,6 +28,23 @@ class TestPositions:
         assert rows[-1] >= 7  # the 10th row belongs to a traced block
         assert cols[-1] >= 9
 
+    @pytest.mark.parametrize(
+        "shape,block,expected",
+        [((1, 1), 3, ([0], [0])), ((2, 5), 5, ([1], [2]))],
+    )
+    def test_array_narrower_than_block_centre(self, device_config, shape, block, expected):
+        """An array too small to hold a block's centre is still traced,
+        by its last row/column, and that tracer covers every device."""
+        xb = Crossbar(*shape, device_config, seed=1)
+        tracer = BlockTracer(xb, block)
+        rows, cols = tracer.traced_positions()
+        assert (rows.tolist(), cols.tolist()) == expected
+        xb.program(np.full(shape, device_config.r_min), only_changed=False)
+        _est_lo, est_hi = tracer.estimated_bounds()
+        _lo, hi = xb.aged_bounds()
+        assert est_hi.shape == shape
+        assert np.all(est_hi == hi[expected[0][0], expected[1][0]])
+
     def test_validation(self, small_crossbar):
         with pytest.raises(ConfigurationError):
             BlockTracer(small_crossbar, 0)

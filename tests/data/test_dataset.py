@@ -76,5 +76,14 @@ class TestDataset:
         with pytest.raises(ShapeError):
             Dataset(x, y, x, y)
 
+    def test_test_split_length_mismatch_raises(self, ds):
+        with pytest.raises(ShapeError, match="x_test"):
+            Dataset(ds.x_train, ds.y_train, ds.x_test, ds.y_test[:-1])
+
+    def test_labels_must_be_one_hot(self, ds):
+        labels = np.argmax(ds.y_train, axis=1)
+        with pytest.raises(ShapeError, match="one-hot"):
+            Dataset(ds.x_train, labels, ds.x_test, ds.y_test)
+
     def test_describe_mentions_name(self, ds):
         assert "toy" in ds.describe()

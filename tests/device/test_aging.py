@@ -134,6 +134,19 @@ class TestCollapseTime:
         lo, hi = aging.aged_bounds(1e4, 1e5, 300.0, t)
         assert hi - lo == pytest.approx(0.0, abs=100.0)
 
+    def test_infinite_when_g_outgrows_f_in_time(self):
+        """Unequal exponents take the bisection path; when the lower
+        bound's degradation grows faster in time, the window never
+        closes."""
+        params = AgingParams(
+            prefactor_max=1.0,
+            prefactor_min=1.0,
+            time_exponent_max=0.7,
+            time_exponent_min=0.9,
+        )
+        aging = ArrheniusAging(params)
+        assert aging.stress_time_to_collapse(1e4, 1e5, 300.0) == float("inf")
+
     def test_zero_window(self, calibrated):
         assert calibrated.stress_time_to_collapse(1e4, 1e4, 300.0) == 0.0
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.crossbar import Crossbar
+from repro.device import AgingParams, DeviceConfig
 from repro.device.faults import FaultModel, inject_faults, inject_faults_network
 from repro.exceptions import ConfigurationError
 
@@ -100,6 +101,16 @@ class TestInjectFaults:
         # Healthy devices did move.
         healthy = ~(lrs | hrs)
         assert not np.allclose(xb.resistance[healthy], before[healthy])
+
+    def test_rejects_device_without_endurance_limit(self):
+        """A stuck device is pinned by exhausting its endurance; a device
+        whose window never collapses cannot be pinned that way."""
+        config = DeviceConfig(
+            aging_params=AgingParams(prefactor_max=1.0, prefactor_min=2.0)
+        )
+        xb = Crossbar(4, 4, config, seed=10)
+        with pytest.raises(ConfigurationError, match="never collapses"):
+            inject_faults(xb, FaultModel(rate_lrs=0.5), seed=11)
 
     def test_stuck_devices_count_as_dead(self, device_config):
         xb = Crossbar(10, 10, device_config, seed=8)

@@ -50,6 +50,20 @@ class TestConstruction:
             _matrix_to_kernel(conv.software_matrix(), model.layers[0]), kernel
         )
 
+    @pytest.mark.parametrize("convert", ["to_matrix", "to_kernel"])
+    def test_unknown_weighted_layer_cannot_be_mapped(self, convert):
+        """Only Dense and Conv2D kernels have a crossbar arrangement."""
+        from repro.mapping.network import _layer_matrix, _matrix_to_kernel
+        from repro.nn import ParamLayer
+
+        layer = ParamLayer()
+        layer.params["W"] = np.zeros((2, 2))
+        with pytest.raises(ConfigurationError, match="cannot be mapped"):
+            if convert == "to_matrix":
+                _layer_matrix(layer)
+            else:
+                _matrix_to_kernel(np.zeros((2, 2)), layer)
+
 
 class TestMappingLifecycle:
     def test_program_requires_range(self, trained_mlp, device_config):
@@ -200,6 +214,54 @@ class TestReadMemo:
         assert _same(got, _weights(_rebuilt(twin)))
         # Only the trial install leaves the hardware read where it was.
         assert _same(got, primed) == (change == "install_matrices")
+
+
+def _drift_then_program(layer):
+    layer.tiles.apply_drift(0.2)
+    return layer.tiles.state_version, lambda: layer.program()
+
+
+class TestLayerVersion:
+    """``MappedLayer.version`` counts range changes only; device writes
+    are counted by the tiles' ``state_version``."""
+
+    WRITES = {
+        "program": _drift_then_program,
+        "tuning_pulses": lambda layer: (
+            layer.tiles.state_version,
+            lambda: layer.apply_gradient_signs(np.ones(layer.matrix_shape), 0.0),
+        ),
+        "drift": lambda layer: (
+            layer.tiles.state_version,
+            lambda: layer.tiles.apply_drift(0.1),
+        ),
+    }
+
+    def test_set_range_bumps_version_without_a_write(self, mapped_mlp):
+        layer = mapped_mlp.layers[0]
+        version, state = layer.version, layer.tiles.state_version
+        cfg = mapped_mlp.device_config
+        layer.set_range(2 * cfg.r_min, cfg.r_max)
+        assert layer.version == version + 1
+        assert layer.tiles.state_version == state
+
+    @pytest.mark.parametrize("write", sorted(WRITES))
+    def test_device_write_leaves_version_alone(self, mapped_mlp, write):
+        layer = mapped_mlp.layers[0]
+        version = layer.version
+        state, apply = self.WRITES[write](layer)
+        apply()
+        assert layer.version == version
+        assert layer.tiles.state_version > state
+
+    def test_rejected_range_leaves_version_alone(self, mapped_mlp):
+        layer = mapped_mlp.layers[0]
+        version, mapping = layer.version, layer.mapping
+        cfg = mapped_mlp.device_config
+        with pytest.raises(ConfigurationError):
+            layer.set_range(cfg.r_max, cfg.r_min)
+        assert layer.version == version
+        assert layer.mapping is mapping
 
 
 class TestBookkeeping:

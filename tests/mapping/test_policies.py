@@ -28,6 +28,23 @@ class TestAgingAwareMapper:
             AgingAwareMapper(selection_batch=0)
         with pytest.raises(ConfigurationError):
             AgingAwareMapper(tie_tolerance=-1.0)
+        with pytest.raises(ConfigurationError):
+            AgingAwareMapper(min_levels=1)
+
+    def test_untraced_layer_offers_only_rmax(self, mapped_layer):
+        """With no traced device there is no aging evidence, so the one
+        candidate is the fresh ``R_max``."""
+
+        class Untraced:
+            device_config = mapped_layer.device_config
+
+            @staticmethod
+            def traced_upper_bounds():
+                return np.empty(0)
+
+        assert AgingAwareMapper().candidate_uppers(Untraced()) == [
+            mapped_layer.device_config.r_max
+        ]
 
     def test_fresh_array_has_single_rmax_candidate(self, trained_mlp, device_config):
         """Level-snapped candidates: while no level has been consumed,

@@ -1,5 +1,7 @@
 """Unit tests for pulse-shaping mitigation (paper ref [9])."""
 
+import dataclasses
+
 import pytest
 
 from repro.device import DeviceConfig, Memristor
@@ -61,3 +63,36 @@ class TestPulseShaping:
         assert shaped.aging_params is not None
         dc_params = cfg.make_aging_model().params
         assert shaped.aging_params.prefactor_max == dc_params.prefactor_max
+
+
+@pytest.mark.parametrize("name", sorted(PULSE_SHAPES))
+class TestEveryShape:
+    def test_apply_changes_only_stress_accounting(self, name):
+        """A shape is a pure ``DeviceConfig`` transform: the input is
+        left alone and only the pulse width and the frozen calibration
+        differ in the output."""
+        cfg = DeviceConfig(pulses_to_collapse=300)
+        before = dataclasses.asdict(cfg)
+        shaped = PulseShaping(name).apply(cfg)
+        assert dataclasses.asdict(cfg) == before
+        changed = {
+            f.name
+            for f in dataclasses.fields(cfg)
+            if getattr(shaped, f.name) != getattr(cfg, f.name)
+        }
+        assert changed <= {"pulse_width", "aging_params"}
+        shape = PULSE_SHAPES[name]
+        assert shaped.pulse_width == pytest.approx(
+            cfg.pulse_width * shape.stress_scale * shape.pulses_per_op
+        )
+
+    def test_stress_per_operation_is_dc_over_net_benefit(self, name):
+        cfg = DeviceConfig(pulses_to_collapse=10_000, write_noise=0.0)
+        dc_cell = Memristor(cfg, seed=1)
+        shaped_cell = Memristor(PulseShaping(name).apply(cfg), seed=1)
+        for target in (cfg.r_min, cfg.r_max) * 5:
+            dc_cell.program(target, pulses=1)
+            shaped_cell.program(target, pulses=1)
+        assert shaped_cell.stress_time == pytest.approx(
+            dc_cell.stress_time / PULSE_SHAPES[name].net_benefit, rel=1e-9
+        )

@@ -42,6 +42,16 @@ class TestSeriesResistor:
             5e3
         ).conductance_compression(cfg)
 
+    @pytest.mark.parametrize("r_series", [50.0, 5e3, 5e5])
+    def test_compression_matches_divider(self, r_series):
+        """The protected window is the bare one shifted by ``r_s``."""
+        cfg = DeviceConfig()
+        g_span = 1.0 / cfg.r_min - 1.0 / cfg.r_max
+        g_protected = 1.0 / (cfg.r_min + r_series) - 1.0 / (cfg.r_max + r_series)
+        assert SeriesResistor(r_series).conductance_compression(cfg) == pytest.approx(
+            g_protected / g_span, rel=1e-12
+        )
+
     def test_protected_cell_ages_slower(self):
         """Current limiting: a protected cell accumulates less stress
         for the same worst-case programming traffic."""

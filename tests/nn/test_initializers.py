@@ -13,6 +13,7 @@ from repro.nn.initializers import (
     HeUniform,
     LeCunNormal,
     ZerosInit,
+    _VarianceScaling,
     compute_fans,
     get_initializer,
 )
@@ -60,6 +61,16 @@ class TestVarianceScaling:
         out = cls()((300, 200), rng)
         assert abs(out.mean()) < 0.005
         assert out.min() >= -1.0 and out.max() <= 1.0
+
+    @pytest.mark.parametrize("distribution", ["normal", "uniform"])
+    def test_fan_out_mode_scales_by_output_fan(self, distribution, rng):
+        attrs = {"mode": "fan_out", "gain": 1.0, "distribution": distribution}
+        fan_out_init = type("FanOutInit", (_VarianceScaling,), attrs)()
+        shape = (100, 400)
+        out = fan_out_init(shape, rng)
+        assert abs(out.std() - math.sqrt(1.0 / shape[1])) < 0.002
+        if distribution == "uniform":
+            assert np.abs(out).max() <= math.sqrt(3.0 / shape[1])
 
     def test_deterministic_given_seed(self):
         a = HeNormal()((5, 5), np.random.default_rng(9))

@@ -12,6 +12,11 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             MaxPool2D(0)
 
+    @pytest.mark.parametrize("cls", [MaxPool2D, AvgPool2D])
+    def test_rejects_bad_stride(self, cls):
+        with pytest.raises(ConfigurationError, match="stride"):
+            cls(2, stride=0)
+
     def test_rejects_flat_input(self, rng):
         with pytest.raises(ShapeError):
             MaxPool2D(2).build((10,), rng)

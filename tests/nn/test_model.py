@@ -92,6 +92,16 @@ class TestTraining:
                 assert np.array_equal(got[key], want[key])
         assert tiny_model._rng.bit_generator.state == rng_state
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_fit_rejects_nonpositive_batch_size(self, tiny_model, batch, batch_size):
+        x, y = batch
+        before = tiny_model.get_weights()
+        with pytest.raises(ConfigurationError, match="batch_size"):
+            tiny_model.fit(x, y, epochs=1, batch_size=batch_size)
+        for got, want in zip(tiny_model.get_weights(), before):
+            for key in want:
+                assert np.array_equal(got[key], want[key])
+
     def test_validation_metrics_recorded(self, tiny_model, batch):
         x, y = batch
         history = tiny_model.fit(x, y, epochs=2, validation_data=(x, y))

@@ -31,6 +31,11 @@ class TestFaultEvent:
             FaultEvent(kind="pulse_miss", miss_rate=1.0)
         FaultEvent(kind="pulse_miss", miss_rate=0.99)  # ok
 
+    @pytest.mark.parametrize("name", ["rate_lrs", "rate_hrs", "magnitude", "sigma"])
+    def test_negative_severity_rejected(self, name):
+        with pytest.raises(ConfigurationError, match=name):
+            FaultEvent(kind="stuck_at", **{name: -0.01})
+
     def test_total_rate_by_kind(self):
         assert FaultEvent(kind="stuck_at", rate_lrs=0.01, rate_hrs=0.02).total_rate == pytest.approx(0.03)
         assert FaultEvent(kind="drift", magnitude=0.2).total_rate == 0.2
@@ -60,6 +65,11 @@ class TestFaultSchedule:
             assert event.total_rate == pytest.approx(0.05)
         with pytest.raises(ConfigurationError):
             FaultSchedule.single("bogus", 0.05)
+
+    @pytest.mark.parametrize("lrs_fraction", [-0.1, 1.1])
+    def test_stuck_at_midlife_rejects_bad_split(self, lrs_fraction):
+        with pytest.raises(ConfigurationError, match="lrs_fraction"):
+            FaultSchedule.stuck_at_midlife(0.05, lrs_fraction=lrs_fraction)
 
     def test_stuck_at_apply_kills_devices(self, mapped_net):
         schedule = FaultSchedule.stuck_at_midlife(0.05, window=1)

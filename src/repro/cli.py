@@ -7,13 +7,15 @@ Exposes the main reproduction flows without writing Python::
     python -m repro run --fast --checkpoint-every 5 --checkpoint-dir ckpts
     python -m repro run --resume ckpts/st+at-r0-w00005.ckpt.json
     python -m repro compare --preset lenet-glyphs --fast --out results.json
-    python -m repro campaign --fast --journal campaign.jsonl --resume
+    python -m repro campaign --fast --journal campaign.jsonl
     python -m repro checkpoints ls --dir ckpts
     python -m repro train --preset lenet-glyphs --skewed --weights model.npz
 
 All subcommands are deterministic for a given ``--seed``; a killed
 ``run`` resumed from its latest checkpoint is bit-identical to an
-uninterrupted one (DESIGN.md §10).
+uninterrupted one (DESIGN.md §10).  ``run``, ``compare`` and
+``campaign`` take ``--journal PATH``: results already in the journal are
+replayed, completed ones are appended to it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import time
 from typing import Optional, Sequence
 
 from repro.analysis import ascii_series, comparison_report, render_table
-from repro.core import AgingAwareFramework, ResultCache, RunJournal
+from repro.core import AgingAwareFramework, ParallelExecutor, RunJournal
 from repro.core.checkpoint import (
     CheckpointManager,
     inspect_checkpoint,
@@ -64,11 +66,18 @@ def _build_framework(args) -> AgingAwareFramework:
     )
 
 
-def _make_cache(args) -> Optional[ResultCache]:
-    """Result cache from ``--cache-dir`` / ``--no-cache`` flags."""
-    if getattr(args, "no_cache", False) or not getattr(args, "cache_dir", None):
-        return None
-    return ResultCache(args.cache_dir)
+def _open_journal(args) -> Optional[RunJournal]:
+    """The ``--journal`` result store, or ``None`` when not given."""
+    return RunJournal(args.journal) if args.journal else None
+
+
+def _report_journal(journal: Optional[RunJournal], tasks: int) -> None:
+    """Say how many of ``tasks`` the journal replayed and how many ran."""
+    if journal is not None:
+        print(
+            f"journal {journal.path}: {journal.skipped} replayed, "
+            f"{tasks - journal.skipped} executed"
+        )
 
 
 def cmd_list_presets(_args) -> int:
@@ -107,14 +116,18 @@ def cmd_run(args) -> int:
         scenario_label = result.scenario_key
     else:
         framework = _build_framework(args)
-        result = framework.run_scenario(
+        task = framework.scenario_task(
             args.scenario,
-            repeat=args.repeat,
-            cache=_make_cache(args),
+            args.scenario,
+            args.repeat,
             checkpoint_every=args.checkpoint_every,
             checkpoint_dir=args.checkpoint_dir,
         )
+        journal = _open_journal(args)
+        (outcome,) = ParallelExecutor(journal=journal).run([task], reraise=True)
+        result = outcome.value
         scenario_label = args.scenario
+        _report_journal(journal, 1)
     elapsed = time.time() - start
     print(
         f"{scenario_label.upper()}: lifetime={result.lifetime_applications} applications "
@@ -133,8 +146,9 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     framework = _build_framework(args)
+    journal = _open_journal(args)
     comparison = framework.compare(
-        repeats=args.repeats, workers=args.workers, cache=_make_cache(args)
+        repeats=args.repeats, workers=args.workers, journal=journal
     )
     base = comparison.results[comparison.baseline_key].lifetime_applications or 1
     rows = [
@@ -153,6 +167,7 @@ def cmd_compare(args) -> int:
             title=f"Lifetime comparison — {comparison.workload}",
         )
     )
+    _report_journal(journal, len(comparison.results) * args.repeats)
     if args.out:
         save_comparison(comparison, args.out)
         print(f"comparison written to {args.out}")
@@ -176,19 +191,13 @@ def cmd_campaign(args) -> int:
         window=args.window,
         with_degradation=not args.no_degradation,
     )
-    if args.resume and not args.journal:
-        print("--resume requires --journal PATH (the journal to resume from)")
-        return 2
-    journal = (
-        RunJournal(args.journal, resume=args.resume) if args.journal else None
-    )
+    journal = _open_journal(args)
     framework = _build_framework(args)
     campaign = FaultCampaign(
         framework,
         scenario=args.scenario,
         repeat=args.repeat,
         workers=args.workers,
-        cache=_make_cache(args),
         journal=journal,
     )
     start = time.time()
@@ -196,11 +205,7 @@ def cmd_campaign(args) -> int:
     elapsed = time.time() - start
     print(report.render_text())
     print(f"\n{len(points)} grid points in {elapsed:.0f}s")
-    if journal is not None:
-        print(
-            f"journal {args.journal}: {journal.skipped} replayed, "
-            f"{len(points) - journal.skipped} executed"
-        )
+    _report_journal(journal, len(points))
     if args.out:
         import json
 
@@ -293,15 +298,14 @@ def build_parser() -> argparse.ArgumentParser:
             "them to PATH as JSON)",
         )
 
-    def caching(p: argparse.ArgumentParser) -> None:
+    def journaling(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--cache-dir",
-            default=".repro-cache",
-            help="on-disk result cache directory (re-runs of unchanged "
-            "configs are instant); default: %(default)s",
-        )
-        p.add_argument(
-            "--no-cache", action="store_true", help="disable the result cache"
+            "--journal",
+            default=None,
+            metavar="PATH",
+            help="JSONL result journal: runs already recorded there are "
+            "replayed, completed ones are appended durably (a relaunch of "
+            "a killed run re-executes only what never completed)",
         )
 
     p_train = sub.add_parser("train", help="software-train a model")
@@ -312,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one lifetime scenario")
     common(p_run)
-    caching(p_run)
+    journaling(p_run)
     profiling(p_run)
     p_run.add_argument("--scenario", default="st+at", choices=sorted(SCENARIOS))
     p_run.add_argument("--repeat", type=int, default=0, help="hardware seed index")
@@ -341,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="run T+T / ST+T / ST+AT")
     common(p_cmp)
-    caching(p_cmp)
+    journaling(p_cmp)
     profiling(p_cmp)
     p_cmp.add_argument("--repeats", type=int, default=1)
     p_cmp.add_argument(
@@ -359,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault-injection campaign: sweep a fault grid over one scenario",
     )
     common(p_camp)
-    caching(p_camp)
+    journaling(p_camp)
     profiling(p_camp)
     p_camp.add_argument("--scenario", default="st+at", choices=sorted(SCENARIOS))
     p_camp.add_argument(
@@ -393,19 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
         "to --workers 1)",
     )
     p_camp.add_argument("--out", default=None, help="write SurvivabilityReport JSON here")
-    p_camp.add_argument(
-        "--journal",
-        default=None,
-        metavar="PATH",
-        help="append completed grid points durably to this JSONL journal "
-        "(crash-safe: combine with --resume to relaunch a killed campaign)",
-    )
-    p_camp.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip grid points already recorded in --journal "
-        "(without it, an existing journal is started over)",
-    )
     p_camp.set_defaults(func=cmd_campaign)
 
     p_ckpt = sub.add_parser(

@@ -9,14 +9,14 @@
   the tuning budget is exceeded: the crossbar's end of life.
 * :class:`AgingAwareFramework` — the Fig. 5 workflow glue: train, map,
   simulate, compare scenarios.
-* :class:`ParallelExecutor` / :class:`ResultCache` — the process-parallel
-  execution engine with deterministic seeding and on-disk caching that
-  scenario comparisons, repeats and sweeps fan out through.
+* :class:`ParallelExecutor` — the process-parallel execution engine with
+  deterministic seeding that scenario comparisons, repeats, campaigns
+  and sweeps fan out through.
 * :data:`PROFILER` — process-local perf counters and timers for the
   hot paths (DESIGN.md §9).
 * :class:`CheckpointManager` / :class:`RunJournal` — durable
-  checkpoint/resume for lifetime runs and crash-safe journaling of
-  campaign/sweep grids (DESIGN.md §10).
+  checkpoint/resume for lifetime runs, and the crash-safe journal that
+  is the executor's one result store (DESIGN.md §10).
 """
 
 from repro.core.checkpoint import (
@@ -29,7 +29,6 @@ from repro.core.checkpoint import (
 )
 from repro.core.executor import (
     ParallelExecutor,
-    ResultCache,
     Task,
     TaskOutcome,
     adaptive_chunk_size,
@@ -63,7 +62,6 @@ __all__ = [
     "ParallelExecutor",
     "PerfDelta",
     "PerfRegistry",
-    "ResultCache",
     "RunJournal",
     "SCENARIOS",
     "Scenario",

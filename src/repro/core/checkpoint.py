@@ -14,15 +14,15 @@ module provides two complementary durability primitives:
   random stream picks up exactly where it stopped
   (``tests/integration/test_checkpoint_resume.py``).
 
-* **Journals** — an append-only JSONL record of completed grid points
-  for :class:`~repro.robustness.campaign.FaultCampaign` runs through the
-  :class:`~repro.core.executor.ParallelExecutor`.  A re-launched
-  campaign skips journaled points outright.  The journal is
+* **Journals** — an append-only JSONL record of completed tasks (scenario
+  runs, comparisons, campaign grid points) run through the
+  :class:`~repro.core.executor.ParallelExecutor`: the one result store.
+  A re-launched run skips journaled tasks outright.  The journal is
   corrupt-tail tolerant: a crash mid-append leaves a truncated last
   line, which is dropped (with a warning) instead of poisoning the run.
 
 Snapshot files are written write-to-temp + fsync + rename
-(:func:`repro.io.save_text_atomic` with ``durable=True``), so a crash
+(:func:`repro.io.save_text_atomic`), so a crash
 can leave the previous checkpoint or the complete new one — never a
 torn file that parses.  Every snapshot embeds a SHA-256 of its payload's
 canonical (sorted-key, compact) JSON, and the file holds the payload in
@@ -161,7 +161,7 @@ def save_checkpoint(payload: dict, path) -> pathlib.Path:
         f'{{"kind": {json.dumps(_CHECKPOINT_KIND)}, "payload": {text}, '
         f'"schema": {CHECKPOINT_SCHEMA}, "sha256": "{digest}"}}'
     )
-    save_text_atomic(document, path, durable=True)
+    save_text_atomic(document, path)
     return path
 
 
@@ -315,22 +315,23 @@ class CheckpointManager:
             grouped.setdefault(entry.run_id, []).append(entry)
         removed: List[pathlib.Path] = []
         for entries in grouped.values():
-            doomed = entries[: len(entries) - keep] if keep else entries
-            for entry in doomed:
+            for entry in entries[: max(0, len(entries) - keep)]:
                 entry.path.unlink(missing_ok=True)
                 removed.append(entry.path)
         return removed
 
 
-# -- campaign journal ---------------------------------------------------------
+# -- run journal --------------------------------------------------------------
 class RunJournal:
-    """Append-only JSONL record of completed grid points.
+    """Append-only JSONL record of completed tasks: the one result store.
 
-    One line per completed point: ``{"schema": 1, "key": <content
+    One line per completed task: ``{"schema": 1, "key": <content
     hash>, "sha256": <line digest>, "payload": <encoded result>}``.
-    Keys are the same content-hash fingerprints the
-    :class:`~repro.core.executor.ResultCache` uses, so a config change
-    re-executes points instead of resuming stale ones.
+    Keys are content-hash fingerprints of everything a task depends on
+    (:meth:`~repro.core.framework.AgingAwareFramework.scenario_cache_key`),
+    so a config change re-executes tasks instead of replaying stale
+    ones.  Opening an existing journal always resumes it; to start
+    over, use a new path.
 
     Loading tolerates a corrupt tail: a crash mid-append leaves a
     truncated or garbled final line, which is dropped with a warning
@@ -349,7 +350,7 @@ class RunJournal:
     reads only those *n* lines).
     """
 
-    def __init__(self, path, resume: bool = True) -> None:
+    def __init__(self, path) -> None:
         self.path = pathlib.Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.entries: Dict[str, Any] = {}
@@ -364,11 +365,7 @@ class RunJournal:
         #: mid-append looks identical to a crash artifact, so the tail
         #: is counted once and re-examined (not re-counted) on refresh.
         self._torn_counted = False
-        if self.path.exists():
-            if resume:
-                self._scan(count_torn_tail=True)
-            else:
-                self.path.unlink()
+        self._scan(count_torn_tail=True)
 
     @staticmethod
     def _line_digest(key: str, payload: Any) -> str:

@@ -1,4 +1,4 @@
-"""Process-parallel execution engine with deterministic seeding and caching.
+"""Process-parallel execution engine with deterministic seeding.
 
 Every experiment in this repository — the Table-I scenario comparison,
 per-scenario repeats, the fault campaigns and the ablation sweeps —
@@ -11,17 +11,17 @@ makes process parallelism safe: fanning tasks out across a
 results to running them serially.  The equivalence is enforced by
 ``tests/core/test_executor.py``, not left to convention.
 
-Three pieces live here:
+Two pieces live here:
 
 * :func:`fingerprint` — a stable content hash of (nested) configs,
-  datasets and arrays, used to build cache keys;
-* :class:`ResultCache` — an on-disk JSON store keyed by fingerprint, so
-  re-running an unchanged scenario configuration is instant;
+  datasets and arrays, used to build journal keys;
 * :class:`ParallelExecutor` — the one way a grid of tasks executes:
   in-process (``workers <= 1``) or in chunks across worker processes,
-  consulting the cache and the run journal first and capturing
-  per-task failures (a crashing worker fails its own chunk, never the
-  whole grid, and never hangs the pool).
+  replaying tasks the run journal
+  (:class:`~repro.core.checkpoint.RunJournal`) already holds, storing
+  the ones that complete, and capturing per-task failures (a crashing
+  worker fails its own chunk, never the whole grid, and never hangs
+  the pool).
 
 Tasks are shipped to workers with :mod:`cloudpickle` when available, so
 closures and lambdas (ubiquitous in presets and test fixtures) work;
@@ -33,8 +33,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
-import time
 import traceback
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -55,13 +53,6 @@ try:  # cloudpickle serializes lambdas/closures; stdlib pickle cannot.
 except Exception:  # pragma: no cover - exercised only without cloudpickle
     import pickle as _serializer
 
-#: Cache-format version; bump when payload semantics change.
-CACHE_SCHEMA = 1
-
-#: Sentinel distinguishing "cache miss" from a cached ``None`` payload.
-_MISS = object()
-
-
 # -- fingerprinting -----------------------------------------------------------
 def _canonical(obj: Any) -> Any:
     """JSON-ready canonical form of ``obj`` for stable hashing.
@@ -70,7 +61,7 @@ def _canonical(obj: Any) -> Any:
     included), dataclasses to their field dict, callables to a digest of
     their serialized form.  Objects with no stable representation fall
     back to ``repr`` — such keys are safe (they simply never match) but
-    useless for caching, so config objects should be dataclasses.
+    useless for replay, so config objects should be dataclasses.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
@@ -114,129 +105,25 @@ def fingerprint(*parts: Any) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-# -- on-disk result cache -----------------------------------------------------
-class ResultCache:
-    """JSON file per cache key under one root directory.
-
-    Payloads must be JSON-serializable (use ``Task.encode``/``decode``
-    to convert rich results).  Corrupt or unreadable entries degrade to
-    cache misses, never to errors — but they are *quarantined* (renamed
-    to ``<key>.json.corrupt`` with a logged warning) rather than left in
-    place, so recurring disk corruption stays visible instead of
-    silently re-missing forever.
-    """
-
-    def __init__(self, root) -> None:
-        import pathlib
-
-        self.root = pathlib.Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        #: Corrupt entries renamed aside since this cache was opened.
-        self.quarantined = 0
-
-    def path(self, key: str):
-        return self.root / f"{key}.json"
-
-    def get(self, key: str) -> Any:
-        """Cached payload for ``key``, or the module-level miss sentinel."""
-        path = self.path(key)
-        if not path.exists():
-            self.misses += 1
-            return _MISS
-        try:
-            payload = self._read(key)
-        except Exception as exc:
-            self.misses += 1
-            self._quarantine(path, exc)
-            return _MISS
-        self.hits += 1
-        return payload
-
-    def __contains__(self, key: str) -> bool:
-        """Whether ``key`` has a readable entry of the current schema.
-
-        A side-effect-free probe: no hit or miss is counted and a
-        corrupt entry stays in place for :meth:`get` to quarantine.
-        """
-        try:
-            self._read(key)
-        except Exception:
-            return False
-        return True
-
-    def _read(self, key: str) -> Any:
-        from repro.io import load_json
-
-        entry = load_json(self.path(key))
-        if entry.get("schema") != CACHE_SCHEMA:
-            raise ValueError(f"unknown cache schema {entry.get('schema')!r}")
-        return entry["payload"]
-
-    def _quarantine(self, path, exc: Exception) -> None:
-        """Rename a corrupt entry aside so the damage stays observable."""
-        quarantine = path.with_name(path.name + ".corrupt")
-        try:
-            os.replace(path, quarantine)
-        except OSError:  # pragma: no cover - raced/unwritable directory
-            return
-        self.quarantined += 1
-        logger.warning(
-            "quarantined corrupt cache entry %s -> %s (%s)",
-            path.name,
-            quarantine.name,
-            exc,
-        )
-
-    def put(self, key: str, payload: Any) -> None:
-        from repro.io import save_json_atomic
-
-        save_json_atomic(
-            {"schema": CACHE_SCHEMA, "key": key, "saved_unix": time.time(),
-             "payload": payload},
-            self.path(key),
-        )
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*.json"))
-
-    def __bool__(self) -> bool:
-        # An *empty* cache is still a cache: never let `if cache:`
-        # silently disable caching through __len__.
-        return True
-
-    def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
-        removed = 0
-        for path in self.root.glob("*.json"):
-            path.unlink(missing_ok=True)
-            removed += 1
-        return removed
-
-
 # -- tasks --------------------------------------------------------------------
 @dataclass
 class Task:
-    """One unit of work: ``fn(*args, **kwargs)``, optionally cached.
+    """One unit of work: ``fn(*args, **kwargs)``, optionally journaled.
 
     ``key`` is a human-readable purpose key (also the outcome label);
-    ``cache_key`` is the full content-hash key (``None`` disables
-    caching for this task).  ``encode``/``decode`` convert the result to
-    and from a JSON-serializable payload for the cache.
+    ``journal_key`` is the full content-hash key under which a completed
+    result is stored in the executor's journal (``None`` keeps the task
+    out of the journal).  ``encode``/``decode`` convert the result to
+    and from a JSON-serializable payload for the journal.
     """
 
     key: str
     fn: Callable[..., Any]
     args: Tuple[Any, ...] = ()
     kwargs: Dict[str, Any] = field(default_factory=dict)
-    cache_key: Optional[str] = None
+    journal_key: Optional[str] = None
     encode: Optional[Callable[[Any], Any]] = None
     decode: Optional[Callable[[Any], Any]] = None
-    #: Content-hash key under which a completed result is journaled
-    #: (crash-safe resume of campaign grids); falls back to
-    #: ``cache_key``.  ``None`` on both disables journaling for the task.
-    journal_key: Optional[str] = None
 
 
 @dataclass
@@ -248,10 +135,9 @@ class TaskOutcome:
     error: Optional[str] = None
     #: Wall time of the task body, measured where it ran.
     seconds: float = 0.0
-    cached: bool = False
     #: The task body's :data:`~repro.core.profiling.PROFILER` delta
     #: (``PerfDelta.to_dict()``), also from a pool worker; ``None`` when
-    #: the body never ran here (cache or journal hit, lost worker).
+    #: the body never ran here (journal replay, lost worker).
     perf: Optional[dict] = None
 
     @property
@@ -343,20 +229,16 @@ class ParallelExecutor:
     """
 
     def __init__(
-        self,
-        workers: int = 1,
-        cache: Optional[ResultCache] = None,
-        journal: Optional["RunJournal"] = None,
+        self, workers: int = 1, journal: Optional["RunJournal"] = None
     ) -> None:
         if workers < 0:
             raise ConfigurationError(f"workers must be >= 0, got {workers}")
         self.workers = int(workers)
-        self.cache = cache
-        #: Optional :class:`repro.core.checkpoint.RunJournal`.  Tasks
-        #: whose journal key (``Task.journal_key`` or ``cache_key``) is
-        #: already journaled are replayed without executing; completed
-        #: tasks are appended durably as they finish, so a killed run
-        #: re-executes only the points that never completed.
+        #: Optional :class:`repro.core.checkpoint.RunJournal`, the one
+        #: result store.  Tasks whose ``journal_key`` is already
+        #: journaled are replayed without executing; completed tasks are
+        #: appended durably as they finish, so a killed run re-executes
+        #: only the points that never completed.
         self.journal = journal
 
     def run(self, tasks: Sequence[Task], reraise: bool = False) -> List[TaskOutcome]:
@@ -372,7 +254,7 @@ class ParallelExecutor:
         outcomes: List[Optional[TaskOutcome]] = [None] * len(tasks)
         pending: List[int] = []
         for idx, task in enumerate(tasks):
-            outcomes[idx] = self._cached(task) or self._journal_replay(task)
+            outcomes[idx] = self._journal_replay(task)
             if outcomes[idx] is None:
                 pending.append(idx)
         if self.workers > 1 and pending:
@@ -388,25 +270,12 @@ class ParallelExecutor:
         return outcomes  # type: ignore[return-value]
 
     def is_stored(self, task: Task) -> bool:
-        """Whether the cache or the journal already holds ``task``'s result."""
-        if self.cache is not None and task.cache_key and task.cache_key in self.cache:
-            return True
+        """Whether the journal already holds ``task``'s result."""
         journal_key = self._journal_key(task)
         return journal_key is not None and journal_key in self.journal
 
-    def _cached(self, task: Task) -> Optional[TaskOutcome]:
-        if self.cache is None or not task.cache_key:
-            return None
-        payload = self.cache.get(task.cache_key)
-        if payload is _MISS:
-            return None
-        value = task.decode(payload) if task.decode else payload
-        return TaskOutcome(task.key, value=value, cached=True)
-
     def _journal_key(self, task: Task) -> Optional[str]:
-        if self.journal is None:
-            return None
-        return task.journal_key or task.cache_key
+        return task.journal_key if self.journal is not None else None
 
     def _journal_replay(self, task: Task) -> Optional[TaskOutcome]:
         """Replay ``task`` from the (refreshed) journal, if it is there.
@@ -431,21 +300,20 @@ class ParallelExecutor:
     def _complete(self, task: Task, result: tuple, reraise: bool) -> TaskOutcome:
         """Turn one finished task body into its outcome.
 
-        A success is written to the cache and durably appended to the
-        journal the moment it arrives — the crash-safety granularity
-        the journal exists for.  A failure raises here when ``reraise``.
+        A success is durably appended to the journal the moment it
+        arrives — the crash-safety granularity the journal exists for.
+        A failure raises here when ``reraise``.
         """
         value, exc, text, seconds, perf = result
         if exc is not None:
             if reraise:
                 raise exc
             return TaskOutcome(task.key, error=text, seconds=seconds, perf=perf)
-        payload = task.encode(value) if task.encode else value
-        if self.cache is not None and task.cache_key:
-            self.cache.put(task.cache_key, payload)
         journal_key = self._journal_key(task)
         if journal_key is not None:
-            self.journal.record(journal_key, payload)
+            self.journal.record(
+                journal_key, task.encode(value) if task.encode else value
+            )
         return TaskOutcome(task.key, value=value, seconds=seconds, perf=perf)
 
     def _run_parallel(self, tasks, pending, outcomes, reraise) -> None:

@@ -10,17 +10,11 @@ freshly seeded hardware).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.core.executor import (
-    _MISS,
-    ParallelExecutor,
-    ResultCache,
-    Task,
-    fingerprint,
-)
+from repro.core.executor import ParallelExecutor, Task, fingerprint
 from repro.core.lifetime import LifetimeConfig, LifetimeSimulator
 from repro.core.results import LifetimeResult, ScenarioComparison
 from repro.core.scenarios import SCENARIOS, Scenario
@@ -33,6 +27,9 @@ from repro.nn.model import Sequential
 from repro.rng import SeedLike, derive_rng, ensure_rng
 from repro.training.skewed import SkewedTrainingConfig, skewed_train
 from repro.training.trainer import TrainConfig, train_baseline
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.core.checkpoint import RunJournal
 
 
 @dataclass
@@ -128,18 +125,22 @@ class AgingAwareFramework:
         return scenario
 
     def scenario_cache_key(
-        self, scenario: Scenario | str, repeat: int = 0, extra=None
+        self,
+        scenario: Scenario | str,
+        repeat: int = 0,
+        fault_schedule=None,
+        degradation=None,
     ) -> str:
-        """Content-hash cache key of one scenario run.
+        """Content-hash journal key of one scenario run.
 
         Covers everything the run depends on: the scenario, the repeat
         index, the framework entropy (which seeds training, hardware and
         tuning streams), the full configuration tree and the dataset
-        arrays — so any change to any of them is a cache miss.
+        arrays — so any change to any of them misses the journal.
 
-        ``extra`` carries additional run inputs (e.g. a fault schedule
-        and degradation policy); it is folded into the key only when
-        present, so plain scenario runs keep their historical keys.
+        The fault schedule and degradation policy are folded into the
+        key only when one is given, so a plain scenario run and a fault
+        campaign's fault-free baseline point share one key.
         """
         scenario = self._resolve_scenario(scenario)
         parts = [
@@ -150,15 +151,46 @@ class AgingAwareFramework:
             self.config,
             self.dataset,
         ]
-        if extra is not None:
-            parts.append(extra)
+        if fault_schedule is not None or degradation is not None:
+            parts.append(("robustness/v1", fault_schedule, degradation))
         return fingerprint(*parts)
+
+    def scenario_task(
+        self,
+        key: str,
+        scenario: Scenario | str,
+        repeat: int = 0,
+        fault_schedule=None,
+        degradation=None,
+        **run_kwargs,
+    ) -> Task:
+        """Executor task for one :meth:`run_scenario` call, labelled ``key``.
+
+        The task is journaled under :meth:`scenario_cache_key`.
+        ``run_kwargs`` (the checkpoint options) reach ``run_scenario``
+        but stay out of the key: they never change the result.
+        """
+        scenario = self._resolve_scenario(scenario)
+        return Task(
+            key=key,
+            fn=self.run_scenario,
+            args=(scenario.key, repeat),
+            kwargs={
+                "fault_schedule": fault_schedule,
+                "degradation": degradation,
+                **run_kwargs,
+            },
+            journal_key=self.scenario_cache_key(
+                scenario, repeat, fault_schedule, degradation
+            ),
+            encode=LifetimeResult.to_dict,
+            decode=LifetimeResult.from_dict,
+        )
 
     def run_scenario(
         self,
         scenario: Scenario | str,
         repeat: int = 0,
-        cache: Optional[ResultCache] = None,
         fault_schedule=None,
         degradation=None,
         checkpoint_every: Optional[int] = None,
@@ -170,35 +202,25 @@ class AgingAwareFramework:
         (the trained software weights are shared across repeats);
         lifetime is a heavy-tailed quantity, so experiments should
         aggregate a few repeats — see :meth:`run_scenario_repeats`.
-        A hit in ``cache`` (keyed by :meth:`scenario_cache_key`) skips
-        the simulation — and the training — entirely.
+        This always simulates; to replay a stored result, run the
+        :meth:`scenario_task` through a journaled executor.
 
         ``fault_schedule`` (a :class:`repro.robustness.FaultSchedule`)
         injects field faults during the run; ``degradation`` (a
         :class:`repro.robustness.DegradationPolicy`) switches the
         graceful-degradation levers of tuning and mapping.  Both fold
-        into the cache key when present.
+        into the journal key when present.
 
         ``checkpoint_every``/``checkpoint_dir`` make the lifetime run
         resumable (see :mod:`repro.core.checkpoint`): a durable snapshot
         lands after every N windows under the run id
         ``<scenario>-r<repeat>``; resume with
         :meth:`LifetimeSimulator.resume`.  Snapshots never affect the
-        result, so cache keys are unchanged.
+        result, so journal keys are unchanged.
         """
         scenario = self._resolve_scenario(scenario)
         if repeat < 0:
             raise ConfigurationError(f"repeat must be >= 0, got {repeat}")
-        extra = (
-            None
-            if fault_schedule is None and degradation is None
-            else ("robustness/v1", fault_schedule, degradation)
-        )
-        if cache is not None:
-            key = self.scenario_cache_key(scenario, repeat, extra=extra)
-            payload = cache.get(key)
-            if payload is not _MISS:
-                return LifetimeResult.from_dict(payload)
         cfg = self.config
         model = clone_model(self.trained_model(scenario.skewed_training))
         network = MappedNetwork(
@@ -235,42 +257,28 @@ class AgingAwareFramework:
         # Stamped before the run (not patched on afterwards) so mid-run
         # snapshots carry it and a resumed run reports it identically.
         simulator.software_accuracy = self.software_accuracy(scenario.skewed_training)
-        result = simulator.run(
+        return simulator.run(
             scenario.key,
             checkpoint_every=checkpoint_every,
             checkpoint_dir=checkpoint_dir,
             run_id=f"{scenario.key}-r{repeat}",
         )
-        if cache is not None:
-            cache.put(key, result.to_dict())
-        return result
 
     def _run_pairs(
         self,
         pairs: Sequence[tuple[Scenario, int]],
         workers: int,
-        cache: Optional[ResultCache],
+        journal: Optional["RunJournal"],
     ) -> list[LifetimeResult]:
         """Run (scenario, repeat) pairs through the executor, in order."""
-        executor = ParallelExecutor(workers=workers, cache=cache)
+        executor = ParallelExecutor(workers=workers, journal=journal)
         tasks = [
-            Task(
-                key=f"{scenario.key}#r{repeat}",
-                fn=self.run_scenario,
-                args=(scenario.key, repeat),
-                cache_key=(
-                    self.scenario_cache_key(scenario, repeat)
-                    if cache is not None
-                    else None
-                ),
-                encode=LifetimeResult.to_dict,
-                decode=LifetimeResult.from_dict,
-            )
+            self.scenario_task(f"{scenario.key}#r{repeat}", scenario, repeat)
             for scenario, repeat in pairs
         ]
         # Train in the parent before fan-out, so pool workers inherit the
         # software weights instead of each retraining (bit-identical, just
-        # wasteful).  A style whose runs are all cached needs no training.
+        # wasteful).  A style whose runs are all journaled needs no training.
         for (scenario, _), task in zip(pairs, tasks):
             if not executor.is_stored(task):
                 self.trained_model(scenario.skewed_training)
@@ -281,7 +289,7 @@ class AgingAwareFramework:
         scenario: Scenario | str,
         repeats: int = 3,
         workers: int = 1,
-        cache: Optional[ResultCache] = None,
+        journal: Optional["RunJournal"] = None,
     ) -> list[LifetimeResult]:
         """Run ``repeats`` independent hardware instantiations.
 
@@ -290,19 +298,22 @@ class AgingAwareFramework:
         several dies.  ``workers > 1`` fans the repeats out over a
         process pool with bit-identical results (every repeat's streams
         are derived from ``(entropy, purpose-key)``, never consumed from
-        a shared generator).
+        a shared generator).  Repeats already in ``journal`` are
+        replayed, and completed ones are stored there.
         """
         if repeats < 1:
             raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
         scenario = self._resolve_scenario(scenario)
-        return self._run_pairs([(scenario, i) for i in range(repeats)], workers, cache)
+        return self._run_pairs(
+            [(scenario, i) for i in range(repeats)], workers, journal
+        )
 
     def compare(
         self,
         scenario_keys=("t+t", "st+t", "st+at"),
         repeats: int = 1,
         workers: int = 1,
-        cache: Optional[ResultCache] = None,
+        journal: Optional["RunJournal"] = None,
     ) -> ScenarioComparison:
         """Run several scenarios and collect a Table-I-style comparison.
 
@@ -310,14 +321,15 @@ class AgingAwareFramework:
         with the **median** lifetime among its repeats.  ``workers > 1``
         runs *all* (scenario, repeat) pairs concurrently — not scenario
         by scenario — and reassembles them in deterministic order, so
-        the comparison is bit-identical to a serial run.
+        the comparison is bit-identical to a serial run.  Runs already
+        in ``journal`` are replayed, and completed ones are stored there.
         """
         if repeats < 1:
             raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
         comparison = ScenarioComparison(workload=self.dataset.name)
         scenarios = [self._resolve_scenario(k) for k in scenario_keys]
         pairs = [(s, i) for s in scenarios for i in range(repeats)]
-        results = self._run_pairs(pairs, workers, cache)
+        results = self._run_pairs(pairs, workers, journal)
         for j in range(len(scenarios)):
             group = sorted(
                 results[j * repeats:(j + 1) * repeats],

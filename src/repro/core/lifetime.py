@@ -88,7 +88,7 @@ class LifetimeConfig:
         framework, which resolves a per-scenario target: mutating a
         shared :class:`TuningConfig` in place would leak the resolved
         value back into the caller's config (and destabilize the
-        content-hash cache keys of the execution engine).
+        content-hash journal keys of the execution engine).
         """
         return LifetimeConfig(
             apps_per_window=self.apps_per_window,

@@ -2,10 +2,10 @@
 
 Every record knows how to round-trip itself through a JSON-ready dict
 (``to_dict``/``from_dict``) — the single source of truth used by
-:mod:`repro.io` for files and by the execution engine's on-disk result
-cache.  The round trip is exact: ints stay ints and floats survive
-bit-identically (JSON uses shortest-round-trip float text), so a cached
-result compares equal to a freshly computed one.
+:mod:`repro.io` for files and by the run journal the execution engine
+stores results in.  The round trip is exact: ints stay ints and floats
+survive bit-identically (JSON uses shortest-round-trip float text), so
+a replayed result compares equal to a freshly computed one.
 """
 
 from __future__ import annotations

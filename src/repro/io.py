@@ -1,13 +1,14 @@
-"""Persistence: model weights, experiment results and the result cache.
+"""Persistence: model weights, experiment results and durable files.
 
 * Model weights go to ``.npz`` (exact float64 round trip).
 * Lifetime results and scenario comparisons go to JSON,
   so downstream analysis (or the paper tables) can be regenerated
   without re-running multi-minute simulations.
-* :func:`save_json_atomic` / :func:`load_json` back the execution
-  engine's on-disk result cache (:class:`repro.core.executor.ResultCache`):
-  writes go through a same-directory temp file + ``os.replace`` so a
-  killed worker can never leave a truncated cache entry behind.
+* :func:`save_text_atomic` / :func:`load_json` back the checkpoint
+  snapshots (:mod:`repro.core.checkpoint`): writes go through a fsync'd
+  same-directory temp file + ``os.replace`` so a killed run can never
+  leave a truncated snapshot behind, and :func:`file_lock` serializes
+  the appends of processes sharing one run journal.
 """
 
 from __future__ import annotations
@@ -33,38 +34,22 @@ from repro.nn.model import Sequential
 PathLike = Union[str, pathlib.Path]
 
 
-# -- generic JSON persistence (cache backend) ---------------------------------
-def save_json_atomic(payload: Any, path: PathLike, durable: bool = False) -> None:
-    """Write ``payload`` as JSON via an atomic same-directory rename.
+# -- durable files -------------------------------------------------------------
+def save_text_atomic(text: str, path: PathLike) -> None:
+    """Write ``text`` durably via an atomic same-directory rename.
 
-    With ``durable=True`` the temp file is fsync'd before the rename (and
-    the directory after), so a crash can leave either the old file or the
-    complete new one — never a torn write that *looks* committed.  The
-    checkpoint subsystem requires this; the result cache does not (a lost
-    cache entry is only a re-computation).
-    """
-    save_text_atomic(json.dumps(payload, sort_keys=True), path, durable=durable)
-
-
-def save_text_atomic(text: str, path: PathLike, durable: bool = False) -> None:
-    """Write already-encoded ``text`` via an atomic same-directory rename.
-
-    The body of :func:`save_json_atomic`, for callers that encode the
-    document themselves (the checkpoint writer hashes and writes one
-    encoding of its payload).
+    The temp file is fsync'd before the rename (and the directory
+    after), so a crash can leave either the old file or the complete new
+    one — never a torn write that *looks* committed.
     """
     path = pathlib.Path(path)
     tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
-    if durable:
-        with open(tmp, "w") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-    else:
-        tmp.write_text(text)
+    with open(tmp, "w") as handle:
+        handle.write(text)
+        handle.flush()
+        os.fsync(handle.fileno())
     os.replace(tmp, path)
-    if durable:
-        _fsync_dir(path.parent)
+    _fsync_dir(path.parent)
 
 
 @contextlib.contextmanager

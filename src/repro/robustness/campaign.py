@@ -6,9 +6,9 @@ degradation on/off — over one lifetime scenario of an
 one full lifetime simulation; points run through the
 :class:`~repro.core.executor.ParallelExecutor` (in-process or fanned out,
 bit-identical either way; a crashing worker fails only its own chunk)
-and share the on-disk :class:`~repro.core.executor.ResultCache`
-with plain scenario runs: the fault-free baseline point hits the same
-cache entry an ordinary ``run_scenario`` would write.
+and may share a :class:`~repro.core.checkpoint.RunJournal` with plain
+scenario runs: the fault-free baseline point replays the entry an
+ordinary ``repro run --journal`` or ``compare`` would write.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.core.checkpoint import RunJournal
-from repro.core.executor import ParallelExecutor, ResultCache, Task
+from repro.core.executor import ParallelExecutor
 from repro.core.framework import AgingAwareFramework
 from repro.core.results import LifetimeResult
 from repro.exceptions import ConfigurationError
@@ -90,7 +90,6 @@ class FaultCampaign:
         scenario: str = "st+at",
         repeat: int = 0,
         workers: int = 1,
-        cache: Optional[ResultCache] = None,
         journal: Optional[RunJournal] = None,
     ) -> None:
         if workers < 0:
@@ -101,32 +100,23 @@ class FaultCampaign:
         self.scenario = framework._resolve_scenario(scenario)
         self.repeat = int(repeat)
         self.workers = int(workers)
-        self.cache = cache
         #: Optional crash-safe journal: completed grid points are
         #: appended durably as they finish, and a re-launched campaign
         #: over the same journal re-executes zero of them.
         self.journal = journal
 
     def point_key(self, point: CampaignPoint) -> str:
-        """Content-hash identity of one grid point (cache AND journal).
+        """Content-hash journal key of one grid point.
 
-        The same fingerprint the :class:`ResultCache` uses, so journal
-        replay obeys identical invalidation semantics: any change to the
-        framework config, dataset, scenario or fault grid re-executes.
-        Two campaigns sharing one journal therefore drain the grid
-        exactly once, bit-identical to a serial run.
+        The framework's scenario key with the point's fault schedule and
+        degradation policy folded in: any change to the framework
+        config, dataset, scenario or fault grid re-executes.  Two
+        campaigns sharing one journal therefore drain the grid exactly
+        once, bit-identical to a serial run.
         """
-        extra = (
-            None
-            if point.schedule is None and point.degradation is None
-            else ("robustness/v1", point.schedule, point.degradation)
+        return self.framework.scenario_cache_key(
+            self.scenario, self.repeat, point.schedule, point.degradation
         )
-        return self.framework.scenario_cache_key(self.scenario, self.repeat, extra=extra)
-
-    def _point_cache_key(self, point: CampaignPoint) -> Optional[str]:
-        if self.cache is None:
-            return None
-        return self.point_key(point)
 
     def run(self, points: Sequence[CampaignPoint]) -> SurvivabilityReport:
         """Simulate every grid point and assemble the report.
@@ -135,26 +125,17 @@ class FaultCampaign:
         executor (training happens once in the parent, before fan-out);
         results are bit-identical to a serial run.  ``report.perf``
         holds the perf-counter delta of every point that executed here
-        (not of cache or journal hits).
+        (not of journal replays).
         """
         if not points:
             raise ConfigurationError("campaign needs at least one point")
         names = [p.name for p in points]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate campaign point names in {names}")
-        executor = ParallelExecutor(
-            workers=self.workers, cache=self.cache, journal=self.journal
-        )
+        executor = ParallelExecutor(workers=self.workers, journal=self.journal)
         tasks = [
-            Task(
-                key=p.name,
-                fn=self.framework.run_scenario,
-                args=(self.scenario.key, self.repeat),
-                kwargs={"fault_schedule": p.schedule, "degradation": p.degradation},
-                cache_key=self._point_cache_key(p),
-                journal_key=self.point_key(p) if self.journal is not None else None,
-                encode=LifetimeResult.to_dict,
-                decode=LifetimeResult.from_dict,
+            self.framework.scenario_task(
+                p.name, self.scenario, self.repeat, p.schedule, p.degradation
             )
             for p in points
         ]

@@ -65,7 +65,7 @@ class SurvivabilityReport:
     records: List[SurvivabilityRecord] = field(default_factory=list)
     #: Per-point perf-counter deltas (``repro.core.profiling.PerfDelta``
     #: dicts) captured around each simulation, in-process or in a pool
-    #: worker; points replayed from the cache or journal have none.
+    #: worker; points replayed from the journal have none.
     #: Excluded from :meth:`to_dict` by default: they carry wall-clock
     #: noise, so serialized reports stay bit-identical across runs.
     perf: Dict[str, dict] = field(default_factory=dict)
@@ -126,7 +126,7 @@ class SurvivabilityReport:
 
         Perf is opt-in because it carries wall-clock noise and skips
         replayed points — the default output is identical regardless of
-        execution mode, cache state or machine speed.
+        execution mode, journal state or machine speed.
         """
         out = {
             "workload": self.workload,

@@ -104,7 +104,7 @@ class FaultEvent:
 class FaultSchedule:
     """An ordered set of fault events over a lifetime run.
 
-    Immutable (so it fingerprints into stable executor cache keys); the
+    Immutable (so it fingerprints into stable journal keys); the
     application log lives in the simulator's window records, not here.
     """
 

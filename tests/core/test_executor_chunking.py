@@ -6,9 +6,9 @@ the engine's core invariant: scheduling may change, results may not.
 * :func:`adaptive_chunk_size` + chunked pool submission — outcomes,
   ordering and per-task error isolation identical to a serial run,
   with one-task and many-task chunks alike;
-* two executors draining one grid through a shared ``RunJournal`` /
-  ``ResultCache`` — every point lands exactly once, results
-  bit-identical to a lone serial run.
+* two executors draining one grid through a shared ``RunJournal`` —
+  every point lands exactly once, results bit-identical to a lone
+  serial run.
 """
 
 import threading
@@ -17,7 +17,6 @@ import pytest
 
 from repro.core import (
     ParallelExecutor,
-    ResultCache,
     RunJournal,
     Task,
     adaptive_chunk_size,
@@ -106,28 +105,27 @@ class TestChunkedEquivalence:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_successes_are_stored_failures_are_not(self, tmp_path, workers):
-        cache = ResultCache(tmp_path / "cache")
         journal = RunJournal(tmp_path / "journal.jsonl")
         tasks = [
-            Task(key=f"t{i}", fn=_boom_on_two, args=(i,), cache_key=f"ck{i}")
+            Task(key=f"t{i}", fn=_boom_on_two, args=(i,), journal_key=f"jk{i}")
             for i in range(24)
         ]
-        ParallelExecutor(workers=workers, cache=cache, journal=journal).run(tasks)
-        stored = {f"ck{i}" for i in range(24) if i != 2}
-        assert {p.stem for p in cache.root.glob("*.json")} == stored
+        ParallelExecutor(workers=workers, journal=journal).run(tasks)
+        stored = {f"jk{i}" for i in range(24) if i != 2}
         assert set(RunJournal(tmp_path / "journal.jsonl").entries) == stored
 
-    def test_chunked_cache_hits_short_circuit(self, tmp_path):
-        cache = ResultCache(tmp_path)
+    def test_chunked_journal_replays_short_circuit(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
         tasks = [
-            Task(key=f"t{i}", fn=_square, args=(i,), cache_key=f"ck{i}")
+            Task(key=f"t{i}", fn=_square, args=(i,), journal_key=f"jk{i}")
             for i in range(24)
         ]
-        ParallelExecutor(workers=2, cache=cache).run(tasks)
-        again = ParallelExecutor(workers=2, cache=cache).run(tasks)
+        ParallelExecutor(workers=2, journal=RunJournal(path)).run(tasks)
+        journal = RunJournal(path)
+        again = ParallelExecutor(workers=2, journal=journal).run(tasks)
         assert [o.value for o in again] == [i * i for i in range(24)]
-        assert all(o.cached for o in again)
-        assert cache.hits >= 24
+        assert all(o.perf is None for o in again)
+        assert journal.skipped == 24
 
 
 # -- seeded retry jitter ------------------------------------------------------

@@ -1,17 +1,16 @@
-"""Executor hardening: crash isolation, bounded rebuilds, cache quarantine.
+"""Executor hardening: crash isolation and bounded rebuilds.
 
 Complements ``test_executor.py`` (which pins parallel == serial
 equivalence and basic failure surfacing) with the resilience contract:
 a hard-crashing worker fails its own chunk without hanging the pool or
-taking the other chunks down, pool rebuilds are bounded, and corrupt
-cache entries are quarantined rather than silently re-missed forever.
+taking the other chunks down, and pool rebuilds are bounded.
 """
 
 import os
 
 import pytest
 
-from repro.core import ParallelExecutor, ResultCache, Task
+from repro.core import ParallelExecutor, Task
 
 
 # -- task bodies (module-level so the pool can ship them) ---------------------
@@ -56,38 +55,3 @@ class TestPermanentCrasher:
                 [Task(key="poison", fn=_die, args=(0,))], reraise=True
             )
 
-
-class TestCacheQuarantine:
-    def test_corrupt_entry_quarantined_and_logged(self, tmp_path, caplog):
-        from repro.core.executor import _MISS
-
-        cache = ResultCache(tmp_path)
-        cache.put("k", {"x": 1})
-        cache.path("k").write_text("{not json")
-        with caplog.at_level("WARNING"):
-            assert cache.get("k") is _MISS
-        assert cache.quarantined == 1
-        assert not cache.path("k").exists()
-        quarantined = cache.path("k").with_name(cache.path("k").name + ".corrupt")
-        assert quarantined.exists()
-        assert "{not json" in quarantined.read_text()
-        assert any("quarantined" in rec.getMessage() for rec in caplog.records)
-
-    def test_quarantined_entry_can_be_rewritten(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put("k", {"x": 1})
-        cache.path("k").write_text("garbage")
-        cache.get("k")
-        cache.put("k", {"x": 2})
-        assert cache.get("k") == {"x": 2}
-
-    def test_wrong_schema_is_quarantined(self, tmp_path):
-        from repro.core.executor import _MISS
-        from repro.io import save_json_atomic
-
-        cache = ResultCache(tmp_path)
-        save_json_atomic(
-            {"schema": "bogus/v99", "payload": 1}, cache.path("k")
-        )
-        assert cache.get("k") is _MISS
-        assert cache.quarantined == 1

@@ -1,5 +1,5 @@
 """Unit tests for persistence (weights, results, comparisons) and the
-atomic-write and file-lock helpers the cache and the journal rely on."""
+atomic-write and file-lock helpers the checkpoints and the journal rely on."""
 
 import json
 import os
@@ -21,7 +21,6 @@ from repro.io import (
     load_result,
     load_weights,
     save_comparison,
-    save_json_atomic,
     save_result,
     save_text_atomic,
     save_weights,
@@ -136,52 +135,37 @@ class TestWeightShapes:
 PAYLOAD = {"b": [1, 2.5, None], "a": {"unicode": "µΩ", "exact": 0.1 + 0.2}}
 
 
-class TestAtomicJson:
-    @pytest.mark.parametrize("durable", [False, True], ids=["plain", "durable"])
-    def test_round_trip_leaves_no_temp_file(self, tmp_path, durable):
+class TestAtomicText:
+    def test_round_trip_leaves_no_temp_file(self, tmp_path):
         path = tmp_path / "entry.json"
-        save_json_atomic(PAYLOAD, path, durable=durable)
+        save_text_atomic(json.dumps(PAYLOAD), path)
         assert load_json(path) == PAYLOAD
         assert [p.name for p in tmp_path.iterdir()] == ["entry.json"]
 
-    def test_keys_are_sorted(self, tmp_path):
-        path = tmp_path / "entry.json"
-        save_json_atomic({"z": 1, "a": 2, "m": {"y": 0, "b": 1}}, path)
-        assert path.read_text() == '{"a": 2, "m": {"b": 1, "y": 0}, "z": 1}'
-
     def test_replaces_an_existing_file(self, tmp_path):
         path = tmp_path / "entry.json"
-        save_json_atomic({"v": 1}, path)
-        save_json_atomic({"v": 2}, path)
+        save_text_atomic('{"v": 1}', path)
+        save_text_atomic('{"v": 2}', path)
         assert load_json(path) == {"v": 2}
 
     def test_failed_rename_keeps_the_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "entry.json"
-        save_json_atomic({"v": 1}, path)
+        save_text_atomic('{"v": 1}', path)
 
         def crash(src, dst):
             raise OSError("killed before the rename")
 
         monkeypatch.setattr(os, "replace", crash)
         with pytest.raises(OSError):
-            save_json_atomic({"v": 2}, path, durable=True)
+            save_text_atomic('{"v": 2}', path)
         assert load_json(path) == {"v": 1}
 
-    def test_unserializable_payload_writes_nothing(self, tmp_path):
-        path = tmp_path / "entry.json"
-        with pytest.raises(TypeError):
-            save_json_atomic({"v": object()}, path)
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("durable, syncs", [(False, 0), (True, 2)])
-    def test_durable_write_syncs_file_and_directory(
-        self, tmp_path, monkeypatch, durable, syncs
-    ):
+    def test_write_syncs_file_and_directory(self, tmp_path, monkeypatch):
         calls = []
         real_fsync = os.fsync
         monkeypatch.setattr(os, "fsync", lambda fd: calls.append(fd) or real_fsync(fd))
-        save_text_atomic("payload", tmp_path / "entry.txt", durable=durable)
-        assert len(calls) == syncs
+        save_text_atomic("payload", tmp_path / "entry.txt")
+        assert len(calls) == 2
         assert (tmp_path / "entry.txt").read_text() == "payload"
 
     def test_load_json_missing_file_raises(self, tmp_path):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core import ResultCache, RunJournal
+from repro.core import ParallelExecutor, RunJournal
 from repro.exceptions import ConfigurationError
 from repro.robustness import (
     CampaignPoint,
@@ -165,41 +165,43 @@ class TestFaultCampaign:
         with pytest.raises(ConfigurationError):
             campaign.run([point, point])
 
-    def test_serial_parallel_and_cache_agree(self, mini_framework, tmp_path):
+    def test_serial_parallel_and_journal_agree(self, mini_framework, tmp_path):
         points = build_grid(**self.GRID)
         direct = _direct_records(mini_framework, "st+at", points)
         serial = FaultCampaign(mini_framework, scenario="st+at").run(points)
         assert [r.to_dict() for r in serial.records] == direct
 
-        cache = ResultCache(tmp_path / "cache")
+        path = tmp_path / "run.jsonl"
         par = FaultCampaign(
-            mini_framework, scenario="st+at", workers=2, cache=cache
+            mini_framework, scenario="st+at", workers=2, journal=RunJournal(path)
         ).run(points)
         assert [r.to_dict() for r in par.records] == direct
 
-        # Second run must be pure cache hits and still identical.
-        assert len(cache) == len(points)
+        # Second run must be pure replays and still identical.
+        journal = RunJournal(path)
+        assert len(journal) == len(points)
         warm = FaultCampaign(
-            mini_framework, scenario="st+at", workers=2, cache=cache
+            mini_framework, scenario="st+at", workers=2, journal=journal
         ).run(points)
-        assert cache.hits >= len(points)
+        assert journal.skipped == len(points)
         assert [r.to_dict() for r in warm.records] == direct
         assert warm.perf == {}  # nothing executed
 
-    def test_baseline_point_shares_plain_scenario_cache(
+    def test_baseline_point_shares_plain_scenario_entry(
         self, mini_framework, tmp_path
     ):
-        """The fault-free grid point and run_scenario use the same key."""
-        cache = ResultCache(tmp_path / "cache")
-        mini_framework.run_scenario("st+at", cache=cache)
-        assert len(cache) == 1
+        """The fault-free grid point and a plain run use the same key."""
+        journal = RunJournal(tmp_path / "run.jsonl")
+        task = mini_framework.scenario_task("st+at", "st+at")
+        ParallelExecutor(journal=journal).run([task], reraise=True)
+        assert len(journal) == 1
         points = build_grid(
             kinds=("stuck_at",), rates=(0.02,), window=1, with_degradation=False
         )
-        FaultCampaign(mini_framework, scenario="st+at", cache=cache).run(points)
-        # baseline hit the pre-existing entry; only the fault point was new
-        assert cache.hits >= 1
-        assert len(cache) == 2
+        FaultCampaign(mini_framework, scenario="st+at", journal=journal).run(points)
+        # baseline replayed the existing entry; only the fault point was new
+        assert journal.skipped == 1
+        assert len(journal) == 2
 
     def test_report_contents_and_roundtrip(self, mini_framework):
         points = build_grid(**self.GRID)
@@ -320,7 +322,6 @@ class TestCampaignCli:
                 "--rates",
                 "0.02",
                 "--no-degradation",
-                "--no-cache",
                 "--out",
                 str(out_path),
             ]
@@ -330,16 +331,16 @@ class TestCampaignCli:
         assert {r.fault_kind for r in report.records} == {"none", "stuck_at"}
         assert "Survivability" in capsys.readouterr().out
 
-    def test_serial_parallel_and_resumed_reports_agree(self, tmp_path, capsys):
+    def test_serial_parallel_and_relaunched_reports_agree(self, tmp_path, capsys):
         from repro.cli import main
 
         grid = ["campaign", "--preset", "blobs-mini", "--fast", "--kinds",
-                "stuck_at", "--rates", "0.01", "--no-cache"]
+                "stuck_at", "--rates", "0.01"]
         journal = ["--workers", "2", "--journal", str(tmp_path / "j.jsonl")]
         runs = {
             "serial": grid,
             "parallel": grid + journal,
-            "resumed": grid + journal + ["--resume"],
+            "relaunched": grid + journal,
         }
         reports, stdout = {}, {}
         for name, argv in runs.items():
@@ -348,8 +349,8 @@ class TestCampaignCli:
             reports[name] = json.loads(out_path.read_text())
             stdout[name] = capsys.readouterr().out
         assert "0 replayed, 3 executed" in stdout["parallel"]
-        assert "3 replayed, 0 executed" in stdout["resumed"]
+        assert "3 replayed, 0 executed" in stdout["relaunched"]
         perf = {name: report.pop("perf") for name, report in reports.items()}
-        assert perf["resumed"] == {} and perf["parallel"]
+        assert perf["relaunched"] == {} and perf["parallel"]
         assert reports["parallel"] == reports["serial"]
-        assert reports["resumed"] == reports["serial"]
+        assert reports["relaunched"] == reports["serial"]

@@ -29,7 +29,7 @@ def age_network(net, rng, rounds=60):
     for layer in net.layers:
         hot = rng.random(layer.matrix_shape) < 0.3
         for _ in range(rounds):
-            layer.tiles.step_conductance(hot.astype(int))
+            layer.tiles.program_pulses(hot.astype(int))
 
 
 def run(lab, workers=1):

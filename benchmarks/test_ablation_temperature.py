@@ -13,7 +13,8 @@ import pytest
 
 from repro.analysis import render_table
 from repro.core import Sweep
-from repro.device import DeviceConfig, Memristor
+from repro.crossbar import Crossbar
+from repro.device import DeviceConfig
 from repro.device.aging import BOLTZMANN_EV
 
 TEMPERATURES = (280.0, 300.0, 325.0, 350.0)
@@ -30,14 +31,15 @@ def _evaluate(temperature, rng):
     ref = DeviceConfig(pulses_to_collapse=2000, temperature=300.0, write_noise=0.0)
     cfg.aging_params = ref.make_aging_model().params
 
-    cell = Memristor(cfg, seed=1)
+    cell = Crossbar(1, 1, cfg, seed=1)  # one device
+    worst_case = np.full((1, 1), cfg.r_min)
     endurance = 0
     levels_after_traffic = -1.0  # sentinel: dead before the budget
-    while not cell.is_dead and endurance < 100_000:
-        cell.program(cfg.r_min)
+    while not cell.dead_mask()[0, 0] and endurance < 100_000:
+        cell.program(worst_case, only_changed=False)
         endurance += 1
         if endurance == TRAFFIC:
-            levels_after_traffic = float(len(cell.usable_levels()))
+            levels_after_traffic = float(cell.usable_level_counts()[0, 0])
     return {"levels": levels_after_traffic, "endurance": float(endurance)}
 
 

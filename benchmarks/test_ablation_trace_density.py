@@ -27,7 +27,7 @@ def _one_history(seed, size, rounds):
     hot = rng.random((size, size)) < 0.3
     for _ in range(rounds):
         extra = (rng.random((size, size)) < 0.1)
-        xb.step_conductance((hot | extra).astype(int))
+        xb.program_pulses((hot | extra).astype(int))
     return xb
 
 

@@ -37,7 +37,7 @@ def main() -> None:
             hot = rng.random(layer.matrix_shape) < 0.3
             everyone = np.ones(layer.matrix_shape, dtype=int)
             for k in range(45):
-                layer.tiles.step_conductance(everyone if k % 3 else hot.astype(int))
+                layer.tiles.program_pulses(everyone if k % 3 else hot.astype(int))
         return net
 
     # Fresh (aging-oblivious) remap of the damaged array.

@@ -12,7 +12,7 @@ Subpackages
 ``repro.data``
     Procedural image/vector datasets (offline Cifar stand-ins).
 ``repro.device``
-    Memristor cell, Arrhenius aging (Eq. 6–7), quantized level grids.
+    Device config, Arrhenius aging (Eq. 6–7), quantized level grids.
 ``repro.crossbar``
     Array simulator: programming with per-pulse aging, noisy read-out,
     1-of-9 block tracing, tiling.
@@ -51,12 +51,11 @@ from repro.core import (
 )
 from repro.crossbar import BlockTracer, Crossbar, TiledMatrix
 from repro.data import Dataset, make_blobs, make_glyph_digits, make_textured_shapes
-from repro.device import AgingParams, ArrheniusAging, DeviceConfig, LevelGrid, Memristor
+from repro.device import AgingParams, ArrheniusAging, DeviceConfig, LevelGrid
 from repro.device.faults import FaultModel, inject_faults, inject_faults_network
 from repro.exceptions import (
     ConfigurationError,
     ConvergenceError,
-    DeviceError,
     ReproError,
     ShapeError,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "Crossbar",
     "Dataset",
     "DeviceConfig",
-    "DeviceError",
     "FaultModel",
     "FrameworkConfig",
     "FreshMapper",
@@ -110,7 +108,6 @@ __all__ = [
     "LifetimeSimulator",
     "LinearWeightMapping",
     "MappedNetwork",
-    "Memristor",
     "OnlineTuner",
     "PulseShaping",
     "ReproError",

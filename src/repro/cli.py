@@ -105,6 +105,10 @@ def cmd_train(args) -> int:
 def cmd_run(args) -> int:
     start = time.time()
     if args.resume:
+        if args.journal:
+            # A snapshot carries the simulator, not the framework inputs
+            # a journal key is a hash of, so its result cannot be stored.
+            raise ConfigurationError("--resume cannot be combined with --journal")
         # The snapshot carries the whole mid-run simulator (model,
         # configs, RNG streams); --preset/--scenario are not consulted.
         simulator = LifetimeSimulator.resume(args.resume)
@@ -339,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SNAPSHOT",
         help="continue a killed run from this .ckpt.json snapshot "
-        "(--preset/--scenario are ignored: the snapshot carries them)",
+        "(--preset/--scenario are ignored: the snapshot carries them; "
+        "not combinable with --journal)",
     )
     p_run.set_defaults(func=cmd_run)
 

@@ -29,9 +29,9 @@ canonical (sorted-key, compact) JSON, and the file holds the payload in
 exactly that encoding; bit rot is detected at load time, not silently
 resumed from.
 
-Schema layout (``CHECKPOINT_SCHEMA = 4``)::
+Schema layout (``CHECKPOINT_SCHEMA = 5``)::
 
-    {"schema": 4, "kind": "repro-lifetime-checkpoint", "sha256": ...,
+    {"schema": 5, "kind": "repro-lifetime-checkpoint", "sha256": ...,
      "payload": {
         "meta":     {scenario_key, next_window, applications, created_unix,
                      layers, tiles, devices},
@@ -42,11 +42,13 @@ The pickled context is the state: restoring a snapshot is unpickling
 it.  Only state is pickled (layers and crossbars drop their derived
 caches in ``__getstate__``), and ``meta`` carries the counts that
 ``repro checkpoints inspect`` shows without unpickling anything.
-Schemas 2 to 4 share this layout; only the pickled classes differ.
+Schemas 2 to 5 share this layout; only the pickled classes differ.
 Schema 3 added the ``version`` counter that keys the network's read
 memo to pickled ``MappedLayer``s.  Schema 4 dropped their row
 permutation and the simulator's maintenance hooks, so a schema-3
 snapshot taken with a permutation would resume with the wrong reads.
+Schema 5 dropped the crossbars' unused transimpedance gain and the
+simulator's aging-aware flag (a mapper now means AT).
 Any schema but the current one is rejected at load.
 """
 
@@ -75,7 +77,7 @@ except Exception:  # pragma: no cover - exercised only without cloudpickle
 
 #: Snapshot format version; bump when the payload layout or the state
 #: of a pickled class changes.
-CHECKPOINT_SCHEMA = 4
+CHECKPOINT_SCHEMA = 5
 #: Journal line format version.
 JOURNAL_SCHEMA = 1
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence
 
-import numpy as np
-
 from repro.core.executor import ParallelExecutor, Task, fingerprint
 from repro.core.lifetime import LifetimeConfig, LifetimeSimulator
 from repro.core.results import LifetimeResult, ScenarioComparison
@@ -249,7 +247,6 @@ class AgingAwareFramework:
             x_tune,
             y_tune,
             config=lifetime_cfg,
-            aging_aware=scenario.aging_aware_mapping,
             mapper=mapper,
             seed=derive_rng(self._entropy, f"tune-{scenario.key}-{repeat}"),
             fault_schedule=fault_schedule,

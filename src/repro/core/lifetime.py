@@ -107,7 +107,6 @@ class LifetimeSimulator:
         x_tune: np.ndarray,
         y_tune: np.ndarray,
         config: Optional[LifetimeConfig] = None,
-        aging_aware: bool = False,
         mapper: Optional[AgingAwareMapper] = None,
         seed=None,
         fault_schedule=None,
@@ -116,10 +115,9 @@ class LifetimeSimulator:
         self.x_tune = np.asarray(x_tune, dtype=np.float64)
         self.y_tune = np.asarray(y_tune, dtype=np.float64)
         self.config = config if config is not None else LifetimeConfig()
-        self.aging_aware = bool(aging_aware)
-        self.mapper = mapper if mapper is not None else (
-            AgingAwareMapper() if aging_aware else None
-        )
+        #: The aging-aware mapper of an AT scenario; ``None`` remaps
+        #: every window into the fresh range.
+        self.mapper = mapper
         self.tuner = OnlineTuner(self.config.tuning, seed=seed)
         #: Optional :class:`repro.robustness.FaultSchedule`; its due
         #: events are applied at the start of each window.  The fault
@@ -157,7 +155,7 @@ class LifetimeSimulator:
         return simulator
 
     def _remap(self) -> None:
-        if self.aging_aware:
+        if self.mapper is not None:
             self.network.map_network(
                 self.mapper, selection_data=(self.x_tune, self.y_tune)
             )

@@ -16,9 +16,9 @@ class Crossbar:
     """A ``rows x cols`` array of memristors with shared device config.
 
     The electrical model follows the paper's Fig. 1: input voltages are
-    applied on the rows, each column ``j`` collects the current
-    ``I_j = sum_i V_i * g_ij`` and a transimpedance stage converts it to
-    ``V_out_j = I_j * r_tia``.
+    applied on the rows and each column ``j`` collects the current
+    ``I_j = sum_i V_i * g_ij``; :meth:`read_conductances` is the ``G``
+    of that product.
 
     Aging bookkeeping is per device: every programming pulse adds
     ``pulse_width`` seconds of stress to the touched devices, and the
@@ -29,7 +29,7 @@ class Crossbar:
     array fails gradually rather than atomically).
 
     **State versioning (DESIGN.md §9).**  Every mutation of the
-    programmed state — ``program``, ``step_conductance``,
+    programmed state — ``program``, ``program_targets``,
     ``program_pulses``, ``apply_drift``, fault injection, or any
     direct assignment to :attr:`resistance` — bumps the monotonically
     increasing :attr:`state_version`.  Reads never bump it, and
@@ -49,17 +49,13 @@ class Crossbar:
         rows: int,
         cols: int,
         config: Optional[DeviceConfig] = None,
-        r_tia: float = 1e3,
         seed: SeedLike = None,
     ) -> None:
         if rows < 1 or cols < 1:
             raise ConfigurationError(f"crossbar shape must be positive, got {rows}x{cols}")
-        if r_tia <= 0:
-            raise ConfigurationError(f"r_tia must be > 0, got {r_tia}")
         self.rows = int(rows)
         self.cols = int(cols)
         self.config = config if config is not None else DeviceConfig()
-        self.r_tia = float(r_tia)
         self.grid = self.config.make_level_grid()
         self.aging = self.config.make_aging_model()
         self._rng = ensure_rng(seed)
@@ -294,49 +290,33 @@ class Crossbar:
         """
         return int(np.count_nonzero(self._program_impl(targets, only_changed)))
 
-    def step_conductance(self, directions: np.ndarray, fraction: float = 0.5) -> np.ndarray:
-        """Apply one constant-amplitude tuning pulse per selected device.
+    def program_pulses(self, polarity: np.ndarray, fraction: float = 0.5) -> int:
+        """Apply one constant-amplitude tuning pulse per nonzero ``polarity``.
 
         Unlike programming (which lands on a full *resistance* level —
         the mapping granularity), a tuning pulse modulates the
         filament and moves the **conductance** by an approximately
         constant increment: ``fraction`` of the mean conductance spacing
-        ``(g_max - g_min)/(n_levels - 1)``.  ``directions`` holds
-        -1/0/+1 in the *conductance* domain (+1 grows the filament).
-        This is the Eq. (5) hardware primitive: polarity from the
-        gradient sign, amplitude constant.  Clipped to the aged window;
-        dead devices ignore pulses.  Returns the new resistances.
-        """
-        directions = np.asarray(directions)
-        if directions.shape != self.shape:
-            raise ShapeError(f"directions shape {directions.shape} != crossbar {self.shape}")
-        if not np.all(np.isin(directions, (-1, 0, 1))):
-            raise ConfigurationError("directions must contain only -1, 0, 1")
-        if fraction <= 0:
-            raise ConfigurationError(f"fraction must be > 0, got {fraction}")
+        ``(g_max - g_min)/(n_levels - 1)``.  ``polarity`` holds
+        -1/0/+1 in the *conductance* domain (+1 grows the filament); a
+        zero leaves its device untouched and unstressed.  This is the
+        Eq. (5) hardware primitive: polarity from the gradient sign,
+        amplitude constant.  Clipped to the aged window; dead devices
+        ignore pulses.  Returns the number of pulses that actually
+        fired (post pulse-miss, post dead-mask).
 
-        self._pulse_impl(directions, directions != 0, fraction)
-        return self.resistance.copy()
-
-    def _pulse_impl(
-        self, directions: np.ndarray, active: np.ndarray, fraction: float
-    ) -> np.ndarray:
-        """Shared body of :meth:`step_conductance` / :meth:`program_pulses`.
-
-        ``active`` is the precomputed ``directions != 0`` mask (batch
-        callers already hold it).  Returns the boolean *select* mask of
-        devices that actually fired (post miss-draw).  RNG draw order is
-        part of the contract: one miss draw (only when
+        RNG draw order is part of the contract: one miss draw (only when
         ``pulse_miss_rate > 0``), then one write-noise draw (only when
-        ``write_noise > 0``), each over the full tile shape.
-
-        The whole array updates at once.  The per-device transcription
-        of the paper's Eq. (5) pulse loop that the equivalence battery
-        diffs this body against lives in ``tests/oracles/`` (DESIGN.md
-        §11); the arithmetic is exact elementwise IEEE ops, so the two
-        agree bit for bit.
+        ``write_noise > 0``), each over the full array shape.  The whole
+        array updates at once; the per-device transcription of the
+        paper's Eq. (5) pulse loop that the equivalence battery diffs
+        this body against lives in ``tests/oracles/`` (DESIGN.md §11).
+        The arithmetic is exact elementwise IEEE ops, so the two agree
+        bit for bit.
         """
-        select = self._apply_pulse_misses(active & ~self.dead_mask())
+        if polarity.shape != self.shape:
+            raise ShapeError(f"polarity shape {polarity.shape} != crossbar {self.shape}")
+        select = self._apply_pulse_misses((polarity != 0) & ~self.dead_mask())
         self._apply_stress(select, self.resistance)
         g_step = fraction * (self.config.g_max - self.config.g_min) / (self.grid.n_levels - 1)
         noise = (
@@ -345,33 +325,16 @@ class Crossbar:
             else None
         )
         lo, hi = self.aged_bounds()
-        g_new = 1.0 / self.resistance + directions * g_step
+        g_new = 1.0 / self.resistance + polarity * g_step
         if noise is not None:
             g_new = g_new + noise
         # Convert back to resistance; keep conductance positive first.
         g_new = np.maximum(g_new, 1.0 / np.maximum(hi, 1.0))
         stepped = np.clip(1.0 / g_new, lo, hi)
         self.resistance = np.where(select, stepped, self.resistance)
-        return select
+        return int(np.count_nonzero(select))
 
-    def program_pulses(
-        self, mask: np.ndarray, polarity: np.ndarray, fraction: float = 0.5
-    ) -> int:
-        """Batched tuning-pulse path: trusted-input :meth:`step_conductance`.
-
-        ``mask`` is the boolean pulse-selection mask and ``polarity``
-        the signed direction array; the caller must guarantee
-        ``mask == (polarity != 0)`` (the tuning sweep derives the mask
-        from the thresholded sign matrix, so this holds by
-        construction).  Skips the per-call ``isin`` validation and the
-        achieved-resistance return copy of :meth:`step_conductance`;
-        every draw and every arithmetic operation is otherwise
-        identical.  Returns the number of pulses that actually fired
-        (post pulse-miss, post dead-mask).
-        """
-        return int(np.count_nonzero(self._pulse_impl(polarity, mask, fraction)))
-
-    def apply_drift(self, magnitude: float, rng: SeedLike = None) -> np.ndarray:
+    def apply_drift(self, magnitude: float) -> None:
         """Conductance drift from repeated reading (paper's ref [8]).
 
         Unlike aging, drift is *recoverable* by reprogramming and adds
@@ -384,28 +347,12 @@ class Crossbar:
         if magnitude < 0:
             raise ConfigurationError(f"drift magnitude must be >= 0, got {magnitude}")
         if magnitude == 0:
-            return self.resistance.copy()
-        gen = ensure_rng(rng) if rng is not None else self._rng
-        factors = gen.lognormal(0.0, magnitude, size=self.shape)
+            return
+        factors = self._rng.lognormal(0.0, magnitude, size=self.shape)
         lo, hi = self.aged_bounds()
         self.resistance = np.clip(self.resistance * factors, lo, hi)
-        return self.resistance.copy()
 
     # -- read-out ---------------------------------------------------------------
-    def read_resistances(self) -> np.ndarray:
-        """Resistance read-out (with read noise if configured).
-
-        Injected noise (``read_noise_extra``, from a fault schedule)
-        adds in sigma on top of the device config's intrinsic noise.
-        """
-        sigma = self.config.read_noise + self.read_noise_extra
-        if sigma <= 0:
-            return self.resistance.copy()
-        noisy = self.resistance * (
-            1.0 + self._rng.normal(0.0, sigma, size=self.shape)
-        )
-        return np.maximum(noisy, 1e-3)
-
     def conductances(self) -> np.ndarray:
         """Programmed conductance matrix ``G`` (noise-free, no RNG draw)."""
         return 1.0 / self._resistance
@@ -414,11 +361,15 @@ class Crossbar:
         """Conductance matrix as seen by a read (noise included).
 
         Noisy reads sample fresh resistances every call (each read
-        draws its own noise); noise-free reads are :meth:`conductances`.
+        draws its own noise); injected noise (``read_noise_extra``, from
+        a fault schedule) adds in sigma on top of the device config's
+        intrinsic noise.  Noise-free reads are :meth:`conductances`.
         """
-        if self.config.read_noise + self.read_noise_extra <= 0:
+        sigma = self.config.read_noise + self.read_noise_extra
+        if sigma <= 0:
             return self.conductances()
-        return 1.0 / self.read_resistances()
+        noisy = self.resistance * (1.0 + self._rng.normal(0.0, sigma, size=self.shape))
+        return 1.0 / np.maximum(noisy, 1e-3)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

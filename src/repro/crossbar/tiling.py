@@ -3,8 +3,8 @@
 Physical crossbars are bounded (64x64–256x256 in practice); a layer
 whose unrolled weight matrix exceeds the tile size is split across a
 grid of tiles whose partial column currents are summed digitally.
-:class:`TiledMatrix` hides the split: it exposes program / step / read
-over the *logical* matrix and forwards slices to its tiles.
+:class:`TiledMatrix` hides the split: it exposes program / pulse / read
+/ drift over the *logical* matrix and forwards slices to its tiles.
 
 Every tile is a full :class:`~repro.crossbar.crossbar.Crossbar`, so
 aging, tracing and the aging-aware mapping all work per tile.
@@ -32,7 +32,6 @@ class TiledMatrix:
         tile_rows: int = 128,
         tile_cols: int = 128,
         config: Optional[DeviceConfig] = None,
-        r_tia: float = 1e3,
         seed: SeedLike = None,
     ) -> None:
         if rows < 1 or cols < 1:
@@ -51,9 +50,7 @@ class TiledMatrix:
             for c0 in self._col_starts:
                 tr = min(tile_rows, rows - r0)
                 tc = min(tile_cols, cols - c0)
-                row_tiles.append(
-                    Crossbar(tr, tc, self.config, r_tia=r_tia, seed=spawn_rng(rng))
-                )
+                row_tiles.append(Crossbar(tr, tc, self.config, seed=spawn_rng(rng)))
             self.tiles.append(row_tiles)
 
     # -- geometry -------------------------------------------------------
@@ -74,25 +71,6 @@ class TiledMatrix:
                 yield slice(r0, r0 + tile.rows), slice(c0, c0 + tile.cols), tile
 
     # -- array-wide views -------------------------------------------------
-    def resistances(self) -> np.ndarray:
-        """Logical programmed-resistance matrix."""
-        out = np.empty(self.shape, dtype=np.float64)
-        for rs, cs, tile in self.iter_tiles():
-            out[rs, cs] = tile.resistance
-        return out
-
-    def conductances(self) -> np.ndarray:
-        """Logical conductance matrix (noise-free).
-
-        Assembled from the per-tile :meth:`Crossbar.conductances` —
-        bitwise identical to ``1.0 / self.resistances()`` (elementwise
-        reciprocal commutes with tiling).
-        """
-        out = np.empty(self.shape, dtype=np.float64)
-        for rs, cs, tile in self.iter_tiles():
-            out[rs, cs] = tile.conductances()
-        return out
-
     def read_conductances(self) -> np.ndarray:
         """Logical conductance matrix as seen by a read (noise per tile)."""
         out = np.empty(self.shape, dtype=np.float64)
@@ -108,13 +86,6 @@ class TiledMatrix:
         two aggregate versions implies no tile changed in between.
         """
         return sum(tile.state_version for _rs, _cs, tile in self.iter_tiles())
-
-    def read_resistances(self) -> np.ndarray:
-        """Logical resistance read-out (read noise per tile)."""
-        out = np.empty(self.shape, dtype=np.float64)
-        for rs, cs, tile in self.iter_tiles():
-            out[rs, cs] = tile.read_resistances()
-        return out
 
     def aged_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
         """Logical per-device aged windows."""
@@ -141,51 +112,25 @@ class TiledMatrix:
         return float(np.mean(self.dead_mask()))
 
     # -- operations ----------------------------------------------------------
-    def program(self, targets: np.ndarray, only_changed: bool = True) -> np.ndarray:
-        """Program the logical matrix (slice-wise per tile)."""
-        targets = np.asarray(targets, dtype=np.float64)
-        if targets.shape != self.shape:
-            raise ShapeError(f"targets shape {targets.shape} != logical {self.shape}")
-        for rs, cs, tile in self.iter_tiles():
-            tile.program(targets[rs, cs], only_changed=only_changed)
-        return self.resistances()
+    def program_pulses(self, polarity: np.ndarray, fraction: float = 0.5) -> int:
+        """Tuning pulses over the logical matrix (see :meth:`Crossbar.program_pulses`).
 
-    def step_conductance(self, directions: np.ndarray, fraction: float = 0.5) -> np.ndarray:
-        """Conductance-domain tuning pulses over the logical matrix."""
-        directions = np.asarray(directions)
-        if directions.shape != self.shape:
-            raise ShapeError(f"directions shape {directions.shape} != logical {self.shape}")
-        for rs, cs, tile in self.iter_tiles():
-            tile.step_conductance(directions[rs, cs], fraction=fraction)
-        return self.resistances()
-
-    def program_pulses(
-        self, mask: np.ndarray, polarity: np.ndarray, fraction: float = 0.5
-    ) -> int:
-        """Batched tuning pulses over the logical matrix.
-
-        The bit-identical fast sibling of :meth:`step_conductance`
-        (see :meth:`Crossbar.program_pulses`): tiles are visited in
-        :meth:`iter_tiles` order so every tile's RNG stream advances
-        exactly as on the scalar path, but no logical resistance matrix
-        is assembled and no per-tile validation pass runs.  Returns the
-        total number of pulses that actually fired.
+        Tiles are visited in :meth:`iter_tiles` order, so each tile's
+        RNG stream advances as if it were pulsed on its own.  Returns
+        the total number of pulses that actually fired.
         """
-        if mask.shape != self.shape:
-            raise ShapeError(f"mask shape {mask.shape} != logical {self.shape}")
-        applied = 0
-        for rs, cs, tile in self.iter_tiles():
-            applied += tile.program_pulses(
-                mask[rs, cs], polarity[rs, cs], fraction=fraction
-            )
-        return applied
+        if polarity.shape != self.shape:
+            raise ShapeError(f"polarity shape {polarity.shape} != logical {self.shape}")
+        return sum(
+            tile.program_pulses(polarity[rs, cs], fraction=fraction)
+            for rs, cs, tile in self.iter_tiles()
+        )
 
     def program_targets(self, targets: np.ndarray, only_changed: bool = True) -> int:
-        """Batched programming over the logical matrix.
+        """Program the logical matrix towards ``targets``, tile by tile.
 
-        Bit-identical to :meth:`program` but skips assembling the
-        logical achieved-resistance matrix that batch callers discard.
-        Returns the total number of devices that received a pulse.
+        See :meth:`Crossbar.program_targets`.  Returns the total number
+        of devices that received a pulse.
         """
         targets = np.asarray(targets, dtype=np.float64)
         if targets.shape != self.shape:
@@ -195,11 +140,10 @@ class TiledMatrix:
             applied += tile.program_targets(targets[rs, cs], only_changed=only_changed)
         return applied
 
-    def apply_drift(self, magnitude: float) -> np.ndarray:
+    def apply_drift(self, magnitude: float) -> None:
         """Apply read-disturb drift to every tile (see Crossbar.apply_drift)."""
         for _rs, _cs, tile in self.iter_tiles():
             tile.apply_drift(magnitude)
-        return self.resistances()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         gr, gc = self.grid_shape

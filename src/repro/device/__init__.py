@@ -9,20 +9,16 @@ This package implements the physical substrate of the paper:
 * :class:`LevelGrid` — uniformly spaced *resistance* levels whose
   reciprocal conductance levels crowd towards small conductances
   (Fig. 3), the asymmetry the skewed training exploits.
-* :class:`Memristor` — a single programmable cell with aging, write and
-  read noise; used directly in unit tests and as the traced
-  representative device.
 * :class:`DeviceVariability` — lognormal device-to-device spread of the
   fresh resistance window.
 
-Array-oriented helpers mirror the scalar API so the crossbar simulator
-can age thousands of devices without Python-level loops.
+The devices themselves live in :class:`repro.crossbar.Crossbar`, one
+array per crossbar: a single cell is a ``1x1`` crossbar.
 """
 
 from repro.device.aging import AgingParams, ArrheniusAging, BOLTZMANN_EV
 from repro.device.config import DeviceConfig
 from repro.device.levels import LevelGrid
-from repro.device.memristor import Memristor
 from repro.device.variability import DeviceVariability
 
 __all__ = [
@@ -32,5 +28,4 @@ __all__ = [
     "DeviceConfig",
     "DeviceVariability",
     "LevelGrid",
-    "Memristor",
 ]

@@ -2,8 +2,7 @@
 
 A single root :class:`ReproError` lets applications catch everything from
 this package with one clause, while the concrete subclasses let tests and
-callers distinguish configuration mistakes from simulated hardware
-failures.
+callers distinguish configuration mistakes from runtime failures.
 """
 
 from __future__ import annotations
@@ -23,10 +22,6 @@ class ShapeError(ReproError, ValueError):
 
 class ConvergenceError(ReproError, RuntimeError):
     """An iterative procedure failed to converge within its budget."""
-
-
-class DeviceError(ReproError, RuntimeError):
-    """A memristor device was driven outside its physical envelope."""
 
 
 class CheckpointError(ReproError, RuntimeError):

@@ -46,7 +46,7 @@ class RangeSelection:
 
     def best_score(self) -> float:
         """Predicted accuracy of the chosen candidate."""
-        return max(self.scores) if self.scores else float("nan")
+        return max(self.scores)
 
 
 class AgingAwareMapper:
@@ -149,18 +149,14 @@ class AgingAwareMapper:
         return [float(u) for u in uniques]
 
     def select_range(
-        self,
-        layer,
-        score_fn: Callable[[float, float], float] | None = None,
+        self, layer, score_fn: Callable[[float, float], float]
     ) -> Tuple[float, float]:
         """Choose the common ``(r_lo, r_hi)`` for ``layer``.
 
         ``score_fn(r_lo, r_hi)`` returns the predicted classification
         accuracy of mapping this layer into that range (supplied by
         :class:`~repro.mapping.network.MappedNetwork`, which knows the
-        rest of the network).  Without a score function the
-        *most-conservative* candidate (``R^L_aged,max``, guaranteed to
-        be reachable by every traced device) is returned.
+        rest of the network).
 
         The lower bound stays at the nominal fresh ``R_min``: the paper
         observes the original lower bounds remain inside the aged window
@@ -170,12 +166,6 @@ class AgingAwareMapper:
         candidates = self.candidate_uppers(layer)
         # Guard against a degenerate window.
         candidates = [c for c in candidates if c > r_lo * 1.001] or [r_lo * 1.01]
-        if score_fn is None:
-            chosen = min(candidates)
-            self.history.append(
-                RangeSelection(layer.layer_index, candidates, [], chosen, r_lo)
-            )
-            return r_lo, chosen
         scores = [float(score_fn(r_lo, c)) for c in candidates]
         # Among near-tied candidates, prefer the LARGEST upper bound:
         # a wider common range maps weights to larger resistances, i.e.

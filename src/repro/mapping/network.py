@@ -85,7 +85,6 @@ class MappedLayer:
         device_config: DeviceConfig,
         tile_rows: int,
         tile_cols: int,
-        r_tia: float,
         trace_block: int,
         seed: SeedLike = None,
     ) -> None:
@@ -102,7 +101,6 @@ class MappedLayer:
             tile_rows=tile_rows,
             tile_cols=tile_cols,
             config=device_config,
-            r_tia=r_tia,
             seed=rng,
         )
         self.tracers = [
@@ -211,10 +209,7 @@ class MappedLayer:
             return 0
         directions = (-np.sign(weight_grad)).astype(np.int64)
         directions[np.abs(weight_grad) < threshold * scale] = 0
-        # mask == (polarity != 0) by construction, so this is
-        # bit-identical to a step_conductance sweep (same draws, same
-        # arithmetic).
-        self.tiles.program_pulses(directions != 0, directions, fraction=step_fraction)
+        self.tiles.program_pulses(directions, fraction=step_fraction)
         return int(np.count_nonzero(directions))
 
     def dead_device_mask(self) -> np.ndarray:
@@ -246,7 +241,6 @@ class MappedNetwork:
         device_config: Optional[DeviceConfig] = None,
         tile_rows: int = 128,
         tile_cols: int = 128,
-        r_tia: float = 1e3,
         trace_block: int = 3,
         seed: SeedLike = None,
     ) -> None:
@@ -262,7 +256,6 @@ class MappedNetwork:
                 self.device_config,
                 tile_rows,
                 tile_cols,
-                r_tia,
                 trace_block,
                 seed=spawn_rng(rng, f"layer{idx}"),
             )
@@ -288,10 +281,10 @@ class MappedNetwork:
 
         ``policy`` is a :class:`~repro.mapping.fresh.FreshMapper`
         (default) or :class:`~repro.mapping.aging_aware.AgingAwareMapper`.
-        For the aging-aware policy, ``selection_data`` supplies the
-        batch on which candidate common ranges are scored; layers are
-        processed in order and each candidate is scored with
-        already-selected layers at their predicted weights.
+        The aging-aware policy requires ``selection_data``, the batch on
+        which candidate common ranges are scored; layers are processed
+        in order and each candidate is scored with already-selected
+        layers at their predicted weights.
 
         Candidates for layer ``L`` differ only in layer ``L``, so the
         selection batch's activations at the input of ``L`` are computed
@@ -301,9 +294,12 @@ class MappedNetwork:
         bit-identical to :meth:`_accuracy_with_matrices` on the trial.
         """
         policy = policy if policy is not None else FreshMapper()
+        aging_aware = hasattr(policy, "candidate_uppers")
+        if aging_aware and selection_data is None:
+            raise ConfigurationError("aging-aware mapping requires selection_data")
         predicted: Dict[int, np.ndarray] = {}
         for mapped in self.layers:
-            if hasattr(policy, "candidate_uppers") and selection_data is not None:
+            if aging_aware:
                 x_sel, y_sel = selection_data
                 n = min(len(x_sel), getattr(policy, "selection_batch", 128))
                 start = mapped.layer_index
@@ -317,8 +313,6 @@ class MappedNetwork:
                     return accuracy(model.predict(prefix, start=start), y_batch)
 
                 r_lo, r_hi = policy.select_range(mapped, score)
-            elif hasattr(policy, "candidate_uppers"):
-                r_lo, r_hi = policy.select_range(mapped, None)
             else:
                 r_lo, r_hi = policy.select_range(mapped)
             mapped.set_range(r_lo, r_hi)

@@ -21,7 +21,7 @@ overrun as end-of-life).
 
 Each sweep runs **batched** (DESIGN.md §11): sign/threshold/dead-mask
 decisions for every layer are computed as whole-array ops and applied
-through the crossbars' ``program_pulses(mask, polarity)`` entry point,
+through the crossbars' ``program_pulses(polarity)`` entry point,
 with the per-pulse aging accrual and any ``pulse_miss``/stuck-at fault
 hooks folded into the same masked update.  The per-device Eq. (5)
 reference that ``tests/tuning/test_tuner_equivalence.py`` diffs this
@@ -61,7 +61,7 @@ class TuningConfig:
     step_fraction:
         Conductance increment of one tuning pulse, as a fraction of the
         mean conductance level spacing (see
-        :meth:`repro.crossbar.crossbar.Crossbar.step_conductance`).
+        :meth:`repro.crossbar.crossbar.Crossbar.program_pulses`).
     decay_after:
         Constant-amplitude sign pulses can limit-cycle around the
         target; after this many consecutive non-improving evaluations

@@ -256,6 +256,23 @@ class TestCommands:
         assert main(campaign) == 0
         assert "1 replayed, 1 executed" in capsys.readouterr().out
 
+    def test_resume_with_journal_is_rejected(self, tmp_path, capsys):
+        """A snapshot carries no journal key, so its result cannot be stored."""
+        ckpt = tmp_path / "ck"
+        argv = ["run", "--preset", "blobs-mini", "--fast", "--scenario", "st+t",
+                "--checkpoint-every", "2", "--checkpoint-dir", str(ckpt)]
+        assert main(argv) == 0
+        snapshot = sorted(ckpt.glob("*.ckpt.json"))[0]
+        capsys.readouterr()
+        journal = tmp_path / "j.jsonl"
+        assert main(["run", "--resume", str(snapshot), "--journal", str(journal)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "--journal" in lines[0]
+        assert captured.out == ""
+        assert not journal.exists()
+
     def test_bad_value_is_one_line_error_not_traceback(self, capsys):
         argv = ["campaign", "--preset", "blobs-mini", "--fast"]
         assert main(argv + ["--kinds", "bogus"]) == 2

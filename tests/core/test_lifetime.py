@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.lifetime import LifetimeConfig, LifetimeSimulator
 from repro.exceptions import ConfigurationError
-from repro.mapping import MappedNetwork
+from repro.mapping import AgingAwareMapper, MappedNetwork
 from repro.tuning import TuningConfig
 
 
@@ -122,7 +122,7 @@ class TestSimulator:
             blob_dataset.x_train[:96],
             blob_dataset.y_train[:96],
             config=config,
-            aging_aware=True,
+            mapper=AgingAwareMapper(),
             seed=46,
         )
         result = sim.run("st+at")

@@ -1,11 +1,12 @@
-"""The batched entry points are bit-identical to the checked ones.
+"""The batched entry points are bit-identical to their references.
 
 ``program_targets`` is ``program`` without the achieved-resistance copy,
-and ``program_pulses`` is ``step_conductance`` without the ``isin``
-validation and the copy.  Both must leave every array and the RNG stream
-exactly where the checked entry point leaves them, on a single crossbar
-and on a tiled matrix, with every source of randomness switched on in
-turn: write noise, per-device variability and pulse misses.
+and ``program_pulses`` is the per-device Eq. (5) loop of
+``tests/oracles`` done as whole-array ops.  Each must leave every array
+and the RNG stream exactly where its reference leaves them, on a single
+crossbar and on a tiled matrix, with every source of randomness
+switched on in turn: write noise, per-device variability and pulse
+misses.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 from repro.crossbar import Crossbar, TiledMatrix
 from repro.device import DeviceConfig, DeviceVariability
+from tests.oracles import scalar_program_pulses
 
 SHAPE = (7, 9)
 
@@ -42,10 +44,15 @@ def _tiled(variant):
     return tm
 
 
-def _tiles(obj):
+def _tile_slices(obj):
+    """``(row_slice, col_slice, tile)`` of a crossbar or a tiled matrix."""
     if isinstance(obj, Crossbar):
-        return [obj]
-    return [tile for _rs, _cs, tile in obj.iter_tiles()]
+        return [(slice(None), slice(None), obj)]
+    return list(obj.iter_tiles())
+
+
+def _tiles(obj):
+    return [tile for _rs, _cs, tile in _tile_slices(obj)]
 
 
 def _pulse_total(obj):
@@ -79,24 +86,36 @@ def _direction_sequence(steps=8):
     return [gen.integers(-1, 2, size=SHAPE) for _ in range(steps)]
 
 
+def _reference_program(obj, targets, only_changed):
+    for rs, cs, tile in _tile_slices(obj):
+        tile.program(targets[rs, cs], only_changed=only_changed)
+
+
 def _check_programming(make, variant, only_changed):
     checked, batched = make(variant), make(variant)
     for targets in _target_sequence(checked.config):
         before = _pulse_total(batched)
-        checked.program(targets, only_changed=only_changed)
+        _reference_program(checked, targets, only_changed)
         applied = batched.program_targets(targets, only_changed=only_changed)
         assert applied == _pulse_total(batched) - before
         _assert_same_state(checked, batched)
 
 
+def _reference_pulses(obj, polarity, fraction):
+    return sum(
+        scalar_program_pulses(tile, polarity[rs, cs], fraction)
+        for rs, cs, tile in _tile_slices(obj)
+    )
+
+
 def _check_pulses(make, variant, fraction=0.5):
-    checked, batched = make(variant), make(variant)
-    for directions in _direction_sequence():
+    reference, batched = make(variant), make(variant)
+    for polarity in _direction_sequence():
         before = _pulse_total(batched)
-        checked.step_conductance(directions, fraction=fraction)
-        fired = batched.program_pulses(directions != 0, directions, fraction=fraction)
-        assert fired == _pulse_total(batched) - before
-        _assert_same_state(checked, batched)
+        expected = _reference_pulses(reference, polarity, fraction)
+        fired = batched.program_pulses(polarity, fraction=fraction)
+        assert fired == expected == _pulse_total(batched) - before
+        _assert_same_state(reference, batched)
 
 
 @pytest.mark.parametrize("only_changed", [True, False], ids=["changed", "all"])
@@ -106,7 +125,7 @@ def test_crossbar_program_targets_matches_program(variant, only_changed):
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
-def test_crossbar_program_pulses_matches_step_conductance(variant):
+def test_crossbar_program_pulses_matches_scalar_loop(variant):
     _check_pulses(_crossbar, variant)
 
 
@@ -116,7 +135,7 @@ def test_tiled_program_targets_matches_program(variant):
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
-def test_tiled_program_pulses_matches_step_conductance(variant):
+def test_tiled_program_pulses_matches_scalar_loop(variant):
     _check_pulses(_tiled, variant, fraction=0.25)
 
 
@@ -126,7 +145,7 @@ def test_pulses_stay_inside_the_aged_window(variant):
     outside its current aged window."""
     xb = _crossbar(variant)
     xb.program(_target_sequence(xb.config, steps=1)[0])
-    for directions in _direction_sequence(steps=20):
-        xb.program_pulses(directions != 0, directions, fraction=1.0)
+    for polarity in _direction_sequence(steps=20):
+        xb.program_pulses(polarity, fraction=1.0)
         lo, hi = xb.aged_bounds()
         assert np.all(xb.resistance >= lo) and np.all(xb.resistance <= hi)

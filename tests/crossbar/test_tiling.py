@@ -42,32 +42,23 @@ class TestGeometry:
 class TestOperations:
     def test_program_and_read(self, tiled, rng):
         targets = rng.uniform(2e4, 8e4, tiled.shape)
-        tiled.program(targets)
-        achieved = tiled.resistances()
+        assert tiled.program_targets(targets) == 70
+        achieved = 1.0 / tiled.read_conductances()
         assert np.max(np.abs(achieved - targets)) <= tiled.config.make_level_grid().step
 
-    def test_program_shape_check(self, tiled):
-        with pytest.raises(ShapeError):
-            tiled.program(np.full((3, 3), 5e4))
-
-    def test_step_conductance_routes_to_tiles(self, tiled):
-        tiled.program(np.full(tiled.shape, 5e4))
-        directions = np.zeros(tiled.shape, dtype=int)
-        directions[9, 6] = 1  # inside the bottom-right remainder tile
-        before = tiled.resistances()
-        tiled.step_conductance(directions)
-        after = tiled.resistances()
-        assert after[9, 6] < before[9, 6]
+    def test_program_pulses_routes_to_tiles(self, tiled):
+        tiled.program_targets(np.full(tiled.shape, 5e4))
+        polarity = np.zeros(tiled.shape, dtype=int)
+        polarity[9, 6] = 1  # inside the bottom-right remainder tile
+        before = tiled.read_conductances()
+        assert tiled.program_pulses(polarity) == 1
+        after = tiled.read_conductances()
+        assert after[9, 6] > before[9, 6]
         assert np.count_nonzero(after != before) == 1
 
-    def test_step_conductance_shape_check(self, tiled):
-        with pytest.raises(ShapeError):
-            tiled.step_conductance(np.zeros((2, 2), dtype=int))
-
     def test_program_pulses_shape_check(self, tiled):
-        mask = np.ones((2, 2), dtype=bool)
         with pytest.raises(ShapeError):
-            tiled.program_pulses(mask, mask.astype(int))
+            tiled.program_pulses(np.ones((2, 2), dtype=int))
         assert tiled.pulse_totals() == 0
 
     def test_program_targets_shape_check(self, tiled):
@@ -75,23 +66,72 @@ class TestOperations:
             tiled.program_targets(np.full((3, 3), 5e4))
         assert tiled.pulse_totals() == 0
 
-    def test_conductances_are_reciprocal_resistances(self, tiled, rng):
-        tiled.program(rng.uniform(2e4, 8e4, tiled.shape))
-        np.testing.assert_array_equal(tiled.conductances(), 1.0 / tiled.resistances())
+    def test_read_assembles_tile_conductances(self, tiled, rng):
+        tiled.program_targets(rng.uniform(2e4, 8e4, tiled.shape))
+        g = tiled.read_conductances()
+        for rs, cs, tile in tiled.iter_tiles():
+            assert g[rs, cs].tobytes() == (1.0 / tile.resistance).tobytes()
 
     def test_pulse_totals_aggregate(self, tiled):
-        tiled.program(np.full(tiled.shape, 5e4))
+        tiled.program_targets(np.full(tiled.shape, 5e4))
         assert tiled.pulse_totals() == 70
+
+    def test_program_targets_only_changed_skips_settled_devices(self, tiled):
+        targets = np.full(tiled.shape, 5e4)
+        assert tiled.program_targets(targets) == 70
+        assert tiled.program_targets(targets) == 0
+        assert tiled.program_targets(targets, only_changed=False) == 70
+        assert tiled.pulse_totals() == 140
+
+    def test_state_version_moves_with_every_operation(self, tiled):
+        versions = [tiled.state_version]
+        tiled.program_targets(np.full(tiled.shape, 5e4))
+        versions.append(tiled.state_version)
+        tiled.program_pulses(np.ones(tiled.shape, dtype=int))
+        versions.append(tiled.state_version)
+        tiled.apply_drift(0.1)
+        versions.append(tiled.state_version)
+        assert versions == sorted(set(versions))
+        tiled.read_conductances()
+        tiled.aged_bounds()
+        tiled.dead_mask()
+        assert tiled.state_version == versions[-1]
 
     def test_aged_bounds_shape(self, tiled):
         lo, hi = tiled.aged_bounds()
         assert lo.shape == hi.shape == tiled.shape
 
+    def test_aged_bounds_assemble_tile_bounds(self, tiled):
+        polarity = np.zeros(tiled.shape, dtype=int)
+        polarity[::2, ::3] = 1
+        for _ in range(20):
+            tiled.program_pulses(polarity)
+        lo, hi = tiled.aged_bounds()
+        for rs, cs, tile in tiled.iter_tiles():
+            tlo, thi = tile.aged_bounds()
+            assert lo[rs, cs].tobytes() == tlo.tobytes()
+            assert hi[rs, cs].tobytes() == thi.tobytes()
+
+    def test_dead_mask_assembles_tile_masks(self, tiled):
+        # Wear out the bottom-right remainder tile only.
+        _rs, _cs, last = list(tiled.iter_tiles())[-1]
+        low = np.full(last.shape, tiled.config.r_min)
+        for _ in range(10_000):
+            if last.dead_fraction() == 1.0:
+                break
+            last.program(low, only_changed=False)
+        mask = tiled.dead_mask()
+        for rs, cs, tile in tiled.iter_tiles():
+            np.testing.assert_array_equal(mask[rs, cs], tile.dead_mask())
+        assert mask[8:, 6:].all()
+        assert np.count_nonzero(mask) == last.rows * last.cols
+        assert tiled.dead_fraction() == pytest.approx(mask.mean())
+
     def test_drift_applies_everywhere(self, tiled):
-        tiled.program(np.full(tiled.shape, 5e4))
-        before = tiled.resistances()
-        tiled.apply_drift(0.1)
-        after = tiled.resistances()
+        tiled.program_targets(np.full(tiled.shape, 5e4))
+        before = tiled.read_conductances()
+        assert tiled.apply_drift(0.1) is None
+        after = tiled.read_conductances()
         assert (after != before).mean() > 0.9
 
     def test_dead_fraction_zero_fresh(self, tiled):

@@ -76,7 +76,7 @@ class TestEstimates:
         d[1, 1] = -1
         xb.program(np.full((9, 9), xb.config.r_max))
         for _ in range(30):
-            xb.step_conductance(np.abs(d))
+            xb.program_pulses(np.abs(d))
         est_lo, est_hi = tracer.estimated_bounds()
         # All 9 devices of block (0,0) share the representative's bound.
         assert np.all(est_hi[:3, :3] == est_hi[1, 1])
@@ -96,7 +96,7 @@ class TestEstimates:
         xb.program(np.full((15, 15), 5e4))
         for _ in range(25):
             directions = (rng.random((15, 15)) < 0.3).astype(int)
-            xb.step_conductance(directions)
+            xb.program_pulses(directions)
         errors = [BlockTracer(xb, b).estimation_error() for b in (1, 3, 5)]
         assert errors[0] == 0.0
         assert errors[1] <= errors[2] + 1e3  # generally increasing

@@ -78,7 +78,7 @@ class TestDeterminism:
         assert frac_a == frac_b
         for layer_a, layer_b in zip(net_a.layers, net_b.layers):
             np.testing.assert_array_equal(
-                layer_a.tiles.resistances(), layer_b.tiles.resistances()
+                layer_a.tiles.read_conductances(), layer_b.tiles.read_conductances()
             )
             np.testing.assert_array_equal(
                 layer_a.tiles.dead_mask(), layer_b.tiles.dead_mask()

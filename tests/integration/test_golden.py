@@ -285,8 +285,7 @@ class TestCrossPathResume:
         assert sum(iterations) > 0
         assert 0 in iterations
         assert not plain.failed
-        assert calls["Crossbar._pulse_impl"] > 0
-        assert calls["MappedLayer.apply_gradient_signs"] > 0
+        assert calls["Crossbar.program_pulses"] > 0
 
 
 # -- snapshot 2: the aged-window curves (pure math, Fig. 4 shape) -------------

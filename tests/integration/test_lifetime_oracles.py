@@ -66,7 +66,7 @@ def test_oracle_run_is_bit_identical(production, oracle, trained_mlp, blob_datas
         expected = reference.run("t+t")
     assert calls["MappedNetwork.effective_model"] > 0
     if oracle is scalar_tuner:
-        assert calls["Crossbar._pulse_impl"] > 0
+        assert calls["Crossbar.program_pulses"] > 0
     assert expected.windows == result.windows
     assert _tile_states(reference.network) == _tile_states(sim.network)
     assert (

@@ -114,10 +114,12 @@ class TestAgingAwareIntegration:
         assert len(mapper.history) == len(net.layers)
         assert net.score(blob_dataset.x_test, blob_dataset.y_test) > 0.85
 
-    def test_aging_aware_map_without_selection_data(self, trained_mlp, device_config):
+    def test_aging_aware_map_requires_selection_data(self, trained_mlp, device_config):
         net = MappedNetwork(trained_mlp, device_config, seed=9)
-        net.map_network(AgingAwareMapper())
-        assert all(m.mapping is not None for m in net.layers)
+        with pytest.raises(ConfigurationError, match="selection_data"):
+            net.map_network(AgingAwareMapper())
+        assert all(m.mapping is None for m in net.layers)
+        assert net.total_pulses() == 0
 
 
 class TestGradients:
@@ -275,9 +277,9 @@ class TestBookkeeping:
             assert value <= mapped_mlp.device_config.r_max
 
     def test_apply_drift_changes_hardware(self, mapped_mlp, blob_dataset):
-        before = mapped_mlp.layers[0].tiles.resistances().copy()
+        before = mapped_mlp.layers[0].tiles.read_conductances()
         mapped_mlp.apply_drift(0.1)
-        assert not np.allclose(before, mapped_mlp.layers[0].tiles.resistances())
+        assert not np.allclose(before, mapped_mlp.layers[0].tiles.read_conductances())
 
     def test_clone_model_is_independent(self, trained_mlp):
         clone = clone_model(trained_mlp)

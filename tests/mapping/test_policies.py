@@ -61,8 +61,8 @@ class TestAgingAwareMapper:
         # Age the devices heavily with low-resistance programming.
         low = np.full(layer.matrix_shape, layer.device_config.r_min)
         for _ in range(60):
-            layer.tiles.program(low, only_changed=False)
-            layer.tiles.program(low * 2.0, only_changed=False)
+            layer.tiles.program_targets(low, only_changed=False)
+            layer.tiles.program_targets(low * 2.0, only_changed=False)
         candidates = AgingAwareMapper().candidate_uppers(layer)
         assert min(candidates) < layer.device_config.r_max
 
@@ -70,22 +70,15 @@ class TestAgingAwareMapper:
         layer = mapped_mlp.layers[0]
         for _ in range(40):
             directions = (rng.random(layer.matrix_shape) < 0.5).astype(int)
-            layer.tiles.step_conductance(directions)
+            layer.tiles.program_pulses(directions)
         mapper = AgingAwareMapper(max_candidates=3)
         assert len(mapper.candidate_uppers(layer)) <= 3
-
-    def test_select_without_score_uses_min(self, mapped_layer):
-        mapper = AgingAwareMapper()
-        lo, hi = mapper.select_range(mapped_layer, None)
-        assert lo == mapped_layer.device_config.r_min
-        assert hi == min(mapper.candidate_uppers(mapped_layer))
-        assert isinstance(mapper.history[-1], RangeSelection)
 
     def test_select_with_score_picks_best(self, mapped_mlp, rng):
         layer = mapped_mlp.layers[0]
         for _ in range(50):
             directions = (rng.random(layer.matrix_shape) < 0.5).astype(int)
-            layer.tiles.step_conductance(directions)
+            layer.tiles.program_pulses(directions)
         mapper = AgingAwareMapper(tie_tolerance=0.0)
         candidates = mapper.candidate_uppers(layer)
         target = candidates[len(candidates) // 2]
@@ -93,15 +86,17 @@ class TestAgingAwareMapper:
         def score(_lo, hi):
             return 1.0 if hi == target else 0.0
 
-        _lo, chosen = mapper.select_range(layer, score)
+        lo, chosen = mapper.select_range(layer, score)
+        assert lo == layer.device_config.r_min
         assert chosen == target
+        assert isinstance(mapper.history[-1], RangeSelection)
         assert mapper.history[-1].best_score() == 1.0
 
     def test_tie_break_prefers_largest(self, mapped_mlp, rng):
         layer = mapped_mlp.layers[0]
         for _ in range(50):
             directions = (rng.random(layer.matrix_shape) < 0.5).astype(int)
-            layer.tiles.step_conductance(directions)
+            layer.tiles.program_pulses(directions)
         mapper = AgingAwareMapper()
         candidates = mapper.candidate_uppers(layer)
         _lo, chosen = mapper.select_range(layer, lambda _l, _h: 0.5)

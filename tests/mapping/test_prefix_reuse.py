@@ -47,7 +47,7 @@ def _aged(model, device_config, seed: int, sweeps: int = 45) -> MappedNetwork:
     for _ in range(sweeps):
         for layer in network.layers:
             directions = rng.integers(-1, 2, size=layer.matrix_shape)
-            layer.tiles.step_conductance(directions)
+            layer.tiles.program_pulses(directions)
     return network
 
 

@@ -2,12 +2,18 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
-from repro.device import DeviceConfig, Memristor
+from repro.crossbar import Crossbar
+from repro.device import DeviceConfig
 from repro.exceptions import ConfigurationError
 from repro.mitigation import PULSE_SHAPES, PulseShaping
 from repro.mitigation.pulse_shaping import PulseShape
+
+
+def _forced_program(cell, target):
+    cell.program(np.full((1, 1), target), only_changed=False)
 
 
 class TestPulseShape:
@@ -45,15 +51,15 @@ class TestPulseShaping:
         """The headline of ref [9]: same programming traffic, longer
         life under triangular pulses."""
         cfg = DeviceConfig(pulses_to_collapse=300, write_noise=0.0)
-        dc_cell = Memristor(cfg, seed=1)
-        tri_cell = Memristor(PulseShaping("triangular").apply(cfg), seed=1)
+        dc_cell = Crossbar(1, 1, cfg, seed=1)
+        tri_cell = Crossbar(1, 1, PulseShaping("triangular").apply(cfg), seed=1)
         for _ in range(100):
-            dc_cell.program(cfg.r_min, pulses=1)
-            tri_cell.program(cfg.r_min, pulses=1)
-        assert tri_cell.stress_time < dc_cell.stress_time
+            _forced_program(dc_cell, cfg.r_min)
+            _forced_program(tri_cell, cfg.r_min)
+        assert tri_cell.stress_time[0, 0] < dc_cell.stress_time[0, 0]
         _lo_dc, hi_dc = dc_cell.aged_bounds()
         _lo_tri, hi_tri = tri_cell.aged_bounds()
-        assert hi_tri > hi_dc
+        assert hi_tri[0, 0] > hi_dc[0, 0]
 
     def test_calibration_frozen_at_dc(self):
         """Rescaling the pulse width must not silently re-calibrate the
@@ -88,11 +94,11 @@ class TestEveryShape:
 
     def test_stress_per_operation_is_dc_over_net_benefit(self, name):
         cfg = DeviceConfig(pulses_to_collapse=10_000, write_noise=0.0)
-        dc_cell = Memristor(cfg, seed=1)
-        shaped_cell = Memristor(PulseShaping(name).apply(cfg), seed=1)
+        dc_cell = Crossbar(1, 1, cfg, seed=1)
+        shaped_cell = Crossbar(1, 1, PulseShaping(name).apply(cfg), seed=1)
         for target in (cfg.r_min, cfg.r_max) * 5:
-            dc_cell.program(target, pulses=1)
-            shaped_cell.program(target, pulses=1)
-        assert shaped_cell.stress_time == pytest.approx(
-            dc_cell.stress_time / PULSE_SHAPES[name].net_benefit, rel=1e-9
+            _forced_program(dc_cell, target)
+            _forced_program(shaped_cell, target)
+        assert shaped_cell.stress_time[0, 0] == pytest.approx(
+            dc_cell.stress_time[0, 0] / PULSE_SHAPES[name].net_benefit, rel=1e-9
         )

@@ -1,7 +1,9 @@
 """Unit tests for the series-resistor mitigation (paper ref [11])."""
 
+import numpy as np
 import pytest
 
+from repro.crossbar import Crossbar
 from repro.device import DeviceConfig
 from repro.exceptions import ConfigurationError
 from repro.mitigation import SeriesResistor
@@ -55,16 +57,14 @@ class TestSeriesResistor:
     def test_protected_cell_ages_slower(self):
         """Current limiting: a protected cell accumulates less stress
         for the same worst-case programming traffic."""
-        from repro.device import Memristor
-
         cfg = DeviceConfig(pulses_to_collapse=300, write_noise=0.0)
-        bare = Memristor(cfg, seed=1)
+        bare = Crossbar(1, 1, cfg, seed=1)
         prot_cfg = SeriesResistor(1e4).apply(cfg)
-        protected = Memristor(prot_cfg, seed=1)
+        protected = Crossbar(1, 1, prot_cfg, seed=1)
         for _ in range(50):
-            bare.program(cfg.r_min)
-            protected.program(prot_cfg.r_min)
-        assert protected.stress_time < bare.stress_time
+            bare.program(np.full((1, 1), cfg.r_min), only_changed=False)
+            protected.program(np.full((1, 1), prot_cfg.r_min), only_changed=False)
+        assert protected.stress_time[0, 0] < bare.stress_time[0, 0]
 
     def test_calibration_frozen_at_bare_device(self):
         cfg = DeviceConfig(pulses_to_collapse=300)

@@ -8,8 +8,8 @@ production classes for the duration of a ``with`` block, so a test can
 run the same workload both ways and demand bit-identical results:
 
 * :func:`scalar_tuner` — the paper's Eq. (5) pulse loop device by
-  device, uncached aged windows, per-call ``program`` /
-  ``step_conductance`` entry points, and no read reuse;
+  device, uncached aged windows, programming tile by tile through
+  ``Crossbar.program``, and no read reuse;
 * :func:`uncached_reads` — every aged window recomputed from scratch,
   and every hardware read rebuilt (no read reuse).
 
@@ -31,22 +31,22 @@ from typing import Callable, ContextManager, Dict, Iterator, Tuple
 import numpy as np
 
 from repro.crossbar.crossbar import Crossbar
-from repro.exceptions import ConfigurationError, ShapeError
+from repro.exceptions import ConfigurationError
 from repro.mapping.network import MappedLayer, MappedNetwork
 
-__all__ = ["scalar_tuner", "uncached_reads"]
+__all__ = ["scalar_program_pulses", "scalar_tuner", "uncached_reads"]
 
 
 # -- reference bodies ---------------------------------------------------------
-def _scalar_pulse_impl(self, directions, active, fraction):
-    """``Crossbar._pulse_impl`` as the per-device Eq. (5) loop.
+def scalar_program_pulses(self, polarity, fraction=0.5):
+    """``Crossbar.program_pulses`` as the per-device Eq. (5) loop.
 
     Same RNG draws in the same order and the same device-physics calls
     as the batched body; min/max and +-*/ are elementwise-exact, so each
     device lands on the batched result bit for bit, and unselected
     devices keep their resistance like the masked ``np.where``.
     """
-    select = self._apply_pulse_misses(active & ~self.dead_mask())
+    select = self._apply_pulse_misses((polarity != 0) & ~self.dead_mask())
     self._apply_stress(select, self.resistance)
     g_step = fraction * (self.config.g_max - self.config.g_min) / (self.grid.n_levels - 1)
     noise = (
@@ -61,13 +61,13 @@ def _scalar_pulse_impl(self, directions, active, fraction):
         for j in range(self.cols):
             if not select[i, j]:
                 continue
-            g = 1.0 / res[i, j] + directions[i, j] * g_step
+            g = 1.0 / res[i, j] + polarity[i, j] * g_step
             if noise is not None:
                 g = g + noise[i, j]
             g = max(g, 1.0 / max(hi[i, j], 1.0))
             out[i, j] = min(max(1.0 / g, lo[i, j]), hi[i, j])
     self.resistance = out
-    return select
+    return int(np.count_nonzero(select))
 
 
 def _uncached_aged_bounds(self):
@@ -81,28 +81,12 @@ def _uncached_dead_mask(self):
 
 
 def _program_via_tiles(self):
-    """``MappedLayer.program`` through ``TiledMatrix.program``."""
+    """``MappedLayer.program`` tile by tile through ``Crossbar.program``."""
     if self.mapping is None:
         raise ConfigurationError("set_range must be called before program")
     targets = np.asarray(self.mapping.weight_to_resistance(self.software_matrix()))
-    self.tiles.program(targets)
-
-
-def _gradient_signs_via_step_conductance(
-    self, weight_grad, threshold, step_fraction=0.5
-):
-    """``MappedLayer.apply_gradient_signs`` through ``step_conductance``."""
-    if weight_grad.shape != self.matrix_shape:
-        raise ShapeError(
-            f"grad shape {weight_grad.shape} != device matrix {self.matrix_shape}"
-        )
-    scale = float(np.max(np.abs(weight_grad)))
-    if scale == 0.0:
-        return 0
-    directions = (-np.sign(weight_grad)).astype(np.int64)
-    directions[np.abs(weight_grad) < threshold * scale] = 0
-    self.tiles.step_conductance(directions, fraction=step_fraction)
-    return int(np.count_nonzero(directions))
+    for rs, cs, tile in self.tiles.iter_tiles():
+        tile.program(targets[rs, cs])
 
 
 def _unmemoized_effective_model(self):
@@ -141,11 +125,10 @@ def scalar_tuner() -> ContextManager[Counter]:
     """Run the block on the scalar reference tuner (DESIGN.md §11)."""
     return _installed(
         {
-            (Crossbar, "_pulse_impl"): _scalar_pulse_impl,
+            (Crossbar, "program_pulses"): scalar_program_pulses,
             (Crossbar, "aged_bounds"): _uncached_aged_bounds,
             (Crossbar, "dead_mask"): _uncached_dead_mask,
             (MappedLayer, "program"): _program_via_tiles,
-            (MappedLayer, "apply_gradient_signs"): _gradient_signs_via_step_conductance,
             (MappedNetwork, "effective_model"): _unmemoized_effective_model,
         }
     )

@@ -80,11 +80,11 @@ class TestFaultSchedule:
 
     def test_apply_off_window_is_noop(self, mapped_net):
         schedule = FaultSchedule.stuck_at_midlife(0.05, window=1)
-        before = [l.tiles.resistances().copy() for l in mapped_net.layers]
+        before = [l.tiles.read_conductances() for l in mapped_net.layers]
         applied = schedule.apply(mapped_net, 0, ensure_rng(33))
         assert applied == []
-        for layer, res in zip(mapped_net.layers, before):
-            np.testing.assert_array_equal(layer.tiles.resistances(), res)
+        for layer, g in zip(mapped_net.layers, before):
+            np.testing.assert_array_equal(layer.tiles.read_conductances(), g)
 
     def test_read_noise_event_raises_sigma(self, mapped_net):
         schedule = FaultSchedule.single("read_noise", 0.08, window=0)
@@ -94,8 +94,8 @@ class TestFaultSchedule:
                 assert tile.read_noise_extra == pytest.approx(0.08)
         # noise-free config + injected sigma => reads now fluctuate
         layer = mapped_net.layers[0]
-        a = layer.tiles.read_resistances()
-        b = layer.tiles.read_resistances()
+        a = layer.tiles.read_conductances()
+        b = layer.tiles.read_conductances()
         assert not np.array_equal(a, b)
 
     def test_pulse_miss_event_sets_rate_and_skips_pulses(self, trained_mlp):
@@ -107,20 +107,20 @@ class TestFaultSchedule:
         layer = net.layers[0]
         for _rs, _cs, tile in layer.tiles.iter_tiles():
             assert tile.pulse_miss_rate == pytest.approx(0.6)
-        # A full step sweep should leave a substantial fraction unmoved.
-        before = layer.tiles.resistances().copy()
-        layer.tiles.step_conductance(np.ones(layer.matrix_shape, dtype=np.int64))
-        moved = np.mean(~np.isclose(layer.tiles.resistances(), before))
+        # A full pulse sweep should leave a substantial fraction unmoved.
+        before = layer.tiles.read_conductances()
+        layer.tiles.program_pulses(np.ones(layer.matrix_shape, dtype=np.int64))
+        moved = np.mean(~np.isclose(layer.tiles.read_conductances(), before))
         assert 0.05 < moved < 0.75
 
     def test_drift_event_moves_resistances(self, mapped_net):
-        before = [l.tiles.resistances().copy() for l in mapped_net.layers]
+        before = [l.tiles.read_conductances() for l in mapped_net.layers]
         FaultSchedule.single("drift", 0.2, window=0).apply(
             mapped_net, 0, ensure_rng(37)
         )
         changed = any(
-            not np.allclose(l.tiles.resistances(), res)
-            for l, res in zip(mapped_net.layers, before)
+            not np.allclose(l.tiles.read_conductances(), g)
+            for l, g in zip(mapped_net.layers, before)
         )
         assert changed
 

@@ -6,7 +6,6 @@ from repro.exceptions import (
     CheckpointError,
     ConfigurationError,
     ConvergenceError,
-    DeviceError,
     ReproError,
     ShapeError,
 )
@@ -19,7 +18,6 @@ class TestHierarchy:
             CheckpointError,
             ConfigurationError,
             ConvergenceError,
-            DeviceError,
             ShapeError,
         ],
     )
@@ -34,11 +32,11 @@ class TestHierarchy:
     def test_runtime_family(self):
         assert issubclass(ConvergenceError, RuntimeError)
 
-    @pytest.mark.parametrize("exc", [CheckpointError, DeviceError])
+    @pytest.mark.parametrize("exc", [CheckpointError, ConvergenceError])
     def test_failures_are_runtime_not_value_errors(self, exc):
         assert issubclass(exc, RuntimeError)
         assert not issubclass(exc, ValueError)
 
     def test_catch_all(self):
         with pytest.raises(ReproError):
-            raise DeviceError("boom")
+            raise CheckpointError("boom")

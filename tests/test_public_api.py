@@ -65,3 +65,12 @@ def test_import_loads_no_scipy():
         check=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [("repro", "Memristor"), ("repro.device", "Memristor"), ("repro.exceptions", "DeviceError")],
+)
+def test_one_device_model(module, name):
+    """A single cell is a 1x1 ``Crossbar``; there is no scalar cell class."""
+    assert not hasattr(importlib.import_module(module), name)

@@ -1,7 +1,7 @@
 """Reprs name the class and its settings, and never raise.
 
-Several reprs read live state (a memristor's aged window, a crossbar's
-pulse and dead counts, a network's pulse total), so a repr is only safe
+Several reprs read live state (a crossbar's pulse and dead counts, a
+network's pulse total), so a repr is only safe
 to print from a debugger or a log line if it is exercised.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.crossbar import Crossbar, TiledMatrix
-from repro.device import DeviceConfig, LevelGrid, Memristor
+from repro.device import DeviceConfig, LevelGrid
 from repro.mapping import AgingAwareMapper, FreshMapper, LinearWeightMapping, MappedNetwork
 from repro.mitigation import PulseShaping, SeriesResistor
 from repro.nn import AvgPool2D, Conv2D, Dense, Flatten, MaxPool2D, Sequential
@@ -54,10 +54,6 @@ CASES = {
     "level_grid": (
         lambda: LevelGrid(1e4, 1e5, 8),
         "LevelGrid(r_min=10000, r_max=100000, n_levels=8)",
-    ),
-    "memristor": (
-        lambda: Memristor(DeviceConfig(), seed=0),
-        "Memristor(R=1e+05, window=[1e+04, 1e+05], pulses=0)",
     ),
     "crossbar": (lambda: Crossbar(2, 3, seed=0), "Crossbar(2x3, pulses=0, dead=0.0%)"),
     "tiled_matrix": (

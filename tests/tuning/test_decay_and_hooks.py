@@ -12,7 +12,7 @@ class TestAmplitudeDecay:
         network.map_network()
         rng = np.random.default_rng(seed)
         for layer in network.layers:
-            layer.tiles.program(rng.uniform(1e4, 1e5, layer.matrix_shape))
+            layer.tiles.program_targets(rng.uniform(1e4, 1e5, layer.matrix_shape))
         return network
 
     def test_decay_disabled_keeps_amplitude(self, trained_mlp, device_config, blob_dataset):

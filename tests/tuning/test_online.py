@@ -50,7 +50,7 @@ class TestTuning:
         # Scramble the programmed devices: accuracy collapses to chance.
         scramble = np.random.default_rng(17)
         for layer in mapped_mlp.layers:
-            layer.tiles.program(scramble.uniform(1e4, 1e5, layer.matrix_shape))
+            layer.tiles.program_targets(scramble.uniform(1e4, 1e5, layer.matrix_shape))
         degraded = mapped_mlp.score(x, y)
         assert degraded < target
         tuner = OnlineTuner(TuningConfig(target_accuracy=target, max_iterations=100), seed=2)

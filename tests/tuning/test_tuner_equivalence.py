@@ -158,7 +158,7 @@ def _run_session(path: str, params: dict) -> dict:
     if path == "scalar":
         assert calls["MappedLayer.program"] > 0
         if result.iterations:
-            assert calls["Crossbar._pulse_impl"] > 0
+            assert calls["Crossbar.program_pulses"] > 0
     if path != "production":
         assert calls["MappedNetwork.effective_model"] > 0
     return _snapshot(network, tuner, result)

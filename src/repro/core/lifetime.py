@@ -154,11 +154,9 @@ class LifetimeSimulator:
         simulator._resume_state = (result, next_window, applications)
         return simulator
 
-    def _remap(self) -> None:
+    def _remap(self, x_tune: np.ndarray) -> None:
         if self.mapper is not None:
-            self.network.map_network(
-                self.mapper, selection_data=(self.x_tune, self.y_tune)
-            )
+            self.network.map_network(self.mapper, selection_data=(x_tune, self.y_tune))
         else:
             self.network.map_network(FreshMapper())
 
@@ -218,6 +216,9 @@ class LifetimeSimulator:
             CheckpointManager(checkpoint_dir) if checkpoint_every is not None else None
         )
         ckpt_run_id = run_id if run_id is not None else result.scenario_key
+        # Every window scores the same tuning set: unfold it once per run,
+        # into a local, so no snapshot or executor payload carries it.
+        x_tune = self.network.model.layers[0].unfold(self.x_tune)
         for window in range(start_window, cfg.max_windows):
             # Field faults land first: a schedule's due events hit the
             # array before this window's applications, so the following
@@ -230,8 +231,8 @@ class LifetimeSimulator:
             self.network.apply_drift(cfg.drift_magnitude)
 
             # Maintenance cycle: remap + tune.
-            self._remap()
-            tuning = self.tuner.tune(self.network, self.x_tune, self.y_tune)
+            self._remap(x_tune)
+            tuning = self.tuner.tune(self.network, x_tune, self.y_tune)
 
             record = WindowRecord(
                 window_index=window,

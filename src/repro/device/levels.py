@@ -121,11 +121,6 @@ class LevelGrid:
             snapped = np.where(invalid, clipped, snapped)
         return float(snapped) if np.isscalar(resistance) else snapped
 
-    def usable_levels(self, aged_min: float, aged_max: float) -> np.ndarray:
-        """Fresh-grid level values that survive inside the aged window."""
-        mask = (self._levels >= aged_min) & (self._levels <= aged_max)
-        return self._levels[mask]
-
     def usable_count(
         self, aged_min: ArrayLike, aged_max: ArrayLike
     ) -> Union[int, np.ndarray]:

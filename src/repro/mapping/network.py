@@ -288,10 +288,10 @@ class MappedNetwork:
 
         Candidates for layer ``L`` differ only in layer ``L``, so the
         selection batch's activations at the input of ``L`` are computed
-        once per layer and each candidate replays only ``layers[L:]``.
-        Both halves chunk the batch at the same boundaries as a full
-        :meth:`~repro.nn.model.Sequential.predict`, so every score is
-        bit-identical to :meth:`_accuracy_with_matrices` on the trial.
+        and ``unfold``-ed through ``L`` once per layer, and each candidate
+        replays only ``layers[L:]``.  Both halves chunk the batch at the
+        same boundaries as a full :meth:`~repro.nn.model.Sequential.predict`,
+        so every score is bit-identical to the trial network's on images.
         """
         policy = policy if policy is not None else FreshMapper()
         aging_aware = hasattr(policy, "candidate_uppers")
@@ -303,7 +303,9 @@ class MappedNetwork:
                 x_sel, y_sel = selection_data
                 n = min(len(x_sel), getattr(policy, "selection_batch", 128))
                 start = mapped.layer_index
-                prefix = self._install_matrices(predicted).predict(x_sel[:n], stop=start)
+                prefix = self.model.layers[start].unfold(
+                    self._install_matrices(predicted).predict(x_sel[:n], stop=start)
+                )
                 y_batch = np.asarray(y_sel[:n], dtype=np.float64)
 
                 def score(r_lo: float, r_hi: float, mapped=mapped) -> float:
@@ -349,11 +351,6 @@ class MappedNetwork:
                 kernel = _matrix_to_kernel(matrices[mapped.layer_index], mapped.layer)
                 self._scratch.layers[mapped.layer_index].params["W"][...] = kernel
         return self._scratch
-
-    def _accuracy_with_matrices(
-        self, matrices: Dict[int, np.ndarray], x: np.ndarray, y: np.ndarray
-    ) -> float:
-        return self._install_matrices(matrices).score(x, y)
 
     def effective_model(self) -> Sequential:
         """Scratch model carrying the current *hardware* weights.

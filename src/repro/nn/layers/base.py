@@ -71,6 +71,11 @@ class Layer:
     def backward(self, grad: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def unfold(self, x: np.ndarray) -> np.ndarray:
+        """``x`` in the form :meth:`forward` takes cheapest, for an input
+        reused over many passes (``Conv2D``: its im2col matrix)."""
+        return x
+
     def param_grads(self, grad: np.ndarray) -> None:
         """``backward`` without the input gradient (which no model reads)."""
         self.backward(grad)

@@ -13,6 +13,11 @@ order), so each forward pays a single pass over the output matrix.  The
 matrix equals, value for value and in memory layout, what a slice-copy
 per kernel offset would build; the GEMMs it feeds therefore round
 identically.
+
+An input reused over a run pays that pass once: :meth:`Conv2D.unfold`
+returns the matrix as a read-only ``(n, oh*ow, c*kh*kw)`` array, and
+:meth:`Conv2D.forward` takes it, or any row slice of it, in place of
+the images, which it unfolds itself.
 """
 
 from __future__ import annotations
@@ -168,15 +173,33 @@ class Conv2D(ParamLayer):
         ow = (w + 2 * p - k) // s + 1
         return (self.filters, oh, ow)
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if x.shape[1:] != self.input_shape:
+    def unfold(self, x: np.ndarray) -> np.ndarray:
+        """``im2col``'s matrix of images ``x``, read-only, ``(n, oh*ow, c*k*k)``.
+
+        An unfolding (a 3-D input) is returned as given.
+        """
+        k, (_, oh, ow) = self.kernel_size, self.output_shape()
+        unfolded = (oh * ow, self.input_shape[0] * k * k)
+        if x.shape[1:] != (unfolded if x.ndim == 3 else self.input_shape):
             raise ShapeError(
                 f"Conv2D built for input {self.input_shape} got batch of shape {x.shape}"
             )
+        if x.ndim == 3:
+            return x
+        cols = im2col(x, k, k, self.stride, self.padding).reshape(len(x), *unfolded)
+        cols.setflags(write=False)
+        return cols
+
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        """Convolve images ``x`` (NCHW) or an :meth:`unfold` of them."""
+        x = self.unfold(x)
         n = x.shape[0]
-        k = self.kernel_size
-        self._x_shape = x.shape
-        cols = im2col(x, k, k, self.stride, self.padding)
+        c, h, w = self.input_shape
+        self._x_shape = (n, c, h, w)
+        # im2col's layout (column-major for one image), so the GEMMs on
+        # a row slice of an unfolding round as on the images.
+        cols = x.reshape(n * x.shape[1], x.shape[2])
+        cols = np.asfortranarray(cols) if n == 1 else np.ascontiguousarray(cols)
         self._cols = cols
         w_mat = self._params["W"].reshape(self.filters, -1)  # (out, c*k*k)
         out = cols @ w_mat.T

@@ -9,6 +9,12 @@ from repro.device.levels import LevelGrid
 from repro.exceptions import ConfigurationError
 
 
+def usable_levels(grid: LevelGrid, aged_min: float, aged_max: float) -> np.ndarray:
+    """Reference for ``usable_count``: fresh-grid levels inside the aged window."""
+    levels = grid.resistance_levels
+    return levels[(levels >= aged_min) & (levels <= aged_max)]
+
+
 @pytest.fixture()
 def grid():
     return LevelGrid(1e4, 1e5, n_levels=32)
@@ -86,7 +92,7 @@ class TestAgedQuantization:
 class TestUsableLevels:
     def test_full_window(self, grid):
         assert grid.usable_count(1e4, 1e5) == 32
-        assert len(grid.usable_levels(1e4, 1e5)) == 32
+        assert len(usable_levels(grid, 1e4, 1e5)) == 32
 
     def test_shrinking_window_loses_top_levels(self, grid):
         """Fig. 4: as the window shrinks from the top, usable level
@@ -150,7 +156,7 @@ class TestAcrossGridSizes:
         his = rng.uniform(5e3, 1.1e5, 200)
         counts = grid.usable_count(los, his)
         for lo, hi, count in zip(los, his, counts):
-            expected = 0 if hi < lo else len(grid.usable_levels(lo, hi))
+            expected = 0 if hi < lo else len(usable_levels(grid, lo, hi))
             assert count == expected
 
     def test_levels_count_as_usable_on_exact_bounds(self, n_levels):

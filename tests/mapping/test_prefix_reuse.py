@@ -1,14 +1,18 @@
 """Candidate scoring with a shared forward prefix equals full re-scoring.
 
 ``MappedNetwork.map_network`` computes the selection batch's activations
-at the input of layer ``L`` once and replays only ``layers[L:]`` for
-each candidate common range of ``L``.  The oracle here is the original
-loop: every candidate scored by ``_accuracy_with_matrices`` on a full
-forward pass.  Run on deep copies of the same aged network, both must
-produce identical ``RangeSelection.scores`` (exact float equality) and
-the same chosen ranges — including a selection batch that spans two of
-``predict``'s 256-sample chunks and a weighted layer at index 0, whose
-prefix is empty.
+at the input of layer ``L`` once, unfolds them through ``L``
+(``Layer.unfold``: the im2col matrix for a conv layer) and replays only
+``layers[L:]`` for each candidate common range of ``L``.  The oracle
+here is the original loop: every candidate scored by
+:func:`accuracy_with_matrices` on a full forward pass over the images.
+Run on deep copies of the same aged network, both must produce identical
+``RangeSelection.scores`` (exact float equality) and the same chosen
+ranges — on LeNet, VGG and an MLP, with the selection batch given as
+images or as layer 0's unfolding (as the lifetime loop passes it),
+including a selection batch that spans two of ``predict``'s 256-sample
+chunks, a weighted layer at index 0, whose prefix is empty, and conv
+layers at ``L > 0``, whose prefix is unfolded.
 """
 
 from __future__ import annotations
@@ -18,9 +22,15 @@ import copy
 import numpy as np
 import pytest
 
-from repro.data import make_blobs
+from repro.data import make_blobs, make_textured_shapes
 from repro.mapping import AgingAwareMapper, MappedNetwork
-from repro.training import TrainConfig, build_lenet, train_baseline
+from repro.training import TrainConfig, build_lenet, build_vggnet, train_baseline
+
+
+def accuracy_with_matrices(network, matrices, x, y) -> float:
+    """Accuracy of ``network``'s model with the given device matrices
+    installed (software weights elsewhere), on a full forward pass."""
+    return network._install_matrices(matrices).score(x, y)
 
 
 def reference_map_network(network, policy, x_sel, y_sel):
@@ -32,7 +42,7 @@ def reference_map_network(network, policy, x_sel, y_sel):
         def score(r_lo, r_hi, mapped=mapped):
             trial = dict(predicted)
             trial[mapped.layer_index] = mapped.predicted_matrix(r_lo, r_hi)
-            return network._accuracy_with_matrices(trial, x_sel[:n], y_sel[:n])
+            return accuracy_with_matrices(network, trial, x_sel[:n], y_sel[:n])
 
         r_lo, r_hi = policy.select_range(mapped, score)
         mapped.set_range(r_lo, r_hi)
@@ -51,12 +61,15 @@ def _aged(model, device_config, seed: int, sweeps: int = 45) -> MappedNetwork:
     return network
 
 
-def _assert_same_search(network, x_sel, y_sel, selection_batch):
+def _assert_same_search(network, x_sel, y_sel, selection_batch, unfolded=False):
     assert network.layers[0].layer_index == 0  # empty prefix is covered
     oracle_net = copy.deepcopy(network)
     oracle = AgingAwareMapper(selection_batch=selection_batch)
     reference_map_network(oracle_net, oracle, x_sel, y_sel)
     mapper = AgingAwareMapper(selection_batch=selection_batch)
+    if unfolded:
+        x_sel = network.model.layers[0].unfold(x_sel)
+        assert x_sel.ndim == 3
     network.map_network(mapper, (x_sel, y_sel))
 
     assert len(mapper.history) == len(oracle.history) == len(network.layers)
@@ -70,13 +83,35 @@ def _assert_same_search(network, x_sel, y_sel, selection_batch):
         )
     # The search was real: some layer weighed several candidates.
     assert max(len(sel.candidates) for sel in mapper.history) > 1
+    return mapper.history
+
+
+def _scores_apart(history) -> bool:
+    """Every layer's candidates scored differently: the network classifies."""
+    return all(len(set(sel.scores)) > 1 for sel in history)
 
 
 @pytest.fixture(scope="module")
 def trained_lenet(glyph_dataset):
     model = build_lenet(seed=5)
-    train_baseline(model, glyph_dataset, TrainConfig(epochs=2))
+    train_baseline(model, glyph_dataset, TrainConfig(epochs=20))
     return model
+
+
+@pytest.fixture(scope="module")
+def shapes_dataset():
+    return make_textured_shapes(n_train=320, n_test=40, seed=21)
+
+
+@pytest.fixture(scope="module")
+def trained_vgg(shapes_dataset):
+    model = build_vggnet(width=6, seed=5)
+    train_baseline(model, shapes_dataset, TrainConfig(epochs=12))
+    return model
+
+
+def _has_inner_conv(network) -> bool:
+    return any(m.kind == "conv" and m.layer_index > 0 for m in network.layers)
 
 
 @pytest.mark.parametrize("selection_batch", [64, 300])
@@ -84,9 +119,33 @@ def test_lenet_scores_match_full_forward(
     trained_lenet, glyph_dataset, device_config, selection_batch
 ):
     network = _aged(trained_lenet, device_config, seed=31)
+    assert _has_inner_conv(network)
     x_sel, y_sel = glyph_dataset.x_train, glyph_dataset.y_train
     assert len(x_sel) >= 300  # the 300 case spans two 256-sample chunks
-    _assert_same_search(network, x_sel, y_sel, selection_batch)
+    assert _scores_apart(_assert_same_search(network, x_sel, y_sel, selection_batch))
+
+
+@pytest.mark.parametrize("selection_batch", [64, 300])
+def test_lenet_unfolded_scores_match_full_forward(
+    trained_lenet, glyph_dataset, device_config, selection_batch
+):
+    network = _aged(trained_lenet, device_config, seed=31)
+    x_sel, y_sel = glyph_dataset.x_train, glyph_dataset.y_train
+    history = _assert_same_search(network, x_sel, y_sel, selection_batch, unfolded=True)
+    assert _scores_apart(history)
+
+
+@pytest.mark.parametrize("unfolded", [False, True], ids=["images", "unfolded"])
+@pytest.mark.parametrize("selection_batch", [64, 300])
+def test_vgg_scores_match_full_forward(
+    trained_vgg, shapes_dataset, device_config, selection_batch, unfolded
+):
+    network = _aged(trained_vgg, device_config, seed=23)
+    assert _has_inner_conv(network)
+    x_sel, y_sel = shapes_dataset.x_train, shapes_dataset.y_train
+    assert len(x_sel) >= 300  # the 300 case spans two 256-sample chunks
+    history = _assert_same_search(network, x_sel, y_sel, selection_batch, unfolded)
+    assert _scores_apart(history)
 
 
 @pytest.mark.parametrize("selection_batch", [64, 300])

@@ -6,9 +6,11 @@ can compensate — quantifying how much slack the tuning loop has, which
 is also the slack aging eats into.
 """
 
+import numpy as np
+
 from repro.analysis import render_table
-from repro.device.faults import FaultModel, inject_faults_network
 from repro.mapping.network import MappedNetwork, clone_model
+from repro.robustness import FaultSchedule
 from repro.tuning import OnlineTuner, TuningConfig
 
 RATES = (0.0, 0.01, 0.03, 0.1)
@@ -23,8 +25,8 @@ def run(lab):
     rows = []
     for rate in RATES:
         network = MappedNetwork(clone_model(model), cfg.device, seed=31)
-        inject_faults_network(
-            network, FaultModel(rate_lrs=rate / 2, rate_hrs=rate / 2), seed=32
+        FaultSchedule.single("stuck_at", rate, window=0).apply(
+            network, 0, np.random.default_rng(32)
         )
         network.map_network()
         premap = network.score(x, y)

@@ -52,7 +52,6 @@ from repro.core import (
 from repro.crossbar import BlockTracer, Crossbar, TiledMatrix
 from repro.data import Dataset, make_blobs, make_glyph_digits, make_textured_shapes
 from repro.device import AgingParams, ArrheniusAging, DeviceConfig, LevelGrid
-from repro.device.faults import FaultModel, inject_faults, inject_faults_network
 from repro.exceptions import (
     ConfigurationError,
     ConvergenceError,
@@ -99,7 +98,6 @@ __all__ = [
     "Crossbar",
     "Dataset",
     "DeviceConfig",
-    "FaultModel",
     "FrameworkConfig",
     "FreshMapper",
     "LevelGrid",
@@ -126,8 +124,6 @@ __all__ = [
     "build_lenet",
     "build_mlp",
     "build_vggnet",
-    "inject_faults",
-    "inject_faults_network",
     "load_comparison",
     "load_result",
     "load_weights",

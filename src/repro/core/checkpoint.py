@@ -29,9 +29,9 @@ canonical (sorted-key, compact) JSON, and the file holds the payload in
 exactly that encoding; bit rot is detected at load time, not silently
 resumed from.
 
-Schema layout (``CHECKPOINT_SCHEMA = 5``)::
+Schema layout (``CHECKPOINT_SCHEMA = 6``)::
 
-    {"schema": 5, "kind": "repro-lifetime-checkpoint", "sha256": ...,
+    {"schema": 6, "kind": "repro-lifetime-checkpoint", "sha256": ...,
      "payload": {
         "meta":     {scenario_key, next_window, applications, created_unix,
                      layers, tiles, devices},
@@ -42,13 +42,15 @@ The pickled context is the state: restoring a snapshot is unpickling
 it.  Only state is pickled (layers and crossbars drop their derived
 caches in ``__getstate__``), and ``meta`` carries the counts that
 ``repro checkpoints inspect`` shows without unpickling anything.
-Schemas 2 to 5 share this layout; only the pickled classes differ.
+Schemas 2 to 6 share this layout; only the pickled classes differ.
 Schema 3 added the ``version`` counter that keys the network's read
 memo to pickled ``MappedLayer``s.  Schema 4 dropped their row
 permutation and the simulator's maintenance hooks, so a schema-3
 snapshot taken with a permutation would resume with the wrong reads.
 Schema 5 dropped the crossbars' unused transimpedance gain and the
-simulator's aging-aware flag (a mapper now means AT).
+simulator's aging-aware flag (a mapper now means AT).  Schema 6
+changed the pickled fault schedule: a ``FaultEvent`` is
+``(kind, window, rate)``.
 Any schema but the current one is rejected at load.
 """
 
@@ -64,20 +66,17 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+import cloudpickle as _serializer  # ships closures (network builders)
+
 from repro.core.results import LifetimeResult
 from repro.exceptions import CheckpointError, ConfigurationError
 from repro.io import load_json, save_text_atomic
 
 logger = logging.getLogger(__name__)
 
-try:  # cloudpickle ships closures (network builders); see executor.
-    import cloudpickle as _serializer
-except Exception:  # pragma: no cover - exercised only without cloudpickle
-    import pickle as _serializer
-
 #: Snapshot format version; bump when the payload layout or the state
 #: of a pickled class changes.
-CHECKPOINT_SCHEMA = 5
+CHECKPOINT_SCHEMA = 6
 #: Journal line format version.
 JOURNAL_SCHEMA = 1
 

@@ -23,9 +23,8 @@ Two pieces live here:
   worker fails its own chunk, never the whole grid, and never hangs
   the pool).
 
-Tasks are shipped to workers with :mod:`cloudpickle` when available, so
-closures and lambdas (ubiquitous in presets and test fixtures) work;
-plain :mod:`pickle` is the fallback.
+Tasks are shipped to workers with :mod:`cloudpickle`, so closures and
+lambdas (ubiquitous in presets and test fixtures) work.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+import cloudpickle as _serializer  # lambdas/closures; stdlib pickle cannot
 import numpy as np
 
 from repro.core.profiling import PROFILER
@@ -48,10 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 
 logger = logging.getLogger(__name__)
 
-try:  # cloudpickle serializes lambdas/closures; stdlib pickle cannot.
-    import cloudpickle as _serializer
-except Exception:  # pragma: no cover - exercised only without cloudpickle
-    import pickle as _serializer
 
 # -- fingerprinting -----------------------------------------------------------
 def _canonical(obj: Any) -> Any:
@@ -342,6 +338,9 @@ class ParallelExecutor:
                     continue
                 if exc is not None:  # the chunk itself could not run or report
                     results = [_chunk_failure(exc)] * len(chunks[chunk])
+                else:  # its tasks ran in a worker: count their work here too
+                    for result in results:
+                        PROFILER.merge(result[4])
                 for idx, result in zip(chunks[chunk], results):
                     if result[1] is None:
                         outcomes[idx] = self._complete(tasks[idx], result, False)

@@ -13,11 +13,12 @@ Design constraints:
 * **Always on.**  Counters are cheap enough to leave enabled; there is
   no global "profiling mode" that would bifurcate the code paths under
   test from the code paths in production.
-* **Process-local.**  The registry does not merge across the
-  :class:`~repro.core.executor.ParallelExecutor` process pool; a
-  parent's snapshot after a fan-out reflects only parent-side work.
-  Each executor task's own counters come back, from whichever process
-  ran it, in ``TaskOutcome.perf``.
+* **One registry per process, merged over the pool.**  Each executor
+  task's own counters come back, from whichever process ran it, in
+  ``TaskOutcome.perf``; the :class:`~repro.core.executor.ParallelExecutor`
+  folds the deltas of pool-run tasks into the parent's registry
+  (:meth:`PerfRegistry.merge`), so a fan-out reports the same counters
+  as an in-process run.
 * **No repro imports.**  This module is a leaf so any layer (device,
   crossbar, tuning, core) can import it without cycles.
 
@@ -97,6 +98,15 @@ class PerfRegistry:
         finally:
             self.add_time(name, time.perf_counter() - start)
 
+    def merge(self, delta: dict) -> None:
+        """Add a :meth:`PerfDelta.to_dict` recorded in another process."""
+        for name, value in delta["counters"].items():
+            self.increment(name, value)
+        for name, entry in delta["timers"].items():
+            timer = self._timers.setdefault(name, [0, 0.0])
+            timer[0] += entry["calls"]
+            timer[1] += entry["total_s"]
+
     # -- reading -----------------------------------------------------------
     def counter(self, name: str) -> float:
         """Current value of counter ``name`` (0 if never incremented)."""
@@ -135,7 +145,9 @@ class PerfRegistry:
             after = self.snapshot()
             for name, value in after["counters"].items():
                 diff = value - before["counters"].get(name, 0)
-                if diff:
+                # A counter first created here counts even at 0, so a
+                # merged delta recreates it.
+                if diff or name not in before["counters"]:
                     delta.counters[name] = diff
             for name, entry in after["timers"].items():
                 prior = before["timers"].get(name, {"calls": 0, "total_s": 0.0})

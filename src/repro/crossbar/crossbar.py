@@ -30,15 +30,15 @@ class Crossbar:
 
     **State versioning (DESIGN.md §9).**  Every mutation of the
     programmed state — ``program``, ``program_targets``,
-    ``program_pulses``, ``apply_drift``, fault injection, or any
+    ``program_pulses``, ``apply_drift``, ``pin_stuck``, or any
     direct assignment to :attr:`resistance` — bumps the monotonically
     increasing :attr:`state_version`.  Reads never bump it, and
     noise-free reads draw no RNG, so the network-level read memo
     (:meth:`repro.mapping.network.MappedNetwork.effective_model`) can
     key on the version without perturbing any random stream.
 
-    A second counter tracks *stress* mutations only (pulse aging, fault
-    injection) and keys the aged-bounds/dead-mask caches (DESIGN.md
+    A second counter tracks *stress* mutations only (pulse aging,
+    ``pin_stuck``) and keys the aged-bounds/dead-mask caches (DESIGN.md
     §11): resistance moves between aging events leave the aged window —
     a pure function of the stress history — untouched, so its arrays
     are reused bit for bit.
@@ -63,8 +63,8 @@ class Crossbar:
         #: Monotonic counter of programmed-state mutations; keys the
         #: network's read memo (DESIGN.md §11).
         self._state_version = 0
-        #: Monotonic counter of *stress* mutations (pulse aging, fault
-        #: injection); keys the aged-bounds/dead-mask caches (DESIGN.md
+        #: Monotonic counter of *stress* mutations (pulse aging,
+        #: ``pin_stuck``); keys the aged-bounds/dead-mask caches (DESIGN.md
         #: §11).  Resistance writes do not age devices and leave these
         #: caches valid.
         self._stress_version = 0
@@ -109,9 +109,8 @@ class Crossbar:
         """Programmed resistance matrix.
 
         Assigning to this attribute (as every programming routine and
-        fault hook does) bumps :attr:`state_version`.  Callers that
-        mutate the array in place must call :meth:`mark_state_dirty`
-        themselves — in-repo writers always assign.
+        fault hook does) bumps :attr:`state_version`; every writer
+        assigns, none mutates the array in place.
         """
         return self._resistance
 
@@ -131,18 +130,6 @@ class Crossbar:
         self._stress_version += 1
         self._bounds_cache = None
         self._dead_cache = None
-
-    def mark_state_dirty(self) -> None:
-        """Invalidate every cached view after an out-of-band mutation.
-
-        Bumps :attr:`state_version` and drops the aged-bounds and
-        dead-mask caches (fault injection mutates ``stress_time`` in
-        place and relies on this hook).  Call it after mutating
-        ``stress_time`` or ``resistance`` in place; in-repo writers
-        assign :attr:`resistance`, whose setter only bumps the version.
-        """
-        self._state_version += 1
-        self._invalidate_stress_caches()
 
     # -- aging state ------------------------------------------------------
     @property
@@ -333,6 +320,35 @@ class Crossbar:
         stepped = np.clip(1.0 / g_new, lo, hi)
         self.resistance = np.where(select, stepped, self.resistance)
         return int(np.count_nonzero(select))
+
+    def pin_stuck(self, stuck_lrs: np.ndarray, stuck_hrs: np.ndarray) -> None:
+        """Weld the masked devices to a resistance extreme (stuck-at faults).
+
+        ``stuck_lrs`` devices are pinned to their fresh minimum
+        resistance, ``stuck_hrs`` ones to their fresh maximum (the masks
+        are disjoint).  A stuck device also has its endurance exhausted:
+        its stress time jumps to twice the window-collapse time, so every
+        later programming/tuning call skips it through the dead-device
+        mask, exactly like a device that aged to death.
+        """
+        collapse_time = self.aging.stress_time_to_collapse(
+            float(np.min(self.r_fresh_min)),
+            float(np.max(self.r_fresh_max)),
+            self.config.temperature,
+        )
+        if not np.isfinite(collapse_time):
+            raise ConfigurationError(
+                "cannot pin faults: aging model never collapses (no endurance limit)"
+            )
+        self.resistance = np.where(
+            stuck_lrs,
+            self.r_fresh_min,
+            np.where(stuck_hrs, self.r_fresh_max, self.resistance),
+        )
+        self.stress_time = np.where(
+            stuck_lrs | stuck_hrs, 2.0 * collapse_time, self.stress_time
+        )
+        self._invalidate_stress_caches()
 
     def apply_drift(self, magnitude: float) -> None:
         """Conductance drift from repeated reading (paper's ref [8]).

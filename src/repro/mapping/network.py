@@ -295,8 +295,10 @@ class MappedNetwork:
         """
         policy = policy if policy is not None else FreshMapper()
         aging_aware = hasattr(policy, "candidate_uppers")
-        if aging_aware and selection_data is None:
-            raise ConfigurationError("aging-aware mapping requires selection_data")
+        if aging_aware:
+            if selection_data is None:
+                raise ConfigurationError("aging-aware mapping requires selection_data")
+            policy.history.clear()
         predicted: Dict[int, np.ndarray] = {}
         for mapped in self.layers:
             if aging_aware:

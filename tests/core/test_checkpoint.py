@@ -132,11 +132,14 @@ class TestSnapshotFile:
     #: counter that keys the network's read memo.  Schema 3's pickled
     #: mapped layers and simulators carry a row permutation and a hook
     #: list this build no longer has, so a snapshot taken with a
-    #: permutation would resume with the wrong reads.
+    #: permutation would resume with the wrong reads.  Schemas 4 and 5
+    #: pickle fault events with one field per fault kind.
     OLD_SCHEMAS = {
         1: {"layers": [], "rng": {"tuner": {}, "fault": None}},
         2: {"context_pickle": ""},
         3: {"context_pickle": ""},
+        4: {"context_pickle": ""},
+        5: {"context_pickle": ""},
     }
 
     @pytest.mark.parametrize("schema", sorted(OLD_SCHEMAS))
@@ -250,9 +253,9 @@ class TestCaptureRestore:
 
         schedule = FaultSchedule(
             events=(
-                FaultEvent(kind="stuck_at", window=1, rate_lrs=0.01, rate_hrs=0.01),
-                FaultEvent(kind="read_noise", window=1, sigma=0.02),
-                FaultEvent(kind="pulse_miss", window=2, miss_rate=0.05),
+                FaultEvent(kind="stuck_at", window=1, rate=0.02),
+                FaultEvent(kind="read_noise", window=1, rate=0.02),
+                FaultEvent(kind="pulse_miss", window=2, rate=0.05),
             )
         )
         simulator = _make_simulator(

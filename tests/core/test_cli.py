@@ -190,6 +190,25 @@ class TestCommands:
         assert snapshot["counters"]["lifetime.runs"] >= 1
         assert "timers" in snapshot
 
+    def test_profile_counts_pool_workers(self, tmp_path, capsys):
+        """Counters of tasks run in pool workers reach the parent's
+        registry: a fan-out profiles what an in-process run does."""
+        from repro.core.profiling import PROFILER
+
+        snapshots = []
+        for workers in ("1", "2"):
+            PROFILER.reset()
+            path = tmp_path / f"perf{workers}.json"
+            argv = ["compare", "--preset", "blobs-mini", "--fast",
+                    "--workers", workers, "--profile", str(path)]
+            assert main(argv) == 0
+            snapshots.append(json.loads(path.read_text()))
+        serial, pooled = snapshots
+        assert serial["counters"]["lifetime.runs"] == 3
+        assert pooled["counters"] == serial["counters"]
+        calls = [{k: t["calls"] for k, t in s["timers"].items()} for s in snapshots]
+        assert calls[0] == calls[1] and calls[0]["lifetime.run"] == 3
+
     def test_run_journal_replays(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         journal = tmp_path / "j.jsonl"

@@ -248,6 +248,22 @@ class TestParallelExecutor:
         assert [o.perf["counters"]["test.executor.count"] for o in outcomes] == [1, 2, 3]
         assert all(o.perf["elapsed_s"] == o.seconds for o in outcomes)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_parent_registry_counts_every_task_once(self, workers, tmp_path):
+        """Pool-run deltas are folded into the parent's registry; an
+        in-process run is counted as it runs, and a replay not at all."""
+        from repro.core import PROFILER
+
+        journal = RunJournal(tmp_path / "run.jsonl")
+        tasks = [
+            Task(key=str(i), fn=_count, args=(i + 1,), journal_key=fingerprint("c", i))
+            for i in range(3)
+        ]
+        for expected in (6, 0):  # execute, then replay
+            with PROFILER.capture() as delta:
+                ParallelExecutor(workers=workers, journal=journal).run(tasks)
+            assert delta.counters.get("test.executor.count", 0) == expected
+
     def test_journal_short_circuits(self, tmp_path):
         journal = RunJournal(tmp_path / "run.jsonl")
         tasks = [

@@ -128,6 +128,8 @@ class TestSimulator:
         result = sim.run("st+at")
         assert len(result.windows) == 3
         assert not result.failed
+        # The history holds the last remap only, not every window's.
+        assert len(sim.mapper.history) == len(network.layers)
 
     def test_aged_upper_bounds_decline(self, simulator):
         result = simulator.run("t+t")

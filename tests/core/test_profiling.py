@@ -87,6 +87,20 @@ class TestCapture:
         assert inner.counters == {"a": 1}
         assert outer.counters == {"a": 2}
 
+    def test_merge_adds_a_delta(self, registry):
+        registry.increment("a", 1)
+        registry.add_time("t", 0.5)
+        source = PerfRegistry()
+        with source.capture() as delta:
+            source.increment("a", 2)
+            source.increment("zero", 0)
+            source.add_time("t", 0.25)
+        registry.merge(delta.to_dict())
+        assert registry.snapshot() == {
+            "counters": {"a": 3, "zero": 0},
+            "timers": {"t": {"calls": 2, "total_s": 0.75}},
+        }
+
     def test_to_dict_round_trips_json(self, registry):
         with registry.capture() as delta:
             registry.increment("a")

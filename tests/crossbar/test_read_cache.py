@@ -9,7 +9,6 @@ import numpy as np
 
 from repro.crossbar import Crossbar
 from repro.device import DeviceConfig
-from repro.device.faults import FaultModel, inject_faults
 
 
 class TestCrossbarStateVersion:
@@ -32,7 +31,9 @@ class TestCrossbarStateVersion:
         xb.apply_drift(0.05)
         v4 = xb.state_version
         assert v4 > v3
-        inject_faults(xb, FaultModel(rate_lrs=0.2), seed=1)
+        stuck = np.zeros((4, 4), dtype=bool)
+        stuck[0, 0] = True
+        xb.pin_stuck(stuck, np.zeros_like(stuck))
         assert xb.state_version > v4
 
     def test_reads_do_not_bump_version(self):
@@ -51,14 +52,20 @@ class TestCrossbarStateVersion:
         g = xb.conductances()
         np.testing.assert_array_equal(g, 1.0 / xb.resistance)
 
-    def test_mark_state_dirty_invalidates(self):
+    def test_pin_stuck_invalidates(self):
+        """Pinning bumps the state version and drops the stress caches:
+        the pinned devices read their stuck values and count as dead."""
         xb = self.make()
         xb.program(np.full((4, 4), 5e4))
+        assert not xb.dead_mask().any()  # fills the stress caches
         version = xb.state_version
-        xb.resistance[...] = 6e4  # in-place edit bypasses the setter
-        xb.mark_state_dirty()
+        lrs = np.zeros((4, 4), dtype=bool)
+        hrs = np.zeros((4, 4), dtype=bool)
+        lrs[0, 0], hrs[1, 1] = True, True
+        xb.pin_stuck(lrs, hrs)
         assert xb.state_version > version
         np.testing.assert_array_equal(xb.conductances(), 1.0 / xb.resistance)
+        np.testing.assert_array_equal(xb.dead_mask(), lrs | hrs)
 
     def test_noisy_reads_bypass_cache(self):
         xb = self.make(read_noise=0.05)

@@ -147,10 +147,10 @@ def _device_state(payload):
 #: past window 1 must continue the fault stream, and every knob event
 #: lands before later snapshots (noisy reads draw the tiles' streams).
 FAULTS = (
-    ("stuck_at", dict(window=1, rate_lrs=0.005, rate_hrs=0.005)),
-    ("read_noise", dict(window=2, sigma=0.05)),
-    ("pulse_miss", dict(window=3, miss_rate=0.1)),
-    ("stuck_at", dict(window=4, rate_lrs=0.005, rate_hrs=0.005)),
+    ("stuck_at", dict(window=1, rate=0.01)),
+    ("read_noise", dict(window=2, rate=0.05)),
+    ("pulse_miss", dict(window=3, rate=0.1)),
+    ("stuck_at", dict(window=4, rate=0.01)),
 )
 
 

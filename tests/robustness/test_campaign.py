@@ -77,7 +77,7 @@ class TestGridValidation:
                          id="negative-rate"),
             pytest.param(dict(kinds=("stuck_at",), rates=(0.01,), window=-1),
                          "window", id="negative-window"),
-            pytest.param(dict(kinds=("pulse_miss",), rates=(1.0,)), "miss_rate",
+            pytest.param(dict(kinds=("pulse_miss",), rates=(1.0,)), "rate must be < 1",
                          id="certain-pulse-miss"),
         ],
     )
@@ -93,7 +93,7 @@ class TestGridValidation:
         for point in points:
             (event,) = point.schedule.events
             assert event.kind == kind and event.window == 2
-            assert event.total_rate == pytest.approx(0.03)
+            assert event.rate == 0.03
 
     def test_names_unique_across_kinds_and_rates(self):
         points = build_grid(kinds=("stuck_at", "drift"), rates=(0.01, 0.02))

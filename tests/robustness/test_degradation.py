@@ -22,12 +22,10 @@ class TestDeadGradientMasking:
     def test_masked_tuner_skips_dead_gradients(self, trained_mlp, device_config):
         """With masking on, a dead device's gradient cannot anchor the
         per-layer pulse threshold."""
-        from repro.device.faults import FaultModel, inject_faults_network
-
         results = {}
         for masked in (False, True):
             net = MappedNetwork(trained_mlp, device_config, seed=54)
-            inject_faults_network(net, FaultModel(rate_lrs=0.1), seed=55)
+            _pin_lrs(net, 0.1, seed=55)
             net.map_network()
             tuner = OnlineTuner(
                 TuningConfig(
@@ -45,6 +43,15 @@ class TestDeadGradientMasking:
         assert results[True] >= 0 and results[False] >= 0
 
 
+def _pin_lrs(net, rate, seed):
+    """Weld a ``rate`` fraction of every tile's devices at LRS only."""
+    rng = np.random.default_rng(seed)
+    for layer in net.layers:
+        for _rs, _cs, tile in layer.tiles.iter_tiles():
+            u = rng.random(tile.shape)
+            tile.pin_stuck(u < rate, np.zeros(tile.shape, dtype=bool))
+
+
 def _tiny_batch(model):
     rng = np.random.default_rng(57)
     x = rng.normal(size=(32, 4))
@@ -56,13 +63,11 @@ def _tiny_batch(model):
 class TestFaultAwareMapping:
     def test_collapsed_traces_filtered(self, trained_mlp, device_config):
         """Stuck traced devices stop flooding the candidate list."""
-        from repro.device.faults import FaultModel, inject_faults_network
-
         nets = {}
         for fault_aware in (False, True):
             net = MappedNetwork(trained_mlp, device_config, seed=58)
             net.map_network()
-            inject_faults_network(net, FaultModel(rate_lrs=0.4), seed=59)
+            _pin_lrs(net, 0.4, seed=59)
             mapper = AgingAwareMapper(fault_aware=fault_aware)
             layer = net.layers[0]
             nets[fault_aware] = mapper.candidate_uppers(layer)

@@ -10,7 +10,7 @@ from repro.robustness import FaultSchedule
 
 class TestLifetimeWithFaults:
     def test_midlife_stuck_at_shortens_lifetime(self, fragile_framework):
-        schedule = FaultSchedule.stuck_at_midlife(0.01, window=1)
+        schedule = FaultSchedule.single("stuck_at", 0.01, window=1)
         base = fragile_framework.run_scenario("st+at")
         faulty = fragile_framework.run_scenario("st+at", fault_schedule=schedule)
         # The fault-free golden run reaches the horizon...
@@ -34,7 +34,7 @@ class TestLifetimeWithFaults:
         ]
 
     def test_faulted_run_is_deterministic(self, fragile_framework):
-        schedule = FaultSchedule.stuck_at_midlife(0.01, window=1)
+        schedule = FaultSchedule.single("stuck_at", 0.01, window=1)
         a = fragile_framework.run_scenario("st+at", fault_schedule=schedule)
         b = fragile_framework.run_scenario("st+at", fault_schedule=schedule)
         assert a.lifetime_applications == b.lifetime_applications

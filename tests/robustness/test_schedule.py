@@ -26,30 +26,37 @@ class TestFaultEvent:
         with pytest.raises(ConfigurationError):
             FaultEvent(kind="drift", window=-1)
 
-    def test_miss_rate_bounds(self):
-        with pytest.raises(ConfigurationError):
-            FaultEvent(kind="pulse_miss", miss_rate=1.0)
-        FaultEvent(kind="pulse_miss", miss_rate=0.99)  # ok
+    def test_has_exactly_kind_window_rate(self):
+        from dataclasses import fields
 
-    @pytest.mark.parametrize("name", ["rate_lrs", "rate_hrs", "magnitude", "sigma"])
-    def test_negative_severity_rejected(self, name):
-        with pytest.raises(ConfigurationError, match=name):
-            FaultEvent(kind="stuck_at", **{name: -0.01})
+        assert [f.name for f in fields(FaultEvent)] == ["kind", "window", "rate"]
 
-    def test_total_rate_by_kind(self):
-        assert FaultEvent(kind="stuck_at", rate_lrs=0.01, rate_hrs=0.02).total_rate == pytest.approx(0.03)
-        assert FaultEvent(kind="drift", magnitude=0.2).total_rate == 0.2
-        assert FaultEvent(kind="read_noise", sigma=0.05).total_rate == 0.05
-        assert FaultEvent(kind="pulse_miss", miss_rate=0.1).total_rate == 0.1
+    @pytest.mark.parametrize("kind", ["stuck_at", "drift", "read_noise", "pulse_miss"])
+    def test_negative_rate_rejected(self, kind):
+        with pytest.raises(ConfigurationError, match="rate must be >= 0"):
+            FaultEvent(kind=kind, rate=-0.01)
+
+    @pytest.mark.parametrize("kind", ["stuck_at", "pulse_miss"])
+    @pytest.mark.parametrize("rate", [1.0, 1.5])
+    def test_fraction_rates_must_stay_below_one(self, kind, rate):
+        """A stuck-at or miss fraction of 1 or more fails when the event
+        is built, not in the middle of a run."""
+        with pytest.raises(ConfigurationError, match=f"{kind} rate must be < 1"):
+            FaultEvent(kind=kind, rate=rate)
+        FaultEvent(kind=kind, rate=0.99)  # ok
+
+    @pytest.mark.parametrize("kind", ["drift", "read_noise"])
+    def test_sigma_rates_may_exceed_one(self, kind):
+        assert FaultEvent(kind=kind, rate=1.5).rate == 1.5
 
 
 class TestFaultSchedule:
     def test_events_at_filters_by_window(self):
         schedule = FaultSchedule(
             events=(
-                FaultEvent(kind="drift", window=0, magnitude=0.1),
-                FaultEvent(kind="stuck_at", window=2, rate_lrs=0.01),
-                FaultEvent(kind="read_noise", window=2, sigma=0.02),
+                FaultEvent(kind="drift", window=0, rate=0.1),
+                FaultEvent(kind="stuck_at", window=2, rate=0.01),
+                FaultEvent(kind="read_noise", window=2, rate=0.02),
             )
         )
         assert len(schedule.events_at(0)) == 1
@@ -62,24 +69,19 @@ class TestFaultSchedule:
             (event,) = schedule.events
             assert event.kind == kind
             assert event.window == 1
-            assert event.total_rate == pytest.approx(0.05)
+            assert event.rate == 0.05
         with pytest.raises(ConfigurationError):
             FaultSchedule.single("bogus", 0.05)
 
-    @pytest.mark.parametrize("lrs_fraction", [-0.1, 1.1])
-    def test_stuck_at_midlife_rejects_bad_split(self, lrs_fraction):
-        with pytest.raises(ConfigurationError, match="lrs_fraction"):
-            FaultSchedule.stuck_at_midlife(0.05, lrs_fraction=lrs_fraction)
-
     def test_stuck_at_apply_kills_devices(self, mapped_net):
-        schedule = FaultSchedule.stuck_at_midlife(0.05, window=1)
+        schedule = FaultSchedule.single("stuck_at", 0.05, window=1)
         before_dead = mapped_net.dead_fraction()
         applied = schedule.apply(mapped_net, 1, ensure_rng(33))
         assert len(applied) == 1
         assert mapped_net.dead_fraction() > before_dead
 
     def test_apply_off_window_is_noop(self, mapped_net):
-        schedule = FaultSchedule.stuck_at_midlife(0.05, window=1)
+        schedule = FaultSchedule.single("stuck_at", 0.05, window=1)
         before = [l.tiles.read_conductances() for l in mapped_net.layers]
         applied = schedule.apply(mapped_net, 0, ensure_rng(33))
         assert applied == []

@@ -3,6 +3,7 @@ subpackage imports, and no list names anything twice."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import pathlib
@@ -74,3 +75,16 @@ def test_import_loads_no_scipy():
 def test_one_device_model(module, name):
     """A single cell is a 1x1 ``Crossbar``; there is no scalar cell class."""
     assert not hasattr(importlib.import_module(module), name)
+
+
+def test_device_layer_imports_nothing_above_it():
+    """``repro.device`` is the bottom layer: it imports no crossbar."""
+    device = pathlib.Path(repro.__file__).parent / "device"
+    imported = set()
+    for path in device.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+    assert not {m for m in imported if m and m.startswith("repro.crossbar")}

@@ -32,10 +32,10 @@ from hypothesis import strategies as st
 from repro.crossbar.crossbar import Crossbar
 from repro.data import make_blobs
 from repro.device import DeviceConfig
-from repro.device.faults import FaultModel, inject_faults_network
 from repro.mapping import MappedNetwork
 from repro.mapping.network import MappedLayer
 from repro.nn import Activation, Dense, Sequential
+from repro.robustness import FaultSchedule
 from repro.tuning import OnlineTuner, TuningConfig
 from tests.oracles import scalar_tuner, uncached_reads
 
@@ -127,13 +127,8 @@ def _run_session(path: str, params: dict) -> dict:
         network.map_network()
         network.apply_drift(0.4)
         if params["stuck_rate"] > 0:
-            inject_faults_network(
-                network,
-                FaultModel(
-                    rate_lrs=params["stuck_rate"] / 2,
-                    rate_hrs=params["stuck_rate"] / 2,
-                ),
-                seed=params["seed"] + 1,
+            FaultSchedule.single("stuck_at", params["stuck_rate"], window=0).apply(
+                network, 0, np.random.default_rng(params["seed"] + 1)
             )
         for layer in network.layers:
             for _rs, _cs, tile in layer.tiles.iter_tiles():

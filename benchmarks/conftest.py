@@ -2,25 +2,25 @@
 
 Each benchmark module reproduces one table or figure of the paper (see
 DESIGN.md §4).  Training runs and lifetime simulations are expensive, so
-they are computed once per session in the fixtures below and shared by
-every bench that needs them.  Every bench writes its rendered artefact
-(ASCII table/plot) to ``benchmarks/output/<name>.txt`` and prints it, so
-``pytest benchmarks/ --benchmark-only -s`` shows the full reproduction
-and the output directory keeps it.
+they are computed once per session and shared by every bench that needs
+them: a workload's models are cached by its framework, and its lifetime
+runs by the session's run journal.  Every bench writes its rendered
+artefact (ASCII table/plot) to ``benchmarks/output/<name>.txt`` and
+prints it, so ``pytest benchmarks/ --benchmark-only -s`` shows the full
+reproduction and the output directory keeps it.
 """
 
 from __future__ import annotations
 
 import os
 import pathlib
-from dataclasses import dataclass, field
-from typing import Callable, Dict
+from dataclasses import dataclass
+from typing import Callable
 
 import pytest
 
-from repro.core import AgingAwareFramework
+from repro.core import AgingAwareFramework, RunJournal
 from repro.core.presets import ExperimentPreset, lenet_glyphs, vggnet_shapes
-from repro.core.results import LifetimeResult
 from repro.data.dataset import Dataset
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
@@ -58,30 +58,25 @@ def report(output_dir) -> Callable[[str, str], None]:
     return _report
 
 
+@pytest.fixture(scope="session")
+def run_journal(tmp_path_factory) -> RunJournal:
+    """The session's one result store for lifetime runs.
+
+    Benches pass it to ``compare``/``run_scenario_repeats``, so each
+    (scenario, repeat) a session asks for is simulated once and
+    replayed from the journal after that.
+    """
+    return RunJournal(tmp_path_factory.mktemp("runs") / "runs.jsonl")
+
+
 @dataclass
 class Lab:
-    """One workload's lazily computed experiment state."""
+    """One workload's framework, with the session's run journal."""
 
     preset: ExperimentPreset
     dataset: Dataset
     framework: AgingAwareFramework
-    _results: Dict[tuple, LifetimeResult] = field(default_factory=dict)
-
-    def result(self, scenario_key: str, repeat: int = 0) -> LifetimeResult:
-        """Lifetime result for one scenario repeat (cached per session)."""
-        key = (scenario_key, repeat)
-        if key not in self._results:
-            self._results[key] = self.framework.run_scenario(scenario_key, repeat=repeat)
-        return self._results[key]
-
-    def median_result(self, scenario_key: str, repeats: int = 3) -> LifetimeResult:
-        """Median-lifetime result over ``repeats`` hardware seeds.
-
-        Lifetime is heavy-tailed; the median of a few repeats is what
-        the Table I benches compare."""
-        results = [self.result(scenario_key, r) for r in range(repeats)]
-        results = sorted(results, key=lambda r: r.lifetime_applications)
-        return results[len(results) // 2]
+    journal: RunJournal
 
     def baseline_model(self):
         return self.framework.trained_model(False)
@@ -90,21 +85,21 @@ class Lab:
         return self.framework.trained_model(True)
 
 
-def _make_lab(preset: ExperimentPreset) -> Lab:
+def _make_lab(preset: ExperimentPreset, journal: RunJournal) -> Lab:
     dataset = preset.make_dataset()
     framework = AgingAwareFramework(
         preset.build_network, dataset, preset.framework_config, seed=preset.seed
     )
-    return Lab(preset=preset, dataset=dataset, framework=framework)
+    return Lab(preset=preset, dataset=dataset, framework=framework, journal=journal)
 
 
 @pytest.fixture(scope="session")
-def lenet_lab() -> Lab:
+def lenet_lab(run_journal) -> Lab:
     """The LeNet-5/Cifar10 role (glyph digits)."""
-    return _make_lab(lenet_glyphs(fast=False))
+    return _make_lab(lenet_glyphs(fast=False), run_journal)
 
 
 @pytest.fixture(scope="session")
-def vgg_lab() -> Lab:
+def vgg_lab(run_journal) -> Lab:
     """The VGG-16/Cifar100 role (textured shapes)."""
-    return _make_lab(vggnet_shapes(fast=False))
+    return _make_lab(vggnet_shapes(fast=False), run_journal)

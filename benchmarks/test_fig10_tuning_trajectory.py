@@ -11,7 +11,7 @@ SCENARIOS = ("t+t", "st+t", "st+at")
 
 
 def compute(lab):
-    return {key: lab.result(key) for key in SCENARIOS}
+    return lab.framework.compare(SCENARIOS, journal=lab.journal).results
 
 
 def test_fig10_tuning_trajectory(benchmark, lenet_lab, report):

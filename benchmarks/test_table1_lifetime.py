@@ -43,15 +43,17 @@ def _render(workload, results, spreads=None):
 def test_table1_lifetime_lenet(benchmark, lenet_lab, report):
     repeats = 3
 
+    fw, journal = lenet_lab.framework, lenet_lab.journal
+
     def run():
-        medians = {k: lenet_lab.median_result(k, repeats) for k in SCENARIOS}
-        spreads = {
-            k: "{}-{}".format(
-                min(lenet_lab.result(k, r).lifetime_applications for r in range(repeats)),
-                max(lenet_lab.result(k, r).lifetime_applications for r in range(repeats)),
-            )
-            for k in SCENARIOS
-        }
+        medians = fw.compare(SCENARIOS, repeats=repeats, journal=journal).results
+        spreads = {}
+        for k in SCENARIOS:
+            lives = [
+                r.lifetime_applications
+                for r in fw.run_scenario_repeats(k, repeats, journal=journal)
+            ]
+            spreads[k] = f"{min(lives)}-{max(lives)}"
         return medians, spreads
 
     medians, spreads = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -65,7 +67,7 @@ def test_table1_lifetime_lenet(benchmark, lenet_lab, report):
 
 def test_table1_lifetime_vgg(benchmark, vgg_lab, report):
     def run():
-        return {k: vgg_lab.result(k) for k in SCENARIOS}
+        return vgg_lab.framework.compare(SCENARIOS, journal=vgg_lab.journal).results
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     report("table1_lifetime_vgg", _render(vgg_lab.dataset.name, results))

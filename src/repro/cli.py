@@ -26,7 +26,7 @@ import time
 from typing import Optional, Sequence
 
 from repro.analysis import ascii_series, comparison_report, render_table
-from repro.core import AgingAwareFramework, ParallelExecutor, RunJournal
+from repro.core import AgingAwareFramework, RunJournal
 from repro.core.checkpoint import (
     CheckpointManager,
     inspect_checkpoint,
@@ -128,7 +128,7 @@ def cmd_run(args) -> int:
             checkpoint_dir=args.checkpoint_dir,
         )
         journal = _open_journal(args)
-        (outcome,) = ParallelExecutor(journal=journal).run([task], reraise=True)
+        (outcome,) = framework.run_tasks([task], journal=journal)
         result = outcome.value
         scenario_label = args.scenario
         _report_journal(journal, 1)

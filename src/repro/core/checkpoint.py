@@ -329,10 +329,14 @@ class RunJournal:
     One line per completed task: ``{"schema": 1, "key": <content
     hash>, "sha256": <line digest>, "payload": <encoded result>}``.
     Keys are content-hash fingerprints of everything a task depends on
-    (:meth:`~repro.core.framework.AgingAwareFramework.scenario_cache_key`),
-    so a config change re-executes tasks instead of replaying stale
-    ones.  Opening an existing journal always resumes it; to start
-    over, use a new path.
+    (a scenario run's is built by
+    :meth:`~repro.core.framework.AgingAwareFramework.scenario_task`), so
+    a config change re-executes tasks instead of replaying stale ones.
+    Every grid of lifetime runs (``compare``, ``run_scenario_repeats``,
+    a fault campaign, ``repro run``) reads and writes it through
+    :meth:`~repro.core.framework.AgingAwareFramework.run_tasks`.
+    Opening an existing journal always resumes it; to start over, use a
+    new path.
 
     Loading tolerates a corrupt tail: a crash mid-append leaves a
     truncated or garbled final line, which is dropped with a warning

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence
 
-from repro.core.executor import ParallelExecutor, Task, fingerprint
+from repro.core.executor import ParallelExecutor, Task, TaskOutcome, fingerprint
 from repro.core.lifetime import LifetimeConfig, LifetimeSimulator
 from repro.core.results import LifetimeResult, ScenarioComparison
 from repro.core.scenarios import SCENARIOS, Scenario
@@ -122,23 +122,27 @@ class AgingAwareFramework:
                 ) from None
         return scenario
 
-    def scenario_cache_key(
+    def scenario_task(
         self,
+        key: str,
         scenario: Scenario | str,
         repeat: int = 0,
         fault_schedule=None,
         degradation=None,
-    ) -> str:
-        """Content-hash journal key of one scenario run.
+        **run_kwargs,
+    ) -> Task:
+        """Executor task for one :meth:`run_scenario` call, labelled ``key``.
 
-        Covers everything the run depends on: the scenario, the repeat
-        index, the framework entropy (which seeds training, hardware and
-        tuning streams), the full configuration tree and the dataset
-        arrays — so any change to any of them misses the journal.
-
-        The fault schedule and degradation policy are folded into the
-        key only when one is given, so a plain scenario run and a fault
-        campaign's fault-free baseline point share one key.
+        Its ``journal_key`` is the one place a run's journal key is
+        built: a content hash of everything the run depends on (the
+        scenario, the repeat index, the framework entropy that seeds
+        training, hardware and tuning streams, the full configuration
+        tree and the dataset arrays), so any change to any of them
+        misses the journal.  The fault schedule and degradation policy
+        are folded in only when one is given, so a plain scenario run
+        and a fault campaign's fault-free baseline point share one key.
+        ``run_kwargs`` (the checkpoint options) reach ``run_scenario``
+        but stay out of the key: they never change the result.
         """
         scenario = self._resolve_scenario(scenario)
         parts = [
@@ -151,24 +155,6 @@ class AgingAwareFramework:
         ]
         if fault_schedule is not None or degradation is not None:
             parts.append(("robustness/v1", fault_schedule, degradation))
-        return fingerprint(*parts)
-
-    def scenario_task(
-        self,
-        key: str,
-        scenario: Scenario | str,
-        repeat: int = 0,
-        fault_schedule=None,
-        degradation=None,
-        **run_kwargs,
-    ) -> Task:
-        """Executor task for one :meth:`run_scenario` call, labelled ``key``.
-
-        The task is journaled under :meth:`scenario_cache_key`.
-        ``run_kwargs`` (the checkpoint options) reach ``run_scenario``
-        but stay out of the key: they never change the result.
-        """
-        scenario = self._resolve_scenario(scenario)
         return Task(
             key=key,
             fn=self.run_scenario,
@@ -178,9 +164,7 @@ class AgingAwareFramework:
                 "degradation": degradation,
                 **run_kwargs,
             },
-            journal_key=self.scenario_cache_key(
-                scenario, repeat, fault_schedule, degradation
-            ),
+            journal_key=fingerprint(*parts),
             encode=LifetimeResult.to_dict,
             decode=LifetimeResult.from_dict,
         )
@@ -200,8 +184,8 @@ class AgingAwareFramework:
         (the trained software weights are shared across repeats);
         lifetime is a heavy-tailed quantity, so experiments should
         aggregate a few repeats — see :meth:`run_scenario_repeats`.
-        This always simulates; to replay a stored result, run the
-        :meth:`scenario_task` through a journaled executor.
+        This always simulates; to replay a stored result, pass its
+        :meth:`scenario_task` and a journal to :meth:`run_tasks`.
 
         ``fault_schedule`` (a :class:`repro.robustness.FaultSchedule`)
         injects field faults during the run; ``degradation`` (a
@@ -261,25 +245,28 @@ class AgingAwareFramework:
             run_id=f"{scenario.key}-r{repeat}",
         )
 
-    def _run_pairs(
+    def run_tasks(
         self,
-        pairs: Sequence[tuple[Scenario, int]],
-        workers: int,
-        journal: Optional["RunJournal"],
-    ) -> list[LifetimeResult]:
-        """Run (scenario, repeat) pairs through the executor, in order."""
+        tasks: Sequence[Task],
+        workers: int = 1,
+        journal: Optional["RunJournal"] = None,
+    ) -> list[TaskOutcome]:
+        """Run :meth:`scenario_task` tasks through one executor, in order.
+
+        The one runner of every grid of lifetime runs.  Tasks already in
+        ``journal`` are replayed, completed ones are stored there, and
+        the first failure propagates.  Each training style an unjournaled
+        task needs is trained here, in the parent, before fan-out, so
+        pool workers inherit the software weights instead of each
+        retraining (bit-identical, just wasteful); a style whose runs
+        are all journaled is never trained.
+        """
         executor = ParallelExecutor(workers=workers, journal=journal)
-        tasks = [
-            self.scenario_task(f"{scenario.key}#r{repeat}", scenario, repeat)
-            for scenario, repeat in pairs
-        ]
-        # Train in the parent before fan-out, so pool workers inherit the
-        # software weights instead of each retraining (bit-identical, just
-        # wasteful).  A style whose runs are all journaled needs no training.
-        for (scenario, _), task in zip(pairs, tasks):
+        for task in tasks:
             if not executor.is_stored(task):
+                scenario = self._resolve_scenario(task.args[0])
                 self.trained_model(scenario.skewed_training)
-        return [o.value for o in executor.run(tasks, reraise=True)]
+        return executor.run(tasks, reraise=True)
 
     def run_scenario_repeats(
         self,
@@ -301,9 +288,11 @@ class AgingAwareFramework:
         if repeats < 1:
             raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
         scenario = self._resolve_scenario(scenario)
-        return self._run_pairs(
-            [(scenario, i) for i in range(repeats)], workers, journal
-        )
+        tasks = [
+            self.scenario_task(f"{scenario.key}#r{i}", scenario, i)
+            for i in range(repeats)
+        ]
+        return [o.value for o in self.run_tasks(tasks, workers, journal)]
 
     def compare(
         self,
@@ -325,8 +314,12 @@ class AgingAwareFramework:
             raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
         comparison = ScenarioComparison(workload=self.dataset.name)
         scenarios = [self._resolve_scenario(k) for k in scenario_keys]
-        pairs = [(s, i) for s in scenarios for i in range(repeats)]
-        results = self._run_pairs(pairs, workers, journal)
+        tasks = [
+            self.scenario_task(f"{s.key}#r{i}", s, i)
+            for s in scenarios
+            for i in range(repeats)
+        ]
+        results = [o.value for o in self.run_tasks(tasks, workers, journal)]
         for j in range(len(scenarios)):
             group = sorted(
                 results[j * repeats:(j + 1) * repeats],

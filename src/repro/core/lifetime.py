@@ -90,11 +90,8 @@ class LifetimeConfig:
         value back into the caller's config (and destabilize the
         content-hash journal keys of the execution engine).
         """
-        return LifetimeConfig(
-            apps_per_window=self.apps_per_window,
-            drift_magnitude=self.drift_magnitude,
-            max_windows=self.max_windows,
-            tuning=replace(self.tuning, target_accuracy=target_accuracy),
+        return replace(
+            self, tuning=replace(self.tuning, target_accuracy=target_accuracy)
         )
 
 

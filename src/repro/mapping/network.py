@@ -38,6 +38,7 @@ from repro.device.config import DeviceConfig
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.mapping.fresh import FreshMapper
 from repro.mapping.linear import LinearWeightMapping
+from repro.mapping.quantize import quantize_weights
 from repro.nn.layers.conv import Conv2D
 from repro.nn.layers.dense import Dense
 from repro.nn.metrics import accuracy
@@ -152,13 +153,10 @@ class MappedLayer:
         Uses the *traced* window estimates (not ground truth) — this is
         the information the aging-aware controller actually has.
         """
-        mapping = LinearWeightMapping.from_resistance_range(
-            self.software_matrix(), r_lo, r_hi
-        )
+        w = self.software_matrix()
+        mapping = LinearWeightMapping.from_resistance_range(w, r_lo, r_hi)
         est_lo, est_hi = self.estimated_bounds()
-        targets = np.asarray(mapping.weight_to_resistance(self.software_matrix()))
-        achieved = self._grid.quantize(targets, est_lo, est_hi)
-        return np.asarray(mapping.resistance_to_weight(achieved))
+        return quantize_weights(w, mapping, self._grid, est_lo, est_hi)
 
     def program(self) -> None:
         """Program the software weights into the tiles (ages devices).

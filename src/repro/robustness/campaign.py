@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.core.checkpoint import RunJournal
-from repro.core.executor import ParallelExecutor
 from repro.core.framework import AgingAwareFramework
 from repro.core.results import LifetimeResult
 from repro.exceptions import ConfigurationError
@@ -105,25 +104,13 @@ class FaultCampaign:
         #: over the same journal re-executes zero of them.
         self.journal = journal
 
-    def point_key(self, point: CampaignPoint) -> str:
-        """Content-hash journal key of one grid point.
-
-        The framework's scenario key with the point's fault schedule and
-        degradation policy folded in: any change to the framework
-        config, dataset, scenario or fault grid re-executes.  Two
-        campaigns sharing one journal therefore drain the grid exactly
-        once, bit-identical to a serial run.
-        """
-        return self.framework.scenario_cache_key(
-            self.scenario, self.repeat, point.schedule, point.degradation
-        )
-
     def run(self, points: Sequence[CampaignPoint]) -> SurvivabilityReport:
         """Simulate every grid point and assemble the report.
 
-        With ``workers > 1`` the points run concurrently through the
-        executor (training happens once in the parent, before fan-out);
-        results are bit-identical to a serial run.  ``report.perf``
+        The points run through
+        :meth:`~repro.core.framework.AgingAwareFramework.run_tasks`,
+        concurrently with ``workers > 1``; results are bit-identical to
+        a serial run.  ``report.perf``
         holds the perf-counter delta of every point that executed here
         (not of journal replays).
         """
@@ -132,16 +119,13 @@ class FaultCampaign:
         names = [p.name for p in points]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate campaign point names in {names}")
-        executor = ParallelExecutor(workers=self.workers, journal=self.journal)
         tasks = [
             self.framework.scenario_task(
                 p.name, self.scenario, self.repeat, p.schedule, p.degradation
             )
             for p in points
         ]
-        if not all(executor.is_stored(t) for t in tasks):
-            self.framework.trained_model(self.scenario.skewed_training)
-        outcomes = executor.run(tasks, reraise=True)
+        outcomes = self.framework.run_tasks(tasks, self.workers, self.journal)
         report = SurvivabilityReport(
             workload=self.framework.dataset.name,
             scenario_key=self.scenario.key,

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.analysis import render_table
+
 
 @dataclass
 class SurvivabilityRecord:
@@ -167,15 +169,7 @@ class SurvivabilityReport:
             ]
             for r in self.records
         ]
-        widths = [
-            max(len(cols[i]), *(len(row[i]) for row in rows)) if rows else len(cols[i])
-            for i in range(len(cols))
-        ]
-        fmt = "  ".join(f"{{:<{w}}}" for w in widths)
-        lines.append(fmt.format(*cols))
-        lines.append(fmt.format(*("-" * w for w in widths)))
-        for row in rows:
-            lines.append(fmt.format(*row))
+        lines.append(render_table(cols, rows))
         base = self.baseline()
         if base is not None:
             lines.append("")

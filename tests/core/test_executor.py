@@ -1,12 +1,15 @@
 """The execution engine's contract: parallel == serial, bit for bit.
 
-Every grid entry point (``compare``, ``run_scenario_repeats``,
-``Sweep.run``) is pinned against a serial reference — a direct
-``run_scenario`` loop for the framework grids — with identical
-``LifetimeResult``/``SweepResult`` fields, not approximately equal
-ones.  Also covered: replay from the run journal (exact round trip,
-no training for a fully stored grid) and failure surfacing (a crashing
-worker produces a failed point, never a hung pool).
+Every grid of lifetime runs (``compare``, ``run_scenario_repeats``, a
+fault campaign, ``repro run``) goes through
+``AgingAwareFramework.run_tasks``; it and ``Sweep.run`` are pinned
+against a serial reference — a direct ``run_scenario`` loop for the
+framework grids — with identical ``LifetimeResult``/``SweepResult``
+fields, not approximately equal ones.  Also covered: the journal key
+``scenario_task`` builds, replay from the run journal (exact round
+trip, training only the styles an unstored run needs) and failure
+surfacing (a crashing worker produces a failed point, never a hung
+pool).
 """
 
 import dataclasses
@@ -358,17 +361,21 @@ def test_checkpoint_options_stay_out_of_the_key(framework, tmp_path):
     )
 
 
-def test_scenario_cache_key_covers_config(framework):
-    key = framework.scenario_cache_key("t+t", 0)
-    assert key != framework.scenario_cache_key("t+t", 1)
-    assert key != framework.scenario_cache_key("st+at", 0)
+def _journal_key(framework, scenario, repeat):
+    return framework.scenario_task("k", scenario, repeat).journal_key
+
+
+def test_scenario_task_key_covers_config(framework):
+    key = _journal_key(framework, "t+t", 0)
+    assert key != _journal_key(framework, "t+t", 1)
+    assert key != _journal_key(framework, "st+at", 0)
     altered = dataclasses.replace(
         framework.config, target_fraction=framework.config.target_fraction * 0.99
     )
     original = framework.config
     try:
         framework.config = altered
-        assert framework.scenario_cache_key("t+t", 0) != key
+        assert _journal_key(framework, "t+t", 0) != key
     finally:
         framework.config = original
 
@@ -409,6 +416,31 @@ def test_fully_journaled_compare_trains_nothing(framework, tmp_path, workers):
     replayed = fresh.compare(("t+t", "st+at"), workers=workers, journal=RunJournal(path))
     assert replayed.results == populated.results
     assert fresh._trained == {}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_tasks_trains_only_what_it_executes(framework, tmp_path, workers):
+    """A journaled T+T run needs no baseline model; the unjournaled ST+T
+    run gets its skewed model trained in the parent, before fan-out."""
+    path = tmp_path / "run.jsonl"
+    framework.compare(("t+t",), journal=RunJournal(path))
+    fresh = _make_framework()  # same seed and config: same journal keys
+    tasks = [fresh.scenario_task(k, k) for k in ("t+t", "st+t")]
+    outcomes = fresh.run_tasks(tasks, workers, RunJournal(path))
+    assert list(fresh._trained) == [True]
+    assert [o.key for o in outcomes] == ["t+t", "st+t"]
+    assert [o.value for o in outcomes] == [
+        framework.run_scenario(k) for k in ("t+t", "st+t")
+    ]
+
+
+def test_run_tasks_raises_the_first_failure(framework):
+    tasks = [
+        framework.scenario_task("ok", "t+t"),
+        framework.scenario_task("bad", "t+t", -1),
+    ]
+    with pytest.raises(ConfigurationError, match="repeat must be >= 0"):
+        framework.run_tasks(tasks)
 
 
 def test_config_not_mutated_by_runs(framework):

@@ -30,6 +30,29 @@ class TestConfig:
         a.tuning.max_iterations = 7
         assert b.tuning.max_iterations == 150
 
+    def test_with_target_is_an_independent_copy(self):
+        """The copy carries every field, and mutating its tuning config
+        (as the framework does for degradation) never reaches ``self``."""
+        cfg = LifetimeConfig(
+            apps_per_window=123,
+            drift_magnitude=0.2,
+            max_windows=9,
+            tuning=TuningConfig(target_accuracy=0.5, max_iterations=11),
+        )
+        copy = cfg.with_target(0.8)
+        assert (copy.apps_per_window, copy.drift_magnitude, copy.max_windows) == (
+            123,
+            0.2,
+            9,
+        )
+        assert copy.tuning.target_accuracy == 0.8
+        assert copy.tuning.max_iterations == 11
+        assert copy is not cfg and copy.tuning is not cfg.tuning
+        copy.tuning.max_iterations = 3
+        copy.max_windows = 4
+        assert cfg.tuning == TuningConfig(target_accuracy=0.5, max_iterations=11)
+        assert cfg.max_windows == 9
+
     def test_explicit_none_tuning_still_tolerated(self):
         cfg = LifetimeConfig(tuning=None)
         assert cfg.tuning.max_iterations == 150

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core import ParallelExecutor, RunJournal
+from repro.core import RunJournal
 from repro.exceptions import ConfigurationError
 from repro.robustness import (
     CampaignPoint,
@@ -14,6 +14,7 @@ from repro.robustness import (
     build_grid,
 )
 from repro.robustness.campaign import record_from_result
+from tests.robustness.conftest import make_mini_framework
 
 
 def _direct_records(framework, scenario, points):
@@ -101,23 +102,27 @@ class TestGridValidation:
         assert len(names) == len(set(names)) == 1 + 2 * 2 * 2
 
 
+def _point_key(framework, point, scenario="st+at", repeat=0):
+    """Journal key a campaign stores ``point`` under."""
+    return framework.scenario_task(
+        point.name, scenario, repeat, point.schedule, point.degradation
+    ).journal_key
+
+
 class TestPointKey:
     """Grid points are identified by content, as the journal requires."""
 
     def test_every_point_of_a_grid_has_its_own_key(self, mini_framework):
-        campaign = FaultCampaign(mini_framework, scenario="st+at")
         points = build_grid(kinds=("stuck_at", "drift"), rates=(0.01, 0.02))
-        keys = [campaign.point_key(p) for p in points]
+        keys = [_point_key(mini_framework, p) for p in points]
         assert len(set(keys)) == len(keys)
 
-    def test_key_is_stable_across_campaigns(self, mini_framework):
+    def test_key_is_stable_across_frameworks(self, mini_framework):
         point = build_grid(kinds=("drift",), rates=(0.01,))[1]
-        first = FaultCampaign(mini_framework, scenario="st+at").point_key(point)
-        again = FaultCampaign(mini_framework, scenario="st+at", workers=4)
-        assert again.point_key(point) == first
+        again = make_mini_framework()  # same seed and config
+        assert _point_key(again, point) == _point_key(mini_framework, point)
 
     def test_key_ignores_the_point_name(self, mini_framework):
-        campaign = FaultCampaign(mini_framework, scenario="st+at")
         point = build_grid(kinds=("drift",), rates=(0.01,))[1]
         renamed = CampaignPoint(
             name="renamed",
@@ -126,23 +131,24 @@ class TestPointKey:
             schedule=point.schedule,
             degradation=point.degradation,
         )
-        assert campaign.point_key(renamed) == campaign.point_key(point)
+        assert _point_key(mini_framework, renamed) == _point_key(mini_framework, point)
 
     @pytest.mark.parametrize(
         "other", [dict(scenario="st+t"), dict(repeat=1)], ids=["scenario", "repeat"]
     )
     def test_key_depends_on_the_run(self, mini_framework, other):
         point = build_grid(kinds=("drift",), rates=(0.01,))[1]
-        base = FaultCampaign(mini_framework, scenario="st+at").point_key(point)
-        kwargs = {"scenario": "st+at", **other}
-        assert FaultCampaign(mini_framework, **kwargs).point_key(point) != base
+        base = _point_key(mini_framework, point)
+        assert _point_key(mini_framework, point, **other) != base
 
-    def test_baseline_key_is_the_plain_scenario_key(self, mini_framework):
-        campaign = FaultCampaign(mini_framework, scenario="st+at", repeat=2)
+    def test_baseline_key_is_the_plain_scenario_key(self, mini_framework, tmp_path):
+        journal = RunJournal(tmp_path / "run.jsonl")
         baseline = build_grid()[0]
-        assert campaign.point_key(baseline) == mini_framework.scenario_cache_key(
-            "st+at", 2
+        FaultCampaign(mini_framework, scenario="st+at", repeat=2, journal=journal).run(
+            [baseline]
         )
+        plain = mini_framework.scenario_task("st+at", "st+at", 2).journal_key
+        assert list(journal.entries) == [plain]
 
     @pytest.mark.parametrize(
         "kwargs", [dict(workers=-1), dict(repeat=-1)], ids=["workers", "repeat"]
@@ -193,7 +199,7 @@ class TestFaultCampaign:
         """The fault-free grid point and a plain run use the same key."""
         journal = RunJournal(tmp_path / "run.jsonl")
         task = mini_framework.scenario_task("st+at", "st+at")
-        ParallelExecutor(journal=journal).run([task], reraise=True)
+        mini_framework.run_tasks([task], journal=journal)
         assert len(journal) == 1
         points = build_grid(
             kinds=("stuck_at",), rates=(0.02,), window=1, with_degradation=False
@@ -242,8 +248,6 @@ class TestFaultCampaign:
     def test_parallel_run_captures_perf_per_point(self, mini_framework, tmp_path):
         """Counters come back from the pool workers; a journal relaunch
         replays every point, so it carries no perf and trains nothing."""
-        from tests.robustness.conftest import make_mini_framework
-
         points = build_grid(**self.GRID)
         path = tmp_path / "journal.jsonl"
         report = FaultCampaign(
@@ -290,8 +294,6 @@ class TestCampaignCli:
         assert "--kinds" in out and "--rates" in out
 
     def test_tiny_campaign_writes_report(self, tmp_path, capsys, monkeypatch):
-        from tests.robustness.conftest import make_mini_framework
-
         from repro.cli import main
         from repro.core.presets import PRESETS, ExperimentPreset
 

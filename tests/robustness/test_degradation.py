@@ -5,11 +5,11 @@ selection) are tested mechanically.
 """
 
 import numpy as np
+import pytest
 
 from repro.mapping import MappedNetwork
 from repro.mapping.aging_aware import AgingAwareMapper
 from repro.robustness import DegradationPolicy
-from repro.tuning import OnlineTuner, TuningConfig
 
 
 class TestDegradationPolicy:
@@ -19,28 +19,36 @@ class TestDegradationPolicy:
 
 
 class TestDeadGradientMasking:
+    THRESHOLD = 0.25
+
     def test_masked_tuner_skips_dead_gradients(self, trained_mlp, device_config):
-        """With masking on, a dead device's gradient cannot anchor the
-        per-layer pulse threshold."""
-        results = {}
+        """A dead device holding a layer's largest |grad| cannot anchor
+        the pulse threshold: the masked sweep counts exactly the healthy
+        devices at or above ``threshold`` x the largest healthy |grad|.
+        Unmasked, the dead device anchors it and is all that is counted.
+        """
+        nets = {}
         for masked in (False, True):
-            net = MappedNetwork(trained_mlp, device_config, seed=54)
-            _pin_lrs(net, 0.1, seed=55)
-            net.map_network()
-            tuner = OnlineTuner(
-                TuningConfig(
-                    target_accuracy=0.999,
-                    max_iterations=3,
-                    mask_dead_devices=masked,
-                ),
-                seed=56,
-            )
-            tuner.tune(net, *_tiny_batch(trained_mlp))
-            results[masked] = net.total_pulses()
-        # Both ran the same number of sweeps; pulse counts may differ
-        # because masking changes the threshold anchor — but never on
-        # dead devices (they physically ignore pulses either way).
-        assert results[True] >= 0 and results[False] >= 0
+            nets[masked] = MappedNetwork(trained_mlp, device_config, seed=54)
+            nets[masked].map_network()
+            _pin_lrs(nets[masked], 0.1, seed=55)
+        rng = np.random.default_rng(56)
+        grads, expected = {}, 0
+        for layer in nets[True].layers:
+            dead = layer.dead_device_mask()
+            assert dead.any() and not dead.all()
+            grad = rng.normal(size=layer.matrix_shape)
+            grad[np.unravel_index(np.argmax(dead), dead.shape)] = 1e3
+            healthy = np.abs(grad[~dead])
+            expected += int(np.count_nonzero(healthy >= self.THRESHOLD * healthy.max()))
+            grads[layer.layer_index] = grad
+        n_layers = len(nets[True].layers)
+        assert expected > 2 * n_layers
+        sweep = {
+            masked: net.apply_tuning_sweep(grads, self.THRESHOLD, 0.5, mask_dead=masked)
+            for masked, net in nets.items()
+        }
+        assert sweep == {True: expected, False: n_layers}
 
 
 def _pin_lrs(net, rate, seed):
@@ -52,30 +60,23 @@ def _pin_lrs(net, rate, seed):
             tile.pin_stuck(u < rate, np.zeros(tile.shape, dtype=bool))
 
 
-def _tiny_batch(model):
-    rng = np.random.default_rng(57)
-    x = rng.normal(size=(32, 4))
-    logits = model.forward(x, training=False)
-    y = np.eye(logits.shape[1])[np.argmax(logits, axis=1)]
-    return x, y
-
-
 class TestFaultAwareMapping:
     def test_collapsed_traces_filtered(self, trained_mlp, device_config):
-        """Stuck traced devices stop flooding the candidate list."""
-        nets = {}
-        for fault_aware in (False, True):
-            net = MappedNetwork(trained_mlp, device_config, seed=58)
-            net.map_network()
-            _pin_lrs(net, 0.4, seed=59)
-            mapper = AgingAwareMapper(fault_aware=fault_aware)
-            layer = net.layers[0]
-            nets[fault_aware] = mapper.candidate_uppers(layer)
-        # With heavy stuck-at damage many traces collapse to the
-        # min_levels floor; filtering must not *lower* the smallest
-        # candidate and should keep the healthy upper bounds.
-        assert min(nets[True]) >= min(nets[False])
-        assert max(nets[True]) == max(nets[False])
+        """Heavy stuck-at damage collapses traced windows to the
+        ``min_levels`` floor: the plain mapper offers that floor as a
+        candidate, the fault-aware one drops it and keeps the rest."""
+        net = MappedNetwork(trained_mlp, device_config, seed=58)
+        net.map_network()
+        _pin_lrs(net, 0.4, seed=59)
+        layer = net.layers[0]
+        plain = AgingAwareMapper(fault_aware=False)
+        grid = device_config.make_level_grid()
+        floor = grid.r_min + (plain.min_levels - 1) * grid.step
+        raw = plain.candidate_uppers(layer)
+        filtered = AgingAwareMapper(fault_aware=True).candidate_uppers(layer)
+        assert raw[0] == pytest.approx(floor)
+        assert len(raw) >= 2
+        assert filtered == raw[1:]
 
     def test_fault_aware_keeps_all_when_everything_collapsed(
         self, trained_mlp, device_config

@@ -14,10 +14,10 @@ The policy:
    candidate]`` and the resulting classification accuracy is *predicted*
    (map → clip/quantize against the traced window estimates → invert →
    evaluate the network on a selection batch).  The candidate with the
-   highest accuracy wins.  Candidates for one layer share the forward
-   prefix: the selection batch's activations at the layer's input are
-   computed once, and each candidate replays only the layers from it
-   on (:meth:`~repro.mapping.network.MappedNetwork.map_network`).
+   highest accuracy wins.  The search is one pass per layer: each
+   candidate replays only the layers from it on, and the matrix scored
+   for the chosen range is kept and carried forward to the next layer
+   (:meth:`~repro.mapping.network.MappedNetwork.map_network`).
 
 The selected range may not cover every device (Fig. 8's M3 example);
 the residual mismatch is what online tuning cleans up afterwards — with

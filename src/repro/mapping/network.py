@@ -36,6 +36,7 @@ from repro.crossbar.tiling import TiledMatrix
 from repro.crossbar.tracer import BlockTracer
 from repro.device.config import DeviceConfig
 from repro.exceptions import ConfigurationError, ShapeError
+from repro.mapping.aging_aware import AgingAwareMapper
 from repro.mapping.fresh import FreshMapper
 from repro.mapping.linear import LinearWeightMapping
 from repro.mapping.quantize import quantize_weights
@@ -146,17 +147,6 @@ class MappedLayer:
         )
         self.version += 1
         return self.mapping
-
-    def predicted_matrix(self, r_lo: float, r_hi: float) -> np.ndarray:
-        """Predict the effective weight matrix for a hypothetical range.
-
-        Uses the *traced* window estimates (not ground truth) — this is
-        the information the aging-aware controller actually has.
-        """
-        w = self.software_matrix()
-        mapping = LinearWeightMapping.from_resistance_range(w, r_lo, r_hi)
-        est_lo, est_hi = self.estimated_bounds()
-        return quantize_weights(w, mapping, self._grid, est_lo, est_hi)
 
     def program(self) -> None:
         """Program the software weights into the tiles (ages devices).
@@ -278,47 +268,57 @@ class MappedNetwork:
         """Map every weighted layer to hardware under ``policy``.
 
         ``policy`` is a :class:`~repro.mapping.fresh.FreshMapper`
-        (default) or :class:`~repro.mapping.aging_aware.AgingAwareMapper`.
-        The aging-aware policy requires ``selection_data``, the batch on
-        which candidate common ranges are scored; layers are processed
-        in order and each candidate is scored with already-selected
-        layers at their predicted weights.
+        (default), which only sets each layer's range, or an
+        :class:`~repro.mapping.aging_aware.AgingAwareMapper`, which
+        requires ``selection_data``, the batch on which candidate common
+        ranges are scored.  Layers are selected in order, each candidate
+        scored with the already-selected layers at their predicted
+        weights; then every layer is programmed.
 
-        Candidates for layer ``L`` differ only in layer ``L``, so the
-        selection batch's activations at the input of ``L`` are computed
-        and ``unfold``-ed through ``L`` once per layer, and each candidate
-        replays only ``layers[L:]``.  Both halves chunk the batch at the
-        same boundaries as a full :meth:`~repro.nn.model.Sequential.predict`,
-        so every score is bit-identical to the trial network's on images.
+        The search is one pass per layer.  The scratch model gets the
+        software weights once; a candidate for layer ``L`` writes only
+        ``L``'s kernel and replays ``layers[L:]`` from the batch's input
+        to ``L``, ``unfold``-ed once.  The matrix scored for the chosen
+        range stays installed, and the next weighted layer ``L'`` gets
+        its input from ``predict(prefix, start=L, stop=L')``.  Every
+        ``predict`` chunks the batch where a full forward on the images
+        would, so every score is bit-identical to the trial network's.
         """
         policy = policy if policy is not None else FreshMapper()
-        aging_aware = hasattr(policy, "candidate_uppers")
-        if aging_aware:
-            if selection_data is None:
-                raise ConfigurationError("aging-aware mapping requires selection_data")
+        if not isinstance(policy, AgingAwareMapper):
+            for mapped in self.layers:
+                mapped.set_range(*policy.select_range(mapped))
+        elif selection_data is None:
+            raise ConfigurationError("aging-aware mapping requires selection_data")
+        else:
             policy.history.clear()
-        predicted: Dict[int, np.ndarray] = {}
-        for mapped in self.layers:
-            if aging_aware:
-                x_sel, y_sel = selection_data
-                n = min(len(x_sel), getattr(policy, "selection_batch", 128))
+            x_sel, y_sel = selection_data
+            n = min(len(x_sel), policy.selection_batch)
+            y_batch = np.asarray(y_sel[:n], dtype=np.float64)
+            model = self._install_matrices({})
+            start = self.layers[0].layer_index
+            prefix = model.layers[start].unfold(model.predict(x_sel[:n], stop=start))
+            for i, mapped in enumerate(self.layers):
                 start = mapped.layer_index
-                prefix = self.model.layers[start].unfold(
-                    self._install_matrices(predicted).predict(x_sel[:n], stop=start)
-                )
-                y_batch = np.asarray(y_sel[:n], dtype=np.float64)
+                kernel = model.layers[start].params["W"]
+                w = mapped.software_matrix()
+                est = mapped.estimated_bounds()
+                scored: Dict[Tuple[float, float], np.ndarray] = {}
 
-                def score(r_lo: float, r_hi: float, mapped=mapped) -> float:
-                    trial = dict(predicted)
-                    trial[mapped.layer_index] = mapped.predicted_matrix(r_lo, r_hi)
-                    model = self._install_matrices(trial)
+                def score(r_lo: float, r_hi: float) -> float:
+                    mapping = LinearWeightMapping.from_resistance_range(w, r_lo, r_hi)
+                    matrix = quantize_weights(w, mapping, mapped._grid, *est)
+                    scored[r_lo, r_hi] = matrix
+                    kernel[...] = _matrix_to_kernel(matrix, mapped.layer)
                     return accuracy(model.predict(prefix, start=start), y_batch)
 
-                r_lo, r_hi = policy.select_range(mapped, score)
-            else:
-                r_lo, r_hi = policy.select_range(mapped)
-            mapped.set_range(r_lo, r_hi)
-            predicted[mapped.layer_index] = mapped.predicted_matrix(r_lo, r_hi)
+                chosen = policy.select_range(mapped, score)
+                mapped.set_range(*chosen)
+                kernel[...] = _matrix_to_kernel(scored[chosen], mapped.layer)
+                if i + 1 < len(self.layers):
+                    stop = self.layers[i + 1].layer_index
+                    prefix = model.predict(prefix, start=start, stop=stop)
+                    prefix = model.layers[stop].unfold(prefix)
         for mapped in self.layers:
             mapped.program()
 

@@ -1,4 +1,4 @@
-"""The lifetime loop unfolds its run-constant conv inputs once.
+"""The lifetime loop prepares its run-constant inputs once.
 
 Every window scores the same tuning set, and the aging-aware mapper
 scores every candidate of a layer on the same selection prefix.
@@ -6,6 +6,13 @@ scores every candidate of a layer on the same selection prefix.
 per run, and ``MappedNetwork.map_network`` unfolds each conv layer's
 selection prefix once per layer selection.  A counting ``im2col`` pins
 both, so the saving cannot silently regress.
+
+The candidate search is one pass per layer, and counting wrappers pin
+that too: one aging-aware map reads each tile's traced window estimate
+(``BlockTracer.estimated_bounds``) once, predicts each candidate's
+matrix (``quantize_weights``) once, and carries each chosen layer to
+the next weighted layer's input in one forward, so no pass starts at
+layer 0 after layer 0's own; a fresh map predicts nothing.
 
 The unfolding is a local of ``run()``: no snapshot carries it, and a
 run resumed from any window still equals the uninterrupted one.
@@ -17,13 +24,17 @@ import base64
 from collections import Counter
 
 import cloudpickle
+import numpy as np
 import pytest
 
 from repro.core.checkpoint import CheckpointManager, load_checkpoint
 from repro.core.lifetime import LifetimeConfig, LifetimeSimulator
+from repro.crossbar.tracer import BlockTracer
 from repro.device import DeviceConfig
-from repro.mapping import AgingAwareMapper, MappedNetwork
+from repro.mapping import AgingAwareMapper, FreshMapper, MappedNetwork
+from repro.mapping import network as network_module
 from repro.nn.layers import conv as conv_module
+from repro.nn.model import Sequential
 from repro.training import TrainConfig, build_lenet, train_baseline
 from repro.tuning import TuningConfig
 
@@ -128,6 +139,89 @@ def test_conv_prefix_unfolded_once_per_selection(
             assert unfolded[shape] == 0
         unfolded.clear()
     assert selections == len(result.windows) * len(inner_convs)
+
+
+@pytest.fixture()
+def aged_network(trained_lenet, device_config):
+    """Fresh-mapped LeNet on 32x32 tiles whose devices took uneven wear."""
+    network = MappedNetwork(trained_lenet, device_config, 32, 32, seed=31)
+    network.map_network()
+    rng = np.random.default_rng(31)
+    for _ in range(45):
+        for layer in network.layers:
+            layer.tiles.program_pulses(rng.integers(-1, 2, size=layer.matrix_shape))
+    return network
+
+
+def _count_map_work(monkeypatch, mapper=None) -> tuple:
+    """Count the traced-window estimates per tracer and the matrix
+    predictions, and log every forward pass's layer slice and every
+    range selection, in order."""
+    estimates, predictions, events = Counter(), [], []
+    estimated_bounds = BlockTracer.estimated_bounds
+    quantize_weights = network_module.quantize_weights
+    forward = Sequential.forward
+
+    def counted_estimated_bounds(tracer):
+        estimates[id(tracer)] += 1
+        return estimated_bounds(tracer)
+
+    def counted_quantize_weights(*args, **kwargs):
+        predictions.append(1)
+        return quantize_weights(*args, **kwargs)
+
+    def logged_forward(model, x, training=False, start=0, stop=None):
+        events.append(("forward", (start, stop)))
+        return forward(model, x, training=training, start=start, stop=stop)
+
+    monkeypatch.setattr(BlockTracer, "estimated_bounds", counted_estimated_bounds)
+    monkeypatch.setattr(network_module, "quantize_weights", counted_quantize_weights)
+    monkeypatch.setattr(Sequential, "forward", logged_forward)
+    if mapper is not None:
+        select_range = mapper.select_range
+
+        def logged_select_range(mapped, score):
+            events.append(("select", mapped.layer_index))
+            chosen = select_range(mapped, score)
+            events.append(("selected", mapped.layer_index))
+            return chosen
+
+        monkeypatch.setattr(mapper, "select_range", logged_select_range)
+    return estimates, predictions, events
+
+
+def test_aging_aware_map_prepares_each_layer_once(
+    monkeypatch, aged_network, glyph_dataset
+):
+    mapper = AgingAwareMapper(selection_batch=64)
+    estimates, predictions, events = _count_map_work(monkeypatch, mapper)
+    aged_network.map_network(mapper, (glyph_dataset.x_train, glyph_dataset.y_train))
+
+    tracers = [t for m in aged_network.layers for t in m.tracers]
+    assert len(tracers) > len(aged_network.layers)  # a layer spans several tiles
+    assert estimates == Counter(id(t) for t in tracers)
+    candidates = [len(sel.candidates) for sel in mapper.history]
+    assert max(candidates) > 1  # the search was real
+    assert len(predictions) == sum(candidates)
+
+    # Between selections, one forward (64 samples: one chunk) carries the
+    # chosen kernel from each layer to the next weighted layer's input;
+    # once the second layer's search starts, no forward starts at layer 0.
+    indices = [m.layer_index for m in aged_network.layers]
+    assert indices[0] == 0
+    for here, after in zip(indices, indices[1:]):
+        between = events[
+            events.index(("selected", here)) + 1 : events.index(("select", after))
+        ]
+        assert between == [("forward", (here, after))]
+    later = events[events.index(("select", indices[1])) :]
+    assert all(value[0] in indices[1:] for kind, value in later if kind == "forward")
+
+
+def test_fresh_map_predicts_nothing(monkeypatch, aged_network):
+    estimates, predictions, events = _count_map_work(monkeypatch)
+    aged_network.map_network(FreshMapper())
+    assert not estimates and not predictions and not events
 
 
 @pytest.fixture(scope="module")

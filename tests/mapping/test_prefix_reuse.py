@@ -1,18 +1,24 @@
-"""Candidate scoring with a shared forward prefix equals full re-scoring.
+"""The one-pass candidate search equals full re-scoring, map and all.
 
-``MappedNetwork.map_network`` computes the selection batch's activations
-at the input of layer ``L`` once, unfolds them through ``L``
-(``Layer.unfold``: the im2col matrix for a conv layer) and replays only
-``layers[L:]`` for each candidate common range of ``L``.  The oracle
-here is the original loop: every candidate scored by
-:func:`accuracy_with_matrices` on a full forward pass over the images.
-Run on deep copies of the same aged network, both must produce identical
-``RangeSelection.scores`` (exact float equality) and the same chosen
-ranges — on LeNet, VGG and an MLP, with the selection batch given as
-images or as layer 0's unfolding (as the lifetime loop passes it),
-including a selection batch that spans two of ``predict``'s 256-sample
-chunks, a weighted layer at index 0, whose prefix is empty, and conv
-layers at ``L > 0``, whose prefix is unfolded.
+``MappedNetwork.map_network`` installs the scratch model once, computes
+the selection batch's activations at the input of layer ``L`` once,
+unfolds them through ``L`` (``Layer.unfold``: the im2col matrix for a
+conv layer), replays only ``layers[L:]`` for each candidate common range
+of ``L``, keeps the matrix scored for the chosen range, and runs the
+chosen kernel forward to the next weighted layer's input.  The oracle
+here is the original loop: every candidate's matrix predicted from
+scratch (:func:`predicted_matrix`) and scored by
+:func:`accuracy_with_matrices` on a full forward pass over the images,
+then every layer programmed.  Run on deep copies of the same aged
+network, both must produce identical ``RangeSelection.scores`` (exact
+float equality), the same chosen ranges, and bit-identical mapped
+layers: each layer's Eq. (4) mapping and ``version``, and each tile's
+resistances, stress times, pulse counts and RNG state.  The cases cover
+LeNet, VGG and an MLP, with the selection batch given as images or as
+layer 0's unfolding (as the lifetime loop passes it), including a
+selection batch that spans two of ``predict``'s 256-sample chunks, a
+weighted layer at index 0, whose prefix is empty, and conv layers at
+``L > 0``, whose prefix is unfolded.
 """
 
 from __future__ import annotations
@@ -23,7 +29,12 @@ import numpy as np
 import pytest
 
 from repro.data import make_blobs, make_textured_shapes
-from repro.mapping import AgingAwareMapper, MappedNetwork
+from repro.mapping import (
+    AgingAwareMapper,
+    LinearWeightMapping,
+    MappedNetwork,
+    quantize_weights,
+)
 from repro.training import TrainConfig, build_lenet, build_vggnet, train_baseline
 
 
@@ -33,20 +44,51 @@ def accuracy_with_matrices(network, matrices, x, y) -> float:
     return network._install_matrices(matrices).score(x, y)
 
 
+def predicted_matrix(mapped, r_lo, r_hi):
+    """``mapped``'s effective weight matrix predicted for a hypothetical
+    range, from the *traced* window estimates (not ground truth): the
+    information the aging-aware controller actually has."""
+    w = mapped.software_matrix()
+    mapping = LinearWeightMapping.from_resistance_range(w, r_lo, r_hi)
+    est_lo, est_hi = mapped.estimated_bounds()
+    return quantize_weights(w, mapping, mapped._grid, est_lo, est_hi)
+
+
 def reference_map_network(network, policy, x_sel, y_sel):
-    """The candidate search as it was: full forward per candidate."""
+    """The map as it was: full forward per candidate, then program."""
     predicted = {}
     n = min(len(x_sel), policy.selection_batch)
     for mapped in network.layers:
 
         def score(r_lo, r_hi, mapped=mapped):
             trial = dict(predicted)
-            trial[mapped.layer_index] = mapped.predicted_matrix(r_lo, r_hi)
+            trial[mapped.layer_index] = predicted_matrix(mapped, r_lo, r_hi)
             return accuracy_with_matrices(network, trial, x_sel[:n], y_sel[:n])
 
         r_lo, r_hi = policy.select_range(mapped, score)
         mapped.set_range(r_lo, r_hi)
-        predicted[mapped.layer_index] = mapped.predicted_matrix(r_lo, r_hi)
+        predicted[mapped.layer_index] = predicted_matrix(mapped, r_lo, r_hi)
+    for mapped in network.layers:
+        mapped.program()
+
+
+def mapped_state(network):
+    """Everything a map writes: per layer its Eq. (4) mapping and
+    ``version``; per tile its devices and RNG state."""
+    state = []
+    for mapped in network.layers:
+        m = mapped.mapping
+        tiles = [
+            (
+                tile.resistance.tobytes(),
+                tile.stress_time.tobytes(),
+                tile.pulse_counts.tobytes(),
+                tile._rng.bit_generator.state,
+            )
+            for _rs, _cs, tile in mapped.tiles.iter_tiles()
+        ]
+        state.append(((m.w_min, m.w_max, m.g_min, m.g_max), mapped.version, tiles))
+    return state
 
 
 def _aged(model, device_config, seed: int, sweeps: int = 45) -> MappedNetwork:
@@ -81,6 +123,7 @@ def _assert_same_search(network, x_sel, y_sel, selection_batch, unfolded=False):
             want.chosen_lower,
             want.chosen_upper,
         )
+    assert mapped_state(network) == mapped_state(oracle_net)
     # The search was real: some layer weighed several candidates.
     assert max(len(sel.candidates) for sel in mapper.history) > 1
     return mapper.history

@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument(
         "--no-degradation",
         action="store_true",
-        help="skip the graceful-degradation half of the grid",
+        help="skip the dead-gradient-masking (/deg) half of the grid",
     )
     p_camp.add_argument(
         "--workers",

@@ -29,9 +29,9 @@ canonical (sorted-key, compact) JSON, and the file holds the payload in
 exactly that encoding; bit rot is detected at load time, not silently
 resumed from.
 
-Schema layout (``CHECKPOINT_SCHEMA = 6``)::
+Schema layout (``CHECKPOINT_SCHEMA = 7``)::
 
-    {"schema": 6, "kind": "repro-lifetime-checkpoint", "sha256": ...,
+    {"schema": 7, "kind": "repro-lifetime-checkpoint", "sha256": ...,
      "payload": {
         "meta":     {scenario_key, next_window, applications, created_unix,
                      layers, tiles, devices},
@@ -42,7 +42,7 @@ The pickled context is the state: restoring a snapshot is unpickling
 it.  Only state is pickled (layers and crossbars drop their derived
 caches in ``__getstate__``), and ``meta`` carries the counts that
 ``repro checkpoints inspect`` shows without unpickling anything.
-Schemas 2 to 6 share this layout; only the pickled classes differ.
+Schemas 2 to 7 share this layout; only the pickled classes differ.
 Schema 3 added the ``version`` counter that keys the network's read
 memo to pickled ``MappedLayer``s.  Schema 4 dropped their row
 permutation and the simulator's maintenance hooks, so a schema-3
@@ -50,7 +50,9 @@ snapshot taken with a permutation would resume with the wrong reads.
 Schema 5 dropped the crossbars' unused transimpedance gain and the
 simulator's aging-aware flag (a mapper now means AT).  Schema 6
 changed the pickled fault schedule: a ``FaultEvent`` is
-``(kind, window, rate)``.
+``(kind, window, rate)``.  Schema 7 dropped the device
+configuration's variability, the tuning configuration's hopeless gap
+and the aging-aware mapper's fault-aware flag.
 Any schema but the current one is rejected at load.
 """
 
@@ -76,7 +78,7 @@ logger = logging.getLogger(__name__)
 
 #: Snapshot format version; bump when the payload layout or the state
 #: of a pickled class changes.
-CHECKPOINT_SCHEMA = 6
+CHECKPOINT_SCHEMA = 7
 #: Journal line format version.
 JOURNAL_SCHEMA = 1
 

@@ -44,10 +44,9 @@ class FrameworkConfig:
     #: Tuning-set size drawn from the training partition.
     tune_samples: int = 256
     #: Target accuracy rule: fraction of the software accuracy that
-    #: online tuning must restore (overridden by an explicit
-    #: ``lifetime.tuning.target_accuracy`` when ``absolute_target``).
+    #: online tuning must restore (it replaces
+    #: ``lifetime.tuning.target_accuracy``).
     target_fraction: float = 0.95
-    absolute_target: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.target_fraction <= 1.0:
@@ -106,11 +105,6 @@ class AgingAwareFramework:
         n = min(self.config.tune_samples, self.dataset.n_train)
         return self.dataset.x_train[:n], self.dataset.y_train[:n]
 
-    def _resolve_target(self, skewed: bool) -> float:
-        if self.config.absolute_target:
-            return self.config.lifetime.tuning.target_accuracy
-        return self.config.target_fraction * self.software_accuracy(skewed)
-
     # -- scenario execution -----------------------------------------------------
     def _resolve_scenario(self, scenario: Scenario | str) -> Scenario:
         if isinstance(scenario, str):
@@ -128,7 +122,7 @@ class AgingAwareFramework:
         scenario: Scenario | str,
         repeat: int = 0,
         fault_schedule=None,
-        degradation=None,
+        degradation: bool = False,
         **run_kwargs,
     ) -> Task:
         """Executor task for one :meth:`run_scenario` call, labelled ``key``.
@@ -138,9 +132,10 @@ class AgingAwareFramework:
         scenario, the repeat index, the framework entropy that seeds
         training, hardware and tuning streams, the full configuration
         tree and the dataset arrays), so any change to any of them
-        misses the journal.  The fault schedule and degradation policy
-        are folded in only when one is given, so a plain scenario run
-        and a fault campaign's fault-free baseline point share one key.
+        misses the journal.  The fault schedule and the degradation
+        flag are folded in only when a schedule is given or the flag is
+        set, so a plain scenario run and a fault campaign's fault-free
+        baseline point share one key.
         ``run_kwargs`` (the checkpoint options) reach ``run_scenario``
         but stay out of the key: they never change the result.
         """
@@ -153,7 +148,7 @@ class AgingAwareFramework:
             self.config,
             self.dataset,
         ]
-        if fault_schedule is not None or degradation is not None:
+        if fault_schedule is not None or degradation:
             parts.append(("robustness/v1", fault_schedule, degradation))
         return Task(
             key=key,
@@ -174,7 +169,7 @@ class AgingAwareFramework:
         scenario: Scenario | str,
         repeat: int = 0,
         fault_schedule=None,
-        degradation=None,
+        degradation: bool = False,
         checkpoint_every: Optional[int] = None,
         checkpoint_dir=None,
     ) -> LifetimeResult:
@@ -188,10 +183,10 @@ class AgingAwareFramework:
         :meth:`scenario_task` and a journal to :meth:`run_tasks`.
 
         ``fault_schedule`` (a :class:`repro.robustness.FaultSchedule`)
-        injects field faults during the run; ``degradation`` (a
-        :class:`repro.robustness.DegradationPolicy`) switches the
-        graceful-degradation levers of tuning and mapping.  Both fold
-        into the journal key when present.
+        injects field faults during the run; ``degradation=True`` makes
+        online tuning mask dead devices
+        (``TuningConfig.mask_dead_devices``).  Both fold into the
+        journal key when present.
 
         ``checkpoint_every``/``checkpoint_dir`` make the lifetime run
         resumable (see :mod:`repro.core.checkpoint`): a durable snapshot
@@ -215,23 +210,17 @@ class AgingAwareFramework:
         )
         x_tune, y_tune = self._tuning_set()
 
-        lifetime_cfg = cfg.lifetime.with_target(
-            min(0.999, max(1e-6, self._resolve_target(scenario.skewed_training)))
-        )
-        if degradation is not None and degradation.mask_dead_devices:
+        target = cfg.target_fraction * self.software_accuracy(scenario.skewed_training)
+        lifetime_cfg = cfg.lifetime.with_target(min(0.999, max(1e-6, target)))
+        if degradation:
             lifetime_cfg.tuning = replace(lifetime_cfg.tuning, mask_dead_devices=True)
-
-        mapper = None
-        if scenario.aging_aware_mapping:
-            fault_aware = degradation is not None and degradation.fault_aware_mapping
-            mapper = AgingAwareMapper(fault_aware=fault_aware)
 
         simulator = LifetimeSimulator(
             network,
             x_tune,
             y_tune,
             config=lifetime_cfg,
-            mapper=mapper,
+            mapper=AgingAwareMapper() if scenario.aging_aware_mapping else None,
             seed=derive_rng(self._entropy, f"tune-{scenario.key}-{repeat}"),
             fault_schedule=fault_schedule,
         )

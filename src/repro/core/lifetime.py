@@ -67,9 +67,6 @@ class LifetimeConfig:
     tuning: TuningConfig = field(default_factory=TuningConfig)
 
     def __post_init__(self) -> None:
-        if self.tuning is None:
-            # Tolerated for callers that explicitly pass tuning=None.
-            self.tuning = TuningConfig()
         if self.apps_per_window < 1:
             raise ConfigurationError(
                 f"apps_per_window must be >= 1, got {self.apps_per_window}"

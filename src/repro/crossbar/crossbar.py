@@ -72,14 +72,8 @@ class Crossbar:
         self._dead_cache: Optional[Tuple[int, np.ndarray]] = None
 
         shape = (self.rows, self.cols)
-        if self.config.variability is not None:
-            lo, hi = self.config.variability.sample_bounds(
-                self.config.r_min, self.config.r_max, shape, self._rng
-            )
-            self.r_fresh_min, self.r_fresh_max = lo, hi
-        else:
-            self.r_fresh_min = np.full(shape, self.config.r_min, dtype=np.float64)
-            self.r_fresh_max = np.full(shape, self.config.r_max, dtype=np.float64)
+        self.r_fresh_min = np.full(shape, self.config.r_min, dtype=np.float64)
+        self.r_fresh_max = np.full(shape, self.config.r_max, dtype=np.float64)
         #: Per-device programming pulse counters.
         self.pulse_counts = np.zeros(shape, dtype=np.int64)
         #: Per-device accumulated stress time (s).

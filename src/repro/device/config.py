@@ -9,7 +9,6 @@ import numpy as np
 
 from repro.device.aging import AgingParams, ArrheniusAging
 from repro.device.levels import LevelGrid
-from repro.device.variability import DeviceVariability
 from repro.exceptions import ConfigurationError
 
 
@@ -53,7 +52,6 @@ class DeviceConfig:
     write_noise: float = 0.1
     #: Read noise: relative std-dev of a resistance read-out.
     read_noise: float = 0.0
-    variability: Optional[DeviceVariability] = field(default=None)
     #: Explicit aging parameters; when None they are calibrated from
     #: ``pulses_to_collapse``.
     aging_params: Optional[AgingParams] = field(default=None)

@@ -72,17 +72,6 @@ class AgingAwareMapper:
         *score* deceptively well against equally collapsed estimates
         while destroying the array — such candidates are excluded
         (unless nothing else remains).
-    fault_aware:
-        Graceful degradation for stuck-at faults: a stuck device's
-        traced window collapses far below the healthy population, and
-        without filtering its bound floods the candidate list with
-        degenerate ranges that compress every *healthy* device into a
-        few levels.  With ``fault_aware=True``, traced bounds that
-        cannot even host ``min_levels`` levels (i.e. devices that are
-        effectively dead/stuck) are dropped from candidate generation
-        as long as healthy traces remain; the stuck devices themselves
-        clamp to their pinned value at program time regardless, and the
-        residual error is left to tuning.
     """
 
     name = "aging_aware"
@@ -93,7 +82,6 @@ class AgingAwareMapper:
         selection_batch: int = 192,
         tie_tolerance: float = 0.02,
         min_levels: int = 8,
-        fault_aware: bool = False,
     ) -> None:
         if max_candidates < 1:
             raise ConfigurationError(f"max_candidates must be >= 1, got {max_candidates}")
@@ -107,7 +95,6 @@ class AgingAwareMapper:
         self.selection_batch = int(selection_batch)
         self.tie_tolerance = float(tie_tolerance)
         self.min_levels = int(min_levels)
-        self.fault_aware = bool(fault_aware)
         #: RangeSelection records of the most recent map_network call.
         self.history: List[RangeSelection] = []
 
@@ -130,14 +117,6 @@ class AgingAwareMapper:
         if traced.size == 0:
             return [cfg.r_max]
         grid = cfg.make_level_grid()
-        if self.fault_aware:
-            # Stuck/dead traces have collapsed below the min_levels
-            # floor; keep only healthy traces (if any survive) so the
-            # candidate list reflects devices that can still be mapped.
-            floor_bound = grid.r_min + (self.min_levels - 1) * grid.step
-            healthy = traced[traced >= floor_bound]
-            if healthy.size:
-                traced = healthy
         idx = np.floor((traced - grid.r_min) / grid.step).astype(np.int64)
         floor_idx = min(self.min_levels - 1, grid.n_levels - 1)
         idx = np.clip(idx, floor_idx, grid.n_levels - 1)

@@ -190,10 +190,9 @@ class Sequential:
         epochs: int = 10,
         batch_size: int = 32,
         validation_data: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-        shuffle: bool = True,
-        verbose: bool = False,
     ) -> TrainingHistory:
-        """Minibatch training loop; returns per-epoch history."""
+        """Minibatch training loop over a fresh shuffle each epoch;
+        returns per-epoch history."""
         self._require_built()
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
@@ -205,8 +204,8 @@ class Sequential:
             raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
         history = TrainingHistory()
         n = len(x)
-        for epoch in range(epochs):
-            order = self._rng.permutation(n) if shuffle else np.arange(n)
+        for _ in range(epochs):
+            order = self._rng.permutation(n)
             epoch_cost = 0.0
             n_batches = 0
             correct = 0
@@ -223,14 +222,6 @@ class Sequential:
                 val_loss, val_acc = self.evaluate(vx, vy)
                 history.val_loss.append(val_loss)
                 history.val_accuracy.append(val_acc)
-            if verbose:  # pragma: no cover - console output
-                msg = (
-                    f"epoch {epoch + 1}/{epochs} loss={history.loss[-1]:.4f} "
-                    f"running_acc={history.accuracy[-1]:.4f}"
-                )
-                if validation_data is not None:
-                    msg += f" val_acc={history.val_accuracy[-1]:.4f}"
-                print(msg)
         return history
 
     def predict(

@@ -1,7 +1,8 @@
 """Fault-injection campaigns: fanning a fault grid through the executor.
 
 A campaign sweeps a grid of fault scenarios — fault kind × severity ×
-degradation on/off — over one lifetime scenario of an
+dead-gradient masking off/on (the ``/raw`` and ``/deg`` points) — over
+one lifetime scenario of an
 :class:`~repro.core.framework.AgingAwareFramework`.  Each grid point is
 one full lifetime simulation; points run through the
 :class:`~repro.core.executor.ParallelExecutor` (in-process or fanned out,
@@ -20,24 +21,19 @@ from repro.core.checkpoint import RunJournal
 from repro.core.framework import AgingAwareFramework
 from repro.core.results import LifetimeResult
 from repro.exceptions import ConfigurationError
-from repro.robustness.degradation import DegradationPolicy
 from repro.robustness.report import SurvivabilityRecord, SurvivabilityReport
 from repro.robustness.schedule import FaultSchedule
 
 
 @dataclass(frozen=True)
 class CampaignPoint:
-    """One grid cell: a fault schedule plus a degradation policy."""
+    """One grid cell: a fault schedule, and whether tuning masks dead devices."""
 
     name: str
     fault_kind: str
     fault_rate: float
     schedule: Optional[FaultSchedule] = None
-    degradation: Optional[DegradationPolicy] = None
-
-    @property
-    def degradation_enabled(self) -> bool:
-        return self.degradation is not None and self.degradation.any_enabled
+    degradation: bool = False
 
 
 def build_grid(
@@ -45,36 +41,31 @@ def build_grid(
     rates: Sequence[float] = (0.005, 0.01, 0.02),
     window: int = 1,
     with_degradation: bool = True,
-    include_baseline: bool = True,
 ) -> List[CampaignPoint]:
     """Standard campaign grid: kinds × rates × degradation {off, on}.
 
     The fault-free baseline point anchors the lifetime-degradation
     ratios of the report; ``with_degradation=False`` drops the
-    recovery-enabled half of the grid.
+    masked (``/deg``) half of the grid.
     """
     if not kinds or not rates:
         raise ConfigurationError("grid needs at least one kind and one rate")
-    points: List[CampaignPoint] = []
-    if include_baseline:
-        points.append(CampaignPoint(name="baseline", fault_kind="none", fault_rate=0.0))
-    policies: List[Optional[DegradationPolicy]] = [None]
-    if with_degradation:
-        policies.append(DegradationPolicy.enabled())
+    points = [CampaignPoint(name="baseline", fault_kind="none", fault_rate=0.0)]
+    flags = (False, True) if with_degradation else (False,)
     for kind in kinds:
         for rate in rates:
             if rate <= 0:
                 raise ConfigurationError(f"fault rates must be > 0, got {rate}")
             schedule = FaultSchedule.single(kind, rate, window=window)
-            for policy in policies:
-                suffix = "deg" if policy is not None else "raw"
+            for degradation in flags:
+                suffix = "deg" if degradation else "raw"
                 points.append(
                     CampaignPoint(
                         name=f"{kind}@{rate:g}/{suffix}",
                         fault_kind=kind,
                         fault_rate=float(rate),
                         schedule=schedule,
-                        degradation=policy,
+                        degradation=degradation,
                     )
                 )
     return points
@@ -147,7 +138,7 @@ def record_from_result(
         point=point.name,
         fault_kind=point.fault_kind,
         fault_rate=point.fault_rate,
-        degradation=point.degradation_enabled,
+        degradation=point.degradation,
         lifetime_applications=result.lifetime_applications,
         windows_survived=result.windows_survived,
         tuning_success_rate=converged / n_windows if n_windows else 0.0,

@@ -17,8 +17,7 @@ Composition with the aging model is deliberate, not incidental:
   :meth:`repro.crossbar.Crossbar.pin_stuck`), so every later
   programming/tuning call skips the device through the ordinary
   dead-device mask — a stuck device and an aged-to-death device are
-  indistinguishable to the controller, which is what makes the
-  graceful-degradation policies uniform.
+  indistinguishable to the controller.
 * ``drift`` events add a one-shot extra lognormal conductance drift on
   top of the per-window baseline drift (recoverable by remapping, no
   stress).

@@ -32,6 +32,9 @@ from repro.nn.model import Sequential, TrainingHistory
 from repro.nn.regularizers import SkewedL2Regularizer, beta_from_std
 from repro.training.trainer import TrainConfig, train_baseline
 
+#: Minibatch size of the skewed phase.
+SKEW_BATCH_SIZE = 32
+
 
 @dataclass
 class SkewedTrainingConfig:
@@ -54,8 +57,9 @@ class SkewedTrainingConfig:
         lambda2`` for the deep net (large nets are more sensitive).
     pretrain:
         Config of the conventional pre-training phase.
-    skew_epochs, skew_batch_size:
-        Duration/batching of the skewed phase.
+    skew_epochs:
+        Duration of the skewed phase (minibatches of
+        :data:`SKEW_BATCH_SIZE`).
     """
 
     beta_scale: float = -1.0
@@ -63,8 +67,6 @@ class SkewedTrainingConfig:
     lambda2: float = 1e-3
     pretrain: TrainConfig = None  # type: ignore[assignment]
     skew_epochs: int = 20
-    skew_batch_size: int = 32
-    verbose: bool = False
 
     def __post_init__(self) -> None:
         if self.pretrain is None:
@@ -126,9 +128,8 @@ def skewed_train(
         dataset.x_train,
         dataset.y_train,
         epochs=config.skew_epochs,
-        batch_size=config.skew_batch_size,
+        batch_size=SKEW_BATCH_SIZE,
         validation_data=(dataset.x_test, dataset.y_test),
-        verbose=config.verbose,
     )
     return SkewedTrainingResult(pre_history, skew_history, betas)
 

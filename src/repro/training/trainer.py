@@ -18,7 +18,6 @@ class TrainConfig:
     epochs: int = 15
     batch_size: int = 32
     l2_lambda: float = 1e-4
-    verbose: bool = False
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -50,5 +49,4 @@ def train_baseline(
         epochs=config.epochs,
         batch_size=config.batch_size,
         validation_data=(dataset.x_test, dataset.y_test),
-        verbose=config.verbose,
     )

@@ -40,6 +40,10 @@ from repro.exceptions import ConfigurationError
 from repro.mapping.network import MappedNetwork
 from repro.rng import SeedLike, ensure_rng
 
+#: Accuracy gap below target past which a stalled session is hopeless
+#: (see ``TuningConfig.patience_evals``).
+HOPELESS_GAP = 0.15
+
 
 @dataclass
 class TuningConfig:
@@ -77,10 +81,8 @@ class TuningConfig:
     patience_evals:
         Early-abort: if accuracy has not improved for this many
         consecutive evaluations *and* sits further than
-        ``hopeless_gap`` below target, tuning reports failure without
-        burning the rest of the budget.  Set to 0 to disable.
-    hopeless_gap:
-        See ``patience_evals``.
+        :data:`HOPELESS_GAP` below target, tuning reports failure
+        without burning the rest of the budget.  Set to 0 to disable.
     mask_dead_devices:
         Graceful degradation: zero the gradient at devices whose aged
         window has collapsed before thresholding, so pulses (and their
@@ -98,7 +100,6 @@ class TuningConfig:
     min_step_fraction: float = 0.05
     eval_every: int = 1
     patience_evals: int = 0
-    hopeless_gap: float = 0.15
     mask_dead_devices: bool = False
 
     def __post_init__(self) -> None:
@@ -226,7 +227,7 @@ class OnlineTuner:
                 if (
                     cfg.patience_evals
                     and stale_evals >= cfg.patience_evals
-                    and accuracy < cfg.target_accuracy - cfg.hopeless_gap
+                    and accuracy < cfg.target_accuracy - HOPELESS_GAP
                 ):
                     break
 

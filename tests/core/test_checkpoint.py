@@ -133,13 +133,15 @@ class TestSnapshotFile:
     #: mapped layers and simulators carry a row permutation and a hook
     #: list this build no longer has, so a snapshot taken with a
     #: permutation would resume with the wrong reads.  Schemas 4 and 5
-    #: pickle fault events with one field per fault kind.
+    #: pickle fault events with one field per fault kind.  Schema 6
+    #: pickles device, tuning and mapper fields this build dropped.
     OLD_SCHEMAS = {
         1: {"layers": [], "rng": {"tuner": {}, "fault": None}},
         2: {"context_pickle": ""},
         3: {"context_pickle": ""},
         4: {"context_pickle": ""},
         5: {"context_pickle": ""},
+        6: {"context_pickle": ""},
     }
 
     @pytest.mark.parametrize("schema", sorted(OLD_SCHEMAS))

@@ -53,10 +53,6 @@ class TestConfig:
         assert cfg.tuning == TuningConfig(target_accuracy=0.5, max_iterations=11)
         assert cfg.max_windows == 9
 
-    def test_explicit_none_tuning_still_tolerated(self):
-        cfg = LifetimeConfig(tuning=None)
-        assert cfg.tuning.max_iterations == 150
-
 
 class TestSimulator:
     @pytest.fixture()

@@ -5,42 +5,53 @@ and ``program_pulses`` is the per-device Eq. (5) loop of
 ``tests/oracles`` done as whole-array ops.  Each must leave every array
 and the RNG stream exactly where its reference leaves them, on a single
 crossbar and on a tiled matrix, with every source of randomness
-switched on in turn: write noise, per-device variability and pulse
-misses.
+switched on in turn (write noise, pulse misses) and with stuck devices
+that every entry point must skip.
 """
 
 import numpy as np
 import pytest
 
 from repro.crossbar import Crossbar, TiledMatrix
-from repro.device import DeviceConfig, DeviceVariability
+from repro.device import DeviceConfig
 from tests.oracles import scalar_program_pulses
 
 SHAPE = (7, 9)
 
+#: name -> (device config kwargs, pulse miss rate, stuck fraction).
 VARIANTS = {
-    "ideal": (dict(write_noise=0.0), 0.0),
-    "write-noise": (dict(write_noise=0.2), 0.0),
-    "variability": (dict(write_noise=0.0, variability=DeviceVariability(0.1, 0.1)), 0.0),
-    "pulse-miss": (dict(write_noise=0.1), 0.3),
+    "ideal": (dict(write_noise=0.0), 0.0, 0.0),
+    "write-noise": (dict(write_noise=0.2), 0.0, 0.0),
+    "pulse-miss": (dict(write_noise=0.1), 0.3, 0.0),
+    "stuck": (dict(write_noise=0.1), 0.0, 0.3),
 }
 
 
 def _config(variant):
-    kwargs, _ = VARIANTS[variant]
+    kwargs, _, _ = VARIANTS[variant]
     return DeviceConfig(pulses_to_collapse=60, read_noise=0.0, **kwargs)
+
+
+def _faults(tile, variant):
+    """Set the variant's pulse misses, and pin its stuck devices, half at
+    LRS and half at HRS."""
+    _, miss, stuck = VARIANTS[variant]
+    tile.pulse_miss_rate = miss
+    if stuck:
+        u = np.random.default_rng(5).random(tile.shape)
+        tile.pin_stuck(u < stuck / 2, (u >= stuck / 2) & (u < stuck))
 
 
 def _crossbar(variant):
     xb = Crossbar(*SHAPE, _config(variant), seed=3)
-    xb.pulse_miss_rate = VARIANTS[variant][1]
+    _faults(xb, variant)
     return xb
 
 
 def _tiled(variant):
     tm = TiledMatrix(*SHAPE, tile_rows=4, tile_cols=4, config=_config(variant), seed=3)
     for _rs, _cs, tile in tm.iter_tiles():
-        tile.pulse_miss_rate = VARIANTS[variant][1]
+        _faults(tile, variant)
     return tm
 
 
@@ -142,10 +153,17 @@ def test_tiled_program_pulses_matches_scalar_loop(variant):
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_pulses_stay_inside_the_aged_window(variant):
     """Whatever the noise source, a tuning pulse never leaves a device
-    outside its current aged window."""
+    outside its current aged window, and a stuck device (pinned at a
+    fresh extreme, outside its collapsed window) never moves."""
     xb = _crossbar(variant)
     xb.program(_target_sequence(xb.config, steps=1)[0])
+    stuck = xb.dead_mask()
+    assert stuck.any() == bool(VARIANTS[variant][2])
+    pinned = xb.resistance[stuck].copy()
     for polarity in _direction_sequence(steps=20):
         xb.program_pulses(polarity, fraction=1.0)
         lo, hi = xb.aged_bounds()
-        assert np.all(xb.resistance >= lo) and np.all(xb.resistance <= hi)
+        live = ~stuck
+        assert np.all(xb.resistance[live] >= lo[live])
+        assert np.all(xb.resistance[live] <= hi[live])
+        np.testing.assert_array_equal(xb.resistance[stuck], pinned)

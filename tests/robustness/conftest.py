@@ -35,10 +35,17 @@ def hard_blob_model():
 
 
 def make_mini_framework(seed: int = 7, max_windows: int = 6) -> AgingAwareFramework:
-    """A laptop-instant framework for campaign/lifetime tests."""
-    data = make_blobs(n_samples=300, n_classes=3, n_features=6, spread=0.4, seed=3)
+    """A laptop-instant framework for campaign/lifetime tests.
+
+    Calibrated so the tuner works: overlapping blobs (software accuracy
+    about 0.89), 8 resistance levels, strong drift and a target of 99 %
+    of the software accuracy make every scenario tune in most of its
+    fault-free windows (``TestMiniFrameworkTunes``), so the tests built
+    on it can see the tuner and dead-gradient masking.
+    """
+    data = make_blobs(n_samples=300, n_classes=3, n_features=6, spread=1.5, seed=3)
     config = FrameworkConfig(
-        device=DeviceConfig(pulses_to_collapse=30, write_noise=0.1),
+        device=DeviceConfig(pulses_to_collapse=30, write_noise=0.1, n_levels=8),
         train=TrainConfig(epochs=10),
         skewed=SkewedTrainingConfig(
             beta_scale=-1.0,
@@ -49,11 +56,12 @@ def make_mini_framework(seed: int = 7, max_windows: int = 6) -> AgingAwareFramew
         ),
         lifetime=LifetimeConfig(
             apps_per_window=1000,
+            drift_magnitude=0.15,
             max_windows=max_windows,
             tuning=TuningConfig(max_iterations=25),
         ),
         tune_samples=120,
-        target_fraction=0.92,
+        target_fraction=0.99,
     )
     return AgingAwareFramework(
         lambda s: build_mlp(6, 3, hidden=(16,), seed=s), data, config, seed=seed

@@ -8,7 +8,6 @@ from repro.core import RunJournal
 from repro.exceptions import ConfigurationError
 from repro.robustness import (
     CampaignPoint,
-    DegradationPolicy,
     FaultCampaign,
     SurvivabilityReport,
     build_grid,
@@ -46,22 +45,13 @@ class TestBuildGrid:
             kinds=("stuck_at",), rates=(0.01,), with_degradation=False
         )
         assert [p.name for p in points] == ["baseline", "stuck_at@0.01/raw"]
-        assert not points[1].degradation_enabled
+        assert not any(p.degradation for p in points)
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ConfigurationError):
             build_grid(kinds=(), rates=(0.01,))
         with pytest.raises(ConfigurationError):
             build_grid(kinds=("stuck_at",), rates=(0.0,))
-
-    def test_degradation_enabled_flag(self):
-        point = CampaignPoint(
-            name="x",
-            fault_kind="stuck_at",
-            fault_rate=0.01,
-            degradation=DegradationPolicy.disabled(),
-        )
-        assert not point.degradation_enabled
 
 
 class TestGridValidation:
@@ -88,8 +78,8 @@ class TestGridValidation:
 
     @pytest.mark.parametrize("kind", ["stuck_at", "drift", "read_noise", "pulse_miss"])
     def test_every_kind_strikes_at_the_window_with_its_rate(self, kind):
-        points = build_grid(kinds=(kind,), rates=(0.03,), window=2,
-                            include_baseline=False)
+        baseline, *points = build_grid(kinds=(kind,), rates=(0.03,), window=2)
+        assert baseline.schedule is None
         assert [p.name for p in points] == [f"{kind}@0.03/raw", f"{kind}@0.03/deg"]
         for point in points:
             (event,) = point.schedule.events

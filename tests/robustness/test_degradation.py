@@ -1,21 +1,11 @@
-"""Graceful degradation: the recovery levers and their effect.
-
-The single-device levers (dead-gradient masking, fault-aware range
-selection) are tested mechanically.
-"""
+"""Dead-gradient masking: the lever itself, and the campaign flag
+that turns it on."""
 
 import numpy as np
-import pytest
 
+from repro.core.lifetime import LifetimeSimulator
 from repro.mapping import MappedNetwork
-from repro.mapping.aging_aware import AgingAwareMapper
-from repro.robustness import DegradationPolicy
-
-
-class TestDegradationPolicy:
-    def test_enabled_disabled(self):
-        assert DegradationPolicy.enabled().any_enabled
-        assert not DegradationPolicy.disabled().any_enabled
+from repro.robustness import FaultCampaign, build_grid
 
 
 class TestDeadGradientMasking:
@@ -60,32 +50,23 @@ def _pin_lrs(net, rate, seed):
             tile.pin_stuck(u < rate, np.zeros(tile.shape, dtype=bool))
 
 
-class TestFaultAwareMapping:
-    def test_collapsed_traces_filtered(self, trained_mlp, device_config):
-        """Heavy stuck-at damage collapses traced windows to the
-        ``min_levels`` floor: the plain mapper offers that floor as a
-        candidate, the fault-aware one drops it and keeps the rest."""
-        net = MappedNetwork(trained_mlp, device_config, seed=58)
-        net.map_network()
-        _pin_lrs(net, 0.4, seed=59)
-        layer = net.layers[0]
-        plain = AgingAwareMapper(fault_aware=False)
-        grid = device_config.make_level_grid()
-        floor = grid.r_min + (plain.min_levels - 1) * grid.step
-        raw = plain.candidate_uppers(layer)
-        filtered = AgingAwareMapper(fault_aware=True).candidate_uppers(layer)
-        assert raw[0] == pytest.approx(floor)
-        assert len(raw) >= 2
-        assert filtered == raw[1:]
-
-    def test_fault_aware_keeps_all_when_everything_collapsed(
-        self, trained_mlp, device_config
+class TestDegradationFlag:
+    def test_deg_points_and_only_they_mask_dead_devices(
+        self, mini_framework, monkeypatch
     ):
-        """If every trace is collapsed the filter must not empty the list."""
-        net = MappedNetwork(trained_mlp, device_config, seed=60)
-        net.map_network()
-        layer = net.layers[0]
-        for tracer in layer.tracers:
-            tracer.crossbar.stress_time[...] = 1e12
-        candidates = AgingAwareMapper(fault_aware=True).candidate_uppers(layer)
-        assert candidates  # non-empty
+        """A campaign's ``/deg`` flag reaches the tuner's
+        ``mask_dead_devices``; its ``/raw`` and baseline points do not."""
+        seen = []
+        run = LifetimeSimulator.run
+
+        def spy(self, *args, **kwargs):
+            seen.append(self.config.tuning.mask_dead_devices)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(LifetimeSimulator, "run", spy)
+        points = build_grid(kinds=("stuck_at",), rates=(0.02,))
+        FaultCampaign(mini_framework, scenario="st+t").run(points)
+        assert [p.name for p in points] == [
+            "baseline", "stuck_at@0.02/raw", "stuck_at@0.02/deg"
+        ]
+        assert seen == [False, False, True]

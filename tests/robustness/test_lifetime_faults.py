@@ -5,6 +5,8 @@ burst at rate 0.01 completes without raising and reports a strictly
 lower lifetime than the fault-free golden run of the same framework.
 """
 
+import pytest
+
 from repro.robustness import FaultSchedule
 
 
@@ -47,3 +49,40 @@ class TestLifetimeWithFaults:
         result = mini_framework.run_scenario("st+at", fault_schedule=schedule)
         assert result.lifetime_applications >= 0
         assert len(result.windows) >= 1
+
+
+class TestMiniFrameworkTunes:
+    """The campaign fixture exercises the tuner, or its tests see nothing.
+
+    A fixture whose runs never tune cannot tell a working tuner (or
+    dead-gradient masking) from a broken one.
+    """
+
+    @pytest.mark.parametrize(
+        "scenario, schedule",
+        [
+            ("t+t", None),
+            ("st+t", None),
+            ("st+at", None),
+            ("st+t", FaultSchedule.single("stuck_at", 0.005, window=1)),
+            ("st+at", FaultSchedule.single("stuck_at", 0.005, window=1)),
+        ],
+        ids=["t+t", "st+t", "st+at", "st+t-stuck", "st+at-stuck"],
+    )
+    def test_tunes_in_at_least_half_the_windows(
+        self, mini_framework, scenario, schedule
+    ):
+        result = mini_framework.run_scenario(scenario, fault_schedule=schedule)
+        tuned = sum(1 for w in result.windows if w.tuning_iterations > 0)
+        assert len(result.windows) == mini_framework.config.lifetime.max_windows
+        assert 2 * tuned >= len(result.windows)
+
+    def test_masking_changes_a_faulted_run(self, mini_framework):
+        """Under 2 % stuck-at the tuner pulses dead devices unless it masks
+        them, so the two ST+T runs part ways."""
+        schedule = FaultSchedule.single("stuck_at", 0.02, window=1)
+        raw = mini_framework.run_scenario("st+t", fault_schedule=schedule)
+        masked = mini_framework.run_scenario(
+            "st+t", fault_schedule=schedule, degradation=True
+        )
+        assert masked.to_dict()["windows"] != raw.to_dict()["windows"]

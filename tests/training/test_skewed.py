@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from repro.exceptions import ConfigurationError
+from repro.nn import Sequential
 from repro.training import (
     SkewedTrainingConfig,
     TrainConfig,
@@ -14,6 +15,7 @@ from repro.training import (
     skewed_train,
     train_baseline,
 )
+from repro.training.skewed import SKEW_BATCH_SIZE
 
 
 @pytest.fixture()
@@ -55,6 +57,22 @@ class TestLayerBetas:
 
 
 class TestSkewedTrain:
+    def test_skew_phase_uses_the_fixed_minibatch(self, blob_dataset, skew_config,
+                                                 monkeypatch):
+        """Pre-training batches at its config's size, the skewed phase
+        at ``SKEW_BATCH_SIZE``."""
+        sizes = []
+        fit = Sequential.fit
+
+        def spy(self, *args, **kwargs):
+            sizes.append(kwargs["batch_size"])
+            return fit(self, *args, **kwargs)
+
+        monkeypatch.setattr(Sequential, "fit", spy)
+        skew_config.pretrain.batch_size = 16
+        skewed_train(build_mlp(4, 3, hidden=(8,), seed=1), blob_dataset, skew_config)
+        assert sizes == [16, SKEW_BATCH_SIZE]
+
     def test_two_phase_histories(self, blob_dataset, skew_config):
         model = build_mlp(4, 3, hidden=(16,), seed=1)
         result = skewed_train(model, blob_dataset, skew_config)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.mapping import MappedNetwork
-from repro.tuning import OnlineTuner, TuningConfig
+from repro.tuning import OnlineTuner, TuningConfig, online
 
 
 class TestConfigValidation:
@@ -105,3 +105,34 @@ class TestTuning:
         a, b = run(), run()
         assert a.iterations == b.iterations
         assert a.final_accuracy == b.final_accuracy
+
+
+class TestPatience:
+    """``patience_evals`` gives up on a stalled session only when it sits
+    more than ``HOPELESS_GAP`` below target."""
+
+    BUDGET = 60
+
+    def _stalled_session(self, mapped_mlp, blob_dataset):
+        # Shuffled labels: accuracy stalls near chance, far below 0.99.
+        x = blob_dataset.x_train[:64]
+        y = blob_dataset.y_train[:64][np.random.default_rng(4).permutation(64)]
+        cfg = TuningConfig(
+            target_accuracy=0.99, max_iterations=self.BUDGET, patience_evals=3
+        )
+        return OnlineTuner(cfg, seed=5).tune(mapped_mlp, x, y)
+
+    def test_hopeless_session_stops_early(self, mapped_mlp, blob_dataset):
+        result = self._stalled_session(mapped_mlp, blob_dataset)
+        assert not result.converged
+        assert result.iterations < self.BUDGET
+        assert result.final_accuracy < 0.99 - online.HOPELESS_GAP
+        assert len(result.accuracy_trace) == result.iterations + 1
+
+    def test_session_within_the_gap_spends_the_budget(
+        self, mapped_mlp, blob_dataset, monkeypatch
+    ):
+        monkeypatch.setattr(online, "HOPELESS_GAP", 1.0)
+        result = self._stalled_session(mapped_mlp, blob_dataset)
+        assert not result.converged
+        assert result.iterations == self.BUDGET

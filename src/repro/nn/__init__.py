@@ -10,7 +10,7 @@ Eq. (8)–(10).  It carries what the two networks train with and no more.
 Public surface::
 
     from repro.nn import (
-        Sequential, Dense, Conv2D, MaxPool2D, AvgPool2D, Flatten,
+        Sequential, Dense, Conv2D, MaxPool2D, Flatten,
         Activation, ReLU, SoftmaxCrossEntropy, SGD, Adam,
         L2Regularizer, SkewedL2Regularizer,
     )
@@ -30,7 +30,7 @@ from repro.nn.layers.activation import Activation
 from repro.nn.layers.base import Layer, ParamLayer
 from repro.nn.layers.conv import Conv2D
 from repro.nn.layers.dense import Dense
-from repro.nn.layers.pool import AvgPool2D, MaxPool2D
+from repro.nn.layers.pool import MaxPool2D
 from repro.nn.layers.reshape import Flatten
 from repro.nn.losses import Loss, SoftmaxCrossEntropy
 from repro.nn.metrics import accuracy
@@ -45,7 +45,6 @@ from repro.nn.regularizers import (
 __all__ = [
     "Activation",
     "Adam",
-    "AvgPool2D",
     "Conv2D",
     "Dense",
     "Flatten",

@@ -18,6 +18,11 @@ An input reused over a run pays that pass once: :meth:`Conv2D.unfold`
 returns the matrix as a read-only ``(n, oh*ow, c*kh*kw)`` array, and
 :meth:`Conv2D.forward` takes it, or any row slice of it, in place of
 the images, which it unfolds itself.
+
+The GEMM yields channels-last rows; :meth:`Conv2D.forward` copies them
+once into a C-contiguous NCHW array.  Every layer after it (activation,
+pool, flatten) then sees one memory layout, forward and backward, so no
+elementwise pass mixes a transposed view with a contiguous gradient.
 """
 
 from __future__ import annotations
@@ -206,7 +211,8 @@ class Conv2D(ParamLayer):
         if self.use_bias:
             out += self._params["b"]
         _, oh, ow = self.output_shape()
-        return out.reshape(n, oh, ow, self.filters).transpose(0, 3, 1, 2)
+        out = out.reshape(n, oh, ow, self.filters).transpose(0, 3, 1, 2)
+        return np.ascontiguousarray(out)
 
     def param_grads(self, grad: np.ndarray) -> None:
         self._weight_grads(grad)

@@ -176,10 +176,9 @@ class Sequential:
     def _train_step(self, x: np.ndarray, y: np.ndarray) -> Tuple[float, np.ndarray]:
         """:meth:`train_batch`, also returning the pre-update logits."""
         cost, pred = self._gradients(x, y)
-        self.optimizer.begin_step()
-        for layer in self.layers:
-            for name, param in layer.params.items():
-                self.optimizer.update(param, layer.grads[name])
+        self.optimizer.step(
+            [(p, layer.grads[k]) for layer in self.layers for k, p in layer.params.items()]
+        )
         return cost, pred
 
     # -- high-level API ----------------------------------------------------

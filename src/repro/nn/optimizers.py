@@ -1,17 +1,25 @@
 """First-order optimizers.
 
-An optimizer holds per-parameter state keyed by ``id`` of the parameter
-array (arrays are updated in place, so identity is stable for the life of
-a model).  ``update(param, grad)`` applies one step.
+``step(pairs)`` applies one optimization step to every ``(param, grad)``
+pair of a model, updating the parameter arrays in place.  Adam keeps its
+moments as two flat vectors over the concatenated parameters, so a step
+is one pass of each elementwise operation over all of them rather than
+one small pass per array; the operations are elementwise, so each
+parameter rounds as a step of its own would.  The moments belong to the
+parameter list (keyed by the ``id`` of each array, stable for the life
+of a model); a step over another list starts them afresh.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+
+#: One model's parameters with their gradients, in a fixed order.
+Pairs = Sequence[Tuple[np.ndarray, np.ndarray]]
 
 
 class Optimizer:
@@ -21,23 +29,16 @@ class Optimizer:
         if lr <= 0:
             raise ConfigurationError(f"learning rate must be > 0, got {lr}")
         self.lr = float(lr)
-        self._state: Dict[int, dict] = {}
+        self._state: dict = {}
         self.iterations = 0
 
     def __getstate__(self) -> dict:
         # Copies' arrays have new ids, so ``_state`` could only go stale.
         return {**self.__dict__, "_state": {}}
 
-    def state_for(self, param: np.ndarray) -> dict:
-        """Per-parameter state dict (created on first access)."""
-        return self._state.setdefault(id(param), {})
-
-    def update(self, param: np.ndarray, grad: np.ndarray) -> None:
+    def step(self, pairs: Pairs) -> None:
+        """One optimization step over every ``(param, grad)`` pair."""
         raise NotImplementedError
-
-    def begin_step(self) -> None:
-        """Called once per optimization step, before parameter updates."""
-        self.iterations += 1
 
     def reset(self) -> None:
         """Drop all accumulated state (e.g. between training phases)."""
@@ -51,8 +52,10 @@ class Optimizer:
 class SGD(Optimizer):
     """Vanilla stochastic gradient descent."""
 
-    def update(self, param: np.ndarray, grad: np.ndarray) -> None:
-        param -= self.lr * grad
+    def step(self, pairs: Pairs) -> None:
+        self.iterations += 1
+        for param, grad in pairs:
+            param -= self.lr * grad
 
 
 class Adam(Optimizer):
@@ -74,19 +77,25 @@ class Adam(Optimizer):
         self.beta2 = float(beta2)
         self.eps = float(eps)
 
-    def update(self, param: np.ndarray, grad: np.ndarray) -> None:
-        state = self.state_for(param)
-        if "m" not in state:
-            state["m"] = np.zeros_like(param)
-            state["v"] = np.zeros_like(param)
-        m, v = state["m"], state["v"]
-        t = max(1, self.iterations)
+    def step(self, pairs: Pairs) -> None:
+        self.iterations += 1
+        params = [param for param, _ in pairs]
+        grad = np.concatenate([g.ravel() for _, g in pairs])
+        keys = tuple(map(id, params))
+        if self._state.get("keys") != keys:
+            zeros = np.zeros_like(grad)
+            self._state = {"keys": keys, "m": zeros, "v": zeros.copy()}
+        m, v, t = self._state["m"], self._state["v"], self.iterations
         # In place over two scratch arrays; a product's operands may swap.
         m *= self.beta1
-        m += (step := grad * (1.0 - self.beta1))
+        m += (upd := grad * (1.0 - self.beta1))
         v *= self.beta2
-        v += np.multiply(np.multiply(grad, 1.0 - self.beta2, out=step), grad, out=step)
+        v += np.multiply(np.multiply(grad, 1.0 - self.beta2, out=upd), grad, out=upd)
         denom = v / (1.0 - self.beta2**t)
         denom = np.add(np.sqrt(denom, out=denom), self.eps, out=denom)
-        m_hat = np.divide(m, 1.0 - self.beta1**t, out=step)
-        param -= np.divide(np.multiply(m_hat, self.lr, out=m_hat), denom, out=m_hat)
+        m_hat = np.divide(m, 1.0 - self.beta1**t, out=upd)
+        np.divide(np.multiply(m_hat, self.lr, out=m_hat), denom, out=upd)
+        start = 0
+        for param in params:
+            param -= upd[start : start + param.size].reshape(param.shape)
+            start += param.size

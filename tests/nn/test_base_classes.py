@@ -21,7 +21,7 @@ CALLS = {
     "activation.backward": lambda: ActivationFunction().backward(_X, _X, _X),
     "loss.value": lambda: Loss().value(_X, _X),
     "loss.gradient": lambda: Loss().gradient(_X, _X),
-    "optimizer.update": lambda: Optimizer().update(_X, _X),
+    "optimizer.step": lambda: Optimizer().step([(_X, _X)]),
     "regularizer.penalty": lambda: Regularizer().penalty(_X),
     "regularizer.gradient": lambda: Regularizer().gradient(_X),
     "initializer.call": lambda: Initializer()((2, 3)),

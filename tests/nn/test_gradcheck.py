@@ -5,7 +5,6 @@ import numpy as np
 
 from repro.nn import (
     Activation,
-    AvgPool2D,
     Conv2D,
     Dense,
     Flatten,
@@ -60,9 +59,9 @@ class TestModelGradients:
         errors = check_gradients(model, x, y)
         assert max(errors.values()) < 1e-3  # relu kinks allow slightly more
 
-    def test_avgpool_and_padding(self, rng):
+    def test_pool_and_padding(self, rng):
         model = Sequential(
-            [Conv2D(2, 3, padding=1), Activation(Tanh()), AvgPool2D(2), Flatten(), Dense(2)],
+            [Conv2D(2, 3, padding=1), Activation(Tanh()), MaxPool2D(2), Flatten(), Dense(2)],
             seed=4,
         ).build((1, 4, 4))
         x, y = batch_for(model, 3, 2, rng)

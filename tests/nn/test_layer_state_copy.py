@@ -3,7 +3,8 @@
 Every pickle, cloudpickle, ``copy.deepcopy`` and ``copy.copy`` of a
 layer goes through ``Layer.__getstate__``, which sets each name in the
 class's ``_transient`` tuple to ``None``.  Checked here for every layer
-class ``repro.nn.layers`` exports, after a training forward + backward:
+class the ``repro.nn.layers`` modules define, exported or not, after a
+training forward + backward:
 
 * each transient attribute of the copy is ``None``;
 * parameters and gradients are bitwise equal to the original's;
@@ -26,12 +27,13 @@ import numpy as np
 import pytest
 
 from repro.nn import layers as L
+from repro.nn.layers.pool import AvgPool2D
 
 #: name -> (factory, single-sample input shape).  Factories are seeded,
 #: so two calls build bitwise-identical layers.
 CASES = {
     "Activation": (lambda: L.Activation("relu"), (6,)),
-    "AvgPool2D": (lambda: L.AvgPool2D(2), (2, 6, 6)),
+    "AvgPool2D": (lambda: AvgPool2D(2), (2, 6, 6)),
     "Conv2D": (lambda: L.Conv2D(4, 3, stride=1, padding=1), (2, 6, 6)),
     "Dense": (lambda: L.Dense(3), (7,)),
     "Flatten": (lambda: L.Flatten(), (2, 3, 3)),
@@ -81,15 +83,27 @@ def _assert_same_state(copy_state, original_state):
         assert _same(copy_state[key], value), key
 
 
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
 def test_every_layer_class_has_a_case():
+    defined = {
+        cls.__name__
+        for cls in _subclasses(L.Layer)
+        if cls.__module__.startswith("repro.nn.layers.")
+        and not cls.__name__.startswith("_")
+        and cls is not L.ParamLayer
+    }
     exported = {
         name
         for name, obj in vars(L).items()
-        if inspect.isclass(obj)
-        and issubclass(obj, L.Layer)
-        and obj not in (L.Layer, L.ParamLayer)
+        if inspect.isclass(obj) and issubclass(obj, L.Layer)
     }
-    assert exported == {case.split("-")[0] for case in CASES}
+    assert exported - {"Layer", "ParamLayer"} <= defined
+    assert defined == {case.split("-")[0] for case in CASES}
 
 
 @pytest.mark.parametrize("how", sorted(COPIES))

@@ -12,11 +12,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             MaxPool2D(0)
 
-    @pytest.mark.parametrize("cls", [MaxPool2D, AvgPool2D])
-    def test_rejects_bad_stride(self, cls):
-        with pytest.raises(ConfigurationError, match="stride"):
-            cls(2, stride=0)
-
     def test_rejects_flat_input(self, rng):
         with pytest.raises(ShapeError):
             MaxPool2D(2).build((10,), rng)
@@ -25,8 +20,9 @@ class TestValidation:
         with pytest.raises(ShapeError):
             MaxPool2D(4).build((1, 3, 3), rng)
 
-    def test_default_stride_equals_pool(self):
-        assert MaxPool2D(3).stride == 3
+    def test_windows_tile(self):
+        layer = MaxPool2D(3)
+        assert layer.build((2, 7, 9)) == (2, 2, 3)
 
 
 class TestMaxPool:
@@ -47,15 +43,6 @@ class TestMaxPool:
         for i, j in [(1, 1), (1, 3), (3, 1), (3, 3)]:
             expected[0, 0, i, j] = 1.0
         np.testing.assert_array_equal(dx, expected)
-
-    def test_overlapping_windows_accumulate(self, rng):
-        layer = MaxPool2D(2, stride=1)
-        layer.build((1, 3, 3))
-        x = np.zeros((1, 1, 3, 3))
-        x[0, 0, 1, 1] = 5.0  # center wins every window
-        layer.forward(x)
-        dx = layer.backward(np.ones((1, 1, 2, 2)))
-        assert dx[0, 0, 1, 1] == 4.0
 
     def test_gradient_numeric(self, rng):
         layer = MaxPool2D(2)
@@ -101,3 +88,12 @@ class TestAvgPool:
         x = rng.normal(size=(2, 3, 6, 6))
         out = layer.forward(x)
         np.testing.assert_allclose(out.mean(), x.mean(), atol=1e-12)
+
+    def test_leftover_rows_and_columns_take_no_part(self):
+        layer = AvgPool2D(2)
+        layer.build((1, 5, 5))
+        x = np.arange(25, dtype=float).reshape(1, 1, 5, 5)
+        np.testing.assert_allclose(layer.forward(x)[0, 0], [[3, 5], [13, 15]])
+        dx = layer.backward(np.ones((1, 1, 2, 2)))
+        np.testing.assert_array_equal(dx[0, 0, :4, :4], np.full((4, 4), 0.25))
+        assert not dx[0, 0, 4].any() and not dx[0, 0, :, 4].any()

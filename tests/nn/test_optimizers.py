@@ -16,8 +16,7 @@ def quadratic_descent(optimizer, steps=500, start=5.0):
     """Minimize f(x) = x^2 and return the final |x|."""
     x = np.array([start])
     for _ in range(steps):
-        optimizer.begin_step()
-        optimizer.update(x, 2.0 * x)
+        optimizer.step([(x, 2.0 * x)])
     return float(np.abs(x[0]))
 
 
@@ -43,35 +42,54 @@ class TestConvergence:
 
 
 class TestMechanics:
+    @pytest.mark.parametrize("cls", [SGD, Adam])
+    def test_step_counts_iterations(self, cls):
+        opt = cls(0.1)
+        x = np.array([1.0])
+        for _ in range(3):
+            opt.step([(x, np.array([1.0]))])
+        assert opt.iterations == 3
+
     def test_sgd_step_is_lr_times_grad(self):
         opt = SGD(0.5)
-        x = np.array([1.0, 2.0])
-        opt.update(x, np.array([1.0, -1.0]))
+        x, y = np.array([1.0, 2.0]), np.array([[3.0]])
+        opt.step([(x, np.array([1.0, -1.0])), (y, np.array([[2.0]]))])
         np.testing.assert_allclose(x, [0.5, 2.5])
+        np.testing.assert_allclose(y, [[2.0]])
 
     def test_adam_first_step_is_approximately_lr(self):
         opt = Adam(lr=0.1)
-        x = np.array([1.0])
-        opt.begin_step()
-        opt.update(x, np.array([1e-4]))
+        x, y = np.array([1.0]), np.array([[2.0, 3.0]])
+        opt.step([(x, np.array([1e-4])), (y, np.array([[-5.0, 1e3]]))])
         # Bias correction makes the first step ~lr regardless of grad scale.
         assert x[0] == pytest.approx(1.0 - 0.1, abs=1e-3)
+        np.testing.assert_allclose(y, [[2.1, 2.9]], atol=1e-3)
 
-    def test_state_is_per_parameter(self):
-        opt = Adam(0.1)
+    def test_moments_cover_every_parameter_in_order(self):
+        opt = Adam(0.1, beta1=0.5)
+        a, b = np.zeros((2, 2)), np.zeros(3)
+        opt.step([(a, np.full((2, 2), 2.0)), (b, np.array([4.0, 6.0, 8.0]))])
+        np.testing.assert_array_equal(opt._state["m"], [1.0] * 4 + [2.0, 3.0, 4.0])
+
+    def test_moments_belong_to_the_parameter_list(self):
+        """A step over another list of arrays starts fresh moments."""
+        opt, fresh = Adam(0.1), Adam(0.1)
         a, b = np.array([1.0]), np.array([1.0])
-        opt.begin_step()
-        opt.update(a, np.array([1.0]))
-        assert opt.state_for(a) and not opt.state_for(b)
+        opt.step([(a, np.array([1.0]))])
+        opt.step([(b, np.array([-3.0]))])
+        fresh.iterations = 1
+        c = np.array([1.0])
+        fresh.step([(c, np.array([-3.0]))])
+        assert b.tobytes() == c.tobytes()
 
     def test_reset_clears_state(self):
         opt = Adam(0.1)
         x = np.array([1.0])
-        opt.begin_step()
-        opt.update(x, np.array([1.0]))
+        opt.step([(x, np.array([1.0]))])
+        assert opt._state
         opt.reset()
         assert opt.iterations == 0
-        assert opt.state_for(x) == {}
+        assert opt._state == {}
 
 
 COPIES = {

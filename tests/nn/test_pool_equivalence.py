@@ -1,17 +1,16 @@
 """Bit-identity battery: ``MaxPool2D`` against the windowed reference.
 
-The layer's forward is a running elementwise maximum over the ``k*k``
-strided slices of the input, and its backward recovers the window
-argmax from the kept input and output.  The reference below is the original
+Pooling windows tile: a ``k``-pool reads ``k x k`` windows at stride
+``k``.  The layer's forward is a running elementwise maximum over the
+``k*k`` strided slices of the input, and its backward recovers the
+window argmax from the kept input and output, landing the gradient with
+one masked copy per window offset.  The reference below is the original
 formulation: an ``as_strided`` window view reshaped to ``(..., k*k)``,
 reduced with ``max``/``argmax``, and an ``add.at`` scatter of the
 gradient.  Both must agree *bitwise* — signed zeros and NaN included —
-on random shapes, window/stride combinations (overlapping, tiling and
-gapped), tie-heavy values and non-contiguous inputs, and backward must
-work after a ``training=False`` forward.  Non-overlapping windows
-(tiling and gapped strides) route the gradient with masked slice adds
-through the kept output, overlapping ones with ``add.at``: both are
-checked against the reference.
+on random shapes (rows and columns past the last window included),
+tie-heavy values, contiguous, transposed and reversed inputs, and
+backward must work after a ``training=False`` forward.
 
 One documented exception: when a window's maximum is zero and the
 window holds both ``+0.0`` and ``-0.0``, the sign numpy gives the
@@ -134,7 +133,6 @@ cases = st.fixed_dictionaries(
         "n": st.integers(1, 3),
         "c": st.integers(1, 3),
         "k": st.integers(1, 3),
-        "stride_delta": st.integers(-2, 2),
         "extra_h": st.integers(0, 6),
         "extra_w": st.integers(0, 6),
         "palette": st.sampled_from(sorted(_PALETTES)),
@@ -148,14 +146,13 @@ cases = st.fixed_dictionaries(
 @settings(max_examples=MAX_EXAMPLES, deadline=None)
 @given(case=cases)
 def test_forward_and_backward_bit_identical(case):
-    k = case["k"]
-    s = max(1, k + case["stride_delta"])  # stride <, = and > pool_size
+    k = s = case["k"]
     n, c = case["n"], case["c"]
     h, w = k + case["extra_h"], k + case["extra_w"]
     rng = np.random.default_rng(case["seed"])
     x = _layout(_values(rng, case["palette"], (n, h, w, c)), case["layout"])
 
-    layer = MaxPool2D(k, stride=s)
+    layer = MaxPool2D(k)
     layer.build((c, h, w))
     out = layer.forward(x, training=case["training"])
     ref_out, ref_argmax = reference_forward(x, k, s)
@@ -180,33 +177,30 @@ def test_backward_after_inference_forward_routes_first_tie():
 
 
 def test_negative_zero_gradient_lands_as_positive_zero():
-    """``0.0 + (-0.0)`` is ``+0.0`` for overlapping and disjoint windows."""
-    for stride in (1, 2):
-        layer = MaxPool2D(2, stride=stride)
-        layer.build((1, 4, 4))
-        x = np.arange(16.0).reshape(1, 1, 4, 4)
-        out = layer.forward(x)
-        grad = np.full(out.shape, -0.0)
-        dx = layer.backward(grad)
-        assert not np.signbit(dx).any()
+    """``0.0 + (-0.0)`` is ``+0.0``: the routed pixel reads as ``add.at``'s sum."""
+    layer = MaxPool2D(2)
+    layer.build((1, 4, 4))
+    x = np.arange(16.0).reshape(1, 1, 4, 4)
+    out = layer.forward(x)
+    dx = layer.backward(np.full(out.shape, -0.0))
+    assert not np.signbit(dx).any()
 
 
 @pytest.mark.parametrize("training", [True, False])
 @pytest.mark.parametrize("palette", sorted(_PALETTES))
-@pytest.mark.parametrize(
-    "k, s", [(1, 1), (2, 2), (3, 3), (1, 2), (2, 3), (2, 4), (3, 5)]
-)
-def test_kept_output_backward_matches_add_at(k, s, palette, training, monkeypatch):
-    """Tiling (``s == k``) and gapped (``s > k``) windows route through the
-    kept output, never the window view, and match the ``add.at`` scatter."""
-    rng = np.random.default_rng(10 * k + s)
-    h, w = k + 2 * s + 1, k + s + 2  # leftover rows and columns past the last window
-    x = _layout(_values(rng, palette, (3, h, w, 2)), "transposed")
-    layer = MaxPool2D(k, stride=s)
+@pytest.mark.parametrize("layout", ["contiguous", "transposed", "reversed"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_kept_output_backward_matches_add_at(k, layout, palette, training):
+    """Every palette and layout, leftover rows and columns past the last
+    window included, matches the ``add.at`` scatter."""
+    rng = np.random.default_rng(10 * k)
+    h, w = 3 * k + 1, 2 * k + 2
+    x = _layout(_values(rng, palette, (3, h, w, 2)), layout)
+    layer = MaxPool2D(k)
     layer.build((2, h, w))
     out = layer.forward(x, training=training)
-    _, ref_argmax = reference_forward(x, k, s)
+    ref_out, ref_argmax = reference_forward(x, k, k)
+    assert_pool_output_equal(out, ref_out, x, k, k)
     grad = _values(rng, "zeros_ties", out.shape)
-    monkeypatch.setattr(MaxPool2D, "_windows", None)  # the add.at path needs it
     dx = layer.backward(grad)
-    assert_bitwise_equal(dx, reference_backward(x.shape, ref_argmax, grad, k, s))
+    assert_bitwise_equal(dx, reference_backward(x.shape, ref_argmax, grad, k, k))

@@ -8,8 +8,10 @@ NaN included) against the formulation it replaced:
   offset into a zero buffer), float64 and float32, random and shipped
   conv shapes, strides 1–3, padding 0–2;
 * ``im2col`` with padding, which no longer calls ``np.pad``;
-* ``Adam.update`` against the expression-per-line body, over many steps
-  with ``lr`` changing and one ``reset()``;
+* ``Adam.step`` (one pass over the concatenated parameters) against the
+  expression-per-line body run one parameter at a time, on the LeNet and
+  VGG parameter lists, over many steps with ``lr`` changing and one
+  ``reset()``;
 * every layer's ``grads`` after ``compute_gradients`` against a
   backward chain that runs ``backward`` on every layer, first included,
   while the first layer's ``col2im`` is never run.
@@ -162,16 +164,17 @@ def test_im2col_pads_without_np_pad(monkeypatch, padding, dtype):
 
 
 # -- Adam ------------------------------------------------------------------------------
-class ReferenceAdam(Adam):
-    """Adam with the expression-per-line update it had before."""
-
-    def update(self, param: np.ndarray, grad: np.ndarray) -> None:
-        state = self.state_for(param)
+def reference_adam_step(self: Adam, pairs) -> None:
+    """Adam's step as it ran before: the expression-per-line update, one
+    parameter at a time, with moments keyed by the parameter's ``id``."""
+    self.iterations += 1
+    t = max(1, self.iterations)
+    for param, grad in pairs:
+        state = self._state.setdefault(id(param), {})
         if "m" not in state:
             state["m"] = np.zeros_like(param)
             state["v"] = np.zeros_like(param)
         m, v = state["m"], state["v"]
-        t = max(1, self.iterations)
         m *= self.beta1
         m += (1.0 - self.beta1) * grad
         v *= self.beta2
@@ -181,14 +184,27 @@ class ReferenceAdam(Adam):
         param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
+class ReferenceAdam(Adam):
+    step = reference_adam_step
+
+
 def _bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+#: name -> a shipped network, whose parameters the Adam battery steps.
+ADAM_PARAMS = {
+    "lenet": lambda: build_lenet(seed=0),
+    "vggnet": lambda: build_vggnet(width=6, seed=0),
+}
+
+
+@pytest.mark.parametrize("net", sorted(ADAM_PARAMS))
 @pytest.mark.parametrize("palette", sorted(_PALETTES))
-def test_adam_update_bit_identical(palette):
+def test_adam_step_bit_identical(palette, net):
     rng = np.random.default_rng(5)
-    shapes = [(8, 1, 5, 5), (8,), (64, 10), (3, 4)]
+    model = ADAM_PARAMS[net]()
+    shapes = [p.shape for layer in model.layers for p in layer.params.values()]
     start = [rng.normal(size=s) for s in shapes]
     fast_params = [p.copy() for p in start]
     ref_params = [p.copy() for p in start]
@@ -200,15 +216,17 @@ def test_adam_update_bit_identical(palette):
             ref.reset()
         if step % 5 == 4:
             fast.lr = ref.lr = float(rng.uniform(1e-4, 0.05))
-        fast.begin_step()
-        ref.begin_step()
+        grads = [_values(rng, palette, s) for s in shapes]
+        kept = [g.copy() for g in grads]
+        fast.step(list(zip(fast_params, grads)))
+        ref.step(list(zip(ref_params, grads)))
+        assert fast.iterations == ref.iterations == step % 12 + 1
+        assert all(_bits_equal(g, k) for g, k in zip(grads, kept))  # read only
         for fp, rp in zip(fast_params, ref_params):
-            grad = _values(rng, palette, fp.shape)
-            fast.update(fp, grad)
-            ref.update(rp, grad)
             assert _bits_equal(fp, rp), step
-            for key in ("m", "v"):
-                assert _bits_equal(fast.state_for(fp)[key], ref.state_for(rp)[key])
+        for key in ("m", "v"):
+            want = np.concatenate([ref._state[id(p)][key].ravel() for p in ref_params])
+            assert _bits_equal(fast._state[key], want), (step, key)
 
 
 # -- the whole step --------------------------------------------------------------------
@@ -299,7 +317,7 @@ def test_training_steps_bit_identical(name, monkeypatch):
         fast.train_batch(x, y)
     with monkeypatch.context() as patch:
         patch.setattr(Sequential, "backward", reference_backward)
-        patch.setattr(Adam, "update", ReferenceAdam.update)
+        patch.setattr(Adam, "step", reference_adam_step)
         for x, y in batches:
             ref.train_batch(x, y)
     for got, want in zip(fast.get_weights(), ref.get_weights()):

@@ -7,10 +7,10 @@ feeds it the tuning set's unfolding (minibatches ``u[idx]``, and
 ``predict``'s 256-sample chunks), and the aging-aware mapper each conv
 layer's selection prefix.  Every result must equal the image path
 *bitwise*, and both must equal the formulas ``Conv2D`` ran on images
-before unfolding existed: the forward output, the GEMM operand
-``_cols`` (strides and contiguity too, because BLAS rounds differently
-per operand layout; one image's matrix is column-major), the
-weight/bias gradients and ``dx``.
+before unfolding existed: the forward output (a C-contiguous NCHW
+array), the GEMM operand ``_cols`` (strides and contiguity too, because
+BLAS rounds differently per operand layout; one image's matrix is
+column-major), the weight/bias gradients and ``dx``.
 The cases are random shapes (batch 1 included, strides 1–3, padding
 0–2) and every conv shape of the shipped LeNet and VGG networks.
 
@@ -53,9 +53,10 @@ def reference_pass(layer, x, grad) -> dict:
     out = cols @ w_mat.T
     out += layer.params["b"]
     _, oh, ow = layer.output_shape()
+    out = out.reshape(len(x), oh, ow, f).transpose(0, 3, 1, 2)
     grad_mat = grad.transpose(0, 2, 3, 1).reshape(-1, f)
     return {
-        "out": out.reshape(len(x), oh, ow, f).transpose(0, 3, 1, 2),
+        "out": np.ascontiguousarray(out),
         "cols": cols,
         "dx": col2im(grad_mat @ w_mat, x.shape, k, k, layer.stride, layer.padding),
         "W": (grad_mat.T @ cols).reshape(layer.params["W"].shape),
@@ -160,12 +161,17 @@ _SHIPPED_CONVS = [(1, 12, 12, 5, 0), (8, 4, 4, 3, 0)] + [
 ]
 
 
+@pytest.mark.parametrize("layout", ["contiguous", "transposed"])
 @pytest.mark.parametrize("n", [1, 3, 64])
 @pytest.mark.parametrize("c, h, w, k, padding", sorted(set(_SHIPPED_CONVS)))
-def test_shipped_conv_shapes_bit_identical(n, c, h, w, k, padding):
-    """Conv-output-like input layout, as every conv after layer 0 sees."""
+def test_shipped_conv_shapes_bit_identical(n, c, h, w, k, padding, layout):
+    """A C-contiguous input, as every conv after layer 0 sees (layers
+    hand on C-contiguous arrays), and a channels-last view transposed to
+    NCHW, as a caller may pass."""
     rng = np.random.default_rng(n * c * h)
     x = rng.normal(size=(n, h, w, c)).transpose(0, 3, 1, 2)
+    if layout == "contiguous":
+        x = np.ascontiguousarray(x)
     layer = _conv(4, k, 1, padding, (c, h, w), n)
     u = layer.unfold(x)
     assert_same_pass(layer, x, u, rng)

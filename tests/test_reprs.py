@@ -13,9 +13,10 @@ from repro.crossbar import Crossbar, TiledMatrix
 from repro.device import DeviceConfig, LevelGrid
 from repro.mapping import AgingAwareMapper, FreshMapper, LinearWeightMapping, MappedNetwork
 from repro.mitigation import PulseShaping, SeriesResistor
-from repro.nn import AvgPool2D, Conv2D, Dense, Flatten, MaxPool2D, Sequential
+from repro.nn import Conv2D, Dense, Flatten, MaxPool2D, Sequential
 from repro.nn.activations import ReLU
 from repro.nn.initializers import GlorotNormal
+from repro.nn.layers.pool import AvgPool2D
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.optimizers import SGD, Adam
 from repro.nn.regularizers import L2Regularizer, SkewedL2Regularizer
@@ -29,8 +30,8 @@ def _network():
 CASES = {
     "dense": (lambda: Dense(3), "Dense(units=3, use_bias=True)"),
     "conv2d": (lambda: Conv2D(4, 3), "Conv2D(filters=4, kernel_size=3, stride=1, padding=0)"),
-    "max_pool": (lambda: MaxPool2D(2), "MaxPool2D(pool_size=2, stride=2)"),
-    "avg_pool": (lambda: AvgPool2D(2, stride=1), "AvgPool2D(pool_size=2, stride=1)"),
+    "max_pool": (lambda: MaxPool2D(2), "MaxPool2D(pool_size=2)"),
+    "avg_pool": (lambda: AvgPool2D(3), "AvgPool2D(pool_size=3)"),
     "flatten": (Flatten, "Flatten()"),
     "relu": (ReLU, "ReLU()"),
     "cross_entropy": (SoftmaxCrossEntropy, "SoftmaxCrossEntropy()"),

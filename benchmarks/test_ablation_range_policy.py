@@ -18,7 +18,6 @@ from repro.analysis import render_table
 from repro.core import Sweep
 from repro.device import DeviceConfig
 from repro.mapping import AgingAwareMapper, MappedNetwork
-from repro.mapping.fresh import FreshMapper
 from repro.mapping.network import clone_model
 
 POLICIES = ("fresh", "min", "max", "iterative")
@@ -40,12 +39,12 @@ def run(lab, workers=1):
     def evaluate(policy, rng):
         cfg = DeviceConfig(pulses_to_collapse=80, write_noise=0.1)
         net = MappedNetwork(clone_model(model), cfg, seed=55)
-        net.map_network(FreshMapper())
+        net.map_network()
         # Every policy sees the identical aged array: the aging history
         # is seeded per point, not drawn from a shared stream.
         age_network(net, np.random.default_rng(5))
         if policy == "fresh":
-            net.map_network(FreshMapper())
+            net.map_network()
         elif policy == "iterative":
             net.map_network(AgingAwareMapper(), selection_data=(x, y))
         else:

@@ -12,7 +12,6 @@ from repro.analysis import render_table
 from repro.core import Sweep
 from repro.device import DeviceConfig
 from repro.mapping import MappedNetwork
-from repro.mapping.fresh import FreshMapper
 from repro.mapping.network import clone_model
 from repro.training import SkewedTrainingConfig, skewed_train
 
@@ -38,7 +37,7 @@ def run(lab, workers=1):
                 pretrained=True,
             )
         net = MappedNetwork(clone_model(model), cfg, seed=3)
-        net.map_network(FreshMapper())
+        net.map_network()
         targets = np.concatenate(
             [
                 np.asarray(

@@ -16,7 +16,6 @@ import numpy as np
 from repro.analysis import render_table
 from repro.device import DeviceConfig
 from repro.mapping import MappedNetwork
-from repro.mapping.fresh import FreshMapper
 from repro.mapping.network import clone_model
 from repro.training import (
     SkewedTrainingConfig,
@@ -36,7 +35,7 @@ SWEEP = [
 
 def median_mapped_resistance(model) -> float:
     net = MappedNetwork(clone_model(model), DeviceConfig(), seed=1)
-    net.map_network(FreshMapper())
+    net.map_network()
     targets = np.concatenate(
         [
             np.asarray(m.mapping.weight_to_resistance(m.software_matrix())).ravel()

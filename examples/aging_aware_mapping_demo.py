@@ -13,7 +13,6 @@ import numpy as np
 from repro import DeviceConfig, MappedNetwork, TrainConfig
 from repro.data import make_glyph_digits
 from repro.mapping import AgingAwareMapper
-from repro.mapping.fresh import FreshMapper
 from repro.mapping.network import clone_model
 from repro.training import build_lenet, train_baseline
 
@@ -31,7 +30,7 @@ def main() -> None:
         """Map, then age the array: every device sees programming
         traffic (common-mode level loss), a hot subset sees more."""
         net = MappedNetwork(clone_model(model), device, seed=seed)
-        net.map_network(FreshMapper())
+        net.map_network()
         rng = np.random.default_rng(seed)
         for layer in net.layers:
             hot = rng.random(layer.matrix_shape) < 0.3
@@ -42,7 +41,7 @@ def main() -> None:
 
     # Fresh (aging-oblivious) remap of the damaged array.
     net = build_aged_network(seed=55)
-    net.map_network(FreshMapper())
+    net.map_network()
     print(f"\nfresh remap of the aged array:       accuracy {net.score(x, y):.3f}")
 
     # Aging-aware remap: show the Fig. 8 selection per layer.

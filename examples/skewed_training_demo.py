@@ -17,7 +17,6 @@ from repro.analysis import (
     weight_histogram,
 )
 from repro.mapping import LinearWeightMapping
-from repro.mapping.fresh import FreshMapper
 from repro.mapping.network import clone_model
 from repro.mapping.quantize import quantization_error
 from repro.data import make_glyph_digits
@@ -31,7 +30,7 @@ def describe(model, data, device, label):
     targets = np.asarray(mapping.weight_to_resistance(weights))
 
     net = MappedNetwork(clone_model(model), device, seed=1)
-    net.map_network(FreshMapper())
+    net.map_network()
 
     print(f"--- {label} ---")
     print(f"test accuracy (software): {model.score(data.x_test, data.y_test):.3f}")

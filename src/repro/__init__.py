@@ -60,7 +60,6 @@ from repro.exceptions import (
 )
 from repro.mapping import (
     AgingAwareMapper,
-    FreshMapper,
     LinearWeightMapping,
     MappedNetwork,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "Dataset",
     "DeviceConfig",
     "FrameworkConfig",
-    "FreshMapper",
     "LevelGrid",
     "LifetimeConfig",
     "LifetimeResult",

@@ -29,9 +29,9 @@ canonical (sorted-key, compact) JSON, and the file holds the payload in
 exactly that encoding; bit rot is detected at load time, not silently
 resumed from.
 
-Schema layout (``CHECKPOINT_SCHEMA = 7``)::
+Schema layout (``CHECKPOINT_SCHEMA = 8``)::
 
-    {"schema": 7, "kind": "repro-lifetime-checkpoint", "sha256": ...,
+    {"schema": 8, "kind": "repro-lifetime-checkpoint", "sha256": ...,
      "payload": {
         "meta":     {scenario_key, next_window, applications, created_unix,
                      layers, tiles, devices},
@@ -42,7 +42,7 @@ The pickled context is the state: restoring a snapshot is unpickling
 it.  Only state is pickled (layers and crossbars drop their derived
 caches in ``__getstate__``), and ``meta`` carries the counts that
 ``repro checkpoints inspect`` shows without unpickling anything.
-Schemas 2 to 7 share this layout; only the pickled classes differ.
+Schemas 2 to 8 share this layout; only the pickled classes differ.
 Schema 3 added the ``version`` counter that keys the network's read
 memo to pickled ``MappedLayer``s.  Schema 4 dropped their row
 permutation and the simulator's maintenance hooks, so a schema-3
@@ -52,7 +52,9 @@ simulator's aging-aware flag (a mapper now means AT).  Schema 6
 changed the pickled fault schedule: a ``FaultEvent`` is
 ``(kind, window, rate)``.  Schema 7 dropped the device
 configuration's variability, the tuning configuration's hopeless gap
-and the aging-aware mapper's fault-aware flag.
+and the aging-aware mapper's fault-aware flag.  Schema 8 dropped the
+dense and conv layers' bias switch and initializers, the conv stride,
+and Adam's ``beta1``/``beta2``/``eps``.
 Any schema but the current one is rejected at load.
 """
 
@@ -78,7 +80,7 @@ logger = logging.getLogger(__name__)
 
 #: Snapshot format version; bump when the payload layout or the state
 #: of a pickled class changes.
-CHECKPOINT_SCHEMA = 7
+CHECKPOINT_SCHEMA = 8
 #: Journal line format version.
 JOURNAL_SCHEMA = 1
 

@@ -131,11 +131,11 @@ class AgingAwareFramework:
         built: a content hash of everything the run depends on (the
         scenario, the repeat index, the framework entropy that seeds
         training, hardware and tuning streams, the full configuration
-        tree and the dataset arrays), so any change to any of them
-        misses the journal.  The fault schedule and the degradation
-        flag are folded in only when a schedule is given or the flag is
-        set, so a plain scenario run and a fault campaign's fault-free
-        baseline point share one key.
+        tree, the dataset arrays and the network builder), so any change
+        to any of them misses the journal.  The fault schedule and the
+        degradation flag are folded in only when a schedule is given or
+        the flag is set, so a plain scenario run and a fault campaign's
+        fault-free baseline point share one key.
         ``run_kwargs`` (the checkpoint options) reach ``run_scenario``
         but stay out of the key: they never change the result.
         """
@@ -147,6 +147,7 @@ class AgingAwareFramework:
             self._entropy,
             self.config,
             self.dataset,
+            self.network_builder,
         ]
         if fault_schedule is not None or degradation:
             parts.append(("robustness/v1", fault_schedule, degradation))

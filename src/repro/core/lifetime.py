@@ -34,7 +34,6 @@ from repro.core.profiling import PROFILER
 from repro.core.results import LifetimeResult, WindowRecord
 from repro.exceptions import ConfigurationError
 from repro.mapping.aging_aware import AgingAwareMapper
-from repro.mapping.fresh import FreshMapper
 from repro.mapping.network import MappedNetwork
 from repro.rng import spawn_rng
 from repro.tuning.online import OnlineTuner, TuningConfig
@@ -148,12 +147,6 @@ class LifetimeSimulator:
         simulator._resume_state = (result, next_window, applications)
         return simulator
 
-    def _remap(self, x_tune: np.ndarray) -> None:
-        if self.mapper is not None:
-            self.network.map_network(self.mapper, selection_data=(x_tune, self.y_tune))
-        else:
-            self.network.map_network(FreshMapper())
-
     def run(
         self,
         scenario_key: str = "custom",
@@ -225,7 +218,7 @@ class LifetimeSimulator:
             self.network.apply_drift(cfg.drift_magnitude)
 
             # Maintenance cycle: remap + tune.
-            self._remap(x_tune)
+            self.network.map_network(self.mapper, selection_data=(x_tune, self.y_tune))
             tuning = self.tuner.tune(self.network, x_tune, self.y_tune)
 
             record = WindowRecord(

@@ -37,7 +37,6 @@ from repro.crossbar.tracer import BlockTracer
 from repro.device.config import DeviceConfig
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.mapping.aging_aware import AgingAwareMapper
-from repro.mapping.fresh import FreshMapper
 from repro.mapping.linear import LinearWeightMapping
 from repro.mapping.quantize import quantize_weights
 from repro.nn.layers.conv import Conv2D
@@ -262,16 +261,19 @@ class MappedNetwork:
     # -- mapping --------------------------------------------------------
     def map_network(
         self,
-        policy=None,
+        mapper: Optional[AgingAwareMapper] = None,
         selection_data: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
-        """Map every weighted layer to hardware under ``policy``.
+        """Map every weighted layer to hardware, then program it.
 
-        ``policy`` is a :class:`~repro.mapping.fresh.FreshMapper`
-        (default), which only sets each layer's range, or an
-        :class:`~repro.mapping.aging_aware.AgingAwareMapper`, which
-        requires ``selection_data``, the batch on which candidate common
-        ranges are scored.  Layers are selected in order, each candidate
+        Without ``mapper`` every layer's range is the nominal fresh
+        window ``(r_min, r_max)``, however aged the array is: the
+        baseline of the paper's T+T and ST+T scenarios, whose late-life
+        aged windows no longer hold the high-resistance targets, so
+        tuning has to burn pulses to recover (Section III).  An
+        :class:`~repro.mapping.aging_aware.AgingAwareMapper` requires
+        ``selection_data``, the batch on which candidate common ranges
+        are scored.  Layers are selected in order, each candidate
         scored with the already-selected layers at their predicted
         weights; then every layer is programmed.
 
@@ -284,16 +286,15 @@ class MappedNetwork:
         ``predict`` chunks the batch where a full forward on the images
         would, so every score is bit-identical to the trial network's.
         """
-        policy = policy if policy is not None else FreshMapper()
-        if not isinstance(policy, AgingAwareMapper):
+        if mapper is None:
             for mapped in self.layers:
-                mapped.set_range(*policy.select_range(mapped))
+                mapped.set_range(self.device_config.r_min, self.device_config.r_max)
         elif selection_data is None:
             raise ConfigurationError("aging-aware mapping requires selection_data")
         else:
-            policy.history.clear()
+            mapper.history.clear()
             x_sel, y_sel = selection_data
-            n = min(len(x_sel), policy.selection_batch)
+            n = min(len(x_sel), mapper.selection_batch)
             y_batch = np.asarray(y_sel[:n], dtype=np.float64)
             model = self._install_matrices({})
             start = self.layers[0].layer_index
@@ -312,7 +313,7 @@ class MappedNetwork:
                     kernel[...] = _matrix_to_kernel(matrix, mapped.layer)
                     return accuracy(model.predict(prefix, start=start), y_batch)
 
-                chosen = policy.select_range(mapped, score)
+                chosen = mapper.select_range(mapped, score)
                 mapped.set_range(*chosen)
                 kernel[...] = _matrix_to_kernel(scored[chosen], mapped.layer)
                 if i + 1 < len(self.layers):

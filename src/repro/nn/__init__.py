@@ -3,9 +3,12 @@
 The paper trains its networks with TensorFlow; this offline reproduction
 implements the required subset of a deep-learning framework directly on
 numpy: layers with explicit forward/backward passes, the cross-entropy
-loss, optimizers, weight initializers and — the piece the paper
-actually contributes — the **two-segment skewed regularizer** of
-Eq. (8)–(10).  It carries what the two networks train with and no more.
+loss, optimizers, He-normal (conv) and Glorot-uniform (dense) kernel
+initialization and — the piece the paper actually contributes — the
+**two-segment skewed regularizer** of Eq. (8)–(10).  It carries what
+the two networks train with and no more: convolutions run at stride 1,
+every weighted layer has a bias, and the loss is always softmax
+cross-entropy.
 
 Public surface::
 
@@ -17,22 +20,13 @@ Public surface::
 """
 
 from repro.nn.activations import ReLU, get_activation
-from repro.nn.initializers import (
-    GlorotNormal,
-    GlorotUniform,
-    HeNormal,
-    HeUniform,
-    LeCunNormal,
-    ZerosInit,
-    get_initializer,
-)
 from repro.nn.layers.activation import Activation
 from repro.nn.layers.base import Layer, ParamLayer
 from repro.nn.layers.conv import Conv2D
 from repro.nn.layers.dense import Dense
 from repro.nn.layers.pool import MaxPool2D
 from repro.nn.layers.reshape import Flatten
-from repro.nn.losses import Loss, SoftmaxCrossEntropy
+from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.metrics import accuracy
 from repro.nn.model import Sequential, TrainingHistory
 from repro.nn.optimizers import SGD, Adam, Optimizer
@@ -48,14 +42,8 @@ __all__ = [
     "Conv2D",
     "Dense",
     "Flatten",
-    "GlorotNormal",
-    "GlorotUniform",
-    "HeNormal",
-    "HeUniform",
     "L2Regularizer",
     "Layer",
-    "LeCunNormal",
-    "Loss",
     "MaxPool2D",
     "Optimizer",
     "ParamLayer",
@@ -66,8 +54,6 @@ __all__ = [
     "SkewedL2Regularizer",
     "SoftmaxCrossEntropy",
     "TrainingHistory",
-    "ZerosInit",
     "accuracy",
     "get_activation",
-    "get_initializer",
 ]

@@ -22,7 +22,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.rng import SeedLike, ensure_rng
+from repro.exceptions import ShapeError
+from repro.rng import SeedLike
 
 
 class Layer:
@@ -53,9 +54,15 @@ class Layer:
         """Allocate parameters for ``input_shape`` and return the output shape.
 
         ``input_shape`` excludes the batch dimension.  Idempotent: a
-        second call with the same shape is a no-op.
+        second call with the same shape is a no-op (parameters are not
+        drawn again); a call with another shape raises ``ShapeError``.
         """
-        self.input_shape = tuple(int(s) for s in input_shape)
+        shape = tuple(int(s) for s in input_shape)
+        if self.built and shape != self.input_shape:
+            raise ShapeError(
+                f"{type(self).__name__} was built for input {self.input_shape}, not {shape}"
+            )
+        self.input_shape = shape
         self.built = True
         return self.output_shape()
 
@@ -121,19 +128,11 @@ class ParamLayer(Layer):
     def regularized(self) -> List[str]:
         return self._regularized
 
-    def add_param(
-        self,
-        name: str,
-        shape: Tuple[int, ...],
-        initializer,
-        rng: SeedLike = None,
-        regularize: bool = False,
-    ) -> np.ndarray:
-        """Allocate parameter ``name`` and its zero gradient slot."""
-        rng = ensure_rng(rng)
-        value = np.asarray(initializer(shape, rng), dtype=np.float64)
+    def add_param(self, name: str, value: np.ndarray, regularize: bool = False) -> None:
+        """Install parameter ``name`` with initial ``value`` and its zero
+        gradient slot."""
+        value = np.asarray(value, dtype=np.float64)
         self._params[name] = value
         self._grads[name] = np.zeros_like(value)
-        if regularize and name not in self._regularized:
+        if regularize:
             self._regularized.append(name)
-        return value

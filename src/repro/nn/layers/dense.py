@@ -7,9 +7,9 @@ from typing import Tuple
 import numpy as np
 
 from repro.exceptions import ConfigurationError, ShapeError
-from repro.nn.initializers import ZerosInit, get_initializer
+from repro.nn.initializers import glorot_uniform
 from repro.nn.layers.base import ParamLayer
-from repro.rng import SeedLike
+from repro.rng import SeedLike, ensure_rng
 
 
 class Dense(ParamLayer):
@@ -22,20 +22,11 @@ class Dense(ParamLayer):
 
     _transient = ("_x",)
 
-    def __init__(
-        self,
-        units: int,
-        use_bias: bool = True,
-        kernel_init="glorot_uniform",
-        bias_init=None,
-    ) -> None:
+    def __init__(self, units: int) -> None:
         super().__init__()
         if units < 1:
             raise ConfigurationError(f"units must be >= 1, got {units}")
         self.units = int(units)
-        self.use_bias = bool(use_bias)
-        self.kernel_init = get_initializer(kernel_init)
-        self.bias_init = get_initializer(bias_init) if bias_init is not None else ZerosInit()
         self._x: np.ndarray | None = None
 
     def build(self, input_shape: Tuple[int, ...], rng: SeedLike = None) -> Tuple[int, ...]:
@@ -43,32 +34,27 @@ class Dense(ParamLayer):
             raise ShapeError(
                 f"Dense expects flat input of shape (features,), got {input_shape}"
             )
-        super().build(input_shape, rng)
-        in_features = input_shape[0]
-        self.add_param("W", (in_features, self.units), self.kernel_init, rng, regularize=True)
-        if self.use_bias:
-            self.add_param("b", (self.units,), self.bias_init, rng)
-        return self.output_shape()
+        if not self.built:
+            kernel = glorot_uniform((input_shape[0], self.units), ensure_rng(rng))
+            self.add_param("W", kernel, regularize=True)
+            self.add_param("b", np.zeros(self.units))
+        return super().build(input_shape, rng)
 
     def output_shape(self) -> Tuple[int, ...]:
         return (self.units,)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._x = x
-        out = x @ self._params["W"]
-        if self.use_bias:
-            out = out + self._params["b"]
-        return out
+        return x @ self._params["W"] + self._params["b"]
 
     def param_grads(self, grad: np.ndarray) -> None:
         assert self._x is not None, "backward called before forward"
         self._grads["W"][...] = self._x.T @ grad
-        if self.use_bias:
-            self._grads["b"][...] = grad.sum(axis=0)
+        self._grads["b"][...] = grad.sum(axis=0)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         self.param_grads(grad)
         return grad @ self._params["W"].T
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Dense(units={self.units}, use_bias={self.use_bias})"
+        return f"Dense(units={self.units})"

@@ -1,9 +1,8 @@
-"""Loss functions.
+"""The training loss: softmax cross-entropy.
 
-A loss exposes ``value(pred, target)`` (mean over the batch) and
+It exposes ``value(pred, target)`` (mean over the batch) and
 ``gradient(pred, target)`` (gradient of the mean loss w.r.t. ``pred``).
-Targets for classification losses are one-hot float arrays so the same
-API serves both hard and soft labels.
+Targets are one-hot float arrays, or soft distributions.
 """
 
 from __future__ import annotations
@@ -20,30 +19,13 @@ def _check_same_shape(pred: np.ndarray, target: np.ndarray) -> None:
         raise ShapeError(f"pred shape {pred.shape} != target shape {target.shape}")
 
 
-class Loss:
-    """Base class for losses."""
-
-    name = "loss"
-
-    def value(self, pred: np.ndarray, target: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def gradient(self, pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}()"
-
-
-class SoftmaxCrossEntropy(Loss):
+class SoftmaxCrossEntropy:
     """Fused softmax + categorical cross-entropy.
 
     ``pred`` is the raw logits array ``(batch, classes)``; ``target`` is
     one-hot (or a soft distribution).  This is the loss the paper's
     Eq. (1) writes as the cross-entropy term :math:`C(W)`.
     """
-
-    name = "softmax_cross_entropy"
 
     @staticmethod
     def probabilities(logits: np.ndarray) -> np.ndarray:
@@ -61,3 +43,6 @@ class SoftmaxCrossEntropy(Loss):
         _check_same_shape(pred, target)
         p = self.probabilities(pred)
         return (p - target) / pred.shape[0]
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return "SoftmaxCrossEntropy()"

@@ -1,11 +1,12 @@
 """Sequential model: the training loop of the NN substrate.
 
-The model composes layers, a loss, an optimizer and (optionally) one
-regularizer per weighted layer.  Per-layer regularizers matter here: the
-paper's skewed training picks a reference weight :math:`\\beta_i` *per
-layer* from that layer's weight statistics (its Table II), so
-:meth:`Sequential.set_regularizers` accepts either one regularizer for
-all layers or a mapping ``{layer_index: Regularizer}``.
+The model composes layers, the softmax cross-entropy loss, an optimizer
+and (optionally) one regularizer per weighted layer.  Per-layer
+regularizers matter here: the paper's skewed training picks a reference
+weight :math:`\\beta_i` *per layer* from that layer's weight statistics
+(its Table II), so :meth:`Sequential.set_regularizers` accepts either
+one regularizer for all layers or a mapping
+``{layer_index: Regularizer}``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.nn.layers.base import Layer
-from repro.nn.losses import Loss, SoftmaxCrossEntropy
+from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.metrics import accuracy
 from repro.nn.optimizers import SGD, Optimizer
 from repro.nn.regularizers import Regularizer
@@ -47,14 +48,13 @@ class Sequential:
     def __init__(
         self,
         layers: Sequence[Layer],
-        loss: Optional[Loss] = None,
         optimizer: Optional[Optimizer] = None,
         seed: SeedLike = None,
     ) -> None:
         if not layers:
             raise ConfigurationError("Sequential needs at least one layer")
         self.layers: List[Layer] = list(layers)
-        self.loss = loss if loss is not None else SoftmaxCrossEntropy()
+        self.loss = SoftmaxCrossEntropy()
         self.optimizer = optimizer if optimizer is not None else SGD(0.01)
         self._rng = ensure_rng(seed)
         self._regularizers: Dict[int, Regularizer] = {}
@@ -63,11 +63,15 @@ class Sequential:
 
     # -- construction ----------------------------------------------------
     def build(self, input_shape: Sequence[int]) -> "Sequential":
-        """Allocate all layer parameters for samples of ``input_shape``."""
-        shape = tuple(int(s) for s in input_shape)
-        self.input_shape = shape
+        """Allocate all layer parameters for samples of ``input_shape``.
+
+        A repeat build at the same shape draws nothing; another shape
+        raises ``ShapeError`` (see :meth:`Layer.build`).
+        """
+        shape = input_shape = tuple(int(s) for s in input_shape)
         for layer in self.layers:
             shape = layer.build(shape, self._rng)
+        self.input_shape = input_shape
         self.built = True
         return self
 

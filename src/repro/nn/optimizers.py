@@ -18,6 +18,9 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 
+#: Adam's moment decay rates and denominator guard.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 #: One model's parameters with their gradients, in a fixed order.
 Pairs = Sequence[Tuple[np.ndarray, np.ndarray]]
 
@@ -59,23 +62,9 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam with bias correction (Kingma & Ba, 2015)."""
-
-    def __init__(
-        self,
-        lr: float = 0.001,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> None:
-        super().__init__(lr)
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ConfigurationError(
-                f"betas must be in [0, 1), got beta1={beta1}, beta2={beta2}"
-            )
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
+    """Adam with bias correction (Kingma & Ba, 2015), at that paper's
+    ``beta1``, ``beta2`` and ``eps`` (:data:`BETA1`, :data:`BETA2`,
+    :data:`EPS`)."""
 
     def step(self, pairs: Pairs) -> None:
         self.iterations += 1
@@ -87,13 +76,13 @@ class Adam(Optimizer):
             self._state = {"keys": keys, "m": zeros, "v": zeros.copy()}
         m, v, t = self._state["m"], self._state["v"], self.iterations
         # In place over two scratch arrays; a product's operands may swap.
-        m *= self.beta1
-        m += (upd := grad * (1.0 - self.beta1))
-        v *= self.beta2
-        v += np.multiply(np.multiply(grad, 1.0 - self.beta2, out=upd), grad, out=upd)
-        denom = v / (1.0 - self.beta2**t)
-        denom = np.add(np.sqrt(denom, out=denom), self.eps, out=denom)
-        m_hat = np.divide(m, 1.0 - self.beta1**t, out=upd)
+        m *= BETA1
+        m += (upd := grad * (1.0 - BETA1))
+        v *= BETA2
+        v += np.multiply(np.multiply(grad, 1.0 - BETA2, out=upd), grad, out=upd)
+        denom = v / (1.0 - BETA2**t)
+        denom = np.add(np.sqrt(denom, out=denom), EPS, out=denom)
+        m_hat = np.divide(m, 1.0 - BETA1**t, out=upd)
         np.divide(np.multiply(m_hat, self.lr, out=m_hat), denom, out=upd)
         start = 0
         for param in params:

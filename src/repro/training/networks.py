@@ -27,7 +27,6 @@ from repro.nn import (
     Flatten,
     MaxPool2D,
     Sequential,
-    SoftmaxCrossEntropy,
 )
 from repro.rng import SeedLike
 
@@ -46,7 +45,7 @@ def build_mlp(
     for width in hidden:
         layers += [Dense(width), Activation("relu")]
     layers += [Dense(n_classes)]
-    model = Sequential(layers, loss=SoftmaxCrossEntropy(), optimizer=Adam(lr), seed=seed)
+    model = Sequential(layers, optimizer=Adam(lr), seed=seed)
     return model.build((input_dim,))
 
 
@@ -76,7 +75,6 @@ def build_lenet(
             Activation("relu"),
             Dense(n_classes),
         ],
-        loss=SoftmaxCrossEntropy(),
         optimizer=Adam(lr),
         seed=seed,
     )
@@ -119,7 +117,6 @@ def build_vggnet(
             Activation("relu"),
             Dense(n_classes),
         ],
-        loss=SoftmaxCrossEntropy(),
         optimizer=Adam(lr),
         seed=seed,
     )

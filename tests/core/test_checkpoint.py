@@ -135,6 +135,7 @@ class TestSnapshotFile:
     #: permutation would resume with the wrong reads.  Schemas 4 and 5
     #: pickle fault events with one field per fault kind.  Schema 6
     #: pickles device, tuning and mapper fields this build dropped.
+    #: Schema 7 pickles layer and Adam settings this build dropped.
     OLD_SCHEMAS = {
         1: {"layers": [], "rng": {"tuner": {}, "fault": None}},
         2: {"context_pickle": ""},
@@ -142,6 +143,7 @@ class TestSnapshotFile:
         4: {"context_pickle": ""},
         5: {"context_pickle": ""},
         6: {"context_pickle": ""},
+        7: {"context_pickle": ""},
     }
 
     @pytest.mark.parametrize("schema", sorted(OLD_SCHEMAS))

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core import AgingAwareFramework, FrameworkConfig, LifetimeConfig
+from repro.core.checkpoint import RunJournal
+from repro.core.presets import blobs_mini
 from repro.data import make_blobs
 from repro.device import DeviceConfig
 from repro.exceptions import ConfigurationError
@@ -128,3 +130,32 @@ class TestScenarios:
         model_before = framework.trained_model(False)
         framework.run_scenario("t+at")
         assert framework.trained_model(False) is model_before
+
+
+class TestJournalKey:
+    def test_the_network_is_part_of_the_key(self, tmp_path):
+        """Two frameworks that differ only in their network share no
+        journal entry: neither replays the other's result."""
+        preset = blobs_mini(fast=True)
+        data = preset.make_dataset()
+
+        def framework(hidden):
+            return AgingAwareFramework(
+                lambda seed: build_mlp(6, 3, hidden=hidden, seed=seed),
+                data,
+                preset.framework_config,
+                seed=preset.seed,
+            )
+
+        wide, narrow = framework((24,)), framework((4,))
+        wide_task = wide.scenario_task("st+t", "st+t")
+        narrow_task = narrow.scenario_task("st+t", "st+t")
+        assert wide_task.journal_key != narrow_task.journal_key
+        twin_task = framework((24,)).scenario_task("st+t", "st+t")
+        assert wide_task.journal_key == twin_task.journal_key
+
+        journal = RunJournal(tmp_path / "runs.jsonl")
+        wide.run_tasks([wide_task], journal=journal)
+        narrow.run_tasks([narrow_task], journal=journal)
+        assert journal.skipped == 0
+        assert len(journal) == 2

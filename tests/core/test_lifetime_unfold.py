@@ -31,7 +31,7 @@ from repro.core.checkpoint import CheckpointManager, load_checkpoint
 from repro.core.lifetime import LifetimeConfig, LifetimeSimulator
 from repro.crossbar.tracer import BlockTracer
 from repro.device import DeviceConfig
-from repro.mapping import AgingAwareMapper, FreshMapper, MappedNetwork
+from repro.mapping import AgingAwareMapper, MappedNetwork
 from repro.mapping import network as network_module
 from repro.nn.layers import conv as conv_module
 from repro.nn.model import Sequential
@@ -220,7 +220,7 @@ def test_aging_aware_map_prepares_each_layer_once(
 
 def test_fresh_map_predicts_nothing(monkeypatch, aged_network):
     estimates, predictions, events = _count_map_work(monkeypatch)
-    aged_network.map_network(FreshMapper())
+    aged_network.map_network()
     assert not estimates and not predictions and not events
 
 

@@ -20,7 +20,6 @@ from repro import (
     TuningConfig,
     make_glyph_digits,
 )
-from repro.mapping.fresh import FreshMapper
 from repro.mapping.network import clone_model
 from repro.training import build_lenet, skewed_train, train_baseline
 
@@ -68,7 +67,7 @@ class TestSoftwareTraining:
 
         def median_target_r(model):
             net = MappedNetwork(model, DeviceConfig(), seed=1)
-            net.map_network(FreshMapper())
+            net.map_network()
             targets = np.concatenate(
                 [
                     np.asarray(
@@ -90,7 +89,7 @@ class TestSoftwareTraining:
             drops = []
             for seed in seeds:
                 net = MappedNetwork(model, DeviceConfig(), seed=seed)
-                net.map_network(FreshMapper())
+                net.map_network()
                 drops.append(sw - net.score(glyphs.x_test, glyphs.y_test))
             return np.mean(drops)
 

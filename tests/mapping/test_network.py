@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.profiling import PROFILER
 from repro.exceptions import ConfigurationError, ShapeError
-from repro.mapping import AgingAwareMapper, FreshMapper, MappedNetwork
+from repro.mapping import AgingAwareMapper, MappedNetwork
 from repro.mapping.network import clone_model
 from repro.nn import Activation, Conv2D, Dense, Flatten, MaxPool2D, Sequential
 
@@ -101,7 +101,7 @@ class TestMappingLifecycle:
 
     def test_remap_with_same_targets_is_cheap(self, mapped_mlp):
         pulses = mapped_mlp.total_pulses()
-        mapped_mlp.map_network(FreshMapper())
+        mapped_mlp.map_network()
         # only_changed skips devices already on target.
         assert mapped_mlp.total_pulses() == pulses
 

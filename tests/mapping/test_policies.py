@@ -1,10 +1,10 @@
-"""Unit tests for the fresh and aging-aware mapping policies."""
+"""Unit tests for the fresh-window map and the aging-aware mapping policy."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.mapping import AgingAwareMapper, FreshMapper, MappedNetwork
+from repro.mapping import AgingAwareMapper, MappedNetwork
 from repro.mapping.aging_aware import RangeSelection
 
 
@@ -13,11 +13,16 @@ def mapped_layer(mapped_mlp):
     return mapped_mlp.layers[0]
 
 
-class TestFreshMapper:
-    def test_returns_nominal_window(self, mapped_layer):
-        lo, hi = FreshMapper().select_range(mapped_layer)
-        assert lo == mapped_layer.device_config.r_min
-        assert hi == mapped_layer.device_config.r_max
+class TestFreshMap:
+    def test_sets_nominal_window_on_every_layer(self, mapped_mlp):
+        cfg = mapped_mlp.device_config
+        for mapped in mapped_mlp.layers:
+            mapped.set_range(2.0 * cfg.r_min, 0.5 * cfg.r_max)
+        mapped_mlp.map_network()
+        assert len(mapped_mlp.layers) == 2
+        for mapped in mapped_mlp.layers:
+            assert mapped.mapping.g_min == 1.0 / cfg.r_max
+            assert mapped.mapping.g_max == 1.0 / cfg.r_min
 
 
 class TestAgingAwareMapper:

@@ -3,21 +3,20 @@
 Both networks use ReLU and zero biases, so ``repro.nn`` registers no
 other activation and no random bias initializer.  Finite-difference
 gradient checks want a kink-free nonlinearity, and the bit-identity
-batteries want non-zero biases; the tests bring their own parts and
-hand instances to ``Activation`` and ``bias_init``.
+batteries want non-zero biases; the tests hand their own activation to
+``Activation`` and overwrite a built layer's biases.
 
 The finite-difference gradient checker lives here too: it verifies
 that every layer's analytic backward pass matches a central-difference
 approximation, and nothing outside the tests calls it.
 """
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.nn.activations import ActivationFunction
-from repro.nn.initializers import Initializer
-from repro.rng import SeedLike, ensure_rng
+from repro.rng import SeedLike
 
 
 class Tanh(ActivationFunction):
@@ -32,11 +31,10 @@ class Tanh(ActivationFunction):
         return grad * (1.0 - y * y)
 
 
-class NormalInit(Initializer):
-    """Gaussian init, ``N(0, 0.01^2)``."""
-
-    def __call__(self, shape: Sequence[int], rng: SeedLike = None) -> np.ndarray:
-        return ensure_rng(rng).normal(0.0, 0.01, size=shape)
+def randomize_bias(layer, seed: SeedLike) -> None:
+    """Overwrite a built layer's biases with ``N(0, 0.01^2)`` draws."""
+    bias = layer.params["b"]
+    bias[...] = np.random.default_rng(seed).normal(0.0, 0.01, size=bias.shape)
 
 
 def numerical_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:

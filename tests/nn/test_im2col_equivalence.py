@@ -2,10 +2,11 @@
 
 ``im2col`` builds its matrix with one ``np.take`` through a cached table
 of flat pixel offsets.  The reference below is the original formulation:
-one strided slice copy per kernel offset into a ``(n, c, kh, kw, oh,
+one slice copy per kernel offset into a ``(n, c, kh, kw, oh,
 ow)`` buffer, then a transpose-reshape.  Both must agree *bitwise* —
-signed zeros and NaN included — on random shapes, strides and paddings,
-float64 and float32, and non-contiguous inputs (the NCHW view of NHWC
+signed zeros and NaN included — on random shapes and paddings (stride
+1, the only one ``Conv2D`` runs), float64 and float32, and
+non-contiguous inputs (the NCHW view of NHWC
 memory that ``Conv2D`` hands the next layer, reversed and sliced
 batches).  They must also agree in memory layout, because BLAS rounds
 differently per operand layout: a ``Conv2D`` running on either must give
@@ -26,26 +27,22 @@ from hypothesis import strategies as st
 
 from repro.nn.layers import conv as conv_module
 from repro.nn.layers.conv import Conv2D, _window_index, im2col
-from tests.nn.helpers import NormalInit
+from tests.nn.helpers import randomize_bias
 
 MAX_EXAMPLES = 25 if os.environ.get("HYPOTHESIS_PROFILE") == "smoke" else 200
 
 
 # -- reference: one slice copy per kernel offset, then a transpose-reshape ----
-def reference_im2col(
-    x: np.ndarray, kh: int, kw: int, stride: int = 1, padding: int = 0
-) -> np.ndarray:
+def reference_im2col(x: np.ndarray, kh: int, kw: int, padding: int = 0) -> np.ndarray:
     n, c, h, w = x.shape
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
+    oh = h + 2 * padding - kh + 1
+    ow = w + 2 * padding - kw + 1
     if padding > 0:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
     for i in range(kh):
-        i_max = i + stride * oh
         for j in range(kw):
-            j_max = j + stride * ow
-            cols[:, :, i, j, :, :] = x[:, :, i:i_max:stride, j:j_max:stride]
+            cols[:, :, i, j, :, :] = x[:, :, i : i + oh, j : j + ow]
     return cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, c * kh * kw)
 
 
@@ -106,7 +103,6 @@ cases = st.fixed_dictionaries(
         "n": st.integers(1, 3),
         "c": st.integers(1, 3),
         "k": st.integers(1, 4),
-        "stride": st.integers(1, 3),
         "padding": st.integers(0, 2),
         "extra_h": st.integers(0, 6),
         "extra_w": st.integers(0, 6),
@@ -133,19 +129,20 @@ def _draw_input(case):
 @given(case=cases)
 def test_im2col_bit_identical(case):
     _, x = _draw_input(case)
-    k, s, p = case["k"], case["stride"], case["padding"]
-    assert_same_array(im2col(x, k, k, s, p), reference_im2col(x, k, k, s, p))
+    k, p = case["k"], case["padding"]
+    assert_same_array(im2col(x, k, k, p), reference_im2col(x, k, k, p))
 
 
 @settings(max_examples=MAX_EXAMPLES, deadline=None)
 @given(case=cases)
 def test_conv2d_forward_and_backward_bit_identical(case):
     rng, x = _draw_input(case)
-    k, s, p = case["k"], case["stride"], case["padding"]
+    k, p = case["k"], case["padding"]
     layers = []
     for _ in range(2):
-        layer = Conv2D(case["filters"], k, stride=s, padding=p, bias_init=NormalInit())
+        layer = Conv2D(case["filters"], k, padding=p)
         layer.build(x.shape[1:], rng=case["seed"])
+        randomize_bias(layer, case["seed"])
         layers.append(layer)
     fast, ref = layers
 
@@ -179,14 +176,14 @@ def test_shipped_conv_shapes_bit_identical(n, c, h, w, k, padding):
     including the single-image batch whose matrix is column-major."""
     rng = np.random.default_rng(n * c * h)
     x = rng.normal(size=(n, h, w, c)).transpose(0, 3, 1, 2)
-    assert_same_array(im2col(x, k, k, 1, padding), reference_im2col(x, k, k, 1, padding))
+    assert_same_array(im2col(x, k, k, padding), reference_im2col(x, k, k, padding))
 
 
 def test_window_index_is_cached_and_read_only():
-    index = _window_index(2, 6, 7, 3, 2, 2)
-    assert index is _window_index(2, 6, 7, 3, 2, 2)
+    index = _window_index(2, 6, 7, 3, 2)
+    assert index is _window_index(2, 6, 7, 3, 2)
     assert index.dtype == np.intp
-    assert index.shape == (((6 - 3) // 2 + 1) * ((7 - 2) // 2 + 1), 2 * 3 * 2)
+    assert index.shape == ((6 - 3 + 1) * (7 - 2 + 1), 2 * 3 * 2)
     assert not index.flags.writeable
     with pytest.raises(ValueError):
         index[0, 0] = 1
@@ -194,11 +191,11 @@ def test_window_index_is_cached_and_read_only():
 
 def test_window_index_rows_list_window_offsets():
     """Row ``r`` holds the ``(c, kh, kw)``-ordered offsets of window ``r``."""
-    c, h, w, k, s = 2, 5, 6, 2, 2
+    c, h, w, k = 2, 5, 6, 2
     image = np.arange(c * h * w).reshape(c, h, w)
-    index = _window_index(c, h, w, k, k, s)
-    ow = (w - k) // s + 1
+    index = _window_index(c, h, w, k, k)
+    ow = w - k + 1
     for r, row in enumerate(index):
         i, j = divmod(r, ow)
-        window = image[:, i * s : i * s + k, j * s : j * s + k]
+        window = image[:, i : i + k, j : j + k]
         np.testing.assert_array_equal(row, window.ravel())

@@ -6,17 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.nn.initializers import (
-    GlorotNormal,
-    GlorotUniform,
-    HeNormal,
-    HeUniform,
-    LeCunNormal,
-    ZerosInit,
-    _VarianceScaling,
-    compute_fans,
-    get_initializer,
-)
+from repro.nn.initializers import compute_fans, glorot_uniform, he_normal
 
 
 class TestComputeFans:
@@ -35,58 +25,28 @@ class TestComputeFans:
             compute_fans(())
 
 
-class TestBasicInitializers:
-    def test_zeros(self):
-        out = ZerosInit()((3, 4))
-        assert out.shape == (3, 4)
-        assert np.all(out == 0.0)
-
-
-class TestVarianceScaling:
-    @pytest.mark.parametrize(
-        "cls,expected_std_fn",
-        [
-            (GlorotNormal, lambda fi, fo: math.sqrt(2.0 / (fi + fo))),
-            (HeNormal, lambda fi, fo: math.sqrt(2.0 / fi)),
-            (LeCunNormal, lambda fi, fo: math.sqrt(1.0 / fi)),
-        ],
-    )
-    def test_normal_family_std(self, cls, expected_std_fn, rng):
+class TestKernelInitializers:
+    def test_he_normal_std(self, rng):
         shape = (400, 300)
-        out = cls()(shape, rng)
-        assert abs(out.std() - expected_std_fn(*shape)) < 0.01
+        out = he_normal(shape, rng)
+        assert out.shape == shape
+        assert abs(out.std() - math.sqrt(2.0 / shape[0])) < 0.01
 
-    @pytest.mark.parametrize("cls", [GlorotUniform, HeUniform])
-    def test_uniform_family_is_bounded_and_centered(self, cls, rng):
-        out = cls()((300, 200), rng)
+    def test_he_normal_uses_conv_fan_in(self, rng):
+        out = he_normal((64, 8, 5, 5), rng)
+        assert abs(out.std() - math.sqrt(2.0 / (8 * 25))) < 0.01
+
+    def test_glorot_uniform_is_bounded_and_centered(self, rng):
+        shape = (300, 200)
+        out = glorot_uniform(shape, rng)
+        assert out.shape == shape
         assert abs(out.mean()) < 0.005
-        assert out.min() >= -1.0 and out.max() <= 1.0
+        limit = math.sqrt(6.0 / sum(shape))
+        assert np.abs(out).max() <= limit
+        assert np.abs(out).max() > 0.99 * limit
 
-    @pytest.mark.parametrize("distribution", ["normal", "uniform"])
-    def test_fan_out_mode_scales_by_output_fan(self, distribution, rng):
-        attrs = {"mode": "fan_out", "gain": 1.0, "distribution": distribution}
-        fan_out_init = type("FanOutInit", (_VarianceScaling,), attrs)()
-        shape = (100, 400)
-        out = fan_out_init(shape, rng)
-        assert abs(out.std() - math.sqrt(1.0 / shape[1])) < 0.002
-        if distribution == "uniform":
-            assert np.abs(out).max() <= math.sqrt(3.0 / shape[1])
-
-    def test_deterministic_given_seed(self):
-        a = HeNormal()((5, 5), np.random.default_rng(9))
-        b = HeNormal()((5, 5), np.random.default_rng(9))
+    @pytest.mark.parametrize("init", [he_normal, glorot_uniform])
+    def test_deterministic_given_seed(self, init):
+        a = init((5, 5), np.random.default_rng(9))
+        b = init((5, 5), np.random.default_rng(9))
         np.testing.assert_array_equal(a, b)
-
-
-class TestRegistry:
-    def test_lookup_by_name(self):
-        assert isinstance(get_initializer("he_normal"), HeNormal)
-        assert isinstance(get_initializer("GLOROT_UNIFORM"), GlorotUniform)
-
-    def test_passthrough(self):
-        init = HeNormal()
-        assert get_initializer(init) is init
-
-    def test_unknown_name(self):
-        with pytest.raises(ConfigurationError, match="unknown initializer"):
-            get_initializer("nope")

@@ -34,7 +34,7 @@ from repro.nn.layers.pool import AvgPool2D
 CASES = {
     "Activation": (lambda: L.Activation("relu"), (6,)),
     "AvgPool2D": (lambda: AvgPool2D(2), (2, 6, 6)),
-    "Conv2D": (lambda: L.Conv2D(4, 3, stride=1, padding=1), (2, 6, 6)),
+    "Conv2D": (lambda: L.Conv2D(4, 3, padding=1), (2, 6, 6)),
     "Dense": (lambda: L.Dense(3), (7,)),
     "Flatten": (lambda: L.Flatten(), (2, 3, 3)),
     "MaxPool2D": (lambda: L.MaxPool2D(2), (2, 6, 6)),

@@ -5,23 +5,23 @@ import pytest
 
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.nn.layers.conv import Conv2D, col2im, im2col
-from tests.nn.helpers import numerical_gradient
+from tests.nn.helpers import numerical_gradient, randomize_bias
 
 
-def reference_conv(x, w, b, stride=1, padding=0):
+def reference_conv(x, w, b, padding=0):
     """Naive direct convolution for cross-checking."""
     n, c, h, wd = x.shape
     oc, _, kh, kw = w.shape
     if padding:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (wd + 2 * padding - kw) // stride + 1
+    oh = h + 2 * padding - kh + 1
+    ow = wd + 2 * padding - kw + 1
     out = np.zeros((n, oc, oh, ow))
     for ni in range(n):
         for oi in range(oc):
             for i in range(oh):
                 for j in range(ow):
-                    patch = x[ni, :, i * stride : i * stride + kh, j * stride : j * stride + kw]
+                    patch = x[ni, :, i : i + kh, j : j + kw]
                     out[ni, oi, i, j] = np.sum(patch * w[oi]) + b[oi]
     return out
 
@@ -42,17 +42,15 @@ class TestIm2Col:
         assert back[0, 0, 0, 1] == 2
         assert back[0, 0, 1, 1] == 4
 
-    def test_stride_and_padding(self, rng):
+    def test_padding(self, rng):
         x = rng.normal(size=(1, 2, 5, 5))
-        cols = im2col(x, 3, 3, stride=2, padding=1)
-        oh = (5 + 2 - 3) // 2 + 1
-        assert cols.shape == (oh * oh, 2 * 9)
+        cols = im2col(x, 3, 3, padding=1)
+        assert cols.shape == (5 * 5, 2 * 9)
 
 
 class TestConv2D:
     def test_validation(self):
         for bad in (dict(filters=0, kernel_size=3), dict(filters=2, kernel_size=0),
-                    dict(filters=2, kernel_size=3, stride=0),
                     dict(filters=2, kernel_size=3, padding=-1)):
             with pytest.raises(ConfigurationError):
                 Conv2D(**bad)
@@ -80,10 +78,10 @@ class TestConv2D:
         assert layer.output_shape() == (4, 8, 8)
 
     def test_forward_matches_reference(self, rng):
-        layer = Conv2D(3, 3, stride=2, padding=1)
+        layer = Conv2D(3, 3, padding=1)
         layer.build((2, 7, 7), rng)
         x = rng.normal(size=(2, 2, 7, 7))
-        expected = reference_conv(x, layer.params["W"], layer.params["b"], 2, 1)
+        expected = reference_conv(x, layer.params["W"], layer.params["b"], padding=1)
         np.testing.assert_allclose(layer.forward(x), expected, atol=1e-10)
 
     def test_backward_gradients_numeric(self, rng):
@@ -134,41 +132,42 @@ class TestConv2D:
         assert layer.regularized == ["W"]
 
 
-# (channels, size, filters, kernel, stride, padding)
+# (channels, size, filters, kernel, padding)
 GEOMETRIES = [
-    (1, 5, 2, 3, 1, 0),
-    (2, 6, 3, 3, 2, 0),
-    (2, 7, 2, 3, 2, 1),
-    (3, 5, 2, 1, 1, 0),
-    (1, 6, 2, 2, 2, 0),
-    (2, 5, 2, 5, 1, 2),
-    (1, 8, 3, 3, 3, 1),
-    (2, 4, 1, 4, 1, 0),
+    (1, 5, 2, 3, 0),
+    (2, 6, 3, 3, 0),
+    (2, 7, 2, 3, 1),
+    (3, 5, 2, 1, 0),
+    (1, 6, 2, 2, 0),
+    (2, 5, 2, 5, 2),
+    (1, 8, 3, 3, 1),
+    (2, 4, 1, 4, 0),
 ]
 
 
 def _geometry_id(geometry):
-    c, size, f, k, s, p = geometry
-    return f"c{c}-{size}x{size}-f{f}-k{k}-s{s}-p{p}"
+    c, size, f, k, p = geometry
+    return f"c{c}-{size}x{size}-f{f}-k{k}-p{p}"
 
 
 @pytest.mark.parametrize("geometry", GEOMETRIES, ids=_geometry_id)
 class TestGeometries:
-    """Forward and backward across kernel, stride and padding choices;
-    strided and padded backward passes go through ``col2im``, where
-    overlap bookkeeping errors would show."""
+    """Forward and backward across kernel and padding choices; padded
+    backward passes go through ``col2im``, where overlap bookkeeping
+    errors would show."""
 
     @staticmethod
     def _layer(geometry, rng):
-        c, size, f, k, s, p = geometry
-        layer = Conv2D(f, k, stride=s, padding=p, bias_init="glorot_uniform")
+        c, size, f, k, p = geometry
+        layer = Conv2D(f, k, padding=p)
         layer.build((c, size, size), rng)
+        randomize_bias(layer, rng)
         return layer, rng.normal(size=(2, c, size, size))
 
     def test_forward_matches_reference(self, geometry, rng):
         layer, x = self._layer(geometry, rng)
-        _, _, _, _, s, p = geometry
-        expected = reference_conv(x, layer.params["W"], layer.params["b"], s, p)
+        p = geometry[-1]
+        expected = reference_conv(x, layer.params["W"], layer.params["b"], padding=p)
         np.testing.assert_allclose(layer.forward(x), expected, atol=1e-10)
 
     def test_backward_matches_numeric(self, geometry, rng):
@@ -185,6 +184,11 @@ class TestGeometries:
             analytic = layer.grads[name].copy()
             numeric = numerical_gradient(loss, layer.params[name])
             np.testing.assert_allclose(analytic, numeric, atol=1e-6)
+
+    def test_output_shape_matches_forward(self, geometry, rng):
+        """``output_shape`` (``h + 2p - k + 1``) is what ``forward`` makes."""
+        layer, x = self._layer(geometry, rng)
+        assert layer.forward(x).shape == (2,) + layer.output_shape()
 
     def test_param_grads_match_backward(self, geometry, rng):
         """The first layer skips its input gradient; the parameter

@@ -33,10 +33,20 @@ class TestConstruction:
     def test_regularized_is_weights_only(self, built_layer):
         assert built_layer.regularized == ["W"]
 
-    def test_no_bias_variant(self, rng):
-        layer = Dense(3, use_bias=False)
-        layer.build((5,), rng)
-        assert "b" not in layer.params
+    def test_biases_start_at_zero(self, built_layer):
+        assert built_layer.params["b"].tobytes() == np.zeros(3).tobytes()
+
+    def test_repeat_build_keeps_parameters(self, built_layer):
+        """A second build at the same shape draws nothing; another shape
+        raises instead of silently reallocating."""
+        before = {k: v.copy() for k, v in built_layer.params.items()}
+        params = built_layer.params["W"]
+        assert built_layer.build((5,), np.random.default_rng(1)) == (3,)
+        assert built_layer.params["W"] is params
+        for key, value in before.items():
+            assert built_layer.params[key].tobytes() == value.tobytes()
+        with pytest.raises(ShapeError):
+            built_layer.build((6,), np.random.default_rng(1))
 
 
 class TestForwardBackward:

@@ -12,7 +12,8 @@ from repro.nn import (
     Sequential,
     SkewedL2Regularizer,
 )
-from repro.training.networks import build_lenet, build_vggnet
+from repro.nn.layers import conv as conv_module
+from repro.training.networks import build_lenet, build_mlp, build_vggnet
 
 
 @pytest.fixture()
@@ -41,6 +42,57 @@ class TestConstruction:
 
     def test_weighted_layers(self, tiny_model):
         assert [i for i, _l in tiny_model.weighted_layers()] == [0, 2]
+
+    @pytest.mark.parametrize(
+        "build, other_shape",
+        [(lambda: build_mlp(4, 3, seed=0), (5,)), (lambda: build_lenet(seed=0), (1, 14, 14))],
+        ids=["mlp", "lenet"],
+    )
+    def test_repeat_build_draws_nothing(self, build, other_shape):
+        model = build()
+        shape, before = model.input_shape, model.get_weights()
+        model.build(shape)
+        for got, want in zip(model.get_weights(), before):
+            assert got.keys() == want.keys()
+            for key in want:
+                assert got[key].tobytes() == want[key].tobytes()
+        with pytest.raises(ShapeError):
+            model.build(other_shape)
+        assert model.input_shape == shape
+
+
+class TestInputDtype:
+    """``Sequential`` casts its input to float64, so every conv backward
+    hands ``col2im`` float64 columns (its one, float64-only path), and a
+    gradient step on any input dtype equals the step on that input cast
+    to float64, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64, np.uint8])
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: build_lenet(seed=0), lambda: build_vggnet(width=6, seed=0)],
+        ids=["lenet", "vggnet"],
+    )
+    def test_gradients_run_in_float64(self, monkeypatch, build, dtype):
+        model = build()
+        rng = np.random.default_rng(3)
+        x = rng.integers(0, 4, size=(5,) + model.input_shape).astype(dtype)
+        y = np.eye(model.layers[-1].units)[rng.integers(0, model.layers[-1].units, 5)]
+        model.compute_gradients(x.astype(np.float64), y)
+        expected = [{k: g.tobytes() for k, g in layer.grads.items()} for layer in model.layers]
+
+        col_dtypes = []
+        real_col2im = conv_module.col2im
+
+        def recording_col2im(cols, *args, **kwargs):
+            col_dtypes.append(cols.dtype)
+            return real_col2im(cols, *args, **kwargs)
+
+        monkeypatch.setattr(conv_module, "col2im", recording_col2im)
+        model.compute_gradients(x, y)
+        assert col_dtypes and set(col_dtypes) == {np.dtype(np.float64)}
+        got = [{k: g.tobytes() for k, g in layer.grads.items()} for layer in model.layers]
+        assert got == expected
 
 
 class TestRegularizers:

@@ -11,8 +11,8 @@ before unfolding existed: the forward output (a C-contiguous NCHW
 array), the GEMM operand ``_cols`` (strides and contiguity too, because
 BLAS rounds differently per operand layout; one image's matrix is
 column-major), the weight/bias gradients and ``dx``.
-The cases are random shapes (batch 1 included, strides 1–3, padding
-0–2) and every conv shape of the shipped LeNet and VGG networks.
+The cases are random shapes (batch 1 included, padding 0–2) and every
+conv shape of the shipped LeNet and VGG networks.
 
 ``HYPOTHESIS_PROFILE=smoke`` shrinks the example count.
 """
@@ -28,7 +28,7 @@ from repro.exceptions import ShapeError
 from repro.nn.layers import Dense, Flatten, MaxPool2D
 from repro.nn.layers.conv import Conv2D, col2im, im2col
 from repro.training import build_lenet, build_vggnet
-from tests.nn.helpers import NormalInit
+from tests.nn.helpers import randomize_bias
 from tests.nn.test_im2col_equivalence import (
     MAX_EXAMPLES,
     _draw_input,
@@ -38,9 +38,10 @@ from tests.nn.test_im2col_equivalence import (
 )
 
 
-def _conv(filters, k, stride, padding, input_shape, seed) -> Conv2D:
-    layer = Conv2D(filters, k, stride=stride, padding=padding, bias_init=NormalInit())
+def _conv(filters, k, padding, input_shape, seed) -> Conv2D:
+    layer = Conv2D(filters, k, padding=padding)
     layer.build(input_shape, rng=seed)
+    randomize_bias(layer, seed)
     return layer
 
 
@@ -48,7 +49,7 @@ def reference_pass(layer, x, grad) -> dict:
     """``Conv2D`` as it ran before unfolding: ``im2col`` on the images,
     then the same GEMMs and ``col2im``."""
     k, f = layer.kernel_size, layer.filters
-    cols = im2col(x, k, k, layer.stride, layer.padding)
+    cols = im2col(x, k, k, layer.padding)
     w_mat = layer.params["W"].reshape(f, -1)
     out = cols @ w_mat.T
     out += layer.params["b"]
@@ -58,7 +59,7 @@ def reference_pass(layer, x, grad) -> dict:
     return {
         "out": np.ascontiguousarray(out),
         "cols": cols,
-        "dx": col2im(grad_mat @ w_mat, x.shape, k, k, layer.stride, layer.padding),
+        "dx": col2im(grad_mat @ w_mat, x.shape, k, k, layer.padding),
         "W": (grad_mat.T @ cols).reshape(layer.params["W"].shape),
         "b": grad_mat.sum(axis=0),
     }
@@ -86,14 +87,14 @@ def assert_same_pass(layer, x, u, rng) -> None:
 @given(case=cases)
 def test_forward_on_unfolding_bit_identical(case):
     rng, x = _draw_input(case)
-    k, s, p = case["k"], case["stride"], case["padding"]
-    layer = _conv(case["filters"], k, s, p, x.shape[1:], case["seed"])
+    k, p = case["k"], case["padding"]
+    layer = _conv(case["filters"], k, p, x.shape[1:], case["seed"])
     u = layer.unfold(x)
     _, oh, ow = layer.output_shape()
     assert u.shape == (case["n"], oh * ow, x.shape[1] * k * k)
     assert not u.flags.writeable
     assert layer._cols is None  # unfolding leaves the layer alone
-    assert_same_array(u.reshape(-1, u.shape[2]), im2col(x, k, k, s, p))
+    assert_same_array(u.reshape(-1, u.shape[2]), im2col(x, k, k, p))
     assert_same_pass(layer, x, u, rng)
 
 
@@ -102,7 +103,6 @@ rows = st.fixed_dictionaries(
         "n": st.integers(1, 9),
         "c": st.integers(1, 3),
         "k": st.integers(1, 4),
-        "stride": st.integers(1, 3),
         "padding": st.integers(0, 2),
         "extra": st.integers(0, 5),
         "pick": st.sampled_from(["one", "choice", "slice", "reversed"]),
@@ -127,10 +127,10 @@ def _rows(rng, n: int, pick: str):
 @given(case=rows)
 def test_row_selection_of_unfolding_bit_identical(case):
     rng = np.random.default_rng(case["seed"])
-    k, s, p = case["k"], case["stride"], case["padding"]
+    k, p = case["k"], case["padding"]
     side = max(1, k - 2 * p) + case["extra"]
     x = rng.normal(size=(case["n"], case["c"], side, side))
-    layer = _conv(2, k, s, p, x.shape[1:], case["seed"])
+    layer = _conv(2, k, p, x.shape[1:], case["seed"])
     u = layer.unfold(x)
     idx = _rows(rng, case["n"], case["pick"])
     assert_same_pass(layer, x[idx], u[idx], rng)
@@ -140,7 +140,7 @@ def test_row_selection_of_unfolding_bit_identical(case):
 def test_strided_rows_of_one_window_unfolding(rows):
     """With one window per image, a strided row slice of the unfolding
     reshapes to a non-contiguous view; ``_cols`` must still be C-ordered."""
-    layer = _conv(3, 3, 1, 0, (2, 3, 3), seed=0)
+    layer = _conv(3, 3, 0, (2, 3, 3), seed=0)
     x = np.random.default_rng(0).normal(size=(5, 2, 3, 3))
     assert layer.output_shape() == (3, 1, 1)
     assert_same_pass(layer, x[rows], layer.unfold(x)[rows], np.random.default_rng(1))
@@ -172,7 +172,7 @@ def test_shipped_conv_shapes_bit_identical(n, c, h, w, k, padding, layout):
     x = rng.normal(size=(n, h, w, c)).transpose(0, 3, 1, 2)
     if layout == "contiguous":
         x = np.ascontiguousarray(x)
-    layer = _conv(4, k, 1, padding, (c, h, w), n)
+    layer = _conv(4, k, padding, (c, h, w), n)
     u = layer.unfold(x)
     assert_same_pass(layer, x, u, rng)
     idx = rng.choice(n, size=max(1, n // 2), replace=False)

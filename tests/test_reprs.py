@@ -11,11 +11,10 @@ import pytest
 
 from repro.crossbar import Crossbar, TiledMatrix
 from repro.device import DeviceConfig, LevelGrid
-from repro.mapping import AgingAwareMapper, FreshMapper, LinearWeightMapping, MappedNetwork
+from repro.mapping import AgingAwareMapper, LinearWeightMapping, MappedNetwork
 from repro.mitigation import PulseShaping, SeriesResistor
 from repro.nn import Conv2D, Dense, Flatten, MaxPool2D, Sequential
 from repro.nn.activations import ReLU
-from repro.nn.initializers import GlorotNormal
 from repro.nn.layers.pool import AvgPool2D
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.optimizers import SGD, Adam
@@ -28,22 +27,20 @@ def _network():
 
 
 CASES = {
-    "dense": (lambda: Dense(3), "Dense(units=3, use_bias=True)"),
-    "conv2d": (lambda: Conv2D(4, 3), "Conv2D(filters=4, kernel_size=3, stride=1, padding=0)"),
+    "dense": (lambda: Dense(3), "Dense(units=3)"),
+    "conv2d": (lambda: Conv2D(4, 3), "Conv2D(filters=4, kernel_size=3, padding=0)"),
     "max_pool": (lambda: MaxPool2D(2), "MaxPool2D(pool_size=2)"),
     "avg_pool": (lambda: AvgPool2D(3), "AvgPool2D(pool_size=3)"),
     "flatten": (Flatten, "Flatten()"),
     "relu": (ReLU, "ReLU()"),
     "cross_entropy": (SoftmaxCrossEntropy, "SoftmaxCrossEntropy()"),
     "sgd": (lambda: SGD(lr=0.1), "SGD(lr=0.1)"),
-    "adam": (Adam, "Adam(lr=0.001)"),
+    "adam": (lambda: Adam(0.002), "Adam(lr=0.002)"),
     "l2": (lambda: L2Regularizer(0.01), "L2Regularizer(lam=0.01)"),
     "skewed_l2": (
         lambda: SkewedL2Regularizer(-1.0, 0.05, 0.001),
         "SkewedL2Regularizer(beta=-1.0, lambda1=0.05, lambda2=0.001)",
     ),
-    "glorot": (GlorotNormal, "GlorotNormal()"),
-    "fresh_mapper": (FreshMapper, "FreshMapper()"),
     "aging_aware_mapper": (
         lambda: AgingAwareMapper(max_candidates=3),
         "AgingAwareMapper(max_candidates=3)",
